@@ -1,8 +1,11 @@
 """Small dense linear-algebra helpers shared by the estimation modules.
 
-All routines operate on stacks of per-frequency matrices, shape F x P x P.
-Channel counts are small (P <= 8, prediction stacks a few hundred), so dense
-LAPACK-backed methods are used throughout.
+All routines operate on stacks of per-frequency matrices, shape F x P x P,
+with dense LAPACK-backed methods throughout.  Beamformer stacks cover every
+bin with P <= 8 channels.  The linear-prediction core passes one chunk of
+bins at a time with P = taps * channels (60 by default, 1000 and more when
+asked for); linpred.CHUNK_BUDGET_BYTES bounds those chunks, and a single
+bin larger than the budget runs alone.
 """
 
 import numpy as np

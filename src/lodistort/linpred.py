@@ -7,17 +7,30 @@ Two flavors share one weighted least-squares core:
 * fcp filters the current-and-past frames of a target estimate to match a
   reverberant reference, then removes the excess (the estimated reverberation
   of the estimate) from the reference.
+
+The core works frequency-major: it takes its predictor source, targets and
+weights as F x T x ... arrays and solves one D x D system per frequency bin,
+D = taps * channels.  Bins are processed in chunks.  Each chunk builds its
+own F x T x D delayed stack, a weighted conjugate copy of it, and its D x D
+Grams, and CHUNK_BUDGET_BYTES bounds that working set.  Peak memory
+therefore grows with the chunk, not with the full T x F x D stack or the
+F x D x D Gram stack.  The Gram, the right-hand side and the prediction are
+batched matrix products.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .linalg import hermitize, load_hermitian, solve_stack
 
 DEFAULT_LOADING = 1e-8
 # absolute floor for the prediction-error weights
 WEIGHT_ABS_FLOOR = 1e-12
+# bound on one bin chunk's delayed stack, weighted copy and D x D Grams;
+# a single bin that exceeds it still runs alone
+CHUNK_BUDGET_BYTES = 8 * 2 ** 20
 
 
 @dataclass
@@ -38,11 +51,36 @@ class PredictionFilter:
     kind: str
 
 
+def _check_lags(taps, delay):
+    if taps < 1:
+        raise ValueError(f"taps must be >= 1, got {taps}")
+    if delay < 0:
+        raise ValueError(f"delay must be >= 0, got {delay}")
+
+
+def _stack_fmajor(field, taps, delay):
+    # field F x T x P -> F x T x (taps * P), lag-major, channel-minor
+    num_bins, num_frames, num_channels = field.shape
+    lead = delay + taps - 1
+    padded = np.zeros(
+        (num_bins, lead + num_frames, num_channels), dtype=np.complex128
+    )
+    padded[:, lead:] = field
+    # windows[f, t, p, j] = padded[f, t + j, p]: lag k sits at j = taps-1-k
+    windows = sliding_window_view(padded[:, :num_frames + taps - 1], taps, axis=1)
+    stack = np.empty(
+        (num_bins, num_frames, taps, num_channels), dtype=np.complex128
+    )
+    stack[...] = windows[..., ::-1].transpose(0, 1, 3, 2)
+    return stack.reshape(num_bins, num_frames, taps * num_channels)
+
+
 def build_delayed_stack(field, taps, delay):
     """Stack delayed frames for prediction.
 
     Row t holds frames t-delay, t-delay-1, ..., t-delay-taps+1, channel-minor
     within each lag block; frames before the start of the signal are zeros.
+    The result is a T x F x D view of a frequency-major F x T x D array.
 
     Arguments:
         field: complex spectrogram, T x F x P
@@ -54,32 +92,62 @@ def build_delayed_stack(field, taps, delay):
     field = np.asarray(field, dtype=np.complex128)
     if field.ndim != 3:
         raise ValueError(f"field must be T x F x P, got shape {field.shape}")
-    if taps < 1:
-        raise ValueError(f"taps must be >= 1, got {taps}")
-    if delay < 0:
-        raise ValueError(f"delay must be >= 0, got {delay}")
-    num_frames, num_bins, num_channels = field.shape
-    stack = np.zeros(
-        (num_frames, num_bins, taps * num_channels), dtype=np.complex128
-    )
-    for k in range(taps):
-        shift = delay + k
-        block = slice(k * num_channels, (k + 1) * num_channels)
-        if shift == 0:
-            stack[:, :, block] = field
-        elif shift < num_frames:
-            stack[shift:, :, block] = field[:num_frames - shift]
-    return stack
+    _check_lags(taps, delay)
+    return _stack_fmajor(field.transpose(1, 0, 2), taps, delay).transpose(1, 0, 2)
 
 
-def _solve_normal_equations(stack, targets, weights, loading):
-    # weighted Gram and cross terms; F x D x D @ F x D x M solves
-    wstack = stack / weights[:, :, None]
-    gram = hermitize(
-        np.matmul(wstack.transpose(1, 2, 0), np.conj(stack).transpose(1, 0, 2))
-    )
-    rhs = np.einsum("tfd,tfm->fdm", wstack, np.conj(targets))
+def _check_weights(weights, shape, name):
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != shape:
+        raise ValueError(f"{name} shape does not match frames/bins {shape}")
+    # a NaN fails both comparisons, so test for the good case
+    if not np.all((weights > 0.0) & np.isfinite(weights)):
+        raise ValueError(f"{name} must be finite and strictly positive")
+    return weights
+
+
+def _fmajor(arr):
+    # T x F [x ...] -> contiguous F x T [x ...]
+    return np.ascontiguousarray(np.swapaxes(arr, 0, 1))
+
+
+def _solve_chunk(stack, targets, weights, loading):
+    # conj(stack) / weights, transposed against the stack and the targets,
+    # gives the conjugated Gram and right-hand side, so the solve returns
+    # conj(coeffs): the factor the prediction stack @ conj(coeffs) applies
+    weighted = np.conjugate(stack)
+    weighted /= weights[:, :, None]
+    weighted_t = weighted.transpose(0, 2, 1)
+    gram = hermitize(np.matmul(weighted_t, stack))
+    rhs = np.matmul(weighted_t, targets)
     return solve_stack(load_hermitian(gram, loading), rhs)
+
+
+def _predict_fmajor(source, targets, weights, taps, delay, loading):
+    """Weighted linear prediction of `targets` from delayed `source` frames.
+
+    Arguments:
+        source: F x T x P, the frames the delayed stack is built from
+        targets: F x T x M
+        weights: strictly positive F x T
+    Return:
+        (coefficients F x D x M, predictions F x T x M), D = taps * P
+    """
+    num_bins, num_frames, num_channels = source.shape
+    dim = taps * num_channels
+    coeffs = np.empty((num_bins, dim, targets.shape[2]), dtype=np.complex128)
+    predictions = np.empty(targets.shape, dtype=np.complex128)
+    # complex128 bytes per bin: the stack and its weighted copy (T x D each),
+    # the Gram and the copies that symmetrizing and loading it make (D x D)
+    per_bin = 16 * (2 * num_frames * dim + 3 * dim * dim)
+    chunk = max(1, CHUNK_BUDGET_BYTES // per_bin)
+    for lo in range(0, num_bins, chunk):
+        bins = slice(lo, lo + chunk)
+        stack = _stack_fmajor(source[bins], taps, delay)
+        conj_coeffs = _solve_chunk(stack, targets[bins], weights[bins], loading)
+        coeffs[bins] = np.conjugate(conj_coeffs)
+        predictions[bins] = np.matmul(stack, conj_coeffs)
+    return coeffs, predictions
 
 
 def solve_weighted_lp(stack, target, weights, loading=DEFAULT_LOADING):
@@ -99,7 +167,6 @@ def solve_weighted_lp(stack, target, weights, loading=DEFAULT_LOADING):
     """
     stack = np.asarray(stack, dtype=np.complex128)
     target = np.asarray(target, dtype=np.complex128)
-    weights = np.asarray(weights, dtype=np.float64)
     if stack.ndim != 3:
         raise ValueError(f"stack must be T x F x D, got shape {stack.shape}")
     if target.shape != stack.shape[:2]:
@@ -107,17 +174,28 @@ def solve_weighted_lp(stack, target, weights, loading=DEFAULT_LOADING):
             f"target shape {target.shape} does not match stack frames/bins "
             f"{stack.shape[:2]}"
         )
-    if weights.shape != stack.shape[:2]:
-        raise ValueError("weights shape does not match stack frames/bins")
-    if weights.min() <= 0.0:
-        raise ValueError("weights must be strictly positive")
-    coeffs = _solve_normal_equations(stack, target[:, :, None], weights, loading)
+    weights = _check_weights(weights, stack.shape[:2], "weights")
+    # a given stack is its own one-tap, zero-delay stack
+    coeffs, _ = _predict_fmajor(
+        _fmajor(stack), _fmajor(target)[:, :, None], _fmajor(weights), 1, 0,
+        loading,
+    )
     return coeffs[:, :, 0]
 
 
 def predict(coeffs, stack):
     """Apply prediction coefficients: out(t,f) = coeffs(f)^H stack(t,f)."""
     return np.einsum("fd,tfd->tf", np.conj(coeffs), stack)
+
+
+def _check_wpe_inputs(field, psd, taps, delay):
+    field = np.asarray(field, dtype=np.complex128)
+    if field.ndim != 3:
+        raise ValueError(f"field must be T x F x P, got shape {field.shape}")
+    if delay < 1:
+        raise ValueError(f"delay must be >= 1 for wpe, got {delay}")
+    _check_lags(taps, delay)
+    return field, _check_weights(psd, field.shape[:2], "psd")
 
 
 def wpe(field, psd, taps, delay=3, ref_mic=0, loading=DEFAULT_LOADING):
@@ -133,17 +211,16 @@ def wpe(field, psd, taps, delay=3, ref_mic=0, loading=DEFAULT_LOADING):
     Return:
         (PredictionFilter, dereverbed T x F)
     """
-    field = np.asarray(field, dtype=np.complex128)
-    if field.ndim != 3:
-        raise ValueError(f"field must be T x F x P, got shape {field.shape}")
-    if delay < 1:
-        raise ValueError(f"delay must be >= 1 for wpe, got {delay}")
+    field, psd = _check_wpe_inputs(field, psd, taps, delay)
     if not 0 <= ref_mic < field.shape[2]:
         raise ValueError(f"ref_mic {ref_mic} out of range")
-    stack = build_delayed_stack(field, taps, delay)
-    coeffs = solve_weighted_lp(stack, field[:, :, ref_mic], psd, loading)
-    dereverbed = field[:, :, ref_mic] - predict(coeffs, stack)
-    return PredictionFilter(coeffs, taps, delay, "wpe"), dereverbed
+    source = _fmajor(field)
+    coeffs, predictions = _predict_fmajor(
+        source, source[:, :, ref_mic:ref_mic + 1], _fmajor(psd), taps, delay,
+        loading,
+    )
+    dereverbed = field[:, :, ref_mic] - predictions[:, :, 0].T
+    return PredictionFilter(coeffs[:, :, 0], taps, delay, "wpe"), dereverbed
 
 
 def wpe_field(field, psd, taps, delay=3, loading=DEFAULT_LOADING):
@@ -155,20 +232,12 @@ def wpe_field(field, psd, taps, delay=3, loading=DEFAULT_LOADING):
     Return:
         (coefficients F x D x P, dereverbed field T x F x P)
     """
-    field = np.asarray(field, dtype=np.complex128)
-    if field.ndim != 3:
-        raise ValueError(f"field must be T x F x P, got shape {field.shape}")
-    if delay < 1:
-        raise ValueError(f"delay must be >= 1 for wpe, got {delay}")
-    psd = np.asarray(psd, dtype=np.float64)
-    if psd.shape != field.shape[:2]:
-        raise ValueError("psd shape does not match field frames/bins")
-    if psd.min() <= 0.0:
-        raise ValueError("psd must be strictly positive")
-    stack = build_delayed_stack(field, taps, delay)
-    coeffs = _solve_normal_equations(stack, field, psd, loading)  # F x D x P
-    predictions = np.einsum("fdp,tfd->tfp", np.conj(coeffs), stack)
-    return coeffs, field - predictions
+    field, psd = _check_wpe_inputs(field, psd, taps, delay)
+    source = _fmajor(field)
+    coeffs, predictions = _predict_fmajor(
+        source, source, _fmajor(psd), taps, delay, loading
+    )
+    return coeffs, field - predictions.transpose(1, 0, 2)
 
 
 def fcp_weight(reference, estimate, epsilon=1e-3):
@@ -177,12 +246,14 @@ def fcp_weight(reference, estimate, epsilon=1e-3):
     max(epsilon * max |ref - est|^2, |ref - est|^2), floored absolutely so the
     weights stay strictly positive.
     """
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     residual_power = np.abs(
         np.asarray(reference, dtype=np.complex128)
         - np.asarray(estimate, dtype=np.complex128)
     ) ** 2
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not np.all(np.isfinite(residual_power)):
+        raise ValueError("reference and estimate must be finite")
     floored = np.maximum(epsilon * residual_power.max(), residual_power)
     return np.maximum(floored, WEIGHT_ABS_FLOOR)
 
@@ -211,9 +282,11 @@ def fcp(reference, estimate, taps=40, epsilon=1e-3, loading=DEFAULT_LOADING):
             f"reference {reference.shape} and estimate {estimate.shape} must be "
             "matching T x F arrays"
         )
+    _check_lags(taps, 0)
     eta = fcp_weight(reference, estimate, epsilon)
-    stack = build_delayed_stack(estimate[:, :, None], taps, 0)
-    coeffs = solve_weighted_lp(stack, reference, eta, loading)
-    filtered = predict(coeffs, stack)
-    compensated = reference - (filtered - estimate)
-    return PredictionFilter(coeffs, taps, 0, "fcp"), compensated
+    coeffs, filtered = _predict_fmajor(
+        _fmajor(estimate)[:, :, None], _fmajor(reference)[:, :, None],
+        _fmajor(eta), taps, 0, loading,
+    )
+    compensated = reference - (filtered[:, :, 0].T - estimate)
+    return PredictionFilter(coeffs[:, :, 0], taps, 0, "fcp"), compensated

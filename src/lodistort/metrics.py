@@ -1,7 +1,7 @@
 """Evaluation metrics: scale-invariant SDR and two phase-aware scores."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ class MetricsReport:
     psnr_db: float
     pipeline_name: str = ""
     ref_mic: int = 0
-    extra: dict = field(default_factory=dict)
 
     def to_json_dict(self):
         # camelCase keys with "inf"/"-inf" sentinels for non-finite scores
@@ -55,9 +54,9 @@ def si_sdr(estimate, reference):
     """Scale-invariant signal-to-distortion ratio, in dB.
 
     Projects the estimate onto the reference (alpha = <est, ref> / |ref|^2)
-    and scores 10 log10(|alpha ref|^2 / |alpha ref - est|^2).  Returns +inf
-    when the estimate equals the projection exactly and -inf when the
-    projection is zero.
+    and scores 10 log10(|alpha ref|^2 / |alpha ref - est|^2).  Returns -inf
+    when the projection is zero (including an all-zero estimate) and +inf
+    when a nonzero estimate equals its projection exactly.
     """
     if (
         isinstance(estimate, TimeSignal)
@@ -78,10 +77,12 @@ def si_sdr(estimate, reference):
     target = alpha * ref
     target_energy = float(np.dot(target, target))
     error_energy = float(np.sum((target - est) ** 2))
-    if error_energy == 0.0:
-        return math.inf
+    # a zero projection (orthogonal or all-zero estimate) has no target
+    # component, even when the error energy is zero too
     if target_energy == 0.0:
         return -math.inf
+    if error_energy == 0.0:
+        return math.inf
     return 10.0 * math.log10(target_energy / error_energy)
 
 

@@ -143,6 +143,24 @@ class PipelineSpec:
     seed: int = 0
     estimate_path: str = None
 
+    def __post_init__(self):
+        for name in ("epsilon", "epsilon_fcp"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (math.isfinite(self.loading) and self.loading >= 0):
+            raise ValueError(
+                f"loading must be nonnegative and finite, got {self.loading}"
+            )
+        if math.isnan(self.est_err_snr_db) or self.est_err_snr_db == -math.inf:
+            raise ValueError(
+                f"est_err_snr_db must be finite or +inf, got {self.est_err_snr_db}"
+            )
+        for name in ("taps", "taps_fcp", "delay"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
     def params_dict(self):
         return {
             "estimator": self.estimator,

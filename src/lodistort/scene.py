@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .stft import TimeSignal
 
@@ -86,6 +85,15 @@ class Scene:
     room: RoomSpec
 
 
+def _fft_convolve(signal, kernel):
+    """Full linear convolution of two 1-D arrays through a real FFT whose
+    size is the next power of two that holds the whole result."""
+    num = signal.shape[0] + kernel.shape[0] - 1
+    size = 1 << (num - 1).bit_length()
+    spectrum = np.fft.rfft(signal, size) * np.fft.rfft(kernel, size)
+    return np.fft.irfft(spectrum, size)[:num]
+
+
 def _tap_rir(room, delay, key):
     h = np.zeros(room.rir_len_samples)
     h[delay] = 1.0
@@ -138,7 +146,7 @@ def render_noise_component(noise, room, noise_index):
     num = samples.shape[0]
     out = np.empty((num, room.num_mics))
     for m in range(room.num_mics):
-        out[:, m] = fftconvolve(samples, _noise_rir(room, noise_index, m))[:num]
+        out[:, m] = _fft_convolve(samples, _noise_rir(room, noise_index, m))[:num]
     return out
 
 
@@ -170,7 +178,7 @@ def render_scene(source, noise_sources, room, snr_db, normalize=True):
         tail = generate_rir(room, m)
         tail[delay] = 0.0
         if np.any(tail):
-            residual[:, m] = fftconvolve(src, tail)[:num]
+            residual[:, m] = _fft_convolve(src, tail)[:num]
 
     noise = np.zeros((num, room.num_mics))
     for i, nz in enumerate(noise_sources):

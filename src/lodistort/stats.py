@@ -29,13 +29,11 @@ class CovarianceSet:
         phi_s: target covariance, F x P x P Hermitian
         phi_v: distortion (noise + residual) covariance, F x P x P Hermitian
         steering: optional unit-norm steering vectors, F x P
-        phi_y_prime: optional power-weighted observation covariance, F x P x P
     """
 
     phi_s: np.ndarray
     phi_v: np.ndarray
     steering: np.ndarray = None
-    phi_y_prime: np.ndarray = None
 
 
 def _check_field(field, name):
@@ -169,7 +167,11 @@ def psd_floor(estimates, epsilon=1e-5):
     Return:
         float64 array, T x F, strictly positive
     """
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     estimates = np.asarray(estimates)
+    if not np.all(np.isfinite(estimates)):
+        raise ValueError("estimates must be finite")
     if estimates.ndim == 2:
         power = np.abs(estimates) ** 2
     elif estimates.ndim == 3:
@@ -178,7 +180,5 @@ def psd_floor(estimates, epsilon=1e-5):
         raise ValueError(
             f"expected T x F or T x F x P estimates, got shape {estimates.shape}"
         )
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     floored = np.maximum(epsilon * power.max(), power)
     return np.maximum(floored, PSD_ABS_FLOOR)

@@ -222,6 +222,21 @@ def test_unknown_pipeline_exits_2(scene_dir, tmp_path, capsys):
     assert "unknown pipeline" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--epsilon", "nan"),
+    ("--epsilon-fcp", "0"),
+    ("--loading", "-1"),
+    ("--est-err-snr-db", "nan"),
+    ("--delay", "0"),
+])
+def test_invalid_filter_parameters_exit_2(scene_dir, tmp_path, capsys, flag, value):
+    rc, _, err = run_cli(capsys, "enhance", "--scene", scene_dir,
+                         "--pipeline", "fcp_mwmpdr_wpe", flag, value,
+                         "--out", str(tmp_path / "run"))
+    assert rc == 2
+    assert "usage error" in err
+
+
 def test_file_errors_exit_3(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "enhance", "--scene", str(tmp_path / "ghost"),
                          "--pipeline", "wpe", "--out", str(tmp_path / "run"))

@@ -1,9 +1,17 @@
 """Weighted linear prediction: stack layout oracles, planted-solution
 recovery, dereverberation efficacy, and the forward-compensation filter."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import lodistort
+from lodistort import linpred
+from lodistort.linalg import solve_stack
 from lodistort import (
     RoomSpec,
     TimeSignal,
@@ -248,7 +256,83 @@ def test_validation_errors():
         build_delayed_stack(field, taps=0, delay=1)
     with pytest.raises(ValueError):
         solve_weighted_lp(field, field[:, :, 0], np.zeros((10, 2)))
+    nan_lam = lam.copy()
+    nan_lam[4, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        wpe_field(field, nan_lam, taps=2)
     with pytest.raises(ValueError):
         fcp(field[:, :, 0], field[:, 0, :].T)  # shape mismatch
     with pytest.raises(ValueError):
         wpe_field(field, lam[:5], taps=2)
+    with pytest.raises(ValueError):
+        fcp_weight(field[:, :, 0], field[:, :, 1], epsilon=float("nan"))
+    bad = field[:, :, 0].copy()
+    bad[3, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        fcp_weight(bad, field[:, :, 1])
+
+
+def _chunk_runs(monkeypatch, budget, fn):
+    solves = []
+
+    def counting_solve(mats, rhs):
+        solves.append(mats.shape[0])
+        return solve_stack(mats, rhs)
+
+    monkeypatch.setattr(linpred, "CHUNK_BUDGET_BYTES", budget)
+    monkeypatch.setattr(linpred, "solve_stack", counting_solve)
+    return fn(), solves
+
+
+@pytest.mark.parametrize("kind", ["wpe_field", "wpe", "fcp"])
+def test_bin_chunks_match_one_chunk(monkeypatch, kind):
+    mixture, direct = planted_reverb_field(seed=4, num_mics=3)
+    lam = psd_floor(direct[:, :, 0])
+    run = {
+        "wpe_field": lambda: wpe_field(mixture, lam, taps=8, delay=3),
+        "wpe": lambda: wpe(mixture, lam, taps=8, delay=3, ref_mic=1),
+        "fcp": lambda: fcp(mixture[:, :, 0], direct[:, :, 0], taps=12),
+    }[kind]
+    (one_filter, one_out), one = _chunk_runs(monkeypatch, 2 ** 40, run)
+    (filt, out), chunks = _chunk_runs(monkeypatch, 2 ** 20, run)
+    num_bins = mixture.shape[1]
+    assert one == [num_bins]
+    # 257 bins is prime, so any split into 2..256-bin chunks is uneven
+    assert 1 < len(chunks) < num_bins and sum(chunks) == num_bins
+    assert chunks[-1] < chunks[0]
+    coeffs = getattr(filt, "coeffs", filt)
+    one_coeffs = getattr(one_filter, "coeffs", one_filter)
+    assert np.max(np.abs(out - one_out)) <= 1e-12 * np.max(np.abs(one_out))
+    assert np.max(np.abs(coeffs - one_coeffs)) <= 1e-12 * np.max(np.abs(one_coeffs))
+
+
+def test_wpe_field_large_order_fits_capped_address_space():
+    # taps=500 on 2 mics gives D = 1000: the F x D x D Gram stack alone would
+    # take 4.1 GB, so this only finishes under a 2 GB cap if bins are chunked
+    code = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from lodistort import (RoomSpec, analyze, psd_floor, render_scene,
+                               synth_noise, synth_speech_like, wpe_field)
+
+        limit = 2 * 2 ** 30
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        room = RoomSpec(num_mics=2, t60_seconds=0.3, rir_len_samples=4000, seed=3)
+        scene = render_scene(synth_speech_like(8000, seed=1),
+                             [synth_noise(8000, seed=2)], room, snr_db=5.0)
+        mix = analyze(scene.mixture)
+        lam = psd_floor(analyze(scene.direct_path)[:, :, 0])
+        coeffs, out = wpe_field(mix, lam, taps=500)
+        assert coeffs.shape == (257, 1000, 2)
+        assert np.all(np.isfinite(out))
+        print("finished")
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lodistort.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "finished"

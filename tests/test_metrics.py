@@ -51,6 +51,12 @@ def test_si_sdr_orthogonal_estimate():
     assert si_sdr(np.array([0.0, 1.0]), np.array([1.0, 0.0])) == -math.inf
 
 
+def test_si_sdr_all_zero_estimate_is_minus_inf():
+    # the projection test must win over the zero error energy of 0 - 0
+    ref = np.random.default_rng(11).standard_normal(500)
+    assert si_sdr(np.zeros(500), ref) == -math.inf
+
+
 def test_si_sdr_scale_invariance():
     rng = np.random.default_rng(1)
     ref = rng.standard_normal(3000)

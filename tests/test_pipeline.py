@@ -1,6 +1,7 @@
 """Named pipelines: catalog contracts, bit-identical manual composition,
 determinism, and suite-level quality orderings."""
 
+import math
 import os
 
 import numpy as np
@@ -11,6 +12,7 @@ from lodistort import (
     PipelineSpec,
     RoomSpec,
     StftConfig,
+    TimeSignal,
     analyze,
     apply_beamformer,
     compute_mask,
@@ -249,6 +251,38 @@ def test_validation_errors(small_scene):
     )
     with pytest.raises(ValueError, match="at least 2 channels"):
         run_pipeline(mono, PipelineSpec("mvdr"))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"epsilon": float("nan")},
+    {"epsilon": 0.0},
+    {"epsilon": math.inf},
+    {"epsilon_fcp": -1e-3},
+    {"epsilon_fcp": float("nan")},
+    {"loading": -1.0},
+    {"loading": float("nan")},
+    {"loading": math.inf},
+    {"est_err_snr_db": float("nan")},
+    {"est_err_snr_db": -math.inf},
+    {"taps": 0},
+    {"taps_fcp": 0},
+    {"delay": 0},
+])
+def test_spec_rejects_invalid_parameters(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        PipelineSpec("fcp_mwmpdr_wpe", **kwargs)
+
+
+def test_spec_accepts_boundary_parameters():
+    # unloaded solves and one-frame orders stay valid
+    PipelineSpec("wpe", loading=0.0, taps=1, taps_fcp=1, delay=1)
+
+
+def test_all_zero_mixture_scores_minus_inf(small_scene):
+    silent = TimeSignal(np.zeros_like(small_scene.mixture.samples), 16000)
+    result = run_pipeline(silent, PipelineSpec("gev"), target=small_scene.direct_path)
+    assert result.metrics["mixture"].si_sdr_db == -math.inf
+    assert result.metrics["gev"].si_sdr_db == -math.inf
 
 
 def test_suite_mean_orderings(scene_suite):

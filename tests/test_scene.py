@@ -13,6 +13,7 @@ from lodistort import (
     synth_noise,
     synth_speech_like,
 )
+from lodistort.scene import _fft_convolve
 
 
 def make_room(**kwargs):
@@ -20,6 +21,18 @@ def make_room(**kwargs):
                 direct_delay_samples=(8, 11), seed=5)
     base.update(kwargs)
     return RoomSpec(**base)
+
+
+def test_fft_convolve_matches_direct_convolution():
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        x = rng.standard_normal(int(rng.integers(1, 70)))
+        h = rng.standard_normal(int(rng.integers(1, 70)))
+        got = _fft_convolve(x, h)
+        want = np.convolve(x, h)
+        assert got.shape == want.shape
+        scale = np.sum(np.abs(x)) * np.max(np.abs(h))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 def test_rir_direct_tap_and_causality():

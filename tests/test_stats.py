@@ -162,3 +162,9 @@ def test_psd_floor_literal_and_monotone():
     assert np.all(psd_floor(b) >= psd_floor(a))
     with pytest.raises(ValueError):
         psd_floor(a, epsilon=0.0)
+    with pytest.raises(ValueError):
+        psd_floor(a, epsilon=float("nan"))
+    nan_input = a.copy()
+    nan_input[2, 3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        psd_floor(nan_input)
