@@ -13,18 +13,18 @@ All file outputs are written atomically (temp file + rename).
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from .errors import FormatError, SingularMatrixError
-from .estimator import ORACLE_KINDS, corrupt_estimate, oracle_estimate
+from .estimator import ORACLE_KINDS
 from .fsio import atomic_write_json, from_jsonable, jsonable
-from .metrics import MetricsReport, energy_mask, pdsacc, psnr, si_sdr
+from .metrics import energy_mask, pdsacc, psnr, score_estimate
 from .phase_geometry import phase_candidates, sign_flip_probability, wrap_phase
-from .pipeline import PipelineSpec, list_pipelines, run_pipeline, write_feature_bundle
+from .pipeline import PARAM_KEYS, PipelineSpec, list_pipelines, make_estimate
+from .pipeline import run_pipeline, write_feature_bundle
 from .scene import RoomSpec, render_scene, synth_noise, synth_speech_like
 from .specio import read_spectrogram
 from .stft import StftConfig, analyze, synthesize
@@ -34,18 +34,26 @@ SCHEMA_VERSION = 1
 SAMPLE_RATE = 16000
 
 
+# a PipelineSpec field's flag has the field's name as dest and its default
+def _add_estimate_flags(sub, kinds):
+    sub.add_argument("--estimator", default=PipelineSpec.estimator, choices=kinds)
+    sub.add_argument("--est-err-snr-db", type=float, default=PipelineSpec.est_err_snr_db)
+    sub.add_argument("--ref-mic", type=int, default=PipelineSpec.ref_mic)
+    sub.add_argument("--seed", type=int, default=PipelineSpec.seed)
+
+
 def _add_filter_flags(sub):
-    sub.add_argument("--taps", type=int, default=None,
+    sub.add_argument("--taps", type=int, default=PipelineSpec.taps,
                      help="prediction order (default: per-channel-count table)")
-    sub.add_argument("--taps-fcp", type=int, default=40,
+    sub.add_argument("--taps-fcp", type=int, default=PipelineSpec.taps_fcp,
                      help="compensation filter length")
-    sub.add_argument("--delay", type=int, default=3,
+    sub.add_argument("--delay", type=int, default=PipelineSpec.delay,
                      help="prediction delay in frames")
-    sub.add_argument("--epsilon", type=float, default=1e-5,
+    sub.add_argument("--epsilon", type=float, default=PipelineSpec.epsilon,
                      help="relative floor for the power weights")
-    sub.add_argument("--epsilon-fcp", type=float, default=1e-3,
+    sub.add_argument("--epsilon-fcp", type=float, default=PipelineSpec.epsilon_fcp,
                      help="relative floor for the compensation weights")
-    sub.add_argument("--loading", type=float, default=1e-8,
+    sub.add_argument("--loading", type=float, default=PipelineSpec.loading,
                      help="relative diagonal loading")
 
 
@@ -79,12 +87,9 @@ def build_parser():
     enh.add_argument("--config",
                      help="JSON config {pipeline, params, scene|mixture, out}; "
                      "file values override flags")
-    enh.add_argument("--estimator", default="oracleDirect",
-                     choices=ORACLE_KINDS + ("external",))
-    enh.add_argument("--estimate", help="external estimate (.ldspec or .wav)")
-    enh.add_argument("--est-err-snr-db", type=float, default=math.inf)
-    enh.add_argument("--ref-mic", type=int, default=0)
-    enh.add_argument("--seed", type=int, default=0)
+    _add_estimate_flags(enh, ORACLE_KINDS + ("external",))
+    enh.add_argument("--estimate", dest="estimate_path",
+                     help="external estimate (.ldspec or .wav)")
     _add_filter_flags(enh)
     enh.set_defaults(func=cmd_enhance)
 
@@ -99,10 +104,7 @@ def build_parser():
 
     ap = sub.add_parser("analyze-phase", help="phase-geometry statistics")
     ap.add_argument("--scene", required=True, help="scene directory")
-    ap.add_argument("--estimator", default="oracleDirect", choices=ORACLE_KINDS)
-    ap.add_argument("--est-err-snr-db", type=float, default=math.inf)
-    ap.add_argument("--ref-mic", type=int, default=0)
-    ap.add_argument("--seed", type=int, default=0)
+    _add_estimate_flags(ap, ORACLE_KINDS)
     ap.add_argument("--out", help="write the statistics here as well")
     ap.set_defaults(func=cmd_analyze_phase)
 
@@ -220,6 +222,8 @@ def cmd_enhance(args):
         raise ValueError("no pipeline named (use --pipeline or the config file)")
     if out_dir is None:
         raise ValueError("no output directory (use --out or the config file)")
+    spec = PipelineSpec(name, **{field: params.get(key, getattr(args, field))
+                                 for field, key in PARAM_KEYS.items()})
 
     if scene_dir:
         _, mixture, target = _load_scene_dir(scene_dir)
@@ -228,21 +232,6 @@ def cmd_enhance(args):
         target = read_wav(target_path, SAMPLE_RATE) if target_path else None
     else:
         raise ValueError("no input scene (use --scene/--mixture or the config file)")
-
-    spec = PipelineSpec(
-        name=name,
-        estimator=params.get("estimator", args.estimator),
-        est_err_snr_db=params.get("estErrSnrDb", args.est_err_snr_db),
-        ref_mic=params.get("refMic", args.ref_mic),
-        taps=params.get("taps", args.taps),
-        taps_fcp=params.get("tapsFcp", args.taps_fcp),
-        delay=params.get("delay", args.delay),
-        epsilon=params.get("epsilon", args.epsilon),
-        epsilon_fcp=params.get("epsilonFcp", args.epsilon_fcp),
-        loading=params.get("loading", args.loading),
-        seed=params.get("seed", args.seed),
-        estimate_path=params.get("estimatePath", args.estimate),
-    )
     result = run_pipeline(mixture, spec, target)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -316,13 +305,8 @@ def cmd_evaluate(args):
         raise ValueError(
             "estimate and reference lengths differ; use matching formats"
         )
-    report = MetricsReport(
-        si_sdr_db=si_sdr(est_wave, ref_wave),
-        pdsacc_percent=pdsacc(est_spec, ref_spec, mix_spec),
-        psnr_db=psnr(np.angle(est_spec), ref_spec),
-        pipeline_name=args.pipeline_name,
-        ref_mic=args.ref_mic,
-    )
+    report = score_estimate(est_spec, ref_spec, mix_spec, est_wave, ref_wave,
+                            args.pipeline_name, args.ref_mic)
     payload = {"schemaVersion": SCHEMA_VERSION}
     payload.update(report.to_json_dict())
     _emit(payload, args.out)
@@ -347,9 +331,8 @@ def cmd_analyze_phase(args):
     dist_q = mix_q - tgt_q
 
     candidates = phase_candidates(mix_q, np.abs(tgt_q), np.abs(dist_q))
-    estimate = oracle_estimate(mix_spec, tgt_spec, args.estimator, q)
-    if not math.isinf(args.est_err_snr_db):
-        estimate = corrupt_estimate(estimate, args.est_err_snr_db, args.seed)
+    # the estimator flags carry PipelineSpec's field names
+    estimate = make_estimate(args, mix_spec, tgt_spec)
     est_q = estimate.channel(q)
     residual_mag = np.abs(est_q - tgt_q)
 

@@ -1,16 +1,17 @@
 """Named estimation pipelines.
 
-Each pipeline composes the public building blocks in a fixed order —
-estimator, optional per-mic dereverberation, masks and covariances, a
-beamformer, an optional forward-filter compensation — and reports every
-intermediate estimate alongside the final one.  run_pipeline calls exactly
-the same functions a manual composition would, in the same order, so its
-outputs are bit-identical to composing by hand.
+CATALOG lists each pipeline's stages in order, and run_pipeline runs exactly
+that list: the estimator, then one _STAGES function per stage over a per-run
+context, naming each output by the chain so far, newest stage first (wpe ->
+mwmpdr_wpe -> fcp_mwmpdr_wpe).  Stages call the library functions a manual
+composition would, in the same order, so their outputs are bit-identical to
+composing by hand.
 """
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -144,6 +145,10 @@ class PipelineSpec:
     estimate_path: str = None
 
     def __post_init__(self):
+        if self.name not in CATALOG:
+            raise ValueError(
+                f"unknown pipeline {self.name!r}; valid names: {', '.join(CATALOG)}"
+            )
         for name in ("epsilon", "epsilon_fcp"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -162,18 +167,18 @@ class PipelineSpec:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
     def params_dict(self):
-        return {
-            "estimator": self.estimator,
-            "estErrSnrDb": self.est_err_snr_db,
-            "refMic": self.ref_mic,
-            "taps": self.taps,
-            "tapsFcp": self.taps_fcp,
-            "delay": self.delay,
-            "epsilon": self.epsilon,
-            "epsilonFcp": self.epsilon_fcp,
-            "loading": self.loading,
-            "seed": self.seed,
-        }
+        # the estimate's file is an input of the run, not one of its parameters
+        return {key: getattr(self, field) for field, key in PARAM_KEYS.items()
+                if field != "estimate_path"}
+
+
+def _camel(field):
+    head, *words = field.split("_")
+    return head + "".join(word.title() for word in words)
+
+
+# PipelineSpec field -> its camelCase key in metrics.json and `enhance --config`
+PARAM_KEYS = {f.name: _camel(f.name) for f in fields(PipelineSpec) if f.name != "name"}
 
 
 @dataclass
@@ -202,7 +207,10 @@ class PipelineResult:
         return self.waves[self.spec.name]
 
 
-def _make_estimate(spec, mix_spec, tgt_spec, cfg):
+def make_estimate(spec, mix_spec, tgt_spec, cfg=None):
+    """First-stage estimate for `spec`, a PipelineSpec or any object with its
+    estimator, est_err_snr_db, ref_mic and seed fields (and estimate_path for
+    the external estimator)."""
     if spec.estimator in ORACLE_KINDS:
         if tgt_spec is None:
             raise ValueError(
@@ -222,6 +230,83 @@ def _make_estimate(spec, mix_spec, tgt_spec, cfg):
         f"unknown estimator {spec.estimator!r}; expected one of "
         f"{ORACLE_KINDS + ('external',)}"
     )
+
+
+@dataclass
+class _Context:
+    """What one run's stages read and advance."""
+
+    spec: PipelineSpec
+    field: np.ndarray  # T x F x C input of the next multichannel stage
+    q: int  # reference channel within field
+    ref: np.ndarray  # T x F output of the last stage at the reference mic
+    est: object  # TargetEstimate
+    est_q: np.ndarray
+
+    @cached_property
+    def lam(self):
+        # power weights of the estimate, shared by wpe and mwmpdr
+        return stats.psd_floor(self.est_q, self.spec.epsilon)
+
+
+def _wpe(ctx):
+    spec, lam = ctx.spec, ctx.lam
+    taps = spec.taps or default_taps(ctx.field.shape[2])
+    # multichannel pipelines pass every dereverberated channel to the next stage
+    if CATALOG[spec.name].channels == "multi":
+        _, ctx.field = linpred.wpe_field(ctx.field, lam, taps, spec.delay, spec.loading)
+        return ctx.field[:, :, ctx.q]
+    _, out = linpred.wpe(ctx.field, lam, taps, spec.delay, ctx.q, spec.loading)
+    return out
+
+
+def _masked_covariances(ctx):
+    mask = stats.compute_mask(ctx.est_q, ctx.ref)
+    cov = stats.masked_covariances(ctx.field, mask)
+    cov.steering = stats.steering_vector(cov.phi_s, ctx.q)
+    return cov
+
+
+def _mvdr(ctx):
+    cov = stats.signal_covariances(ctx.field, ctx.est.values)
+    cov.steering = stats.steering_vector(cov.phi_s, ctx.q)
+    weights = beamform.mvdr(cov, ctx.q, ctx.spec.loading)
+    return beamform.apply_beamformer(weights, ctx.field)
+
+
+def _mmvdr(ctx):
+    weights = beamform.mvdr(_masked_covariances(ctx), ctx.q, ctx.spec.loading)
+    return beamform.apply_beamformer(weights, ctx.field)
+
+
+def _mwmpdr(ctx):
+    steering = _masked_covariances(ctx).steering
+    phi_y_prime = stats.weighted_covariance(ctx.field, ctx.lam)
+    weights = beamform.wmpdr(phi_y_prime, steering, ctx.q, ctx.spec.loading)
+    return beamform.apply_beamformer(weights, ctx.field)
+
+
+def _mcwf(ctx):
+    weights = beamform.mcwf(ctx.field, ctx.est_q, ctx.q, ctx.spec.loading)
+    return beamform.apply_beamformer(weights, ctx.field)
+
+
+def _gev(ctx):
+    cov = stats.signal_covariances(ctx.field, ctx.est.values)
+    weights = beamform.gev_ban(cov, ctx.q, ctx.spec.loading)
+    return beamform.apply_beamformer(weights, ctx.field)
+
+
+def _fcp(ctx):
+    spec = ctx.spec
+    _, out = linpred.fcp(ctx.ref, ctx.est_q, spec.taps_fcp, spec.epsilon_fcp,
+                         spec.loading)
+    return out
+
+
+# CATALOG stage name -> function of the run context returning its T x F output
+_STAGES = {"wpe": _wpe, "mvdr": _mvdr, "mmvdr": _mmvdr, "mwmpdr": _mwmpdr,
+           "mcwf": _mcwf, "gev": _gev, "fcp": _fcp}
 
 
 def run_pipeline(scene_or_mixture, spec, target=None, cfg=StftConfig()):
@@ -245,10 +330,6 @@ def run_pipeline(scene_or_mixture, spec, target=None, cfg=StftConfig()):
     else:
         raise TypeError("expected a Scene or TimeSignal")
 
-    if spec.name not in CATALOG:
-        raise ValueError(
-            f"unknown pipeline {spec.name!r}; valid names: {', '.join(CATALOG)}"
-        )
     info = CATALOG[spec.name]
     num_mics = mixture.num_channels
     if info.channels == "multi" and num_mics < 2:
@@ -261,87 +342,20 @@ def run_pipeline(scene_or_mixture, spec, target=None, cfg=StftConfig()):
 
     mix_spec = analyze(mixture, cfg)  # T x F x P
     tgt_spec = analyze(target, cfg) if target is not None else None
-    est = _make_estimate(spec, mix_spec, tgt_spec, cfg)
+    est = make_estimate(spec, mix_spec, tgt_spec, cfg)
     est_q = est.channel(q)
     mix_q = mix_spec[:, :, q]
 
+    if info.channels == "mono":  # channel q alone, as the context's channel 0
+        ctx = _Context(spec, mix_spec[:, :, q:q + 1], 0, mix_q, est, est_q)
+    else:
+        ctx = _Context(spec, mix_spec, q, mix_q, est, est_q)
     stages = {"estimate": est_q}
-    name = spec.name
-
-    # dereverberation stage
-    wpe_field = None
-    wpe_q = None
-    lam = None
-    if "wpe" in info.stages:
-        lam = stats.psd_floor(est_q, spec.epsilon)
-        if name == "wpe":
-            taps = spec.taps or default_taps(num_mics)
-            _, wpe_q = linpred.wpe(mix_spec, lam, taps, spec.delay, q, spec.loading)
-        elif info.channels == "mono":
-            taps = spec.taps or default_taps(1)
-            _, wpe_q = linpred.wpe(
-                mix_spec[:, :, q:q + 1], lam, taps, spec.delay, 0, spec.loading
-            )
-        else:
-            taps = spec.taps or default_taps(num_mics)
-            _, wpe_field = linpred.wpe_field(
-                mix_spec, lam, taps, spec.delay, spec.loading
-            )
-            wpe_q = wpe_field[:, :, q]
-        stages["wpe"] = wpe_q
-
-    # beamforming stage
-    if name in ("mvdr", "gev"):
-        if est.num_channels != num_mics:
-            raise ValueError(
-                f"pipeline {name!r} needs a {num_mics}-channel estimate, got "
-                f"{est.num_channels}"
-            )
-        cov = stats.signal_covariances(mix_spec, est.values)
-        if name == "mvdr":
-            cov.steering = stats.steering_vector(cov.phi_s, q)
-            weights = beamform.mvdr(cov, q, spec.loading)
-        else:
-            weights = beamform.gev_ban(cov, q, spec.loading)
-        stages[name] = beamform.apply_beamformer(weights, mix_spec)
-    elif name == "mcwf":
-        weights = beamform.mcwf(mix_spec, est_q, q, spec.loading)
-        stages[name] = beamform.apply_beamformer(weights, mix_spec)
-    elif name == "mmvdr":
-        mask = stats.compute_mask(est_q, mix_q)
-        cov = stats.masked_covariances(mix_spec, mask)
-        cov.steering = stats.steering_vector(cov.phi_s, q)
-        weights = beamform.mvdr(cov, q, spec.loading)
-        stages[name] = beamform.apply_beamformer(weights, mix_spec)
-    elif name == "mmvdr_wpe":
-        mask = stats.compute_mask(est_q, wpe_q)
-        cov = stats.masked_covariances(wpe_field, mask)
-        cov.steering = stats.steering_vector(cov.phi_s, q)
-        weights = beamform.mvdr(cov, q, spec.loading)
-        stages[name] = beamform.apply_beamformer(weights, wpe_field)
-    elif name in ("mwmpdr_wpe", "fcp_mwmpdr_wpe"):
-        mask = stats.compute_mask(est_q, wpe_q)
-        cov = stats.masked_covariances(wpe_field, mask)
-        steering = stats.steering_vector(cov.phi_s, q)
-        phi_y_prime = stats.weighted_covariance(wpe_field, lam)
-        weights = beamform.wmpdr(phi_y_prime, steering, q, spec.loading)
-        stages["mwmpdr_wpe"] = beamform.apply_beamformer(weights, wpe_field)
-    elif name == "mcwf_wpe":
-        weights = beamform.mcwf(wpe_field, est_q, q, spec.loading)
-        stages[name] = beamform.apply_beamformer(weights, wpe_field)
-
-    # compensation stage
-    if name in ("fcp", "fcp_wpe", "fcp_mwmpdr_wpe"):
-        if name == "fcp":
-            reference = mix_q
-        elif name == "fcp_wpe":
-            reference = wpe_q
-        else:
-            reference = stages["mwmpdr_wpe"]
-        _, compensated = linpred.fcp(
-            reference, est_q, spec.taps_fcp, spec.epsilon_fcp, spec.loading
-        )
-        stages[name] = compensated
+    chain = []
+    for stage in info.stages[1:]:
+        chain.insert(0, stage)
+        ctx.ref = _STAGES[stage](ctx)
+        stages["_".join(chain)] = ctx.ref
 
     # resynthesis and scoring
     waves = {}
@@ -351,14 +365,14 @@ def run_pipeline(scene_or_mixture, spec, target=None, cfg=StftConfig()):
         tgt_q = tgt_spec[:, :, q]
         tgt_wave = target.channel(q)
         metrics["mixture"] = score_estimate(
-            mix_q, tgt_q, mix_q, mixture.channel(q), tgt_wave, name, q
+            mix_q, tgt_q, mix_q, mixture.channel(q), tgt_wave, spec.name, q
         )
     for stage_name, stage_spec in stages.items():
         wave = synthesize(stage_spec, cfg, num_samples)
         waves[stage_name] = wave
         if target is not None:
             metrics[stage_name] = score_estimate(
-                stage_spec, tgt_q, mix_q, wave.channel(0), tgt_wave, name, q
+                stage_spec, tgt_q, mix_q, wave.channel(0), tgt_wave, spec.name, q
             )
     return PipelineResult(spec, stages, waves, metrics, mix_spec, cfg)
 

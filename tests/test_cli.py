@@ -211,7 +211,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert rc == 2
     rc, _, err = run_cli(capsys, "enhance", "--scene", str(tmp_path),
                          "--pipeline", "nosuch", "--out", str(tmp_path / "y"))
-    assert rc in (2, 3)  # bad name or missing manifest, never a crash
+    assert rc == 2  # the bad name is reported before the missing manifest
+
+
+@pytest.mark.parametrize("argv", [
+    ("--pipeline", "wpe", "--epsilon", "nan"),
+    ("--pipeline", "nosuch"),
+])
+def test_invalid_spec_exits_2_before_reading_input(tmp_path, capsys, argv):
+    rc, _, err = run_cli(capsys, "enhance", "--scene", str(tmp_path / "ghost"),
+                         *argv, "--out", str(tmp_path / "run"))
+    assert rc == 2 and "usage error" in err
 
 
 def test_unknown_pipeline_exits_2(scene_dir, tmp_path, capsys):

@@ -114,56 +114,80 @@ def test_stage_keys_and_reports(small_scene):
             assert wave.num_samples == small_scene.mixture.num_samples
 
 
+# The manual-composition tests run at both reference mics: at q = 1 a
+# pipeline that confused a local channel index with q would differ.
+REF_MICS = (0, 1)
+
+
 def test_wpe_pipeline_matches_manual_composition(small_scene):
-    q, taps = 0, 6
-    result = run_pipeline(small_scene, PipelineSpec("wpe", taps=taps))
-    cfg = StftConfig()
-    mix_spec = analyze(small_scene.mixture, cfg)
-    tgt_spec = analyze(small_scene.direct_path, cfg)
-    est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect", q).channel(q)
-    lam = psd_floor(est_q, 1e-5)
-    _, manual = wpe(mix_spec, lam, taps, 3, q, 1e-8)
-    assert np.array_equal(result.stages["estimate"], est_q)
-    assert np.array_equal(result.stages["wpe"], manual)
+    for q in REF_MICS:
+        taps = 6
+        result = run_pipeline(small_scene, PipelineSpec("wpe", taps=taps, ref_mic=q))
+        cfg = StftConfig()
+        mix_spec = analyze(small_scene.mixture, cfg)
+        tgt_spec = analyze(small_scene.direct_path, cfg)
+        est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect", q).channel(q)
+        lam = psd_floor(est_q, 1e-5)
+        _, manual = wpe(mix_spec, lam, taps, 3, q, 1e-8)
+        assert np.array_equal(result.stages["estimate"], est_q), q
+        assert np.array_equal(result.stages["wpe"], manual), q
 
 
 def test_mwmpdr_wpe_pipeline_matches_manual_composition(small_scene):
-    q, taps = 0, 6
-    result = run_pipeline(small_scene, PipelineSpec("mwmpdr_wpe", taps=taps))
-    cfg = StftConfig()
-    mix_spec = analyze(small_scene.mixture, cfg)
-    tgt_spec = analyze(small_scene.direct_path, cfg)
-    est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect", q).channel(q)
-    lam = psd_floor(est_q, 1e-5)
-    _, wfield = wpe_field(mix_spec, lam, taps, 3, 1e-8)
-    mask = compute_mask(est_q, wfield[:, :, q])
-    cov = masked_covariances(wfield, mask)
-    steering = steering_vector(cov.phi_s, q)
-    phi_y_prime = weighted_covariance(wfield, lam)
-    weights = wmpdr(phi_y_prime, steering, q, 1e-8)
-    manual = apply_beamformer(weights, wfield)
-    assert np.array_equal(result.stages["wpe"], wfield[:, :, q])
-    assert np.array_equal(result.stages["mwmpdr_wpe"], manual)
+    for q in REF_MICS:
+        taps = 6
+        result = run_pipeline(
+            small_scene, PipelineSpec("mwmpdr_wpe", taps=taps, ref_mic=q)
+        )
+        cfg = StftConfig()
+        mix_spec = analyze(small_scene.mixture, cfg)
+        tgt_spec = analyze(small_scene.direct_path, cfg)
+        est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect", q).channel(q)
+        lam = psd_floor(est_q, 1e-5)
+        _, wfield = wpe_field(mix_spec, lam, taps, 3, 1e-8)
+        mask = compute_mask(est_q, wfield[:, :, q])
+        cov = masked_covariances(wfield, mask)
+        steering = steering_vector(cov.phi_s, q)
+        phi_y_prime = weighted_covariance(wfield, lam)
+        weights = wmpdr(phi_y_prime, steering, q, 1e-8)
+        manual = apply_beamformer(weights, wfield)
+        assert np.array_equal(result.stages["wpe"], wfield[:, :, q]), q
+        assert np.array_equal(result.stages["mwmpdr_wpe"], manual), q
 
 
 def test_fcp_and_mmvdr_match_manual_composition(small_scene):
-    q = 0
-    cfg = StftConfig()
-    mix_spec = analyze(small_scene.mixture, cfg)
-    tgt_spec = analyze(small_scene.direct_path, cfg)
-    est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect", q).channel(q)
-    mix_q = mix_spec[:, :, q]
+    for q in REF_MICS:
+        cfg = StftConfig()
+        mix_spec = analyze(small_scene.mixture, cfg)
+        tgt_spec = analyze(small_scene.direct_path, cfg)
+        est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect", q).channel(q)
+        mix_q = mix_spec[:, :, q]
 
-    got_fcp = run_pipeline(small_scene, PipelineSpec("fcp")).final
-    _, manual_fcp = fcp(mix_q, est_q, 40, 1e-3, 1e-8)
-    assert np.array_equal(got_fcp, manual_fcp)
+        got_fcp = run_pipeline(small_scene, PipelineSpec("fcp", ref_mic=q)).final
+        _, manual_fcp = fcp(mix_q, est_q, 40, 1e-3, 1e-8)
+        assert np.array_equal(got_fcp, manual_fcp), q
 
-    got_mmvdr = run_pipeline(small_scene, PipelineSpec("mmvdr")).final
-    mask = compute_mask(est_q, mix_q)
-    cov = masked_covariances(mix_spec, mask)
-    cov.steering = steering_vector(cov.phi_s, q)
-    manual_mmvdr = apply_beamformer(mvdr(cov, q, 1e-8), mix_spec)
-    assert np.array_equal(got_mmvdr, manual_mmvdr)
+        got_mmvdr = run_pipeline(small_scene, PipelineSpec("mmvdr", ref_mic=q)).final
+        mask = compute_mask(est_q, mix_q)
+        cov = masked_covariances(mix_spec, mask)
+        cov.steering = steering_vector(cov.phi_s, q)
+        manual_mmvdr = apply_beamformer(mvdr(cov, q, 1e-8), mix_spec)
+        assert np.array_equal(got_mmvdr, manual_mmvdr), q
+
+
+def test_fcp_wpe_pipeline_matches_manual_composition(small_scene):
+    # a mono pipeline dereverberates channel q alone, with the one-channel order
+    for q in REF_MICS:
+        result = run_pipeline(small_scene, PipelineSpec("fcp_wpe", ref_mic=q))
+        cfg = StftConfig()
+        mix_spec = analyze(small_scene.mixture, cfg)
+        tgt_spec = analyze(small_scene.direct_path, cfg)
+        est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect", q).channel(q)
+        lam = psd_floor(est_q, 1e-5)
+        _, wpe_q = wpe(mix_spec[:, :, q:q + 1], lam, default_taps(1), 3, 0, 1e-8)
+        _, manual = fcp(wpe_q, est_q, 40, 1e-3, 1e-8)
+        assert np.array_equal(result.stages["wpe"], wpe_q), q
+        assert np.array_equal(result.stages["fcp_wpe"], manual), q
 
 
 def test_run_is_deterministic(small_scene):
@@ -201,6 +225,10 @@ def test_external_estimator_roundtrip(small_scene, tmp_path):
     got = run_pipeline(small_scene, spec).final
     _, manual = fcp(mix_spec[:, :, q], est_q, 40, 1e-3, 1e-8)
     assert np.array_equal(got, manual)
+    # a one-channel estimate cannot give the multichannel signal covariances
+    with pytest.raises(ValueError, match="estimate"):
+        run_pipeline(small_scene, PipelineSpec("gev", estimator="external",
+                                               estimate_path=path))
 
 
 def test_mixture_only_run_without_metrics(small_scene, tmp_path):
