@@ -10,14 +10,30 @@ Two flavors share one weighted least-squares core:
 
 The core works frequency-major: it takes its predictor source, targets and
 weights as F x T x ... arrays and solves one D x D system per frequency bin,
-D = taps * channels.  Bins are processed in chunks.  Each chunk builds its
-own F x T x D delayed stack, a weighted conjugate copy of it, and its D x D
-Grams, and CHUNK_BUDGET_BYTES bounds that working set.  Peak memory
-therefore grows with the chunk, not with the full T x F x D stack or the
-F x D x D Gram stack.  The Gram, the right-hand side and the prediction are
-batched matrix products.
+D = taps * channels.  The bins are independent, so the core splits them into
+chunks and runs the chunks on a pool of threads, one worker per CPU in the
+process's affinity mask (`os.sched_getaffinity`).  Each worker fills a
+workspace that the calling thread allocates once per call: the chunk's
+zero-padded frames, its F x T x D delayed stack, a weighted conjugate copy of
+it and its D x D Grams.  CHUNK_BUDGET_BYTES bounds every in-flight chunk
+together, so peak memory grows with the budget, not with the full
+T x F x D stack or the F x D x D Gram stack.  The Gram, the right-hand side
+and the prediction are batched matrix products.
+
+While the workers run, the process-wide thread count of the OpenBLAS that
+numpy loaded is held at one and restored afterwards, so the workers do not
+oversubscribe the CPUs; other threads that call BLAS during a linpred call
+run single-threaded as well.  Where that count cannot be controlled (numpy
+on another BLAS, or no /proc/self/maps to find the library), the core runs
+with one worker: the same code, serially.
 """
 
+import contextlib
+import ctypes
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +44,10 @@ from .linalg import hermitize, load_hermitian, solve_stack
 DEFAULT_LOADING = 1e-8
 # absolute floor for the prediction-error weights
 WEIGHT_ABS_FLOOR = 1e-12
-# bound on one bin chunk's delayed stack, weighted copy and D x D Grams;
-# a single bin that exceeds it still runs alone
+# bound on every in-flight bin chunk together: each worker's padded frames,
+# delayed stack, weighted copy and D x D Grams.  The worker count comes from
+# CPU affinity and each worker gets an equal share, at least one bin's worth;
+# a single bin that exceeds the whole budget still runs, alone
 CHUNK_BUDGET_BYTES = 8 * 2 ** 20
 
 
@@ -58,21 +76,27 @@ def _check_lags(taps, delay):
         raise ValueError(f"delay must be >= 0, got {delay}")
 
 
-def _stack_fmajor(field, taps, delay):
-    # field F x T x P -> F x T x (taps * P), lag-major, channel-minor
-    num_bins, num_frames, num_channels = field.shape
-    lead = delay + taps - 1
+def _stack_buffers(num_bins, num_frames, num_channels, taps, delay):
+    # the zero-padded frames (the first delay + taps - 1 stay zero: the
+    # frames before the signal) and the F x T x taps x P stack built from them
     padded = np.zeros(
-        (num_bins, lead + num_frames, num_channels), dtype=np.complex128
+        (num_bins, delay + taps - 1 + num_frames, num_channels),
+        dtype=np.complex128,
     )
-    padded[:, lead:] = field
-    # windows[f, t, p, j] = padded[f, t + j, p]: lag k sits at j = taps-1-k
-    windows = sliding_window_view(padded[:, :num_frames + taps - 1], taps, axis=1)
     stack = np.empty(
         (num_bins, num_frames, taps, num_channels), dtype=np.complex128
     )
+    return padded, stack
+
+
+def _fill_stack(stack, padded, field):
+    # field F x T x P -> stack[f, t, k, p] = field[f, t - delay - k, p]:
+    # lag-major, channel-minor once the last two axes are merged
+    num_frames, taps = stack.shape[1:3]
+    padded[:, padded.shape[1] - num_frames:] = field
+    # windows[f, t, p, j] = padded[f, t + j, p]: lag k sits at j = taps-1-k
+    windows = sliding_window_view(padded[:, :num_frames + taps - 1], taps, axis=1)
     stack[...] = windows[..., ::-1].transpose(0, 1, 3, 2)
-    return stack.reshape(num_bins, num_frames, taps * num_channels)
 
 
 def build_delayed_stack(field, taps, delay):
@@ -93,7 +117,21 @@ def build_delayed_stack(field, taps, delay):
     if field.ndim != 3:
         raise ValueError(f"field must be T x F x P, got shape {field.shape}")
     _check_lags(taps, delay)
-    return _stack_fmajor(field.transpose(1, 0, 2), taps, delay).transpose(1, 0, 2)
+    num_frames, num_bins, num_channels = field.shape
+    padded, stack = _stack_buffers(num_bins, num_frames, num_channels, taps, delay)
+    _fill_stack(stack, padded, field.transpose(1, 0, 2))
+    return stack.reshape(num_bins, num_frames, -1).transpose(1, 0, 2)
+
+
+def _workspace(num_bins, num_frames, num_channels, taps, delay):
+    # one worker's buffers for chunks of up to num_bins bins: the padded
+    # frames, the stack, its weighted copy and the Grams
+    dim = taps * num_channels
+    return (
+        *_stack_buffers(num_bins, num_frames, num_channels, taps, delay),
+        np.empty((num_bins, num_frames, dim), dtype=np.complex128),
+        np.empty((num_bins, dim, dim), dtype=np.complex128),
+    )
 
 
 def _check_weights(weights, shape, name):
@@ -111,16 +149,124 @@ def _fmajor(arr):
     return np.ascontiguousarray(np.swapaxes(arr, 0, 1))
 
 
-def _solve_chunk(stack, targets, weights, loading):
-    # conj(stack) / weights, transposed against the stack and the targets,
-    # gives the conjugated Gram and right-hand side, so the solve returns
-    # conj(coeffs): the factor the prediction stack @ conj(coeffs) applies
-    weighted = np.conjugate(stack)
-    weighted /= weights[:, :, None]
-    weighted_t = weighted.transpose(0, 2, 1)
-    gram = hermitize(np.matmul(weighted_t, stack))
-    rhs = np.matmul(weighted_t, targets)
-    return solve_stack(load_hermitian(gram, loading), rhs)
+def _numpy_openblas_path():
+    # the OpenBLAS library numpy loaded: the one under numpy's own install
+    # directory, else the only OpenBLAS mapped into the process
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            # address, perms, offset, device, inode, then the path if any
+            lines = [line.rstrip("\n").split(maxsplit=5) for line in maps]
+    except OSError:
+        return None
+    mapped = {fields[5] for fields in lines
+              if len(fields) == 6 and "openblas" in os.path.basename(fields[5])}
+    own = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy")
+    candidates = [path for path in mapped if path.startswith(own)] or list(mapped)
+    return candidates[0] if len(candidates) == 1 else None
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the process-wide OpenBLAS thread count, or None.
+
+    The functions come from the OpenBLAS that numpy loaded, through ctypes,
+    under any of the symbol names its builds export.
+    """
+    path = _numpy_openblas_path()
+    if path is None:
+        return None
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for prefix in ("", "scipy_"):
+        for suffix in ("", "64_", "_64"):
+            names = (f"{prefix}openblas_get_num_threads{suffix}",
+                     f"{prefix}openblas_set_num_threads{suffix}")
+            if not all(hasattr(lib, name) for name in names):
+                continue
+            get, set_threads = (getattr(lib, name) for name in names)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            return get, set_threads
+    return None
+
+
+def _worker_count():
+    # one worker per CPU this process may run on, where BLAS can be held at
+    # one thread meanwhile; otherwise one worker
+    if _openblas_threads() is None:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+class _BlasHold:
+    """Holds the OpenBLAS thread count at one while any parallel region runs.
+
+    The first region to enter saves the count and the last to leave restores
+    it, so overlapping calls from several threads leave it as they found it.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._regions = 0
+        self._saved = None
+
+    @contextlib.contextmanager
+    def single_threaded(self):
+        control = _openblas_threads()
+        if control is None:
+            yield
+            return
+        get, set_threads = control
+        with self._lock:
+            if self._regions == 0:
+                self._saved = get()
+                set_threads(1)
+            self._regions += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._regions -= 1
+                if self._regions == 0:
+                    set_threads(self._saved)
+
+
+_BLAS_HOLD = _BlasHold()
+
+
+def _run_chunks(solve, spaces, starts):
+    """Call solve(space, start) for every chunk start, one worker per space.
+
+    One space runs every chunk in the calling thread.  Several run as a pool
+    of threads, each pulling the next start until none is left or a worker
+    has failed; the first failure is raised.
+    """
+    if len(spaces) == 1:
+        for start in starts:
+            solve(spaces[0], start)
+        return
+    pending = iter(starts)
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def drain(space):
+        while not failed.is_set():
+            with lock:
+                start = next(pending, None)
+            if start is None:
+                return
+            try:
+                solve(space, start)
+            except BaseException:
+                failed.set()
+                raise
+
+    with _BLAS_HOLD.single_threaded(), ThreadPoolExecutor(len(spaces)) as pool:
+        futures = [pool.submit(drain, space) for space in spaces]
+        for future in futures:
+            future.result()
 
 
 def _predict_fmajor(source, targets, weights, taps, delay, loading):
@@ -137,16 +283,40 @@ def _predict_fmajor(source, targets, weights, taps, delay, loading):
     dim = taps * num_channels
     coeffs = np.empty((num_bins, dim, targets.shape[2]), dtype=np.complex128)
     predictions = np.empty(targets.shape, dtype=np.complex128)
-    # complex128 bytes per bin: the stack and its weighted copy (T x D each),
-    # the Gram and the copies that symmetrizing and loading it make (D x D)
-    per_bin = 16 * (2 * num_frames * dim + 3 * dim * dim)
-    chunk = max(1, CHUNK_BUDGET_BYTES // per_bin)
-    for lo in range(0, num_bins, chunk):
-        bins = slice(lo, lo + chunk)
-        stack = _stack_fmajor(source[bins], taps, delay)
-        conj_coeffs = _solve_chunk(stack, targets[bins], weights[bins], loading)
-        coeffs[bins] = np.conjugate(conj_coeffs)
-        predictions[bins] = np.matmul(stack, conj_coeffs)
+    # complex128 bytes per bin: the padded frames, the stack and its weighted
+    # copy (T x D each), the Gram and the copies that symmetrizing and
+    # loading it make (D x D)
+    per_bin = 16 * ((delay + taps - 1 + num_frames) * num_channels
+                    + 2 * num_frames * dim + 3 * dim * dim)
+    # each worker's share of the budget holds at least one bin
+    workers = max(1, min(_worker_count(), CHUNK_BUDGET_BYTES // per_bin))
+    chunk = max(1, CHUNK_BUDGET_BYTES // workers // per_bin)
+    starts = range(0, num_bins, chunk)
+    # allocated here rather than in the workers: buffers a worker thread
+    # allocates stay resident in its own malloc arena after the call
+    spaces = [
+        _workspace(min(chunk, num_bins), num_frames, num_channels, taps, delay)
+        for _ in range(max(1, min(workers, len(starts))))
+    ]
+
+    def solve(space, lo):
+        bins = slice(lo, min(lo + chunk, num_bins))
+        padded, stack, weighted, gram = (buf[:bins.stop - lo] for buf in space)
+        _fill_stack(stack, padded, source[bins])
+        stack = stack.reshape(weighted.shape)
+        # conj(stack) / weights, transposed against the stack and the
+        # targets, gives the conjugated Gram and right-hand side, so the
+        # solve returns conj(coeffs): the factor stack @ conj(coeffs) applies
+        np.conjugate(stack, out=weighted)
+        weighted /= weights[bins, :, None]
+        weighted_t = weighted.transpose(0, 2, 1)
+        gram = hermitize(np.matmul(weighted_t, stack, out=gram))
+        rhs = np.matmul(weighted_t, targets[bins])
+        conj_coeffs = solve_stack(load_hermitian(gram, loading), rhs)
+        np.conjugate(conj_coeffs, out=coeffs[bins])
+        np.matmul(stack, conj_coeffs, out=predictions[bins])
+
+    _run_chunks(solve, spaces, starts)
     return coeffs, predictions
 
 

@@ -163,7 +163,10 @@ class PipelineSpec:
             )
         for name in ("taps", "taps_fcp", "delay"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            # only taps has a default (None) chosen from the channel count
+            if value is None and name == "taps":
+                continue
+            if value is None or value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
     def params_dict(self):

@@ -17,6 +17,7 @@ float64 rounding.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Floor for the overlap-add window-power denominator.
 COLA_FLOOR = 1e-12
@@ -140,16 +141,17 @@ def analyze(signal, cfg=StftConfig()):
         raise ValueError("cannot analyze an empty signal")
 
     num_frames = cfg.num_frames(num_samples)
-    # buffer long enough that the last frame has a full window of samples
+    # channel-major buffer long enough that the last frame has a full window
+    # of samples, so every frame is a contiguous run along the last axis
     buf_len = (num_frames - 1) * cfg.hop + cfg.window_len
-    buf = np.zeros((buf_len, num_channels))
-    buf[cfg.pad:cfg.pad + num_samples] = samples
+    buf = np.zeros((num_channels, buf_len))
+    buf[:, cfg.pad:cfg.pad + num_samples] = samples.T
 
-    offsets = cfg.hop * np.arange(num_frames)
-    frame_idx = offsets[:, None] + np.arange(cfg.window_len)[None, :]  # T x W
-    frames = buf[frame_idx]  # T x W x C
+    # C x T x W view: frame t starts at sample t * hop
+    frames = sliding_window_view(buf, cfg.window_len, axis=1)[:, ::cfg.hop]
     window = sqrt_hann_window(cfg.window_len)
-    return np.fft.rfft(frames * window[None, :, None], n=cfg.fft_len, axis=1)
+    spec = np.fft.rfft(frames * window, n=cfg.fft_len, axis=-1)  # C x T x F
+    return np.ascontiguousarray(spec.transpose(1, 2, 0))
 
 
 def synthesize(spectrogram, cfg=StftConfig(), num_samples=None):

@@ -1,9 +1,13 @@
-"""RIFF WAV reading and writing (PCM 16-bit and IEEE float 32-bit)."""
+"""RIFF WAV reading and writing (PCM 16-bit and IEEE float 32-bit).
 
-import io
+Files are written in the layout scipy.io.wavfile.write produces: a 16-byte
+`fmt ` chunk for PCM; for float, an 18-byte one (with a zero extension size)
+followed by a `fact` chunk holding the frame count.
+"""
+
+import struct
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import FormatError
 from .fsio import atomic_write_bytes
@@ -11,28 +15,87 @@ from .stft import TimeSignal
 
 _PCM16_SCALE = 32768.0
 
+_CHUNK = struct.Struct("<4sI")
+# format tag, channels, sample rate, bytes per second, block align, bits
+_FMT = struct.Struct("<HHIIHH")
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+# (format tag, bits per sample) -> little-endian sample type
+_SAMPLE_TYPES = {(_PCM, 16): np.dtype("<i2"), (_IEEE_FLOAT, 32): np.dtype("<f4")}
+
+
+def _decode(blob, path):
+    # -> (sample rate, N x C samples in their file type)
+    if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+        raise FormatError(f"{path}: not a readable WAV file (no RIFF WAVE header)")
+    fmt = None
+    pos = 12
+    while pos + _CHUNK.size <= len(blob):
+        chunk_id, size = _CHUNK.unpack_from(blob, pos)
+        pos += _CHUNK.size
+        if pos + size > len(blob):
+            raise FormatError(f"{path}: truncated {chunk_id!r} chunk")
+        if chunk_id == b"fmt ":
+            if size < _FMT.size:
+                raise FormatError(f"{path}: fmt chunk of {size} bytes is too short")
+            fmt = _FMT.unpack_from(blob, pos)
+            if fmt[0] == _EXTENSIBLE and size >= 26:
+                # the sub-format GUID at byte 24 starts with the real tag
+                fmt = struct.unpack_from("<H", blob, pos + 24) + fmt[1:]
+        elif chunk_id == b"data":
+            if fmt is None:
+                raise FormatError(f"{path}: data chunk before the fmt chunk")
+            tag, channels, rate, _, block_align, bits = fmt
+            dtype = _SAMPLE_TYPES.get((tag, bits))
+            if dtype is None:
+                raise FormatError(
+                    f"{path}: unsupported WAV sample format (format tag {tag}, "
+                    f"{bits} bits; only PCM16 and float32 are handled)"
+                )
+            if channels < 1 or block_align != channels * dtype.itemsize \
+                    or size % block_align:
+                raise FormatError(f"{path}: inconsistent fmt and data chunks")
+            samples = np.frombuffer(blob, dtype, size // dtype.itemsize, pos)
+            return rate, samples.reshape(-1, channels)
+        # chunks are padded to an even size
+        pos += size + (size & 1)
+    raise FormatError(f"{path}: no data chunk")
+
+
+def _encode(data, rate):
+    # N x C samples of a type in _SAMPLE_TYPES -> RIFF WAVE bytes
+    num_frames, channels = data.shape
+    dtype = data.dtype.newbyteorder("<")
+    tag = _PCM if dtype.kind == "i" else _IEEE_FLOAT
+    block_align = channels * dtype.itemsize
+    fmt = _FMT.pack(tag, channels, rate, rate * block_align, block_align,
+                    8 * dtype.itemsize)
+    if tag != _PCM:
+        fmt += b"\x00\x00"
+    body = b"WAVE" + _CHUNK.pack(b"fmt ", len(fmt)) + fmt
+    if tag != _PCM:
+        body += _CHUNK.pack(b"fact", 4) + struct.pack("<I", num_frames)
+    payload = data.astype(dtype, copy=False).tobytes()
+    if len(body) + _CHUNK.size + len(payload) > 0xFFFFFFFF:
+        raise ValueError("data exceeds the 4 GiB WAV file size limit")
+    body += _CHUNK.pack(b"data", len(payload)) + payload
+    return _CHUNK.pack(b"RIFF", len(body)) + body
+
 
 def read_wav(path, expect_rate=None):
     """Read a WAV file into a TimeSignal.
 
     PCM16 samples are scaled to [-1, 1); float32 samples pass through.
-    Other encodings raise FormatError.  If `expect_rate` is given, a
-    differing file rate raises ValueError (resampling is out of scope).
+    Other encodings, truncated files and files that are not RIFF WAVE raise
+    FormatError.  If `expect_rate` is given, a differing file rate raises
+    ValueError (resampling is out of scope).
     """
-    try:
-        rate, data = wavfile.read(path)
-    except ValueError as exc:
-        raise FormatError(f"{path}: not a readable WAV file ({exc})") from exc
-    if data.dtype == np.int16:
+    with open(path, "rb") as handle:
+        rate, data = _decode(handle.read(), path)
+    if data.dtype.kind == "i":
         samples = data.astype(np.float64) / _PCM16_SCALE
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
     else:
-        raise FormatError(
-            f"{path}: unsupported WAV sample format {data.dtype} "
-            "(only PCM16 and float32 are handled)"
-        )
-    signal = TimeSignal(samples, int(rate))
+        samples = data.astype(np.float64)
+    signal = TimeSignal(samples, rate)
     if expect_rate is not None and signal.sample_rate != expect_rate:
         raise ValueError(
             f"{path}: sample rate {signal.sample_rate} Hz does not match the "
@@ -51,8 +114,6 @@ def write_wav(path, signal, encoding="float32"):
     if not isinstance(signal, TimeSignal):
         raise TypeError("write_wav expects a TimeSignal")
     samples = signal.samples
-    if samples.shape[1] == 1:
-        samples = samples[:, 0]
     if encoding == "float32":
         data = samples.astype(np.float32)
     elif encoding == "pcm16":
@@ -60,6 +121,4 @@ def write_wav(path, signal, encoding="float32"):
         data = np.clip(scaled, -32768, 32767).astype(np.int16)
     else:
         raise ValueError(f"unknown WAV encoding {encoding!r}")
-    buf = io.BytesIO()
-    wavfile.write(buf, signal.sample_rate, data)
-    atomic_write_bytes(path, buf.getvalue())
+    atomic_write_bytes(path, _encode(data, signal.sample_rate))

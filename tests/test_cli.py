@@ -247,6 +247,18 @@ def test_invalid_filter_parameters_exit_2(scene_dir, tmp_path, capsys, flag, val
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("key, field", [("tapsFcp", "taps_fcp"), ("delay", "delay")])
+def test_config_null_filter_length_exits_2(scene_dir, tmp_path, capsys, key, field):
+    # only taps may be null (its default follows the channel count)
+    config_path = str(tmp_path / "config.json")
+    with open(config_path, "w") as handle:
+        json.dump({"pipeline": "fcp_wpe", "scene": scene_dir,
+                   "out": str(tmp_path / "run"), "params": {key: None}}, handle)
+    rc, _, err = run_cli(capsys, "enhance", "--config", config_path)
+    assert rc == 2 and "usage error" in err
+    assert f"{field} must be >= 1, got None" in err
+
+
 def test_file_errors_exit_3(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "enhance", "--scene", str(tmp_path / "ghost"),
                          "--pipeline", "wpe", "--out", str(tmp_path / "run"))

@@ -4,11 +4,14 @@ atomic write/JSON helpers."""
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
+import lodistort
 from lodistort import (
     FormatError,
     TimeSignal,
@@ -59,6 +62,70 @@ def test_wav_garbage_bytes_raise(tmp_path):
     path.write_bytes(b"this is not a RIFF file at all")
     with pytest.raises(FormatError):
         read_wav(path)
+
+
+@pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+@pytest.mark.parametrize("shape", [(0,), (1,), (301,), (257, 3)])
+def test_wav_bytes_match_scipy_writer(tmp_path, encoding, shape):
+    rng = np.random.default_rng(len(shape) + shape[0])
+    signal = TimeSignal(rng.uniform(-1.0, 1.0, size=shape), 16000)
+    path = tmp_path / "ours.wav"
+    write_wav(path, signal, encoding=encoding)
+    if encoding == "float32":
+        data = signal.samples.astype(np.float32)
+    else:
+        data = np.clip(np.round(signal.samples * 32768.0), -32768, 32767)
+        data = data.astype(np.int16)
+    theirs = tmp_path / "theirs.wav"
+    wavfile.write(theirs, 16000, data[:, 0] if data.shape[1] == 1 else data)
+    assert path.read_bytes() == theirs.read_bytes()
+    back = read_wav(theirs)
+    assert back.samples.shape == signal.samples.shape
+    assert np.array_equal(back.samples, read_wav(path).samples)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int32])
+def test_wav_other_encodings_raise(tmp_path, dtype):
+    path = tmp_path / "other.wav"
+    wavfile.write(path, 16000, np.zeros((64, 2), dtype=dtype))
+    with pytest.raises(FormatError, match="unsupported"):
+        read_wav(path)
+
+
+def test_wav_extensible_pcm16_reads(tmp_path):
+    # WAVE_FORMAT_EXTENSIBLE: the real format tag opens the sub-format GUID
+    values = np.array([[1, -2, 3], [-32768, 32767, 0]], dtype="<i2")
+    guid = struct.pack("<H", 1) + bytes.fromhex("000000001000800000aa00389b71")
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 3, 16000, 96000, 6, 16, 22, 16, 0)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt + guid)) + fmt + guid
+            + b"data" + struct.pack("<I", values.nbytes) + values.tobytes())
+    path = tmp_path / "ext.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    back = read_wav(path, expect_rate=16000)
+    assert np.array_equal(back.samples, values / 32768.0)
+
+
+def test_wav_truncated_files_raise(tmp_path):
+    path = tmp_path / "full.wav"
+    write_wav(path, TimeSignal(np.zeros((100, 2)), 16000))
+    raw = path.read_bytes()
+    for cut in (len(raw) - 3, 40, 30, 11):
+        truncated = tmp_path / f"cut{cut}.wav"
+        truncated.write_bytes(raw[:cut])
+        with pytest.raises(FormatError):
+            read_wav(truncated)
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, lodistort; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lodistort.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_spectrogram_round_trip_exact(tmp_path):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -299,11 +300,155 @@ def test_bin_chunks_match_one_chunk(monkeypatch, kind):
     assert one == [num_bins]
     # 257 bins is prime, so any split into 2..256-bin chunks is uneven
     assert 1 < len(chunks) < num_bins and sum(chunks) == num_bins
-    assert chunks[-1] < chunks[0]
+    # workers finish chunks in any order: every chunk but one has the same
+    # size, and the odd one (the last bins) is smaller
+    sizes = sorted(chunks)
+    assert sizes[0] < sizes[1] == sizes[-1]
     coeffs = getattr(filt, "coeffs", filt)
     one_coeffs = getattr(one_filter, "coeffs", one_filter)
     assert np.max(np.abs(out - one_out)) <= 1e-12 * np.max(np.abs(one_out))
     assert np.max(np.abs(coeffs - one_coeffs)) <= 1e-12 * np.max(np.abs(one_coeffs))
+
+
+def _pool_case(kind):
+    # a planted scene and one linear-prediction call returning its filter
+    # coefficients and output
+    mixture, direct = planted_reverb_field(seed=5, num_mics=3)
+    lam = psd_floor(direct[:, :, 0])
+
+    def run():
+        if kind == "wpe_field":
+            return wpe_field(mixture, lam, taps=8, delay=3)
+        filt, out = {
+            "wpe": lambda: wpe(mixture, lam, taps=8, delay=3, ref_mic=2),
+            "fcp": lambda: fcp(mixture[:, :, 1], direct[:, :, 1], taps=12),
+        }[kind]()
+        return filt.coeffs, out
+
+    return run
+
+
+def _assert_close(got, want):
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def _solve_threads(monkeypatch):
+    # records the thread of every chunk solve
+    threads = []
+
+    def recording_solve(mats, rhs):
+        threads.append(threading.get_ident())
+        return solve_stack(mats, rhs)
+
+    monkeypatch.setattr(linpred, "solve_stack", recording_solve)
+    return threads
+
+
+@pytest.mark.parametrize("kind", ["wpe_field", "wpe", "fcp"])
+def test_worker_counts_agree(monkeypatch, kind):
+    run = _pool_case(kind)
+    monkeypatch.setattr(linpred, "CHUNK_BUDGET_BYTES", 2 ** 20)
+    threads = _solve_threads(monkeypatch)
+    outputs = {}
+    for workers in (1, 2, 5):
+        monkeypatch.setattr(linpred, "_worker_count", lambda: workers)
+        threads.clear()
+        outputs[workers] = run()
+        on_caller = set(threads) == {threading.get_ident()}
+        assert on_caller == (workers == 1), workers
+    for workers in (2, 5):
+        _assert_close(outputs[workers], outputs[1])
+
+
+def test_repeated_calls_are_bit_identical(monkeypatch):
+    run = _pool_case("wpe_field")
+    monkeypatch.setattr(linpred, "CHUNK_BUDGET_BYTES", 2 ** 20)
+    monkeypatch.setattr(linpred, "_worker_count", lambda: 3)
+    first = run()
+    for _ in range(3):
+        again = run()
+        assert all(np.array_equal(a, b) for a, b in zip(again, first))
+
+
+def test_without_blas_control_runs_serially(monkeypatch):
+    run = _pool_case("wpe_field")
+    monkeypatch.setattr(linpred, "CHUNK_BUDGET_BYTES", 2 ** 20)
+    pooled = run()
+    monkeypatch.setattr(linpred, "_openblas_threads", lambda: None)
+    assert linpred._worker_count() == 1
+    threads = _solve_threads(monkeypatch)
+    serial = run()
+    assert set(threads) == {threading.get_ident()}
+    _assert_close(serial, pooled)
+
+
+@pytest.fixture()
+def blas_threads():
+    # the OpenBLAS thread count at 3 for the test, put back afterwards
+    control = linpred._openblas_threads()
+    if control is None:
+        pytest.skip("numpy's BLAS thread count cannot be controlled here")
+    get, set_threads = control
+    saved = get()
+    set_threads(3)
+    try:
+        yield get
+    finally:
+        set_threads(saved)
+
+
+def test_blas_thread_count_restored(monkeypatch, blas_threads):
+    run = _pool_case("wpe_field")
+    monkeypatch.setattr(linpred, "CHUNK_BUDGET_BYTES", 2 ** 20)
+    monkeypatch.setattr(linpred, "_worker_count", lambda: 2)
+    inside = []
+
+    def solve_then_fail(mats, rhs):
+        inside.append(blas_threads())
+        if fail and len(inside) == 5:
+            raise RuntimeError("planted failure")
+        return solve_stack(mats, rhs)
+
+    monkeypatch.setattr(linpred, "solve_stack", solve_then_fail)
+    fail = False
+    run()
+    assert set(inside) == {1}
+    assert blas_threads() == 3
+    fail = True
+    inside.clear()
+    with pytest.raises(RuntimeError, match="planted failure"):
+        run()
+    assert blas_threads() == 3
+
+
+def test_overlapping_calls_from_threads(monkeypatch, blas_threads):
+    # more callers and workers than cores, switching threads often: every
+    # result matches a serial run and the last region out restores BLAS
+    run = _pool_case("wpe")
+    monkeypatch.setattr(linpred, "CHUNK_BUDGET_BYTES", 2 ** 20)
+    monkeypatch.setattr(linpred, "_worker_count", lambda: 1)
+    want = run()
+    monkeypatch.setattr(linpred, "_worker_count", lambda: 3)
+    results = [None] * 6
+
+    def call(index):
+        results[index] = run()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(6)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for got in results:
+        _assert_close(got, want)
+    assert blas_threads() == 3
 
 
 def test_wpe_field_large_order_fits_capped_address_space():

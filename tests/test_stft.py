@@ -2,7 +2,9 @@
 
 The oracle below re-derives every frame from the documented layout (384-sample
 front/back padding, hop 128, sqrt-Hann window) and applies an explicit DFT
-sum, sharing no code path with the implementation's strided gather + rfft.
+sum, sharing no code path with the implementation's sliding-window framing
++ rfft.  The index-gather framing the implementation used before is kept
+here as a second oracle that the framing must match bit for bit.
 """
 
 import numpy as np
@@ -39,6 +41,18 @@ def oracle_analyze(x, cfg):
     padded = np.zeros((frames.shape[0], cfg.fft_len))
     padded[:, :cfg.window_len] = frames
     return padded @ dft.T  # T x F
+
+
+def gather_analyze(samples, cfg):
+    """Index-gather framing: a T x W x C frame array, rfft along axis 1."""
+    num_samples, num_channels = samples.shape
+    num_frames = cfg.num_frames(num_samples)
+    buf = np.zeros(((num_frames - 1) * cfg.hop + cfg.window_len, num_channels))
+    buf[cfg.pad:cfg.pad + num_samples] = samples
+    offsets = cfg.hop * np.arange(num_frames)
+    frames = buf[offsets[:, None] + np.arange(cfg.window_len)[None, :]]
+    window = sqrt_hann_window(cfg.window_len)
+    return np.fft.rfft(frames * window[None, :, None], n=cfg.fft_len, axis=1)
 
 
 def test_window_matches_formula():
@@ -91,6 +105,20 @@ def test_analysis_matches_direct_dft_oracle():
     want = oracle_analyze(x, CFG)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+def test_framing_matches_index_gather():
+    rng = np.random.default_rng(31)
+    configs = [CFG, StftConfig(window_len=256, hop=64, fft_len=256),
+               StftConfig(window_len=400, hop=100, fft_len=512, sample_rate=8000)]
+    for cfg in configs:
+        for _ in range(8):
+            num_samples = int(rng.integers(1, 5000))
+            num_channels = int(rng.integers(1, 7))
+            x = rng.standard_normal((num_samples, num_channels))
+            got = analyze(x, cfg)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, gather_analyze(x, cfg)), (cfg, x.shape)
 
 
 def test_bin_center_cosine_concentrates():
