@@ -132,6 +132,4 @@ def load_external_estimate(path, expected_shape, cfg=None, ref_mic=0):
             f"{path}: estimate has {values.shape[2]} channels, expected 1 or "
             f"{num_channels}"
         )
-    if not np.all(np.isfinite(values)):
-        raise FormatError(f"{path}: estimate contains non-finite values")
     return TargetEstimate(values, "external", ref_mic)

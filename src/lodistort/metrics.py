@@ -95,6 +95,41 @@ def energy_mask(target_q, threshold_db=ENERGY_MASK_DB):
     return power >= peak * 10.0 ** (threshold_db / 10.0)
 
 
+def _phase_sides(target_q, mixture_q, threshold_db):
+    # -> (energy mask, mixture phase and target side on the masked bins)
+    mask = energy_mask(target_q, threshold_db)
+    if not mask.any():
+        raise ValueError("energy mask selected no bins")
+    mix_phase = np.angle(mixture_q)[mask]
+    true_side = wrap_phase(np.angle(target_q)[mask] - mix_phase) >= 0.0
+    return mask, mix_phase, true_side
+
+
+def _pdsacc(sides, estimate_phase):
+    mask, mix_phase, true_side = sides
+    est_side = wrap_phase(estimate_phase[mask] - mix_phase) >= 0.0
+    return 100.0 * float(np.mean(est_side == true_side))
+
+
+def _target_energy(target_q):
+    # -> (complex128 target, |S|, sum |S|^2)
+    target_q = np.asarray(target_q, dtype=np.complex128)
+    magnitude = np.abs(target_q)
+    signal_energy = float(np.sum(magnitude ** 2))
+    if signal_energy <= 0.0:
+        raise ValueError("target spectrogram is identically zero")
+    return target_q, magnitude, signal_energy
+
+
+def _psnr(parts, estimate_phase):
+    target_q, magnitude, signal_energy = parts
+    error = target_q - magnitude * np.exp(1j * estimate_phase)
+    error_energy = float(np.sum(np.abs(error) ** 2))
+    if error_energy == 0.0:
+        return math.inf
+    return 10.0 * math.log10(signal_energy / error_energy)
+
+
 def pdsacc(estimate_q, target_q, mixture_q, threshold_db=ENERGY_MASK_DB):
     """Phase-difference sign accuracy, in percent.
 
@@ -107,14 +142,8 @@ def pdsacc(estimate_q, target_q, mixture_q, threshold_db=ENERGY_MASK_DB):
     mixture_q = np.asarray(mixture_q)
     if estimate_q.shape != target_q.shape or estimate_q.shape != mixture_q.shape:
         raise ValueError("estimate, target, and mixture shapes must match")
-    mask = energy_mask(target_q, threshold_db)
-    if not mask.any():
-        raise ValueError("energy mask selected no bins")
-    mix_phase = np.angle(mixture_q)
-    est_side = wrap_phase(np.angle(estimate_q) - mix_phase) >= 0.0
-    true_side = wrap_phase(np.angle(target_q) - mix_phase) >= 0.0
-    agree = est_side[mask] == true_side[mask]
-    return 100.0 * float(np.mean(agree))
+    sides = _phase_sides(target_q, mixture_q, threshold_db)
+    return _pdsacc(sides, np.angle(estimate_q))
 
 
 def psnr(estimate_phase, target_q):
@@ -126,20 +155,48 @@ def psnr(estimate_phase, target_q):
     everywhere-antipodal phase scores 10 log10(1/4).
     """
     estimate_phase = np.asarray(estimate_phase, dtype=np.float64)
-    target_q = np.asarray(target_q, dtype=np.complex128)
-    if estimate_phase.shape != target_q.shape:
+    if estimate_phase.shape != np.shape(target_q):
         raise ValueError(
-            f"phase {estimate_phase.shape} and target {target_q.shape} shapes differ"
+            f"phase {estimate_phase.shape} and target {np.shape(target_q)} shapes differ"
         )
-    magnitude = np.abs(target_q)
-    signal_energy = float(np.sum(magnitude ** 2))
-    if signal_energy <= 0.0:
-        raise ValueError("target spectrogram is identically zero")
-    error = target_q - magnitude * np.exp(1j * estimate_phase)
-    error_energy = float(np.sum(np.abs(error) ** 2))
-    if error_energy == 0.0:
-        return math.inf
-    return 10.0 * math.log10(signal_energy / error_energy)
+    return _psnr(_target_energy(target_q), estimate_phase)
+
+
+class ScoreReference:
+    """The parts of the phase scores that depend only on the target and the
+    mixture at one mic: the energy mask, the mixture phase and the target's
+    phase-difference side on the masked bins, and |S| with its energy.
+    Build it once, then score any number of estimates with `score_against`."""
+
+    def __init__(self, target_q, mixture_q, threshold_db=ENERGY_MASK_DB):
+        target_q = np.asarray(target_q)
+        mixture_q = np.asarray(mixture_q)
+        if target_q.shape != mixture_q.shape:
+            raise ValueError("estimate, target, and mixture shapes must match")
+        self.shape = target_q.shape
+        self.phase_sides = _phase_sides(target_q, mixture_q, threshold_db)
+        self.target_energy = _target_energy(target_q)
+
+
+def score_against(reference, estimate_q, estimate_wave=None, target_wave=None,
+                  pipeline_name="", ref_mic=0):
+    """score_estimate with the target and mixture given as a ScoreReference."""
+    estimate_q = np.asarray(estimate_q)
+    if estimate_q.shape != reference.shape:
+        raise ValueError("estimate, target, and mixture shapes must match")
+    if estimate_wave is not None and target_wave is not None:
+        sdr = si_sdr(estimate_wave, target_wave)
+    else:
+        sdr = math.nan
+    # one angle per estimate serves both phase scores
+    phase = np.angle(estimate_q)
+    return MetricsReport(
+        si_sdr_db=sdr,
+        pdsacc_percent=_pdsacc(reference.phase_sides, phase),
+        psnr_db=_psnr(reference.target_energy, np.asarray(phase, dtype=np.float64)),
+        pipeline_name=pipeline_name,
+        ref_mic=ref_mic,
+    )
 
 
 def score_estimate(
@@ -155,14 +212,5 @@ def score_estimate(
 
     SI-SDR is computed on the provided waveforms when given, otherwise NaN.
     """
-    if estimate_wave is not None and target_wave is not None:
-        sdr = si_sdr(estimate_wave, target_wave)
-    else:
-        sdr = math.nan
-    return MetricsReport(
-        si_sdr_db=sdr,
-        pdsacc_percent=pdsacc(estimate_q, target_q, mixture_q),
-        psnr_db=psnr(np.angle(estimate_q), target_q),
-        pipeline_name=pipeline_name,
-        ref_mic=ref_mic,
-    )
+    return score_against(ScoreReference(target_q, mixture_q), estimate_q,
+                         estimate_wave, target_wave, pipeline_name, ref_mic)

@@ -6,18 +6,39 @@ context, naming each output by the chain so far, newest stage first (wpe ->
 mwmpdr_wpe -> fcp_mwmpdr_wpe).  Stages call the library functions a manual
 composition would, in the same order, so their outputs are bit-identical to
 composing by hand.
+
+Calls on the same scene share their common nodes.  A module-level memo keeps
+one scene, identified by a SHA-256 digest of the StftConfig and of the
+mixture's and target's shapes, sample rates and samples; each node in it is
+keyed by exactly the spec fields it reads:
+
+    mixture and target STFTs          the digest alone
+    estimate                          (estimator, est_err_snr_db, seed, ref_mic)
+    multichannel WPE field            the estimate's key + (epsilon, taps,
+                                      delay, loading)
+    scoring reference, mixture score  ref_mic
+    wave and score of a shared stage  that stage's key
+
+So the 11 pipelines on one scene analyze twice, not 22 times, and solve one
+`wpe_field` for the four *_wpe beamformers.  External estimates (and what
+follows from them) are never shared: the file may change between calls.  A
+call on a different digest drops the old scene before computing anything;
+the scene also goes when the mixture object it was built from is collected.
+Shared arrays are read-only, including those a PipelineResult exposes.
 """
 
 import math
 import os
-from dataclasses import dataclass, fields
+import threading
+import weakref
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import beamform, linpred, stats
 from .estimator import ORACLE_KINDS, corrupt_estimate, load_external_estimate, oracle_estimate
-from .metrics import score_estimate
+from .metrics import ScoreReference, score_against
 from .scene import Scene
 from .specio import write_spectrogram
 from .stft import StftConfig, TimeSignal, analyze, synthesize
@@ -191,7 +212,9 @@ class PipelineResult:
     stages maps stage names (insertion-ordered, ending with the pipeline
     name) to T x F estimates at the reference mic; waves holds their
     resynthesized signals; metrics (when a target was available) includes an
-    extra "mixture" entry scoring the unprocessed reference channel.
+    extra "mixture" entry scoring the unprocessed reference channel.  Arrays
+    shared with other calls on the same scene (mixture_spectrogram, an oracle
+    estimate, the multichannel wpe stage, their waves) are read-only.
     """
 
     spec: PipelineSpec
@@ -235,6 +258,83 @@ def make_estimate(spec, mix_spec, tgt_spec, cfg=None):
     )
 
 
+class _SceneNodes:
+    """The memoized nodes of one scene: `get(key, compute)` returns the value
+    stored under `key`, or computes, freezes and stores it.  A None key marks
+    a node that must not be shared (an external estimate and what follows
+    from it) and is always computed."""
+
+    def __init__(self, digest):
+        self.digest = digest
+        self.values = {}
+        self.finalizer = None
+
+    def get(self, key, compute):
+        if key is None:
+            return compute()
+        value = self.values.get(key)
+        if value is None:
+            value = self.values.setdefault(key, _freeze(compute()))
+        return value
+
+
+def _freeze(value):
+    # shared nodes are read by every later call: make their arrays read-only
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _freeze(item)
+    elif hasattr(value, "__dict__"):
+        for item in vars(value).values():
+            _freeze(item)
+    return value
+
+
+# the one scene whose nodes are kept between calls, swapped under the lock
+# (reentrant: a finalizer may run during a collection inside the swap)
+_memo = None
+_memo_lock = threading.RLock()
+
+
+def _scene_digest(mixture, target, cfg):
+    import hashlib  # only run_pipeline needs it; `import lodistort` stays lean
+
+    digest = hashlib.sha256(repr(cfg).encode())
+    for signal in (mixture, target):
+        if signal is None:
+            digest.update(b"no signal")
+            continue
+        samples = np.ascontiguousarray(signal.samples)
+        digest.update(repr((samples.shape, samples.dtype.str,
+                            signal.sample_rate)).encode())
+        digest.update(samples)
+    return digest.digest()
+
+
+def _forget(nodes):
+    global _memo
+    with _memo_lock:
+        if _memo is nodes:
+            _memo = None
+
+
+def _scene_nodes(mixture, target, cfg):
+    """The memo entry for this mixture and target, replacing the old one
+    (dropped before anything new is computed) when the content differs.  An
+    entry also goes when the mixture object it was built from is collected."""
+    global _memo
+    digest = _scene_digest(mixture, target, cfg)
+    with _memo_lock:
+        nodes = _memo
+        if nodes is None or nodes.digest != digest:
+            if nodes is not None:
+                nodes.finalizer.detach()
+            _memo = nodes = _SceneNodes(digest)
+            nodes.finalizer = weakref.finalize(mixture, _forget, nodes)
+    return nodes
+
+
 @dataclass
 class _Context:
     """What one run's stages read and advance."""
@@ -245,6 +345,9 @@ class _Context:
     ref: np.ndarray  # T x F output of the last stage at the reference mic
     est: object  # TargetEstimate
     est_q: np.ndarray
+    nodes: _SceneNodes
+    est_key: tuple  # memo key of the estimate, None when it is not shared
+    key: tuple = None  # memo key of ref when a stage returned a shared node
 
     @cached_property
     def lam(self):
@@ -253,13 +356,19 @@ class _Context:
 
 
 def _wpe(ctx):
-    spec, lam = ctx.spec, ctx.lam
+    spec = ctx.spec
     taps = spec.taps or default_taps(ctx.field.shape[2])
-    # multichannel pipelines pass every dereverberated channel to the next stage
+    # multichannel pipelines pass every dereverberated channel to the next
+    # stage; that field is the same for every pipeline of the scene
     if CATALOG[spec.name].channels == "multi":
-        _, ctx.field = linpred.wpe_field(ctx.field, lam, taps, spec.delay, spec.loading)
+        if ctx.est_key is not None:
+            ctx.key = ctx.est_key + ("wpe_field", spec.epsilon, taps, spec.delay,
+                                     spec.loading)
+        mix_spec = ctx.field
+        ctx.field = ctx.nodes.get(ctx.key, lambda: linpred.wpe_field(
+            mix_spec, ctx.lam, taps, spec.delay, spec.loading)[1])
         return ctx.field[:, :, ctx.q]
-    _, out = linpred.wpe(ctx.field, lam, taps, spec.delay, ctx.q, spec.loading)
+    _, out = linpred.wpe(ctx.field, ctx.lam, taps, spec.delay, ctx.q, spec.loading)
     return out
 
 
@@ -322,7 +431,7 @@ def run_pipeline(scene_or_mixture, spec, target=None, cfg=StftConfig()):
         target: TimeSignal of the clean target; required by oracle
             estimators and for metric computation
     Return:
-        PipelineResult
+        PipelineResult (shared arrays read-only; see the module docstring)
     """
     if isinstance(scene_or_mixture, Scene):
         mixture = scene_or_mixture.mixture
@@ -343,40 +452,53 @@ def run_pipeline(scene_or_mixture, spec, target=None, cfg=StftConfig()):
     if target is not None and target.num_channels != num_mics:
         raise ValueError("target and mixture channel counts differ")
 
-    mix_spec = analyze(mixture, cfg)  # T x F x P
-    tgt_spec = analyze(target, cfg) if target is not None else None
-    est = make_estimate(spec, mix_spec, tgt_spec, cfg)
+    nodes = _scene_nodes(mixture, target, cfg)
+    mix_spec = nodes.get(("mixture",), lambda: analyze(mixture, cfg))  # T x F x P
+    tgt_spec = None
+    if target is not None:
+        tgt_spec = nodes.get(("target",), lambda: analyze(target, cfg))
+    # an external estimate's file may change between calls: never shared
+    est_key = None
+    if spec.estimator in ORACLE_KINDS:
+        est_key = ("estimate", spec.estimator, spec.est_err_snr_db, spec.seed, q)
+    est = nodes.get(est_key, lambda: make_estimate(spec, mix_spec, tgt_spec, cfg))
     est_q = est.channel(q)
     mix_q = mix_spec[:, :, q]
 
     if info.channels == "mono":  # channel q alone, as the context's channel 0
-        ctx = _Context(spec, mix_spec[:, :, q:q + 1], 0, mix_q, est, est_q)
+        ctx = _Context(spec, mix_spec[:, :, q:q + 1], 0, mix_q, est, est_q, nodes, est_key)
     else:
-        ctx = _Context(spec, mix_spec, q, mix_q, est, est_q)
+        ctx = _Context(spec, mix_spec, q, mix_q, est, est_q, nodes, est_key)
     stages = {"estimate": est_q}
+    keys = {"estimate": est_key}  # stage name -> memo key of its output
     chain = []
     for stage in info.stages[1:]:
         chain.insert(0, stage)
+        ctx.key = None
         ctx.ref = _STAGES[stage](ctx)
         stages["_".join(chain)] = ctx.ref
+        keys["_".join(chain)] = ctx.key
 
-    # resynthesis and scoring
+    # resynthesis and scoring; a shared output's wave and score are shared too
     waves = {}
     metrics = {}
     num_samples = mixture.num_samples
     if target is not None:
-        tgt_q = tgt_spec[:, :, q]
         tgt_wave = target.channel(q)
-        metrics["mixture"] = score_estimate(
-            mix_q, tgt_q, mix_q, mixture.channel(q), tgt_wave, spec.name, q
-        )
+        reference = nodes.get(("reference", q),
+                              lambda: ScoreReference(tgt_spec[:, :, q], mix_q))
+        report = nodes.get(("score", "mixture", q), lambda: score_against(
+            reference, mix_q, mixture.channel(q), tgt_wave, spec.name, q))
+        metrics["mixture"] = replace(report, pipeline_name=spec.name)
     for stage_name, stage_spec in stages.items():
-        wave = synthesize(stage_spec, cfg, num_samples)
+        key = keys[stage_name]
+        wave = nodes.get(key and ("wave",) + key,
+                         lambda: synthesize(stage_spec, cfg, num_samples))
         waves[stage_name] = wave
         if target is not None:
-            metrics[stage_name] = score_estimate(
-                stage_spec, tgt_q, mix_q, wave.channel(0), tgt_wave, spec.name, q
-            )
+            report = nodes.get(key and ("score",) + key, lambda: score_against(
+                reference, stage_spec, wave.channel(0), tgt_wave, spec.name, q))
+            metrics[stage_name] = replace(report, pipeline_name=spec.name)
     return PipelineResult(spec, stages, waves, metrics, mix_spec, cfg)
 
 

@@ -33,7 +33,11 @@ def write_spectrogram(path, values):
 
 
 def read_spectrogram(path):
-    """Read an LDSPEC1 file back into a T x F x P complex128 array."""
+    """Read an LDSPEC1 file back into a T x F x P complex128 array.
+
+    Files that are not LDSPEC1, whose size disagrees with the header, or that
+    hold NaN or inf raise FormatError.
+    """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     with open(path, "rb") as handle:
@@ -48,4 +52,6 @@ def read_spectrogram(path):
             f"(expected {expected} bytes for {num_frames}x{num_bins}x{num_channels})"
         )
     flat = np.frombuffer(blob, dtype="<c16", offset=len(MAGIC) + _HEADER.size)
+    if not np.all(np.isfinite(flat)):
+        raise FormatError(f"{path}: spectrogram holds non-finite values")
     return flat.reshape(num_frames, num_bins, num_channels).astype(np.complex128)

@@ -85,9 +85,10 @@ def read_wav(path, expect_rate=None):
     """Read a WAV file into a TimeSignal.
 
     PCM16 samples are scaled to [-1, 1); float32 samples pass through.
-    Other encodings, truncated files and files that are not RIFF WAVE raise
-    FormatError.  If `expect_rate` is given, a differing file rate raises
-    ValueError (resampling is out of scope).
+    Other encodings, truncated files, files that are not RIFF WAVE and
+    float files holding NaN or inf raise FormatError.  If `expect_rate` is
+    given, a differing file rate raises ValueError (resampling is out of
+    scope).
     """
     with open(path, "rb") as handle:
         rate, data = _decode(handle.read(), path)
@@ -95,6 +96,8 @@ def read_wav(path, expect_rate=None):
         samples = data.astype(np.float64) / _PCM16_SCALE
     else:
         samples = data.astype(np.float64)
+        if not np.all(np.isfinite(samples)):
+            raise FormatError(f"{path}: WAV holds non-finite samples")
     signal = TimeSignal(samples, rate)
     if expect_rate is not None and signal.sample_rate != expect_rate:
         raise ValueError(

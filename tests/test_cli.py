@@ -3,13 +3,14 @@ contract (0 ok / 2 usage / 3 file / 4 numerical)."""
 
 import json
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from lodistort import read_wav
+from lodistort import analyze, read_wav, write_spectrogram, write_wav
 from lodistort.cli import main
 
 
@@ -280,6 +281,26 @@ def test_file_errors_exit_3(tmp_path, capsys):
 
     rc, _, _ = run_cli(capsys, "analyze-phase", "--scene", str(tmp_path))
     assert rc == 3  # no manifest.json here
+
+
+@pytest.mark.parametrize("suffix", [".wav", ".ldspec"])
+def test_non_finite_estimate_file_exits_3(scene_dir, tmp_path, capsys, suffix):
+    # a NaN payload is a bad file (exit 3) named in the message, not a usage error
+    ref = os.path.join(scene_dir, "direct.wav")
+    bad = str(tmp_path / f"nan{suffix}")
+    if suffix == ".wav":
+        write_wav(bad, read_wav(ref, 16000))  # float32: the last 4 bytes are a sample
+        with open(bad, "r+b") as handle:
+            handle.seek(-4, os.SEEK_END)
+            handle.write(struct.pack("<f", float("nan")))
+    else:
+        values = analyze(read_wav(ref, 16000))[:, :, :1].copy()
+        values[3, 4, 0] = complex(np.nan, 0.0)
+        write_spectrogram(bad, values)
+    rc, _, err = run_cli(capsys, "evaluate", "--est", bad, "--ref", ref,
+                         "--mix", os.path.join(scene_dir, "mixture.wav"))
+    assert rc == 3 and "file error" in err
+    assert bad in err and "non-finite" in err
 
 
 def test_mismatched_lengths_exit_3(scene_dir, tmp_path, capsys):

@@ -116,6 +116,17 @@ def test_wav_truncated_files_raise(tmp_path):
             read_wav(truncated)
 
 
+def test_wav_non_finite_samples_raise(tmp_path):
+    path = tmp_path / "nan.wav"
+    write_wav(path, TimeSignal(np.zeros((100, 2)), 16000))
+    raw = bytearray(path.read_bytes())
+    for value in (float("nan"), float("inf")):
+        raw[-4:] = struct.pack("<f", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=str(path)):
+            read_wav(path)
+
+
 def test_import_loads_no_scipy():
     code = ("import sys, lodistort; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

@@ -1,0 +1,195 @@
+"""The per-scene memo behind run_pipeline: nodes shared across calls give
+the outputs a fresh computation gives, follow the samples' content, stay
+read-only, and live no longer than their scene."""
+
+import gc
+import sys
+import threading
+import weakref
+
+import numpy as np
+import pytest
+
+from lodistort import (
+    PIPELINE_NAMES,
+    PipelineSpec,
+    RoomSpec,
+    StftConfig,
+    analyze,
+    fcp,
+    pipeline,
+    render_scene,
+    run_pipeline,
+    synth_noise,
+    synth_speech_like,
+    write_spectrogram,
+)
+
+
+def make_scene(seed, num_mics=3, num_samples=16000):
+    room = RoomSpec(num_mics=num_mics, t60_seconds=0.3, rir_len_samples=2048,
+                    direct_delay_samples=tuple(8 + k for k in range(num_mics)),
+                    seed=seed)
+    return render_scene(
+        synth_speech_like(num_samples, seed=[seed, 1]),
+        [synth_noise(num_samples, seed=[seed, 2])],
+        room,
+        snr_db=0.0,
+    )
+
+
+@pytest.fixture(scope="module")
+def scene():
+    return make_scene(5)
+
+
+def drop_memo():
+    with pipeline._memo_lock:
+        pipeline._memo = None
+
+
+def cold_run(scene_or_mixture, spec, target=None):
+    drop_memo()
+    return run_pipeline(scene_or_mixture, spec, target)
+
+
+def assert_same_result(a, b):
+    assert list(a.stages) == list(b.stages)
+    for key in a.stages:
+        assert np.array_equal(a.stages[key], b.stages[key]), key
+        assert np.array_equal(a.waves[key].samples, b.waves[key].samples), key
+    assert a.metrics == b.metrics
+    assert np.array_equal(a.mixture_spectrogram, b.mixture_spectrogram)
+
+
+def test_warm_runs_match_cold_runs(scene):
+    for q in (0, 1):
+        drop_memo()
+        warm = {name: run_pipeline(scene, PipelineSpec(name, taps=6, ref_mic=q))
+                for name in PIPELINE_NAMES}
+        for name in PIPELINE_NAMES:
+            cold = cold_run(scene, PipelineSpec(name, taps=6, ref_mic=q))
+            assert_same_result(warm[name], cold)
+            assert warm[name].metrics[name].pipeline_name == name
+            assert warm[name].metrics["mixture"].pipeline_name == name
+        # the warm runs read one memoized mixture spectrogram
+        first = warm[PIPELINE_NAMES[0]].mixture_spectrogram
+        assert all(r.mixture_spectrogram is first for r in warm.values())
+
+
+def test_shared_nodes_are_computed_once_per_scene(scene, monkeypatch):
+    calls = {"analyze": 0, "wpe_field": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "analyze", counting("analyze", pipeline.analyze))
+    monkeypatch.setattr(pipeline.linpred, "wpe_field",
+                        counting("wpe_field", pipeline.linpred.wpe_field))
+    drop_memo()
+    for name in PIPELINE_NAMES:
+        run_pipeline(scene, PipelineSpec(name, taps=6))
+    # mixture and target once each; one field for the four *_wpe beamformers
+    assert calls == {"analyze": 2, "wpe_field": 1}
+    # a different wpe parameter is a different node
+    run_pipeline(scene, PipelineSpec("mmvdr_wpe", taps=5))
+    assert calls == {"analyze": 2, "wpe_field": 2}
+
+
+def test_in_place_mutation_changes_the_result():
+    scene = make_scene(11)
+    spec = PipelineSpec("mmvdr_wpe", taps=6)
+    before = run_pipeline(scene, spec)
+    scene.mixture.samples[:2000] *= 0.5
+    after = run_pipeline(scene, spec)
+    assert not np.array_equal(before.final, after.final)
+    assert not np.array_equal(before.mixture_spectrogram, after.mixture_spectrogram)
+    assert_same_result(after, cold_run(scene, spec))
+
+
+def test_result_arrays_are_read_only(scene):
+    result = run_pipeline(scene, PipelineSpec("mwmpdr_wpe", taps=6))
+    with pytest.raises(ValueError):
+        result.mixture_spectrogram[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        result.stages["estimate"][0, 0] = 0.0
+    with pytest.raises(ValueError):
+        result.waves["wpe"].samples[0, 0] = 0.0
+
+
+def test_nodes_die_with_their_mixture():
+    scene = make_scene(12)
+    result = run_pipeline(scene, PipelineSpec("mvdr"))
+    node = weakref.ref(result.mixture_spectrogram)
+    del scene, result
+    gc.collect()
+    assert node() is None
+    assert pipeline._memo is None
+
+
+def test_a_new_scene_releases_the_old_nodes():
+    first, second = make_scene(13), make_scene(14)
+    result = run_pipeline(first, PipelineSpec("mvdr"))
+    node = weakref.ref(result.mixture_spectrogram)
+    del result
+    run_pipeline(second, PipelineSpec("mvdr"))
+    gc.collect()
+    assert node() is None
+    # the first scene is alive, but its entry has gone with the swap
+    assert first.mixture.num_channels == 3
+
+
+def test_threads_alternating_scenes_match_serial_runs():
+    scenes = [make_scene(15, num_samples=8000), make_scene(16, num_samples=8000)]
+    names = ("mvdr", "mmvdr_wpe", "fcp")
+    serial = {(k, name): cold_run(s, PipelineSpec(name, taps=4))
+              for k, s in enumerate(scenes) for name in names}
+    failures = []
+
+    def worker(order):
+        try:
+            for k in order:
+                for name in names:
+                    got = run_pipeline(scenes[k], PipelineSpec(name, taps=4))
+                    assert_same_result(got, serial[(k, name)])
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        # more threads than cores, each alternating the two scenes
+        threads = [threading.Thread(target=worker, args=((k % 2, 1 - k % 2) * 2,))
+                   for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures
+
+
+def test_rewritten_external_estimate_is_reread(scene, tmp_path):
+    cfg = StftConfig()
+    mix_spec = analyze(scene.mixture, cfg)
+    tgt_spec = analyze(scene.direct_path, cfg)
+    path = str(tmp_path / "estimate.ldspec")
+    results = []
+    for leak in (0.1, 0.3):
+        estimate = tgt_spec + leak * mix_spec
+        write_spectrogram(path, estimate)
+        spec = PipelineSpec("fcp", estimator="external", estimate_path=path)
+        got = run_pipeline(scene, spec)
+        _, manual = fcp(mix_spec[:, :, 0], estimate[:, :, 0], 40, 1e-3, 1e-8)
+        assert np.array_equal(got.final, manual)
+        # the dereverberated field follows the file too
+        field_spec = PipelineSpec("mmvdr_wpe", estimator="external",
+                                  estimate_path=path, taps=6)
+        results.append(run_pipeline(scene, field_spec))
+        assert_same_result(results[-1], cold_run(scene, field_spec))
+    assert not np.array_equal(results[0].stages["wpe"], results[1].stages["wpe"])

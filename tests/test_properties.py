@@ -1,11 +1,27 @@
-"""Property tests: invariants the beamformer and mask math promise for every
-input, checked on seeded random draws (derandomized, so runs are repeatable)."""
+"""Property tests: invariants the STFT, beamformer, mask, metric, phase and
+file-format code promise for every input, checked on seeded random draws
+(derandomized, so runs are repeatable)."""
+
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lodistort import compute_mask, mvdr, wmpdr
+from lodistort import (
+    FormatError,
+    StftConfig,
+    analyze,
+    compute_mask,
+    mvdr,
+    read_spectrogram,
+    si_sdr,
+    sign_flip_probability,
+    synthesize,
+    wmpdr,
+    write_spectrogram,
+)
 from lodistort.stats import CovarianceSet
 
 from conftest import random_psd_stack
@@ -53,3 +69,99 @@ def test_mask_stays_in_unit_interval(seed, est_scale, zero_frac):
     assert mask.shape == shape
     assert np.all(np.isfinite(mask))
     assert np.all((mask >= 0.0) & (mask <= 1.0))
+
+
+stft_configs = st.builds(
+    lambda window, hops_per_window, extra_fft: StftConfig(
+        window_len=window, hop=window // hops_per_window,
+        fft_len=window + extra_fft, sample_rate=16000),
+    window=st.sampled_from([16, 32, 64, 128, 512]),
+    hops_per_window=st.sampled_from([2, 4, 8]),
+    extra_fft=st.sampled_from([0, 2, 16]),
+)
+
+
+@PROPERTY_SETTINGS
+@given(cfg=stft_configs, num_samples=st.integers(1, 3000),
+       num_channels=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       a=st.floats(-1e3, 1e3), b=st.floats(-1e3, 1e3))
+def test_stft_round_trip_and_linearity(cfg, num_samples, num_channels, seed, a, b):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((num_samples, num_channels))
+    y = rng.standard_normal((num_samples, num_channels))
+    spec_x, spec_y = analyze(x, cfg), analyze(y, cfg)
+    assert spec_x.shape == (cfg.num_frames(num_samples), cfg.num_bins, num_channels)
+    back = synthesize(spec_x, cfg, num_samples).samples
+    assert np.max(np.abs(back - x)) < 1e-10 * max(1.0, np.max(np.abs(x)))
+    combined = analyze(a * x + b * y, cfg)
+    scale = max(1.0, abs(a), abs(b)) * np.max(np.abs(spec_x) + np.abs(spec_y))
+    assert np.max(np.abs(combined - (a * spec_x + b * spec_y))) < 1e-12 * scale
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), length=st.integers(2, 400),
+       noise=st.floats(1e-3, 1e3), scale=st.floats(1e-6, 1e6))
+def test_si_sdr_scale_invariance_and_sign(seed, length, noise, scale):
+    rng = np.random.default_rng(seed)
+    ref = rng.standard_normal(length)
+    est = ref + noise * rng.standard_normal(length)
+    score = si_sdr(est, ref)
+    # rescaling either signal, or flipping the estimate's sign, keeps the score
+    for other in (si_sdr(scale * est, ref), si_sdr(est, scale * ref),
+                  si_sdr(-est, ref)):
+        assert other == pytest.approx(score, rel=1e-9, abs=1e-9)
+    # positive exactly when the projection outweighs the residual
+    alpha = np.dot(est, ref) / np.dot(ref, ref)
+    projection = np.sum((alpha * ref) ** 2)
+    residual = np.sum((alpha * ref - est) ** 2)
+    if not math.isclose(projection, residual, rel_tol=1e-9):
+        assert (score > 0) == (projection > residual)
+    assert si_sdr(ref, ref) == math.inf
+    orthogonal = rng.standard_normal(length)
+    orthogonal -= np.dot(orthogonal, ref) / np.dot(ref, ref) * ref
+    assert si_sdr(np.zeros(length), ref) == -math.inf
+    assert si_sdr(orthogonal, ref) < 0.0
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), zero_frac=st.floats(0.0, 1.0),
+       spread=st.floats(1e-6, 1e6))
+def test_sign_flip_probability_in_half_unit_interval(seed, zero_frac, spread):
+    rng = np.random.default_rng(seed)
+    shape = (7, 11)
+    target_mag = spread * rng.uniform(0.0, 1.0, shape)
+    residual_mag = rng.uniform(0.0, 1.0, shape) / spread
+    # exact zeros and theta = 0 are part of the domain
+    target_mag[rng.uniform(size=shape) < zero_frac] = 0.0
+    residual_mag[rng.uniform(size=shape) < zero_frac] = 0.0
+    theta = rng.uniform(0.0, np.pi, shape)
+    theta[rng.uniform(size=shape) < zero_frac] = 0.0
+    prob = sign_flip_probability(target_mag, residual_mag, theta)
+    assert prob.shape == shape
+    assert np.all(np.isfinite(prob))
+    assert np.all((prob >= 0.0) & (prob <= 0.5))
+
+
+@PROPERTY_SETTINGS
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 9), st.integers(1, 3)),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_ldspec_round_trip_and_rejections(tmp_path_factory, shape, seed, data):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    path = tmp_path_factory.mktemp("ldspec") / "x.ldspec"
+    write_spectrogram(path, values)
+    assert np.array_equal(read_spectrogram(path), values)
+    raw = path.read_bytes()
+
+    cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+    path.write_bytes(raw[:cut])
+    with pytest.raises(FormatError):
+        read_spectrogram(path)
+
+    index = tuple(data.draw(st.integers(0, n - 1)) for n in shape)
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="bad")
+    part = data.draw(st.sampled_from(["real", "imag"]), label="part")
+    values[index] = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+    write_spectrogram(path, values)
+    with pytest.raises(FormatError, match="non-finite"):
+        read_spectrogram(path)
