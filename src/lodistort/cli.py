@@ -386,6 +386,9 @@ def main(argv=None):
     except (ValueError, TypeError) as exc:
         print(f"lodistort: usage error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's message names the allocation
+        print(f"lodistort: usage error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -358,18 +358,28 @@ def predict(coeffs, stack):
     return np.einsum("fd,tfd->tf", np.conj(coeffs), stack)
 
 
-def _check_wpe_inputs(field, psd, taps, delay):
+def _wpe_solve(field, psd, taps, delay, loading, ref_mic=0):
+    # checks, then every channel predicted from one stack under shared weights
     field = np.asarray(field, dtype=np.complex128)
     if field.ndim != 3:
         raise ValueError(f"field must be T x F x P, got shape {field.shape}")
     if delay < 1:
         raise ValueError(f"delay must be >= 1 for wpe, got {delay}")
     _check_lags(taps, delay)
-    return field, _check_weights(psd, field.shape[:2], "psd")
+    psd = _check_weights(psd, field.shape[:2], "psd")
+    if not 0 <= ref_mic < field.shape[2]:
+        raise ValueError(f"ref_mic {ref_mic} out of range for {field.shape[2]} channels")
+    source = _fmajor(field)
+    coeffs, predictions = _predict_fmajor(
+        source, source, _fmajor(psd), taps, delay, loading
+    )
+    return coeffs, field - predictions.transpose(1, 0, 2)
 
 
 def wpe(field, psd, taps, delay=3, ref_mic=0, loading=DEFAULT_LOADING):
     """Dereverberate one channel by delayed multichannel linear prediction.
+
+    The result is channel ref_mic of wpe_field's solve, bit for bit.
 
     Arguments:
         field: observed spectrogram, T x F x P
@@ -381,16 +391,9 @@ def wpe(field, psd, taps, delay=3, ref_mic=0, loading=DEFAULT_LOADING):
     Return:
         (PredictionFilter, dereverbed T x F)
     """
-    field, psd = _check_wpe_inputs(field, psd, taps, delay)
-    if not 0 <= ref_mic < field.shape[2]:
-        raise ValueError(f"ref_mic {ref_mic} out of range")
-    source = _fmajor(field)
-    coeffs, predictions = _predict_fmajor(
-        source, source[:, :, ref_mic:ref_mic + 1], _fmajor(psd), taps, delay,
-        loading,
-    )
-    dereverbed = field[:, :, ref_mic] - predictions[:, :, 0].T
-    return PredictionFilter(coeffs[:, :, 0], taps, delay, "wpe"), dereverbed
+    coeffs, dereverbed = _wpe_solve(field, psd, taps, delay, loading, ref_mic)
+    return (PredictionFilter(coeffs[:, :, ref_mic].copy(), taps, delay, "wpe"),
+            dereverbed[:, :, ref_mic].copy())
 
 
 def wpe_field(field, psd, taps, delay=3, loading=DEFAULT_LOADING):
@@ -402,12 +405,7 @@ def wpe_field(field, psd, taps, delay=3, loading=DEFAULT_LOADING):
     Return:
         (coefficients F x D x P, dereverbed field T x F x P)
     """
-    field, psd = _check_wpe_inputs(field, psd, taps, delay)
-    source = _fmajor(field)
-    coeffs, predictions = _predict_fmajor(
-        source, source, _fmajor(psd), taps, delay, loading
-    )
-    return coeffs, field - predictions.transpose(1, 0, 2)
+    return _wpe_solve(field, psd, taps, delay, loading)
 
 
 def fcp_weight(reference, estimate, epsilon=1e-3):

@@ -9,22 +9,17 @@ composing by hand.
 
 Calls on the same scene share their common nodes.  A module-level memo keeps
 one scene, identified by a SHA-256 digest of the StftConfig and of the
-mixture's and target's shapes, sample rates and samples; each node in it is
-keyed by exactly the spec fields it reads:
-
-    mixture and target STFTs          the digest alone
-    estimate                          (estimator, est_err_snr_db, seed, ref_mic)
-    multichannel WPE field            the estimate's key + (epsilon, taps,
-                                      delay, loading)
-    scoring reference, mixture score  ref_mic
-    wave and score of a shared stage  that stage's key
-
-So the 11 pipelines on one scene analyze twice, not 22 times, and solve one
-`wpe_field` for the four *_wpe beamformers.  External estimates (and what
-follows from them) are never shared: the file may change between calls.  A
-call on a different digest drops the old scene before computing anything;
-the scene also goes when the mixture object it was built from is collected.
-Shared arrays are read-only, including those a PipelineResult exposes.
+mixture's and target's shapes, sample rates and samples.  Its STFTs are
+keyed by name, every other node by one rule: the estimate's key is the
+spec's params_dict() values, or None for an external estimate (its file may
+change between calls), and None propagates; a mono run appends a marker,
+each stage its name, and each sub-node (the mask with its masked covariances
+and steering, the signal covariances, a wave, a score, the scoring reference)
+its own name to its input's key.  A stage's output, wave and score are kept
+only when several CATALOG pipelines run its chain of stages.  A call on a
+different digest drops the old scene before computing anything; the scene
+also goes when the mixture object it was built from is collected.  Shared
+arrays are read-only, including those a PipelineResult exposes.
 """
 
 import math
@@ -124,6 +119,17 @@ CATALOG = {
 PIPELINE_NAMES = tuple(CATALOG)
 
 
+def _paths(info):
+    # each stage output's key less the estimate's: a mono marker, the stages so far
+    head = ("mono",) if info.channels == "mono" else ()
+    return [head + info.stages[1:k] for k in range(2, len(info.stages) + 1)]
+
+
+# chains several pipelines run: only their outputs, waves and scores are kept
+_RUN = [path for info in CATALOG.values() for path in _paths(info)]
+_KEPT = {path for path in _RUN if _RUN.count(path) > 1}
+
+
 def list_pipelines():
     """Catalog of pipeline names with their stage diagrams."""
     return {
@@ -214,7 +220,7 @@ class PipelineResult:
     resynthesized signals; metrics (when a target was available) includes an
     extra "mixture" entry scoring the unprocessed reference channel.  Arrays
     shared with other calls on the same scene (mixture_spectrogram, an oracle
-    estimate, the multichannel wpe stage, their waves) are read-only.
+    estimate, the multichannel wpe and mwmpdr_wpe stages, their waves) are read-only.
     """
 
     spec: PipelineSpec
@@ -346,30 +352,27 @@ class _Context:
     est: object  # TargetEstimate
     est_q: np.ndarray
     nodes: _SceneNodes
-    est_key: tuple  # memo key of the estimate, None when it is not shared
-    key: tuple = None  # memo key of ref when a stage returned a shared node
+    key: tuple = None  # memo key of field and ref, None after an external estimate
 
     @cached_property
     def lam(self):
         # power weights of the estimate, shared by wpe and mwmpdr
         return stats.psd_floor(self.est_q, self.spec.epsilon)
 
+    def node(self, compute):
+        # the sub-node compute(self) of field and ref, named by the function
+        name = compute.__name__
+        return self.nodes.get(self.key and self.key + (name,), lambda: compute(self))
+
 
 def _wpe(ctx):
     spec = ctx.spec
     taps = spec.taps or default_taps(ctx.field.shape[2])
-    # multichannel pipelines pass every dereverberated channel to the next
-    # stage; that field is the same for every pipeline of the scene
-    if CATALOG[spec.name].channels == "multi":
-        if ctx.est_key is not None:
-            ctx.key = ctx.est_key + ("wpe_field", spec.epsilon, taps, spec.delay,
-                                     spec.loading)
-        mix_spec = ctx.field
-        ctx.field = ctx.nodes.get(ctx.key, lambda: linpred.wpe_field(
-            mix_spec, ctx.lam, taps, spec.delay, spec.loading)[1])
-        return ctx.field[:, :, ctx.q]
-    _, out = linpred.wpe(ctx.field, ctx.lam, taps, spec.delay, ctx.q, spec.loading)
-    return out
+    if ctx.field.shape[2] == 1:  # single-channel wpe, as a manual composition calls it
+        _, out = linpred.wpe(ctx.field, ctx.lam, taps, spec.delay, 0, spec.loading)
+        return out[:, :, None], out
+    field = linpred.wpe_field(ctx.field, ctx.lam, taps, spec.delay, spec.loading)[1]
+    return field, field[:, :, ctx.q]
 
 
 def _masked_covariances(ctx):
@@ -379,44 +382,45 @@ def _masked_covariances(ctx):
     return cov
 
 
+def _signal_covariances(ctx):
+    return stats.signal_covariances(ctx.field, ctx.est.values)
+
+
 def _mvdr(ctx):
-    cov = stats.signal_covariances(ctx.field, ctx.est.values)
-    cov.steering = stats.steering_vector(cov.phi_s, ctx.q)
-    weights = beamform.mvdr(cov, ctx.q, ctx.spec.loading)
-    return beamform.apply_beamformer(weights, ctx.field)
+    weights = beamform.mvdr(ctx.node(_signal_covariances), ctx.q, ctx.spec.loading)
+    return ctx.field, beamform.apply_beamformer(weights, ctx.field)
 
 
 def _mmvdr(ctx):
-    weights = beamform.mvdr(_masked_covariances(ctx), ctx.q, ctx.spec.loading)
-    return beamform.apply_beamformer(weights, ctx.field)
+    weights = beamform.mvdr(ctx.node(_masked_covariances), ctx.q, ctx.spec.loading)
+    return ctx.field, beamform.apply_beamformer(weights, ctx.field)
 
 
 def _mwmpdr(ctx):
-    steering = _masked_covariances(ctx).steering
+    steering = ctx.node(_masked_covariances).steering
     phi_y_prime = stats.weighted_covariance(ctx.field, ctx.lam)
     weights = beamform.wmpdr(phi_y_prime, steering, ctx.q, ctx.spec.loading)
-    return beamform.apply_beamformer(weights, ctx.field)
+    return ctx.field, beamform.apply_beamformer(weights, ctx.field)
 
 
 def _mcwf(ctx):
     weights = beamform.mcwf(ctx.field, ctx.est_q, ctx.q, ctx.spec.loading)
-    return beamform.apply_beamformer(weights, ctx.field)
+    return ctx.field, beamform.apply_beamformer(weights, ctx.field)
 
 
 def _gev(ctx):
-    cov = stats.signal_covariances(ctx.field, ctx.est.values)
-    weights = beamform.gev_ban(cov, ctx.q, ctx.spec.loading)
-    return beamform.apply_beamformer(weights, ctx.field)
+    weights = beamform.gev_ban(ctx.node(_signal_covariances), ctx.q, ctx.spec.loading)
+    return ctx.field, beamform.apply_beamformer(weights, ctx.field)
 
 
 def _fcp(ctx):
     spec = ctx.spec
     _, out = linpred.fcp(ctx.ref, ctx.est_q, spec.taps_fcp, spec.epsilon_fcp,
                          spec.loading)
-    return out
+    return ctx.field, out
 
 
-# CATALOG stage name -> function of the run context returning its T x F output
+# CATALOG stage name -> function of the run context returning (field, T x F output)
 _STAGES = {"wpe": _wpe, "mvdr": _mvdr, "mmvdr": _mmvdr, "mwmpdr": _mwmpdr,
            "mcwf": _mcwf, "gev": _gev, "fcp": _fcp}
 
@@ -453,52 +457,46 @@ def run_pipeline(scene_or_mixture, spec, target=None, cfg=StftConfig()):
         raise ValueError("target and mixture channel counts differ")
 
     nodes = _scene_nodes(mixture, target, cfg)
-    mix_spec = nodes.get(("mixture",), lambda: analyze(mixture, cfg))  # T x F x P
+    mix_spec = nodes.get("mixture", lambda: analyze(mixture, cfg))  # T x F x P
     tgt_spec = None
     if target is not None:
-        tgt_spec = nodes.get(("target",), lambda: analyze(target, cfg))
-    # an external estimate's file may change between calls: never shared
-    est_key = None
-    if spec.estimator in ORACLE_KINDS:
-        est_key = ("estimate", spec.estimator, spec.est_err_snr_db, spec.seed, q)
-    est = nodes.get(est_key, lambda: make_estimate(spec, mix_spec, tgt_spec, cfg))
+        tgt_spec = nodes.get("target", lambda: analyze(target, cfg))
+    params = tuple(spec.params_dict().values())
+    key = None if spec.estimator == "external" else params
+    est = nodes.get(key, lambda: make_estimate(spec, mix_spec, tgt_spec, cfg))
     est_q = est.channel(q)
     mix_q = mix_spec[:, :, q]
 
     if info.channels == "mono":  # channel q alone, as the context's channel 0
-        ctx = _Context(spec, mix_spec[:, :, q:q + 1], 0, mix_q, est, est_q, nodes, est_key)
+        ctx = _Context(spec, mix_spec[:, :, q:q + 1], 0, mix_q, est, est_q, nodes)
     else:
-        ctx = _Context(spec, mix_spec, q, mix_q, est, est_q, nodes, est_key)
-    stages = {"estimate": est_q}
-    keys = {"estimate": est_key}  # stage name -> memo key of its output
-    chain = []
-    for stage in info.stages[1:]:
-        chain.insert(0, stage)
-        ctx.key = None
-        ctx.ref = _STAGES[stage](ctx)
-        stages["_".join(chain)] = ctx.ref
-        keys["_".join(chain)] = ctx.key
+        ctx = _Context(spec, mix_spec, q, mix_q, est, est_q, nodes)
+    outputs = [("estimate", est_q, key)]  # (name, T x F output, key when kept)
+    for k, path in enumerate(_paths(info), 1):  # path ends with stage k
+        ctx.key = key and key + path[:-1]  # the stage's input
+        out_key = key and key + path if path in _KEPT else None
+        ctx.field, ctx.ref = nodes.get(out_key, lambda: _STAGES[path[-1]](ctx))
+        outputs.append(("_".join(info.stages[k:0:-1]), ctx.ref, out_key))
 
-    # resynthesis and scoring; a shared output's wave and score are shared too
-    waves = {}
-    metrics = {}
+    # resynthesis and scoring once every stage has run (measured faster than
+    # between stages); a kept output's wave and score are kept too
+    stages, waves, metrics = {}, {}, {}
     num_samples = mixture.num_samples
     if target is not None:
         tgt_wave = target.channel(q)
-        reference = nodes.get(("reference", q),
+        reference = nodes.get(params + ("reference",),
                               lambda: ScoreReference(tgt_spec[:, :, q], mix_q))
-        report = nodes.get(("score", "mixture", q), lambda: score_against(
+        report = nodes.get(params + ("reference", "mixture"), lambda: score_against(
             reference, mix_q, mixture.channel(q), tgt_wave, spec.name, q))
         metrics["mixture"] = replace(report, pipeline_name=spec.name)
-    for stage_name, stage_spec in stages.items():
-        key = keys[stage_name]
-        wave = nodes.get(key and ("wave",) + key,
-                         lambda: synthesize(stage_spec, cfg, num_samples))
-        waves[stage_name] = wave
+    for name, out, out_key in outputs:
+        stages[name] = out
+        waves[name] = wave = nodes.get(out_key and out_key + ("wave",),
+                                       lambda: synthesize(out, cfg, num_samples))
         if target is not None:
-            report = nodes.get(key and ("score",) + key, lambda: score_against(
-                reference, stage_spec, wave.channel(0), tgt_wave, spec.name, q))
-            metrics[stage_name] = replace(report, pipeline_name=spec.name)
+            report = nodes.get(out_key and out_key + ("score",), lambda: score_against(
+                reference, out, wave.channel(0), tgt_wave, spec.name, q))
+            metrics[name] = replace(report, pipeline_name=spec.name)
     return PipelineResult(spec, stages, waves, metrics, mix_spec, cfg)
 
 

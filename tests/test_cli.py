@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import lodistort
 from lodistort import analyze, read_wav, write_spectrogram, write_wav
 from lodistort.cli import main
 
@@ -338,3 +339,35 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)["pipelines"]) == 11
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="the address-space cap is enforced on Linux only")
+def test_out_of_memory_exits_2(tmp_path, capsys):
+    # taps=3000 on 4 mics asks for one 12000 x 12000 complex Gram (2.15 GiB):
+    # under a 2 GiB address-space cap that allocation fails, and the CLI
+    # reports it as a one-line usage error instead of a traceback
+    sc = str(tmp_path / "scene")
+    rc, _, _ = run_cli(capsys, "simulate", "--mics", "4", "--t60", "0.2",
+                       "--snr-db", "0", "--duration", "0.5", "--out", sc)
+    assert rc == 0
+    code = ("import resource, sys\n"
+            "limit = 2 * 2 ** 30\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "from lodistort.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lodistort.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "enhance", "--scene", sc,
+         "--pipeline", "mmvdr_wpe", "--taps", "3000",
+         "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert "usage error" in proc.stderr and "GiB" in proc.stderr

@@ -167,8 +167,9 @@ def test_wpe_field_matches_per_channel_solves():
     coeffs, out_field = wpe_field(mixture, lam, taps=8, delay=3)
     assert coeffs.shape == (mixture.shape[1], 8 * 3, 3)
     for q in range(3):
-        _, out_q = wpe(mixture, lam, taps=8, delay=3, ref_mic=q)
-        assert np.max(np.abs(out_field[:, :, q] - out_q)) < 1e-10, q
+        filt, out_q = wpe(mixture, lam, taps=8, delay=3, ref_mic=q)
+        assert np.array_equal(out_field[:, :, q], out_q), q
+        assert np.array_equal(filt.coeffs, coeffs[:, :, q]), q
 
 
 def test_wpe_equivariance_under_scaling():

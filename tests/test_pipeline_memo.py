@@ -99,6 +99,42 @@ def test_shared_nodes_are_computed_once_per_scene(scene, monkeypatch):
     assert calls == {"analyze": 2, "wpe_field": 2}
 
 
+def test_every_shared_node_and_only_those_are_kept(scene, monkeypatch):
+    calls = {}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+        calls[name] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("wpe", "wpe_field"):
+        counting(pipeline.linpred, name)
+    for name in ("masked_covariances", "signal_covariances", "weighted_covariance"):
+        counting(pipeline.stats, name)
+    drop_memo()
+    results = {name: run_pipeline(scene, PipelineSpec(name, taps=6))
+               for name in PIPELINE_NAMES}
+    # the mono fcp_wpe alone solves its own channel; every multichannel chain
+    # starting with wpe reads one field; the masked covariances are built
+    # once on the mixture and once on that field; mvdr and gev share the
+    # signal covariances; fcp_mwmpdr_wpe reuses the mwmpdr stage
+    assert calls == {"wpe": 1, "wpe_field": 1, "masked_covariances": 2,
+                     "signal_covariances": 1, "weighted_covariance": 1}
+    # no other pipeline runs mvdr: its output dies with the result, while a
+    # stage that several pipelines share stays with the scene
+    unshared = weakref.ref(results["mvdr"].final)
+    shared = weakref.ref(results["mwmpdr_wpe"].final)
+    del results
+    gc.collect()
+    assert unshared() is None
+    assert shared() is not None
+    assert pipeline._memo is not None
+
+
 def test_in_place_mutation_changes_the_result():
     scene = make_scene(11)
     spec = PipelineSpec("mmvdr_wpe", taps=6)
