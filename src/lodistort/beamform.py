@@ -13,12 +13,12 @@ import numpy as np
 from .errors import SingularMatrixError
 from .linalg import (
     cholesky_stack,
+    hermitian_gram,
     hermitize,
-    load_hermitian,
+    load_diagonal,
     principal_eigenpairs,
     rotate_reference_phase,
     solve_stack,
-    time_outer,
 )
 
 DEFAULT_LOADING = 1e-8
@@ -56,7 +56,7 @@ def _distortionless(phi, steering, ref_mic, loading, kind):
         )
     if not 0 <= ref_mic < phi.shape[-1]:
         raise ValueError(f"ref_mic {ref_mic} out of range")
-    num = solve_stack(load_hermitian(phi, loading), steering)  # F x P
+    num = solve_stack(load_diagonal(phi.copy(), loading), steering)  # F x P
     den = np.einsum("fp,fp->f", np.conj(steering), num).real
     if np.any(den <= 0.0):
         bad = int(np.flatnonzero(den <= 0.0)[0])
@@ -120,7 +120,7 @@ def gev_ban(cov, ref_mic=0, loading=DEFAULT_LOADING):
     if not 0 <= ref_mic < num_mics:
         raise ValueError(f"ref_mic {ref_mic} out of range")
 
-    chol = cholesky_stack(load_hermitian(phi_v, loading))
+    chol = cholesky_stack(load_diagonal(phi_v.copy(), loading))
     half = solve_stack(chol, phi_s)  # L^-1 phi_s
     whitened = solve_stack(chol, np.conj(np.swapaxes(half, -1, -2)))
     _, vectors, _ = principal_eigenpairs(hermitize(whitened))
@@ -158,9 +158,9 @@ def mcwf(field, target_q, ref_mic=0, loading=DEFAULT_LOADING):
             f"target shape {target_q.shape} does not match field frames/bins "
             f"{field.shape[:2]}"
         )
-    gram = hermitize(time_outer(field, field))
+    gram = load_diagonal(hermitian_gram(field.transpose(1, 0, 2)), loading)
     rhs = np.einsum("tfp,tf->fp", field, np.conj(target_q))
-    weights = solve_stack(load_hermitian(gram, loading), rhs)
+    weights = solve_stack(gram, rhs)
     return BeamformerWeights(weights, ref_mic, "mcwf")
 
 

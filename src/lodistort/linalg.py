@@ -6,6 +6,16 @@ bin with P <= 8 channels.  The linear-prediction core passes one chunk of
 bins at a time with P = taps * channels (60 by default, 1000 and more when
 asked for); linpred.CHUNK_BUDGET_BYTES bounds those chunks, and a single
 bin larger than the budget runs alone.
+
+Every Gram Sum_t r r^H, weighted or not, comes from hermitian_gram.  It
+reads the complex rows as real rows of twice the width and forms their
+real Gram with one batched matmul of the rows' transpose against the rows.
+numpy runs that product as a symmetric rank-k update (BLAS syrk) and
+copies the computed triangle into the other, so the real Gram is exactly
+symmetric, and the complex Gram assembled from its 2 x 2 blocks is exactly
+Hermitian: no averaging with the adjoint, and half the multiply-adds of a
+complex product.  A weighted Gram Sum_t w r r^H is the Gram of the rows
+scaled by sqrt(w).
 """
 
 import numpy as np
@@ -18,8 +28,43 @@ def hermitize(mats):
     return 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
 
 
+def hermitian_gram(rows, out=None, work=None):
+    """Sum of per-row outer products, Sum_t rows[f, t] rows[f, t]^H.
+
+    The rows' real view R (F x T x 2P: real and imaginary parts interleaved)
+    gives A = R^T R, computed by BLAS syrk and exactly symmetric; then
+        Re G = A[even, even] + A[odd, odd]
+        Im G = A[odd, even] - A[even, odd]
+    so G is exactly Hermitian, with an exactly real diagonal.
+
+    Arguments:
+        rows: complex array, F x T x P.  Complex128 rows whose last axis is
+            contiguous, such as a T x F x P field transposed, are read in
+            place; others are copied first.
+        out: optional complex128 F x P x P destination
+        work: optional float64 F x 2P x 2P scratch for A
+    Return:
+        complex128 F x P x P (out, when given)
+    """
+    rows = np.asarray(rows, dtype=np.complex128)
+    if rows.strides[-1] != rows.itemsize:
+        rows = np.ascontiguousarray(rows)
+    num_bins, _, dim = rows.shape
+    if out is None:
+        out = np.empty((num_bins, dim, dim), dtype=np.complex128)
+    if work is None:
+        work = np.empty((num_bins, 2 * dim, 2 * dim))
+    real = rows.view(np.float64)
+    # a matrix times its own transpose: numpy's matmul calls syrk
+    np.matmul(real.transpose(0, 2, 1), real, out=work)
+    np.add(work[:, ::2, ::2], work[:, 1::2, 1::2], out=out.real)
+    np.subtract(work[:, 1::2, ::2], work[:, ::2, 1::2], out=out.imag)
+    return out
+
+
 def time_outer(a, b):
-    """Sum of per-frame outer products, Sum_t a(t,f) b(t,f)^H.
+    """Sum of per-frame outer products, Sum_t a(t,f) b(t,f)^H, as one complex
+    product (the Grams of this package come from hermitian_gram).
 
     Arguments:
         a, b: complex arrays, T x F x P / T x F x Q
@@ -30,18 +75,23 @@ def time_outer(a, b):
     return np.matmul(a.transpose(1, 2, 0), np.conj(b).transpose(1, 0, 2))
 
 
-def load_hermitian(mats, loading):
-    """Add relative (trace-scaled) diagonal loading to a Hermitian stack.
+def load_diagonal(mats, loading):
+    """Add relative (trace-scaled) diagonal loading to a Hermitian stack, in
+    place.
 
     The load is loading * trace/P per frequency; when a matrix has zero trace
     the scale falls back to 1.0, i.e. the load becomes absolute, so exactly
     zero covariances still yield a well-posed system.
+
+    Return:
+        mats, loaded
     """
-    mats = np.asarray(mats)
     p = mats.shape[-1]
-    scale = np.trace(mats, axis1=-2, axis2=-1).real / p
+    diagonal = np.arange(p)
+    scale = mats[..., diagonal, diagonal].real.sum(axis=-1) / p
     scale = np.where(scale > 0.0, scale, 1.0)
-    return mats + (loading * scale)[..., None, None] * np.eye(p)
+    mats[..., diagonal, diagonal] += (loading * scale)[..., None]
+    return mats
 
 
 def solve_stack(mats, rhs):

@@ -14,11 +14,18 @@ D = taps * channels.  The bins are independent, so the core splits them into
 chunks and runs the chunks on a pool of threads, one worker per CPU in the
 process's affinity mask (`os.sched_getaffinity`).  Each worker fills a
 workspace that the calling thread allocates once per call: the chunk's
-zero-padded frames, its F x T x D delayed stack, a weighted conjugate copy of
-it and its D x D Grams.  CHUNK_BUDGET_BYTES bounds every in-flight chunk
-together, so peak memory grows with the budget, not with the full
-T x F x D stack or the F x D x D Gram stack.  The Gram, the right-hand side
-and the prediction are batched matrix products.
+zero-padded frames, its F x T x D delayed stack, and per bin the real
+2D x 2D Gram of linalg.hermitian_gram and the complex D x D Gram G.
+CHUNK_BUDGET_BYTES bounds every in-flight chunk together (_bin_bytes is
+one bin's share), so peak memory grows with the budget, not with the full
+T x F x D stack or the F x D x D Gram stack.
+
+With weights w, the stack s is scaled in place by w^-1/2, so the weighted
+normal equations become plain ones: G = Sum_t s' s'^H comes exactly
+Hermitian from hermitian_gram and is loaded in place, and
+coeffs = G^-1 Sum_t s' conj(z) with z = targets * w^-1/2.  The prediction
+coeffs^H s is (s' @ conj(coeffs)) * w^1/2.  The right-hand side and the
+prediction are batched matrix products.
 
 While the workers run, the process-wide thread count of the OpenBLAS that
 numpy loaded is held at one and restored afterwards, so the workers do not
@@ -39,13 +46,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import hermitize, load_hermitian, solve_stack
+from .linalg import hermitian_gram, load_diagonal, solve_stack
 
 DEFAULT_LOADING = 1e-8
 # absolute floor for the prediction-error weights
 WEIGHT_ABS_FLOOR = 1e-12
 # bound on every in-flight bin chunk together: each worker's padded frames,
-# delayed stack, weighted copy and D x D Grams.  The worker count comes from
+# delayed stack and Grams.  The worker count comes from
 # CPU affinity and each worker gets an equal share, at least one bin's worth;
 # a single bin that exceeds the whole budget still runs, alone
 CHUNK_BUDGET_BYTES = 8 * 2 ** 20
@@ -125,13 +132,23 @@ def build_delayed_stack(field, taps, delay):
 
 def _workspace(num_bins, num_frames, num_channels, taps, delay):
     # one worker's buffers for chunks of up to num_bins bins: the padded
-    # frames, the stack, its weighted copy and the Grams
+    # frames, the stack, the real Gram hermitian_gram works in and the
+    # complex Gram
     dim = taps * num_channels
     return (
         *_stack_buffers(num_bins, num_frames, num_channels, taps, delay),
-        np.empty((num_bins, num_frames, dim), dtype=np.complex128),
+        np.empty((num_bins, 2 * dim, 2 * dim)),
         np.empty((num_bins, dim, dim), dtype=np.complex128),
     )
+
+
+def _bin_bytes(num_frames, num_channels, taps, delay):
+    # one bin's share of the chunk budget, in complex128 units: the padded
+    # frames, the stack (T x D), the real Gram (two D x D units), the complex
+    # Gram and the copy of it that LAPACK factors (D x D each)
+    dim = taps * num_channels
+    return 16 * ((delay + taps - 1 + num_frames) * num_channels
+                 + num_frames * dim + 4 * dim * dim)
 
 
 def _check_weights(weights, shape, name):
@@ -142,6 +159,14 @@ def _check_weights(weights, shape, name):
     if not np.all((weights > 0.0) & np.isfinite(weights)):
         raise ValueError(f"{name} must be finite and strictly positive")
     return weights
+
+
+def _scaled(arr, factors):
+    # arr[f, t, :] *= factors[f, t] in place, a real multiply on the float64
+    # view of the contiguous complex F x T x K arr
+    real = arr.view(np.float64)
+    real *= factors[:, :, None]
+    return arr
 
 
 def _fmajor(arr):
@@ -283,11 +308,9 @@ def _predict_fmajor(source, targets, weights, taps, delay, loading):
     dim = taps * num_channels
     coeffs = np.empty((num_bins, dim, targets.shape[2]), dtype=np.complex128)
     predictions = np.empty(targets.shape, dtype=np.complex128)
-    # complex128 bytes per bin: the padded frames, the stack and its weighted
-    # copy (T x D each), the Gram and the copies that symmetrizing and
-    # loading it make (D x D)
-    per_bin = 16 * ((delay + taps - 1 + num_frames) * num_channels
-                    + 2 * num_frames * dim + 3 * dim * dim)
+    root = np.sqrt(weights)
+    inverse_root = 1.0 / root
+    per_bin = _bin_bytes(num_frames, num_channels, taps, delay)
     # each worker's share of the budget holds at least one bin
     workers = max(1, min(_worker_count(), CHUNK_BUDGET_BYTES // per_bin))
     chunk = max(1, CHUNK_BUDGET_BYTES // workers // per_bin)
@@ -301,20 +324,14 @@ def _predict_fmajor(source, targets, weights, taps, delay, loading):
 
     def solve(space, lo):
         bins = slice(lo, min(lo + chunk, num_bins))
-        padded, stack, weighted, gram = (buf[:bins.stop - lo] for buf in space)
+        padded, stack, work, gram = (buf[:bins.stop - lo] for buf in space)
         _fill_stack(stack, padded, source[bins])
-        stack = stack.reshape(weighted.shape)
-        # conj(stack) / weights, transposed against the stack and the
-        # targets, gives the conjugated Gram and right-hand side, so the
-        # solve returns conj(coeffs): the factor stack @ conj(coeffs) applies
-        np.conjugate(stack, out=weighted)
-        weighted /= weights[bins, :, None]
-        weighted_t = weighted.transpose(0, 2, 1)
-        gram = hermitize(np.matmul(weighted_t, stack, out=gram))
-        rhs = np.matmul(weighted_t, targets[bins])
-        conj_coeffs = solve_stack(load_hermitian(gram, loading), rhs)
-        np.conjugate(conj_coeffs, out=coeffs[bins])
-        np.matmul(stack, conj_coeffs, out=predictions[bins])
+        stack = _scaled(stack.reshape(len(gram), num_frames, dim), inverse_root[bins])
+        load_diagonal(hermitian_gram(stack, out=gram, work=work), loading)
+        conj_z = _scaled(np.conjugate(targets[bins]), inverse_root[bins])
+        coeffs[bins] = solve_stack(gram, np.matmul(stack.transpose(0, 2, 1), conj_z))
+        _scaled(np.matmul(stack, np.conjugate(coeffs[bins]), out=predictions[bins]),
+                root[bins])
 
     _run_chunks(solve, spaces, starts)
     return coeffs, predictions

@@ -2,7 +2,11 @@
 and floored power weights.
 
 Covariances are plain sums of per-frame outer products (no 1/T); every
-downstream weight is a ratio in which the scale cancels.
+downstream weight is a ratio in which the scale cancels.  Each one is the
+exactly Hermitian linalg.hermitian_gram of the frequency-major frames, a
+weighted one Sum_t w Z Z^H that of the frames scaled by sqrt(w).  Masks and
+powers are checked finite first: NaN or inf would pass through sqrt(w)
+into the covariances unnoticed.
 """
 
 import warnings
@@ -10,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    hermitize,
-    principal_eigenpairs,
-    rotate_reference_phase,
-    time_outer,
-)
+from .linalg import hermitian_gram, principal_eigenpairs, rotate_reference_phase
 
 # absolute floor applied after the relative one
 PSD_ABS_FLOOR = 1e-12
@@ -43,6 +42,13 @@ def _check_field(field, name):
     return arr
 
 
+def _gram(field, scale=None):
+    # Sum_t scale(t,f)^2 Z(t,f) Z(t,f)^H: the Gram of the rows scale * Z,
+    # read through their frequency-major view
+    rows = field if scale is None else field * scale[:, :, None]
+    return hermitian_gram(rows.transpose(1, 0, 2))
+
+
 def signal_covariances(mixture, estimate):
     """Covariances from a multichannel target estimate.
 
@@ -60,10 +66,7 @@ def signal_covariances(mixture, estimate):
         raise ValueError(
             f"mixture {mixture.shape} and estimate {estimate.shape} shapes differ"
         )
-    residual = mixture - estimate
-    phi_s = hermitize(time_outer(estimate, estimate))
-    phi_v = hermitize(time_outer(residual, residual))
-    return CovarianceSet(phi_s=phi_s, phi_v=phi_v)
+    return CovarianceSet(phi_s=_gram(estimate), phi_v=_gram(mixture - estimate))
 
 
 def compute_mask(estimate_q, reference_q):
@@ -100,13 +103,11 @@ def masked_covariances(field, mask):
             f"mask shape {mask.shape} does not match field frames/bins "
             f"{field.shape[:2]}"
         )
-    if mask.min() < 0.0 or mask.max() > 1.0:
-        raise ValueError("mask values must lie in [0, 1]")
-    weighted = field * mask[:, :, None]
-    complement = field * (1.0 - mask)[:, :, None]
-    phi_s = hermitize(time_outer(weighted, field))
-    phi_v = hermitize(time_outer(complement, field))
-    return CovarianceSet(phi_s=phi_s, phi_v=phi_v)
+    # a NaN fails both comparisons, so test for the good case
+    if not np.all((mask >= 0.0) & (mask <= 1.0)):
+        raise ValueError("mask values must be finite and lie in [0, 1]")
+    return CovarianceSet(phi_s=_gram(field, np.sqrt(mask)),
+                         phi_v=_gram(field, np.sqrt(1.0 - mask)))
 
 
 def weighted_covariance(field, psd):
@@ -118,9 +119,11 @@ def weighted_covariance(field, psd):
     psd = np.asarray(psd, dtype=np.float64)
     if psd.shape != field.shape[:2]:
         raise ValueError("psd shape does not match field frames/bins")
-    if psd.min() <= 0.0:
-        raise ValueError("psd must be strictly positive; apply psd_floor first")
-    return hermitize(time_outer(field / psd[:, :, None], field))
+    if not np.all((psd > 0.0) & np.isfinite(psd)):
+        raise ValueError(
+            "psd must be finite and strictly positive; apply psd_floor first"
+        )
+    return _gram(field, 1.0 / np.sqrt(psd))
 
 
 def steering_vector(phi_s, ref_mic=0, degeneracy_rtol=1e-6):

@@ -274,6 +274,89 @@ def test_validation_errors():
         fcp_weight(bad, field[:, :, 1])
 
 
+def weighted_conjugate_lp(stack, targets, weights, loading=linpred.DEFAULT_LOADING):
+    """The weighted-conjugate normal equations, all bins at once: conj(stack)
+    / weights against the stack and the targets gives conj(Gram) and
+    conj(rhs), so the solve returns conj(coeffs).
+
+    Arguments:
+        stack: T x F x D, targets: T x F x M, weights: T x F
+    Return:
+        (coefficients F x D x M, predictions coeffs^H stack, T x F x M)
+    """
+    stack = stack.transpose(1, 0, 2)
+    weighted_t = (np.conj(stack) / weights.T[:, :, None]).transpose(0, 2, 1)
+    gram = np.matmul(weighted_t, stack)
+    gram = 0.5 * (gram + np.conj(np.swapaxes(gram, -1, -2)))
+    dim = gram.shape[-1]
+    scale = np.trace(gram, axis1=-2, axis2=-1).real / dim
+    scale = np.where(scale > 0.0, scale, 1.0)
+    gram = gram + (loading * scale)[:, None, None] * np.eye(dim)
+    rhs = np.matmul(weighted_t, targets.transpose(1, 0, 2))
+    conj_coeffs = np.linalg.solve(gram, rhs)
+    return np.conj(conj_coeffs), np.matmul(stack, conj_coeffs).transpose(1, 0, 2)
+
+
+def _assert_relative(got, want, tol=1e-10):
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+def test_core_matches_weighted_conjugate_normal_equations():
+    # white frames keep every Gram well conditioned, so the coefficients are
+    # defined to working precision (planted scenes have rank-deficient
+    # stacks whose coefficients only the loading pins down)
+    rng = np.random.default_rng(12)
+    shape = (150, 9, 3)
+    mixture = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    direct = mixture + 0.3 * noise
+    lam = psd_floor(direct[:, :, 0])
+    stack = build_delayed_stack(mixture, taps=6, delay=3)
+    want_coeffs, predictions = weighted_conjugate_lp(stack, mixture, lam)
+    want_out = mixture - predictions
+
+    coeffs, out = wpe_field(mixture, lam, taps=6, delay=3)
+    _assert_relative(coeffs, want_coeffs)
+    _assert_relative(out, want_out)
+    filt, out_q = wpe(mixture, lam, taps=6, delay=3, ref_mic=2)
+    _assert_relative(filt.coeffs, want_coeffs[:, :, 2])
+    _assert_relative(out_q, want_out[:, :, 2])
+
+    reference, estimate = mixture[:, :, 1], direct[:, :, 1]
+    eta = fcp_weight(reference, estimate)
+    fcp_stack = build_delayed_stack(estimate[:, :, None], taps=12, delay=0)
+    want_coeffs, filtered = weighted_conjugate_lp(fcp_stack, reference[:, :, None], eta)
+    filt, compensated = fcp(reference, estimate, taps=12)
+    _assert_relative(filt.coeffs, want_coeffs[:, :, 0])
+    _assert_relative(compensated, reference - (filtered[:, :, 0] - estimate))
+
+    target = mixture[:, :, 0]
+    want_coeffs, _ = weighted_conjugate_lp(stack, target[:, :, None], lam)
+    _assert_relative(solve_weighted_lp(stack, target, lam), want_coeffs[:, :, 0])
+
+
+def test_zero_stack_gives_the_zero_filter():
+    rng = np.random.default_rng(11)
+    target = rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
+    lam = rng.uniform(0.5, 2.0, size=(30, 4))
+    coeffs = solve_weighted_lp(np.zeros((30, 4, 5), dtype=complex), target, lam)
+    assert coeffs.shape == (4, 5)
+    assert np.all(coeffs == 0.0)
+
+
+@pytest.mark.parametrize("frames, channels, taps, delay", [
+    (506, 1, 40, 0), (506, 6, 10, 3), (7, 2, 1, 0), (3, 1, 20, 5),
+])
+def test_bin_bytes_are_the_workspace_plus_one_solver_copy(frames, channels, taps,
+                                                          delay):
+    # one bin's share of the chunk budget: its workspace buffers plus the
+    # D x D complex copy LAPACK factors
+    dim = taps * channels
+    space = linpred._workspace(1, frames, channels, taps, delay)
+    want = sum(buf.nbytes for buf in space) + 16 * dim * dim
+    assert linpred._bin_bytes(frames, channels, taps, delay) == want
+
+
 def _chunk_runs(monkeypatch, budget, fn):
     solves = []
 

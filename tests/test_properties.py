@@ -1,5 +1,5 @@
-"""Property tests: invariants the STFT, beamformer, mask, metric, phase and
-file-format code promise for every input, checked on seeded random draws
+"""Property tests: invariants the STFT, Gram, beamformer, mask, metric, phase
+and file-format code promise for every input, checked on seeded random draws
 (derandomized, so runs are repeatable)."""
 
 import math
@@ -22,6 +22,7 @@ from lodistort import (
     wmpdr,
     write_spectrogram,
 )
+from lodistort.linalg import hermitian_gram
 from lodistort.stats import CovarianceSet
 
 from conftest import random_psd_stack
@@ -49,6 +50,52 @@ def test_distortionless_response_at_reference(seed, num_mics, data):
     for w in (mvdr(cov, ref_mic=q).weights, wmpdr(phi_y, d, ref_mic=q).weights):
         response = np.einsum("fp,fp->f", np.conj(w), d)
         assert np.max(np.abs(response - d[:, q])) < 1e-9 * np.max(np.abs(d))
+
+
+def gram_oracle(field, weights):
+    # Sum_t w Z Z^H as one complex product averaged with its adjoint
+    outer = np.matmul((weights[:, :, None] * field).transpose(1, 2, 0),
+                      np.conj(field).transpose(1, 0, 2))
+    return 0.5 * (outer + np.conj(np.swapaxes(outer, -1, -2)))
+
+
+def assert_exact_hermitian_and_close(gram, oracle):
+    assert np.array_equal(gram, np.conj(np.swapaxes(gram, -1, -2)))
+    # per bin, relative to the bin's largest entry (a zero bin must be zero)
+    err = np.max(np.abs(gram - oracle), axis=(1, 2))
+    assert np.all(err <= 1e-12 * np.max(np.abs(oracle), axis=(1, 2)))
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_channels=st.sampled_from([1, 2, 6, 8]),
+    num_frames=st.integers(1, 40),
+    exact_frac=st.floats(0.0, 1.0),
+    data=st.data(),
+)
+def test_hermitian_gram_exact_and_matches_oracle(seed, num_channels, num_frames,
+                                                 exact_frac, data):
+    rng = np.random.default_rng(seed)
+    shape = (num_frames, 5, num_channels)
+    field = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # weights spanning 1e-12..1e12, a drawn share of them exactly 0 or 1
+    weights = 10.0 ** rng.uniform(-12.0, 12.0, size=shape[:2])
+    exact = rng.uniform(size=shape[:2]) < exact_frac
+    weights[exact] = rng.integers(0, 2, size=int(exact.sum()))
+    rows = (field * np.sqrt(weights)[:, :, None]).transpose(1, 0, 2)
+    assert_exact_hermitian_and_close(hermitian_gram(rows), gram_oracle(field, weights))
+
+    # one channel of a frozen frequency-major field, as mono runs pass it:
+    # read-only and, for several channels, not contiguous
+    frozen = np.ascontiguousarray(field.transpose(1, 0, 2))
+    frozen.setflags(write=False)
+    q = data.draw(st.integers(0, num_channels - 1), label="channel")
+    column = field[:, :, q:q + 1]
+    assert_exact_hermitian_and_close(
+        hermitian_gram(frozen[:, :, q:q + 1]),
+        gram_oracle(column, np.ones(shape[:2])),
+    )
 
 
 @PROPERTY_SETTINGS

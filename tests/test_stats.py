@@ -100,6 +100,23 @@ def test_weighted_covariance_matches_loop():
         weighted_covariance(field, lam * 0.0)  # not strictly positive
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_are_rejected(bad):
+    # a NaN or infinite mask or psd entry raises, naming the argument,
+    # instead of yielding NaN covariances or weight 0
+    field = random_field(9)
+    mask = np.full(field.shape[:2], 0.5)
+    mask[3, 1] = bad
+    psd = np.ones(field.shape[:2])
+    psd[3, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="mask.*finite"):
+            masked_covariances(field, mask)
+        with pytest.raises(ValueError, match="psd.*finite"):
+            weighted_covariance(field, psd)
+
+
 def power_iteration(mat, iters=300):
     v = np.ones(mat.shape[0], dtype=complex) / np.sqrt(mat.shape[0])
     for _ in range(iters):
