@@ -21,7 +21,7 @@ import numpy as np
 from .errors import FormatError, SingularMatrixError
 from .estimator import ORACLE_KINDS
 from .fsio import atomic_write_json, from_jsonable, jsonable
-from .metrics import energy_mask, pdsacc, psnr, score_estimate
+from .metrics import ScoreReference, score_against, score_estimate
 from .phase_geometry import phase_candidates, sign_flip_probability, wrap_phase
 from .pipeline import PARAM_KEYS, PipelineSpec, list_pipelines, make_estimate
 from .pipeline import run_pipeline, write_feature_bundle
@@ -336,11 +336,13 @@ def cmd_analyze_phase(args):
     est_q = estimate.channel(q)
     residual_mag = np.abs(est_q - tgt_q)
 
-    mask = energy_mask(tgt_q)
+    reference = ScoreReference(tgt_q, mix_q)
+    mask, _, true_side = reference.phase_sides
+    report = score_against(reference, est_q)
     theta = np.abs(wrap_phase(np.angle(tgt_q) - np.angle(mix_q)))
     theta = np.minimum(theta, np.nextafter(np.pi, 0.0))
     predicted = sign_flip_probability(np.abs(tgt_q), residual_mag, theta)
-    accuracy = pdsacc(est_q, tgt_q, mix_q)
+    accuracy = report.pdsacc_percent
 
     stats = {
         "schemaVersion": SCHEMA_VERSION,
@@ -351,13 +353,11 @@ def cmd_analyze_phase(args):
         "numMaskedBins": int(mask.sum()),
         "degenerateFraction": float(np.mean(candidates.degenerate[mask])),
         "meanAbsPhaseDiff": float(np.mean(candidates.abs_diff[mask])),
-        "signPositiveFraction": float(
-            np.mean(wrap_phase(np.angle(tgt_q) - np.angle(mix_q))[mask] >= 0.0)
-        ),
+        "signPositiveFraction": float(np.mean(true_side)),
         "meanPredictedFlipProbability": float(np.mean(predicted[mask])),
         "empiricalFlipRate": float(1.0 - accuracy / 100.0),
         "pdsAccPercent": accuracy,
-        "pSnrDb": psnr(np.angle(est_q), tgt_q),
+        "pSnrDb": report.psnr_db,
     }
     _emit(stats, args.out)
     return 0

@@ -54,8 +54,10 @@ def oracle_estimate(mixture, target, kind, ref_mic=0):
 
     oracleDirect passes the target through verbatim.  The mask oracles apply
     a per-channel real mask to the mixture: the magnitude mask |S|/|Y| or the
-    phase-sensitive mask |S|/|Y| * cos(phase(S) - phase(Y)), each truncated to
-    [0, 1].  Bins where the mixture is exactly zero get mask 0.
+    phase-sensitive mask |S|/|Y| * cos(phase(S) - phase(Y)), computed as
+    Re(S conj(Y)) / |Y|^2, each truncated to [0, 1].  Bins where the mixture
+    is exactly zero get mask 0 (for the phase-sensitive mask: where |Y|^2 is
+    zero).
 
     Arguments:
         mixture, target: complex spectrograms, T x F x P
@@ -76,34 +78,58 @@ def oracle_estimate(mixture, target, kind, ref_mic=0):
     if kind not in (ORACLE_MAG_MASK, ORACLE_PSM):
         raise ValueError(f"unknown oracle kind {kind!r}, expected one of {ORACLE_KINDS}")
 
-    mix_mag = np.abs(mixture)
-    nonzero = mix_mag > 0.0
-    ratio = np.where(nonzero, np.abs(target) / np.where(nonzero, mix_mag, 1.0), 0.0)
     if kind == ORACLE_PSM:
-        ratio = ratio * np.cos(np.angle(target) - np.angle(mixture))
-    mask = np.clip(ratio, 0.0, 1.0)
-    return TargetEstimate(mask * mixture, kind, ref_mic)
+        ratio = target.real * mixture.real
+        ratio += target.imag * mixture.imag
+        power = np.square(mixture.real)
+        power += np.square(mixture.imag)
+        positive = power > 0.0
+        np.divide(ratio, power, out=ratio, where=positive)
+        ratio[~positive] = 0.0
+    else:
+        mix_mag = np.abs(mixture)
+        nonzero = mix_mag > 0.0
+        ratio = np.where(nonzero, np.abs(target) / np.where(nonzero, mix_mag, 1.0), 0.0)
+    mask = np.clip(ratio, 0.0, 1.0, out=ratio)
+    values = np.empty_like(mixture)
+    np.multiply(mask, mixture.real, out=values.real)
+    np.multiply(mask, mixture.imag, out=values.imag)
+    return TargetEstimate(values, kind, ref_mic)
 
 
 def corrupt_estimate(estimate, est_err_snr_db, seed):
     """Add complex Gaussian error at a fixed estimate-to-error energy ratio.
 
     The added error is scaled so 10*log10(|clean|^2 / |added|^2) equals
-    `est_err_snr_db`; +inf returns the input values unchanged.
+    `est_err_snr_db`; +inf returns the input values unchanged.  The error's
+    real parts are drawn first, then its imaginary parts.
     """
-    if math.isinf(est_err_snr_db) and est_err_snr_db < 0:
-        raise ValueError("est_err_snr_db must be finite or +inf")
-    values = np.asarray(estimate.values, dtype=np.complex128)
+    if math.isnan(est_err_snr_db) or est_err_snr_db == -math.inf:
+        raise ValueError(
+            f"est_err_snr_db must be finite or +inf, got {est_err_snr_db}"
+        )
+    values = np.ascontiguousarray(estimate.values, dtype=np.complex128)
     if math.isinf(est_err_snr_db):
         return TargetEstimate(values.copy(), "corrupted", estimate.ref_mic)
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape)
-    clean_energy = float(np.sum(np.abs(values) ** 2))
-    noise_energy = float(np.sum(np.abs(noise) ** 2))
+    noise = np.empty_like(values)
+    noise_parts = noise.view(np.float64)
+    # energies are pairwise sums of squares of float64 components; the noise
+    # buffer holds the clean squares until the draws overwrite it, and each
+    # draw is squared in place once copied
+    clean_energy = float(np.sum(np.square(values.view(np.float64), out=noise_parts)))
+    draw = np.empty(values.shape)
+    noise_energy = 0.0
+    for part in (noise.real, noise.imag):
+        rng.standard_normal(out=draw)
+        part[...] = draw
+        noise_energy += float(np.sum(np.square(draw, out=draw)))
     scale = 0.0
     if noise_energy > 0.0:
         scale = math.sqrt(clean_energy * 10.0 ** (-est_err_snr_db / 10.0) / noise_energy)
-    return TargetEstimate(values + scale * noise, "corrupted", estimate.ref_mic)
+    noise_parts *= scale
+    noise += values
+    return TargetEstimate(noise, "corrupted", estimate.ref_mic)
 
 
 def load_external_estimate(path, expected_shape, cfg=None, ref_mic=0):

@@ -1,11 +1,23 @@
-"""Evaluation metrics: scale-invariant SDR and two phase-aware scores."""
+"""Evaluation metrics: scale-invariant SDR and two phase-aware scores.
+
+Both phase scores work on complex products, never on angles:
+
+* The side of a phase difference phase(a) - phase(b), wrapped to (-pi, pi]
+  with -pi mapped to +pi, is its sign with sign(x) = +1 iff x >= 0.  It is
+  the sign of Im(a conj(b)) = a.imag b.real - a.real b.imag, and an exact
+  zero product (a difference of 0 or pi) reads as >= 0.  An exact zero a or
+  b first takes the phasor copysign(1, real) + j imag, which carries the
+  phase np.angle gives it (0 or pi, signed like the imaginary zero).
+* pSNR compares the target S with |S| e / |e|, where e is any complex array
+  carrying the estimate's phase (zeros treated as above):
+  10 log10( Sum |S|^2 / Sum |S - (|S| / |e|) e|^2 ).
+"""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_geometry import wrap_phase
 from .stft import TimeSignal
 
 ENERGY_MASK_DB = -60.0
@@ -95,36 +107,81 @@ def energy_mask(target_q, threshold_db=ENERGY_MASK_DB):
     return power >= peak * 10.0 ** (threshold_db / 10.0)
 
 
+def _zero_phasors(values):
+    # an exact zero takes the unit phasor np.angle gives it
+    out = np.empty_like(values)
+    out.real = np.copysign(1.0, values.real)
+    out.imag = values.imag
+    return out
+
+
+def _cross(a, b):
+    # Im(a conj(b)), one ufunc call per product
+    cross = a.imag * b.real
+    cross -= a.real * b.imag
+    return cross
+
+
+def _side(a, b):
+    """True where phase(a) - phase(b), wrapped to (-pi, pi], is >= 0."""
+    cross = _cross(a, b)
+    side = cross >= 0.0
+    # only an exact zero product can involve a zero a or b
+    tie = cross == 0.0
+    if tie.any():
+        a_t, b_t = a[tie], b[tie]
+        for values in (a_t, b_t):
+            zero = values == 0.0
+            values[zero] = _zero_phasors(values[zero])
+        side[tie] = _cross(a_t, b_t) >= 0.0
+    return side
+
+
 def _phase_sides(target_q, mixture_q, threshold_db):
-    # -> (energy mask, mixture phase and target side on the masked bins)
+    # -> (energy mask, mixture and target side on the masked bins)
     mask = energy_mask(target_q, threshold_db)
     if not mask.any():
         raise ValueError("energy mask selected no bins")
-    mix_phase = np.angle(mixture_q)[mask]
-    true_side = wrap_phase(np.angle(target_q)[mask] - mix_phase) >= 0.0
-    return mask, mix_phase, true_side
+    mixture_masked = np.asarray(mixture_q, dtype=np.complex128)[mask]
+    true_side = _side(np.asarray(target_q, dtype=np.complex128)[mask], mixture_masked)
+    return mask, mixture_masked, true_side
 
 
-def _pdsacc(sides, estimate_phase):
-    mask, mix_phase, true_side = sides
-    est_side = wrap_phase(estimate_phase[mask] - mix_phase) >= 0.0
+def _pdsacc(sides, estimate_q):
+    mask, mixture_masked, true_side = sides
+    est_side = _side(np.ascontiguousarray(estimate_q, dtype=np.complex128)[mask],
+                     mixture_masked)
     return 100.0 * float(np.mean(est_side == true_side))
 
 
 def _target_energy(target_q):
-    # -> (complex128 target, |S|, sum |S|^2)
+    # -> (contiguous Re S and Im S, |S|, sum |S|^2)
     target_q = np.asarray(target_q, dtype=np.complex128)
     magnitude = np.abs(target_q)
     signal_energy = float(np.sum(magnitude ** 2))
     if signal_energy <= 0.0:
         raise ValueError("target spectrogram is identically zero")
-    return target_q, magnitude, signal_energy
+    parts = (np.ascontiguousarray(target_q.real), np.ascontiguousarray(target_q.imag))
+    return parts, magnitude, signal_energy
 
 
-def _psnr(parts, estimate_phase):
-    target_q, magnitude, signal_energy = parts
-    error = target_q - magnitude * np.exp(1j * estimate_phase)
-    error_energy = float(np.sum(np.abs(error) ** 2))
+def _psnr(parts, carrier):
+    # carrier: complex array whose phase is the estimate's
+    target_parts, magnitude, signal_energy = parts
+    carrier = np.ascontiguousarray(carrier, dtype=np.complex128)
+    carrier_mag = np.abs(carrier)
+    zero = carrier_mag == 0.0
+    if zero.any():
+        carrier = carrier.copy()
+        carrier[zero] = _zero_phasors(carrier[zero])
+        carrier_mag[zero] = 1.0
+    gain = np.divide(magnitude, carrier_mag, out=carrier_mag)
+    # S - gain e, one float64 component at a time, summed pairwise
+    error_energy = 0.0
+    for target_part, carrier_part in zip(target_parts, (carrier.real, carrier.imag)):
+        error = np.multiply(gain, carrier_part)
+        np.subtract(target_part, error, out=error)
+        error_energy += float(np.sum(np.square(error, out=error)))
     if error_energy == 0.0:
         return math.inf
     return 10.0 * math.log10(signal_energy / error_energy)
@@ -135,15 +192,15 @@ def pdsacc(estimate_q, target_q, mixture_q, threshold_db=ENERGY_MASK_DB):
 
     Over target-energetic bins, the fraction where the estimate advances or
     delays the mixture phase on the same side as the true target does.  Phase
-    differences are wrapped to (-pi, pi] and sign(x) is +1 iff x >= 0.
+    differences are wrapped to (-pi, pi] and sign(x) is +1 iff x >= 0; the
+    side is read from Im(a conj(b)) as the module docstring states.
     """
     estimate_q = np.asarray(estimate_q)
     target_q = np.asarray(target_q)
     mixture_q = np.asarray(mixture_q)
     if estimate_q.shape != target_q.shape or estimate_q.shape != mixture_q.shape:
         raise ValueError("estimate, target, and mixture shapes must match")
-    sides = _phase_sides(target_q, mixture_q, threshold_db)
-    return _pdsacc(sides, np.angle(estimate_q))
+    return _pdsacc(_phase_sides(target_q, mixture_q, threshold_db), estimate_q)
 
 
 def psnr(estimate_phase, target_q):
@@ -159,13 +216,13 @@ def psnr(estimate_phase, target_q):
         raise ValueError(
             f"phase {estimate_phase.shape} and target {np.shape(target_q)} shapes differ"
         )
-    return _psnr(_target_energy(target_q), estimate_phase)
+    return _psnr(_target_energy(target_q), np.exp(1j * estimate_phase))
 
 
 class ScoreReference:
     """The parts of the phase scores that depend only on the target and the
-    mixture at one mic: the energy mask, the mixture phase and the target's
-    phase-difference side on the masked bins, and |S| with its energy.
+    mixture at one mic: the energy mask, the masked mixture and the target's
+    phase-difference side on the masked bins, and S's parts, |S| and energy.
     Build it once, then score any number of estimates with `score_against`."""
 
     def __init__(self, target_q, mixture_q, threshold_db=ENERGY_MASK_DB):
@@ -181,19 +238,18 @@ class ScoreReference:
 def score_against(reference, estimate_q, estimate_wave=None, target_wave=None,
                   pipeline_name="", ref_mic=0):
     """score_estimate with the target and mixture given as a ScoreReference."""
-    estimate_q = np.asarray(estimate_q)
+    # one contiguous copy serves both phase scores
+    estimate_q = np.ascontiguousarray(estimate_q, dtype=np.complex128)
     if estimate_q.shape != reference.shape:
         raise ValueError("estimate, target, and mixture shapes must match")
     if estimate_wave is not None and target_wave is not None:
         sdr = si_sdr(estimate_wave, target_wave)
     else:
         sdr = math.nan
-    # one angle per estimate serves both phase scores
-    phase = np.angle(estimate_q)
     return MetricsReport(
         si_sdr_db=sdr,
-        pdsacc_percent=_pdsacc(reference.phase_sides, phase),
-        psnr_db=_psnr(reference.target_energy, np.asarray(phase, dtype=np.float64)),
+        pdsacc_percent=_pdsacc(reference.phase_sides, estimate_q),
+        psnr_db=_psnr(reference.target_energy, estimate_q),
         pipeline_name=pipeline_name,
         ref_mic=ref_mic,
     )

@@ -187,14 +187,21 @@ def synthesize(spectrogram, cfg=StftConfig(), num_samples=None):
     frames = np.fft.irfft(spec, n=cfg.fft_len, axis=1)[:, :cfg.window_len, :]
     frames *= window[None, :, None]
 
+    # overlap-add in hop-sized blocks: block r of frame t lands in output
+    # block t + r, so each pass adds one block of every frame; passes run from
+    # the last block down, adding the oldest frame first, which keeps every
+    # sample's sum in the per-frame order
+    ratio = cfg.window_len // cfg.hop
     buf_len = (num_frames - 1) * cfg.hop + cfg.window_len
     buf = np.zeros((buf_len, num_channels))
     win_power = np.zeros(buf_len)
-    win_sq = window ** 2
-    for t in range(num_frames):
-        start = t * cfg.hop
-        buf[start:start + cfg.window_len] += frames[t]
-        win_power[start:start + cfg.window_len] += win_sq
+    blocks = buf.reshape(-1, cfg.hop, num_channels)
+    power_blocks = win_power.reshape(-1, cfg.hop)
+    frame_blocks = frames.reshape(num_frames, ratio, cfg.hop, num_channels)
+    win_sq = (window ** 2).reshape(ratio, cfg.hop)
+    for r in reversed(range(ratio)):
+        blocks[r:r + num_frames] += frame_blocks[:, r]
+        power_blocks[r:r + num_frames] += win_sq[r]
     buf /= np.maximum(win_power, COLA_FLOOR)[:, None]
 
     out = np.zeros((num_samples, num_channels))

@@ -186,7 +186,8 @@ def test_analyze_phase_statistics(scene_dir, capsys):
     # a perfect estimate never flips a sign
     assert stats["pdsAccPercent"] == 100.0
     assert stats["empiricalFlipRate"] == 0.0
-    assert stats["pSnrDb"] > 100.0
+    # the exact target's own phase scores +inf, written as its JSON sentinel
+    assert stats["pSnrDb"] == "inf"
 
 
 def test_analyze_phase_predicts_flip_rate(scene_dir, capsys):
@@ -247,6 +248,17 @@ def test_invalid_filter_parameters_exit_2(scene_dir, tmp_path, capsys, flag, val
                          "--out", str(tmp_path / "run"))
     assert rc == 2
     assert "usage error" in err
+
+
+def test_analyze_phase_nan_est_err_snr_exits_2(scene_dir, tmp_path, capsys):
+    # analyze-phase builds its estimate without a PipelineSpec, so the estimator
+    # itself must reject NaN instead of writing an all-NaN estimate's statistics
+    out = str(tmp_path / "phase.json")
+    rc, _, err = run_cli(capsys, "analyze-phase", "--scene", scene_dir,
+                         "--est-err-snr-db", "nan", "--out", out)
+    assert rc == 2 and "usage error" in err
+    assert "est_err_snr_db" in err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("key, field", [("tapsFcp", "taps_fcp"), ("delay", "delay")])

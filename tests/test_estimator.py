@@ -70,6 +70,25 @@ def test_psm_matches_elementwise_formula():
     assert np.max(np.abs(est - want)) < 1e-12
 
 
+def test_psm_matches_elementwise_formula_with_zero_mixture_bins():
+    mix, tgt = random_pair(13, shape=(9, 7, 3))
+    mix[2, :, 0] = 0.0
+    mix[4, 3, :] = complex(-0.0, 0.0)
+    mix[6, 1, 2] = complex(0.0, -0.0)
+    tgt[4, 3, 1] = 0.0  # zero on both sides too
+    est = oracle_estimate(mix, tgt, "oraclePhaseSensitiveMask").values
+    for idx in np.ndindex(mix.shape):
+        y, s = mix[idx], tgt[idx]
+        if abs(y) > 0:
+            m = abs(s) / abs(y) * np.cos(np.angle(s) - np.angle(y))
+        else:
+            m = 0.0
+        want = min(max(m, 0.0), 1.0) * y
+        assert abs(est[idx] - want) < 1e-12, idx
+        if y == 0:
+            assert est[idx] == 0.0, idx
+
+
 def test_masked_estimates_are_bounded_by_mixture():
     mix, tgt = random_pair(3, shape=(20, 9, 3))
     tgt[5] *= 40.0  # force mask saturation somewhere
@@ -107,6 +126,27 @@ def test_corrupt_energy_ratio_is_exact():
         assert abs(ratio - snr) < 1e-6, snr
 
 
+def corrupt_two_draw(values, est_err_snr_db, seed):
+    """The complex-sum form: both draws added as a + 1j b, energies from |.|^2."""
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape)
+    clean_energy = np.sum(np.abs(values) ** 2)
+    noise_energy = np.sum(np.abs(noise) ** 2)
+    scale = np.sqrt(clean_energy * 10.0 ** (-est_err_snr_db / 10.0) / noise_energy)
+    return values + scale * noise
+
+
+def test_corrupt_matches_two_draw_form():
+    for seed, shape in ((0, (10, 8, 2)), (1, (131, 257, 8)), (2, (3, 5, 1))):
+        _, tgt = random_pair(seed, shape=shape)
+        clean = TargetEstimate(tgt, "oracleMagMask")
+        for snr in (-5.0, 0.0, 10.0, 37.5):
+            got = corrupt_estimate(clean, snr, seed=seed + 40).values
+            want = corrupt_two_draw(tgt, snr, seed + 40)
+            worst = np.max(np.abs(got - want))
+            assert worst <= 1e-15 * np.max(np.abs(want)), (shape, snr)
+
+
 def test_corrupt_inf_is_identity_and_seeded_otherwise():
     _, tgt = random_pair(7)
     clean = TargetEstimate(tgt, "oracleDirect")
@@ -119,6 +159,15 @@ def test_corrupt_inf_is_identity_and_seeded_otherwise():
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
         corrupt_estimate(clean, -np.inf, seed=0)
+
+
+def test_corrupt_rejects_nan_snr():
+    _, tgt = random_pair(12)
+    clean = TargetEstimate(tgt, "oracleDirect")
+    with pytest.raises(ValueError, match="est_err_snr_db"):
+        corrupt_estimate(clean, float("nan"), seed=0)
+    with pytest.raises(ValueError, match="est_err_snr_db"):
+        corrupt_estimate(clean, np.float64("nan"), seed=0)
 
 
 def test_external_spectrogram_round_trip(tmp_path):

@@ -23,6 +23,8 @@ from lodistort import (
     write_spectrogram,
 )
 from lodistort.linalg import hermitian_gram
+from lodistort.metrics import _side
+from lodistort.phase_geometry import wrap_phase
 from lodistort.stats import CovarianceSet
 
 from conftest import random_psd_stack
@@ -212,3 +214,60 @@ def test_ldspec_round_trip_and_rejections(tmp_path_factory, shape, seed, data):
     write_spectrogram(path, values)
     with pytest.raises(FormatError, match="non-finite"):
         read_spectrogram(path)
+
+
+# finite components with signed zeros and both axes; magnitudes stay within
+# 1e-3..1e3, where atan2 of an off-axis value never rounds onto an axis
+COMPONENTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                       st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+def complex_from_parts(parts):
+    # assembled component-wise, so signed zeros survive
+    parts = np.asarray(parts, dtype=np.float64).reshape(-1, 2)
+    out = np.empty(parts.shape[0], dtype=np.complex128)
+    out.real = parts[:, 0]
+    out.imag = parts[:, 1]
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(b_parts=st.lists(COMPONENTS, min_size=32, max_size=32),
+       a_parts=st.lists(COMPONENTS, min_size=32, max_size=32),
+       relation=st.sampled_from(["random", "equal", "double", "negated",
+                                 "zero_a", "zero_b"]))
+def test_side_rule_matches_wrapped_angle_difference(b_parts, a_parts, relation):
+    b_parts, a_parts = np.array(b_parts), np.array(a_parts)
+    if relation == "equal":
+        a_parts = b_parts.copy()
+    elif relation == "double":
+        a_parts = 2.0 * b_parts
+    elif relation == "negated":
+        a_parts = -b_parts
+    elif relation == "zero_a":
+        a_parts = np.copysign(0.0, a_parts)
+    elif relation == "zero_b":
+        b_parts = np.copysign(0.0, b_parts)
+    a, b = complex_from_parts(a_parts), complex_from_parts(b_parts)
+    side = _side(a, b)
+    difference = np.angle(a) - np.angle(b)
+    reference = wrap_phase(difference) >= 0.0
+    if relation == "negated":
+        # the true difference is pi, which wraps to +pi; the angle rule reads
+        # it exactly only where the float difference is exactly +-pi
+        assert np.all(side)
+        exact = np.abs(difference) == np.pi
+        assert np.array_equal(side[exact], reference[exact])
+    else:
+        assert np.array_equal(side, reference)
+
+
+def test_side_rule_on_signed_zero_and_axis_grid():
+    # every pair of {+-0, +-1, +-2.5}^2: zeros on either side, both axes,
+    # a == b, a == -b; here the angle rule's differences are exact
+    values = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5]
+    grid = complex_from_parts([(re, im) for re in values for im in values])
+    a = np.repeat(grid, grid.size)
+    b = np.tile(grid, grid.size)
+    reference = wrap_phase(np.angle(a) - np.angle(b)) >= 0.0
+    assert np.array_equal(_side(a, b), reference)

@@ -4,7 +4,8 @@ The oracle below re-derives every frame from the documented layout (384-sample
 front/back padding, hop 128, sqrt-Hann window) and applies an explicit DFT
 sum, sharing no code path with the implementation's sliding-window framing
 + rfft.  The index-gather framing the implementation used before is kept
-here as a second oracle that the framing must match bit for bit.
+here as a second oracle that the framing must match bit for bit, and so is
+the per-frame overlap-add that synthesis must match bit for bit.
 """
 
 import numpy as np
@@ -53,6 +54,27 @@ def gather_analyze(samples, cfg):
     frames = buf[offsets[:, None] + np.arange(cfg.window_len)[None, :]]
     window = sqrt_hann_window(cfg.window_len)
     return np.fft.rfft(frames * window[None, :, None], n=cfg.fft_len, axis=1)
+
+
+def per_frame_synthesize(spec, cfg, num_samples):
+    """Overlap-add one frame at a time, oldest first, as synthesis once did."""
+    num_frames, _, num_channels = spec.shape
+    window = sqrt_hann_window(cfg.window_len)
+    frames = np.fft.irfft(spec, n=cfg.fft_len, axis=1)[:, :cfg.window_len, :]
+    frames *= window[None, :, None]
+    buf_len = (num_frames - 1) * cfg.hop + cfg.window_len
+    buf = np.zeros((buf_len, num_channels))
+    win_power = np.zeros(buf_len)
+    for t in range(num_frames):
+        start = t * cfg.hop
+        buf[start:start + cfg.window_len] += frames[t]
+        win_power[start:start + cfg.window_len] += window ** 2
+    buf /= np.maximum(win_power, 1e-12)[:, None]
+    out = np.zeros((num_samples, num_channels))
+    avail = min(num_samples, buf_len - cfg.pad)
+    if avail > 0:
+        out[:avail] = buf[cfg.pad:cfg.pad + avail]
+    return out
 
 
 def test_window_matches_formula():
@@ -119,6 +141,25 @@ def test_framing_matches_index_gather():
             got = analyze(x, cfg)
             assert got.flags.c_contiguous
             assert np.array_equal(got, gather_analyze(x, cfg)), (cfg, x.shape)
+
+
+def test_synthesis_matches_per_frame_overlap_add():
+    rng = np.random.default_rng(41)
+    configs = [CFG,  # window/hop 4
+               StftConfig(window_len=256, hop=256, fft_len=256),  # 1
+               StftConfig(window_len=256, hop=128, fft_len=256),  # 2
+               StftConfig(window_len=256, hop=64, fft_len=1024),  # 4, padded FFT
+               StftConfig(window_len=400, hop=200, fft_len=512, sample_rate=8000)]
+    for cfg in configs:
+        for num_frames in (1, 2, 5, 37):
+            for num_channels in (1, 3):
+                shape = (num_frames, cfg.num_bins, num_channels)
+                spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                default_len = max(1, num_frames * cfg.hop - 2 * cfg.pad)
+                for num_samples in (None, 1, default_len + 333):
+                    got = synthesize(spec, cfg, num_samples).samples
+                    want = per_frame_synthesize(spec, cfg, num_samples or default_len)
+                    assert got.tobytes() == want.tobytes(), (cfg, shape, num_samples)
 
 
 def test_bin_center_cosine_concentrates():
