@@ -49,11 +49,12 @@ def main():
 
     # weighted prediction with the oracle target power as weights
     lam = psd_floor(tgt_spec)
+    delay = 3
     for taps in (5, 15, 30):
-        filt, dereverbed = wpe(mix_spec, lam, taps=taps, delay=3)
+        filt, dereverbed = wpe(mix_spec, lam, taps=taps, delay=delay)
         score(f"wpe taps={taps}", dereverbed, target_wave)
     print(f"  (last filter: {filt.coeffs.shape[1]} coefficients per bin, "
-          f"delay {filt.delay} frames)")
+          f"delay {delay} frames)")
 
     # forward compensation against the oracle target estimate
     _, compensated = fcp(mix_spec[:, :, 0], tgt_spec)

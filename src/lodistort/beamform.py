@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import SingularMatrixError
 from .linalg import (
+    DEFAULT_LOADING,
     cholesky_stack,
     hermitian_gram,
     hermitize,
@@ -21,22 +22,18 @@ from .linalg import (
     solve_stack,
 )
 
-DEFAULT_LOADING = 1e-8
-
 
 @dataclass
 class BeamformerWeights:
-    """Per-frequency beamforming weights.
+    """Per-frequency beamforming weights of mvdr, wmpdr, gev_ban or mcwf.
 
     Attributes:
-        weights: complex array, F x P
+        weights: complex array, F x P, applied conjugated by apply_beamformer
         ref_mic: reference channel the weights are anchored to
-        kind: "mvdr", "wmpdr", "gev", or "mcwf"
     """
 
     weights: np.ndarray
     ref_mic: int
-    kind: str
 
 
 def _check_square(mats, name):
@@ -46,7 +43,7 @@ def _check_square(mats, name):
     return mats
 
 
-def _distortionless(phi, steering, ref_mic, loading, kind):
+def _distortionless(phi, steering, ref_mic, loading):
     phi = _check_square(phi, "covariance")
     steering = np.asarray(steering, dtype=np.complex128)
     if steering.shape != phi.shape[:2]:
@@ -66,7 +63,7 @@ def _distortionless(phi, steering, ref_mic, loading, kind):
             frequency_bin=bad,
         )
     weights = num / den[:, None] * np.conj(steering[:, ref_mic])[:, None]
-    return BeamformerWeights(weights, ref_mic, kind)
+    return BeamformerWeights(weights, ref_mic)
 
 
 def mvdr(cov, ref_mic=0, loading=DEFAULT_LOADING):
@@ -87,7 +84,7 @@ def mvdr(cov, ref_mic=0, loading=DEFAULT_LOADING):
         from .stats import steering_vector
 
         steering = steering_vector(cov.phi_s, ref_mic)
-    return _distortionless(cov.phi_v, steering, ref_mic, loading, "mvdr")
+    return _distortionless(cov.phi_v, steering, ref_mic, loading)
 
 
 def wmpdr(phi_y_prime, steering, ref_mic=0, loading=DEFAULT_LOADING):
@@ -96,7 +93,7 @@ def wmpdr(phi_y_prime, steering, ref_mic=0, loading=DEFAULT_LOADING):
     Same ratio as mvdr with phi_v replaced by phi_y_prime
     (see stats.weighted_covariance).
     """
-    return _distortionless(phi_y_prime, steering, ref_mic, loading, "wmpdr")
+    return _distortionless(phi_y_prime, steering, ref_mic, loading)
 
 
 def gev_ban(cov, ref_mic=0, loading=DEFAULT_LOADING):
@@ -133,7 +130,7 @@ def gev_ban(cov, ref_mic=0, loading=DEFAULT_LOADING):
     num = np.sqrt(np.sum(np.abs(propagated) ** 2, axis=1) / num_mics)
     den = np.einsum("fp,fp->f", np.conj(weights), propagated).real
     gain = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-    return BeamformerWeights(weights * gain[:, None], ref_mic, "gev")
+    return BeamformerWeights(weights * gain[:, None], ref_mic)
 
 
 def mcwf(field, target_q, ref_mic=0, loading=DEFAULT_LOADING):
@@ -161,7 +158,7 @@ def mcwf(field, target_q, ref_mic=0, loading=DEFAULT_LOADING):
     gram = load_diagonal(hermitian_gram(field.transpose(1, 0, 2)), loading)
     rhs = np.einsum("tfp,tf->fp", field, np.conj(target_q))
     weights = solve_stack(gram, rhs)
-    return BeamformerWeights(weights, ref_mic, "mcwf")
+    return BeamformerWeights(weights, ref_mic)
 
 
 def apply_beamformer(weights, field):

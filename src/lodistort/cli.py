@@ -19,19 +19,17 @@ import sys
 import numpy as np
 
 from .errors import FormatError, SingularMatrixError
-from .estimator import ORACLE_KINDS
-from .fsio import atomic_write_json, from_jsonable, jsonable
+from .estimator import ORACLE_KINDS, load_spectrogram
+from .fsio import atomic_write_json, atomic_write_text, from_jsonable, json_text
 from .metrics import ScoreReference, score_against, score_estimate
 from .phase_geometry import phase_candidates, sign_flip_probability, wrap_phase
 from .pipeline import PARAM_KEYS, PipelineSpec, list_pipelines, make_estimate
 from .pipeline import run_pipeline, write_feature_bundle
 from .scene import RoomSpec, render_scene, synth_noise, synth_speech_like
-from .specio import read_spectrogram
 from .stft import StftConfig, analyze, synthesize
 from .wavio import read_wav, write_wav
 
 SCHEMA_VERSION = 1
-SAMPLE_RATE = 16000
 
 
 # a PipelineSpec field's flag has the field's name as dest and its default
@@ -123,12 +121,10 @@ def _read_json(path):
 
 
 def _emit(obj, out_path=None):
-    text = json.dumps(jsonable(obj), indent=2, sort_keys=True)
-    print(text)
+    text = json_text(obj)
+    print(text, end="")
     if out_path:
-        from .fsio import atomic_write_text
-
-        atomic_write_text(out_path, text + "\n")
+        atomic_write_text(out_path, text)
 
 
 def cmd_simulate(args):
@@ -136,12 +132,12 @@ def cmd_simulate(args):
         raise ValueError("--duration must be positive")
     if args.num_noises < 0:
         raise ValueError("--num-noises must be >= 0")
-    num_samples = int(round(args.duration * SAMPLE_RATE))
+    num_samples = int(round(args.duration * StftConfig.sample_rate))
     rir_len = args.rir_len
     if rir_len is None:
         rir_len = max(
             args.direct_delay + args.mics + 2,
-            int((args.t60 + 0.05) * SAMPLE_RATE),
+            int((args.t60 + 0.05) * StftConfig.sample_rate),
         )
     delays = tuple(args.direct_delay + m for m in range(args.mics))
     room = RoomSpec(
@@ -150,12 +146,12 @@ def cmd_simulate(args):
         rir_len_samples=rir_len,
         direct_delay_samples=delays,
         seed=args.seed,
-        sample_rate_hz=SAMPLE_RATE,
+        sample_rate_hz=StftConfig.sample_rate,
         tail_gain=args.tail_gain,
     )
-    source = synth_speech_like(num_samples, SAMPLE_RATE, seed=args.seed)
+    source = synth_speech_like(num_samples, StftConfig.sample_rate, seed=args.seed)
     noises = [
-        synth_noise(num_samples, SAMPLE_RATE, seed=[args.seed, i])
+        synth_noise(num_samples, StftConfig.sample_rate, seed=[args.seed, i])
         for i in range(args.num_noises)
     ]
     # a noise-free scene has no SNR to hit; render unscaled instead
@@ -175,7 +171,7 @@ def cmd_simulate(args):
     manifest = {
         "schemaVersion": SCHEMA_VERSION,
         "kind": "scene",
-        "sampleRateHz": SAMPLE_RATE,
+        "sampleRateHz": StftConfig.sample_rate,
         "numMics": args.mics,
         "t60Seconds": args.t60,
         "snrDb": scene.snr_db,
@@ -202,11 +198,11 @@ def _load_scene_dir(scene_dir):
         mixture_name = files["mixture"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{manifest_path}: missing files.mixture entry") from exc
-    mixture = read_wav(os.path.join(scene_dir, mixture_name), SAMPLE_RATE)
+    mixture = read_wav(os.path.join(scene_dir, mixture_name), StftConfig.sample_rate)
     target = None
     direct_name = files.get("directPath")
     if direct_name and os.path.exists(os.path.join(scene_dir, direct_name)):
-        target = read_wav(os.path.join(scene_dir, direct_name), SAMPLE_RATE)
+        target = read_wav(os.path.join(scene_dir, direct_name), StftConfig.sample_rate)
     return manifest, mixture, target
 
 
@@ -228,8 +224,8 @@ def cmd_enhance(args):
     if scene_dir:
         _, mixture, target = _load_scene_dir(scene_dir)
     elif mixture_path:
-        mixture = read_wav(mixture_path, SAMPLE_RATE)
-        target = read_wav(target_path, SAMPLE_RATE) if target_path else None
+        mixture = read_wav(mixture_path, StftConfig.sample_rate)
+        target = read_wav(target_path, StftConfig.sample_rate) if target_path else None
     else:
         raise ValueError("no input scene (use --scene/--mixture or the config file)")
     result = run_pipeline(mixture, spec, target)
@@ -268,18 +264,11 @@ def cmd_enhance(args):
 
 def cmd_evaluate(args):
     cfg = StftConfig()
-    inputs = {}
-    for role, path in (
+    inputs = {role: load_spectrogram(path, cfg) for role, path in (
         ("estimate", args.estimate),
         ("reference", args.reference),
         ("mixture", args.mixture),
-    ):
-        if path.endswith(".ldspec"):
-            spec = read_spectrogram(path)
-            inputs[role] = (spec, None)
-        else:
-            signal = read_wav(path, cfg.sample_rate)
-            inputs[role] = (analyze(signal, cfg), signal)
+    )}
 
     def pick(role):
         spec, wave = inputs[role]

@@ -132,22 +132,31 @@ def corrupt_estimate(estimate, est_err_snr_db, seed):
     return TargetEstimate(noise, "corrupted", estimate.ref_mic)
 
 
-def load_external_estimate(path, expected_shape, cfg=None, ref_mic=0):
-    """Load an estimate from an LDSPEC1 spectrogram or a WAV file.
+def load_spectrogram(path, cfg=None):
+    """Read a spectrogram file by its name: a name ending in .ldspec is an
+    LDSPEC1 file, any other a WAV file analyzed through the canonical STFT.
 
-    WAV input is analyzed through the canonical STFT.  The result must match
-    the mixture's frame/bin counts and carry either 1 channel or the full
-    channel count.
+    Return:
+        (complex T x F x C spectrogram, the WAV file's TimeSignal or None)
+    """
+    if str(path).endswith(".ldspec"):
+        return read_spectrogram(path), None
+    cfg = cfg or StftConfig()
+    wave = read_wav(path, expect_rate=cfg.sample_rate)
+    return analyze(wave, cfg), wave
+
+
+def load_external_estimate(path, expected_shape, cfg=None, ref_mic=0):
+    """Load an estimate from a spectrogram file read by load_spectrogram.
+
+    The result must match the mixture's frame/bin counts and carry either 1
+    channel or the full channel count.
 
     Arguments:
         expected_shape: (T, F, P) of the mixture the estimate belongs to
     """
     num_frames, num_bins, num_channels = expected_shape
-    if str(path).endswith(".wav"):
-        cfg = cfg or StftConfig()
-        values = analyze(read_wav(path, expect_rate=cfg.sample_rate), cfg)
-    else:
-        values = read_spectrogram(path)
+    values, _ = load_spectrogram(path, cfg)
     if values.shape[:2] != (num_frames, num_bins):
         raise FormatError(
             f"{path}: estimate frames/bins {values.shape[:2]} do not match the "

@@ -66,6 +66,11 @@ def from_jsonable(value):
     return value
 
 
+def json_text(obj):
+    """`obj` as strict JSON (see :func:`jsonable`): indented, keys sorted,
+    newline-terminated."""
+    return json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n"
+
+
 def atomic_write_json(path, obj):
-    text = json.dumps(jsonable(obj), indent=2, sort_keys=True)
-    atomic_write_text(path, text + "\n")
+    atomic_write_text(path, json_text(obj))

@@ -22,6 +22,9 @@ import numpy as np
 
 from .errors import SingularMatrixError
 
+# relative diagonal loading of every solve (see load_diagonal)
+DEFAULT_LOADING = 1e-8
+
 
 def hermitize(mats):
     """Symmetrized accumulation: average a matrix stack with its adjoint."""

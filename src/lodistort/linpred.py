@@ -46,11 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import hermitian_gram, load_diagonal, solve_stack
+from .linalg import DEFAULT_LOADING, hermitian_gram, load_diagonal, solve_stack
+from .stats import psd_floor
 
-DEFAULT_LOADING = 1e-8
-# absolute floor for the prediction-error weights
-WEIGHT_ABS_FLOOR = 1e-12
 # bound on every in-flight bin chunk together: each worker's padded frames,
 # delayed stack and Grams.  The worker count comes from
 # CPU affinity and each worker gets an equal share, at least one bin's worth;
@@ -60,20 +58,15 @@ CHUNK_BUDGET_BYTES = 8 * 2 ** 20
 
 @dataclass
 class PredictionFilter:
-    """Per-frequency prediction coefficients.
+    """Per-frequency prediction coefficients of wpe or fcp.
 
     Attributes:
-        coeffs: complex array, F x (taps * channels); applied conjugated,
+        coeffs: complex array, F x (taps * channels), lag-major as
+            build_delayed_stack orders the stack; applied conjugated,
             prediction(t,f) = coeffs(f)^H stack(t,f)
-        taps: prediction order
-        delay: frame gap between predicted frame and newest predictor frame
-        kind: "wpe" or "fcp"
     """
 
     coeffs: np.ndarray
-    taps: int
-    delay: int
-    kind: str
 
 
 def _check_lags(taps, delay):
@@ -409,7 +402,7 @@ def wpe(field, psd, taps, delay=3, ref_mic=0, loading=DEFAULT_LOADING):
         (PredictionFilter, dereverbed T x F)
     """
     coeffs, dereverbed = _wpe_solve(field, psd, taps, delay, loading, ref_mic)
-    return (PredictionFilter(coeffs[:, :, ref_mic].copy(), taps, delay, "wpe"),
+    return (PredictionFilter(coeffs[:, :, ref_mic].copy()),
             dereverbed[:, :, ref_mic].copy())
 
 
@@ -426,21 +419,10 @@ def wpe_field(field, psd, taps, delay=3, loading=DEFAULT_LOADING):
 
 
 def fcp_weight(reference, estimate, epsilon=1e-3):
-    """Prediction-error weights from the reference-mic residual.
-
-    max(epsilon * max |ref - est|^2, |ref - est|^2), floored absolutely so the
-    weights stay strictly positive.
-    """
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    residual_power = np.abs(
-        np.asarray(reference, dtype=np.complex128)
-        - np.asarray(estimate, dtype=np.complex128)
-    ) ** 2
-    if not np.all(np.isfinite(residual_power)):
-        raise ValueError("reference and estimate must be finite")
-    floored = np.maximum(epsilon * residual_power.max(), residual_power)
-    return np.maximum(floored, WEIGHT_ABS_FLOOR)
+    """Prediction-error weights: psd_floor of the reference-mic residual
+    reference - estimate, floored by the rule of every other power weight."""
+    return psd_floor(np.asarray(reference, dtype=np.complex128)
+                     - np.asarray(estimate, dtype=np.complex128), epsilon)
 
 
 def fcp(reference, estimate, taps=40, epsilon=1e-3, loading=DEFAULT_LOADING):
@@ -474,4 +456,4 @@ def fcp(reference, estimate, taps=40, epsilon=1e-3, loading=DEFAULT_LOADING):
         _fmajor(eta), taps, 0, loading,
     )
     compensated = reference - (filtered[:, :, 0].T - estimate)
-    return PredictionFilter(coeffs[:, :, 0], taps, 0, "fcp"), compensated
+    return PredictionFilter(coeffs[:, :, 0]), compensated

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fsio import jsonable
 from .stft import TimeSignal
 
 ENERGY_MASK_DB = -60.0
@@ -34,21 +35,14 @@ class MetricsReport:
     ref_mic: int = 0
 
     def to_json_dict(self):
-        # camelCase keys with "inf"/"-inf" sentinels for non-finite scores
-        return {
-            "siSdrDb": _sentinel(self.si_sdr_db),
-            "pdsAccPercent": _sentinel(self.pdsacc_percent),
-            "pSnrDb": _sentinel(self.psnr_db),
+        # camelCase keys, non-finite scores as fsio's string sentinels
+        return jsonable({
+            "siSdrDb": self.si_sdr_db,
+            "pdsAccPercent": self.pdsacc_percent,
+            "pSnrDb": self.psnr_db,
             "pipelineName": self.pipeline_name,
             "refMic": self.ref_mic,
-        }
-
-
-def _sentinel(value):
-    value = float(value)
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
+        })
 
 
 def _as_vector(signal, name):

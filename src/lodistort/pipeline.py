@@ -5,7 +5,8 @@ that list: the estimator, then one _STAGES function per stage over a per-run
 context, naming each output by the chain so far, newest stage first (wpe ->
 mwmpdr_wpe -> fcp_mwmpdr_wpe).  Stages call the library functions a manual
 composition would, in the same order, so their outputs are bit-identical to
-composing by hand.
+composing by hand.  The wpe stage runs linpred.wpe_field on any channel
+count; on the one channel of a mono run that equals linpred.wpe bit for bit.
 
 Calls on the same scene share their common nodes.  A module-level memo keeps
 one scene, identified by a SHA-256 digest of the StftConfig and of the
@@ -33,6 +34,7 @@ import numpy as np
 
 from . import beamform, linpred, stats
 from .estimator import ORACLE_KINDS, corrupt_estimate, load_external_estimate, oracle_estimate
+from .linalg import DEFAULT_LOADING
 from .metrics import ScoreReference, score_against
 from .scene import Scene
 from .specio import write_spectrogram
@@ -167,7 +169,7 @@ class PipelineSpec:
     delay: int = 3
     epsilon: float = 1e-5
     epsilon_fcp: float = 1e-3
-    loading: float = 1e-8
+    loading: float = DEFAULT_LOADING
     seed: int = 0
     estimate_path: str = None
 
@@ -228,7 +230,6 @@ class PipelineResult:
     waves: dict
     metrics: dict
     mixture_spectrogram: np.ndarray
-    cfg: StftConfig
 
     @property
     def final(self):
@@ -368,9 +369,6 @@ class _Context:
 def _wpe(ctx):
     spec = ctx.spec
     taps = spec.taps or default_taps(ctx.field.shape[2])
-    if ctx.field.shape[2] == 1:  # single-channel wpe, as a manual composition calls it
-        _, out = linpred.wpe(ctx.field, ctx.lam, taps, spec.delay, 0, spec.loading)
-        return out[:, :, None], out
     field = linpred.wpe_field(ctx.field, ctx.lam, taps, spec.delay, spec.loading)[1]
     return field, field[:, :, ctx.q]
 
@@ -497,7 +495,7 @@ def run_pipeline(scene_or_mixture, spec, target=None, cfg=StftConfig()):
             report = nodes.get(out_key and out_key + ("score",), lambda: score_against(
                 reference, out, wave.channel(0), tgt_wave, spec.name, q))
             metrics[name] = replace(report, pipeline_name=spec.name)
-    return PipelineResult(spec, stages, waves, metrics, mix_spec, cfg)
+    return PipelineResult(spec, stages, waves, metrics, mix_spec)
 
 
 def write_feature_bundle(result, out_dir):

@@ -82,7 +82,6 @@ class Scene:
     reverb_residual: TimeSignal
     noise: TimeSignal
     snr_db: float
-    room: RoomSpec
 
 
 def _fft_convolve(signal, kernel):
@@ -231,7 +230,6 @@ def render_scene(source, noise_sources, room, snr_db, normalize=True):
         reverb_residual=TimeSignal(residual, rate),
         noise=TimeSignal(noise, rate),
         snr_db=achieved_snr,
-        room=room,
     )
 
 

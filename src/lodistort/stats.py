@@ -18,6 +18,9 @@ from .linalg import hermitian_gram, principal_eigenpairs, rotate_reference_phase
 
 # absolute floor applied after the relative one
 PSD_ABS_FLOOR = 1e-12
+# top-two eigenvalue gap, relative to the top one, at or below which a
+# steering vector has no preferred direction
+DEGENERACY_RTOL = 1e-6
 
 
 @dataclass
@@ -126,13 +129,13 @@ def weighted_covariance(field, psd):
     return _gram(field, 1.0 / np.sqrt(psd))
 
 
-def steering_vector(phi_s, ref_mic=0, degeneracy_rtol=1e-6):
+def steering_vector(phi_s, ref_mic=0):
     """Unit-norm principal eigenvector of phi_s per frequency.
 
     The phase is fixed by rotating each vector so its `ref_mic` entry is real
-    and nonnegative.  Frequencies whose top two eigenvalues (nearly) coincide
-    have no preferred direction; the deterministic eigensolver choice is
-    returned and a RuntimeWarning flags the degeneracy.
+    and nonnegative.  Frequencies whose top two eigenvalues coincide (to
+    DEGENERACY_RTOL) have no preferred direction; the deterministic
+    eigensolver choice is returned and a RuntimeWarning flags the degeneracy.
 
     Arguments:
         phi_s: Hermitian stack, F x P x P
@@ -146,7 +149,7 @@ def steering_vector(phi_s, ref_mic=0, degeneracy_rtol=1e-6):
         raise ValueError(f"ref_mic {ref_mic} out of range")
     top, vectors, gaps = principal_eigenpairs(phi_s)
     scale = np.maximum(np.abs(top), PSD_ABS_FLOOR)
-    degenerate = gaps <= degeneracy_rtol * scale
+    degenerate = gaps <= DEGENERACY_RTOL * scale
     if np.any(degenerate):
         bins = np.flatnonzero(degenerate)
         warnings.warn(
@@ -160,12 +163,15 @@ def steering_vector(phi_s, ref_mic=0, degeneracy_rtol=1e-6):
 
 
 def psd_floor(estimates, epsilon=1e-5):
-    """Per-bin target power, floored relative to its own maximum.
+    """Per-bin power, floored relative to its own maximum: the weights of
+    every weighted least-squares stage (the target power of wpe and wmpdr,
+    the residual power of fcp).
 
     The power is summed over channels when given a T x F x P field and taken
     directly for a T x F single-channel array.  The floor is
     max(epsilon * max power, power), with an absolute floor of PSD_ABS_FLOOR
-    so an all-zero input still yields strictly positive weights.
+    so an all-zero input still yields strictly positive weights.  Input that
+    is not finite, or whose power overflows, raises ValueError.
 
     Return:
         float64 array, T x F, strictly positive
@@ -173,8 +179,6 @@ def psd_floor(estimates, epsilon=1e-5):
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     estimates = np.asarray(estimates)
-    if not np.all(np.isfinite(estimates)):
-        raise ValueError("estimates must be finite")
     if estimates.ndim == 2:
         power = np.abs(estimates) ** 2
     elif estimates.ndim == 3:
@@ -183,5 +187,8 @@ def psd_floor(estimates, epsilon=1e-5):
         raise ValueError(
             f"expected T x F or T x F x P estimates, got shape {estimates.shape}"
         )
+    # NaN or inf input has a NaN or inf power, as has one too large to square
+    if not np.all(np.isfinite(power)):
+        raise ValueError("estimates and their power must be finite")
     floored = np.maximum(epsilon * power.max(), power)
     return np.maximum(floored, PSD_ABS_FLOOR)

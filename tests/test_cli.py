@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 import lodistort
-from lodistort import analyze, read_wav, write_spectrogram, write_wav
+from lodistort import (
+    StftConfig,
+    analyze,
+    load_external_estimate,
+    read_wav,
+    write_spectrogram,
+    write_wav,
+)
 from lodistort.cli import main
 
 
@@ -173,6 +180,36 @@ def test_evaluate_spectrogram_estimate(scene_dir, tmp_path, capsys):
     )
     assert rc == 0
     assert "siSdrDb" in json.loads(out)
+
+
+def test_wav_estimate_reads_alike_under_any_other_suffix(scene_dir, tmp_path, capsys):
+    # one suffix rule for every command: a name that does not end in .ldspec
+    # is a WAV file, so est.wave loads and scores as est.wav does
+    mix = os.path.join(scene_dir, "mixture.wav")
+    ref = os.path.join(scene_dir, "direct.wav")
+    wave = read_wav(mix, 16000)
+    names = ("est.wav", "est.wave")
+    for name in names:
+        write_wav(str(tmp_path / name), wave)
+    cfg = StftConfig()
+    expected = analyze(read_wav(str(tmp_path / "est.wav"), 16000), cfg)
+    for name in names:
+        est = load_external_estimate(str(tmp_path / name), expected.shape, cfg)
+        assert np.array_equal(est.values, expected)
+    reports, runs = [], []
+    for name in names:
+        rc, out, err = run_cli(capsys, "evaluate", "--estimate", str(tmp_path / name),
+                               "--reference", ref, "--mixture", mix)
+        assert rc == 0, err
+        reports.append(out)
+        run_dir = tmp_path / f"run-{name}"
+        rc, _, err = run_cli(capsys, "enhance", "--scene", scene_dir, "--pipeline",
+                             "fcp", "--estimator", "external", "--estimate",
+                             str(tmp_path / name), "--out", str(run_dir))
+        assert rc == 0, err
+        runs.append((run_dir / "metrics.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert runs[0] == runs[1]
 
 
 def test_analyze_phase_statistics(scene_dir, capsys):

@@ -93,10 +93,11 @@ def test_shared_nodes_are_computed_once_per_scene(scene, monkeypatch):
     for name in PIPELINE_NAMES:
         run_pipeline(scene, PipelineSpec(name, taps=6))
     # mixture and target once each; one field for the four *_wpe beamformers
-    assert calls == {"analyze": 2, "wpe_field": 1}
+    # and one channel for the mono fcp_wpe
+    assert calls == {"analyze": 2, "wpe_field": 2}
     # a different wpe parameter is a different node
     run_pipeline(scene, PipelineSpec("mmvdr_wpe", taps=5))
-    assert calls == {"analyze": 2, "wpe_field": 2}
+    assert calls == {"analyze": 2, "wpe_field": 3}
 
 
 def test_every_shared_node_and_only_those_are_kept(scene, monkeypatch):
@@ -118,11 +119,12 @@ def test_every_shared_node_and_only_those_are_kept(scene, monkeypatch):
     drop_memo()
     results = {name: run_pipeline(scene, PipelineSpec(name, taps=6))
                for name in PIPELINE_NAMES}
-    # the mono fcp_wpe alone solves its own channel; every multichannel chain
-    # starting with wpe reads one field; the masked covariances are built
-    # once on the mixture and once on that field; mvdr and gev share the
-    # signal covariances; fcp_mwmpdr_wpe reuses the mwmpdr stage
-    assert calls == {"wpe": 1, "wpe_field": 1, "masked_covariances": 2,
+    # every run dereverberates through wpe_field: the mono fcp_wpe once on
+    # its own channel, and every multichannel chain starting with wpe reads
+    # one shared field; the masked covariances are built once on the mixture
+    # and once on that field; mvdr and gev share the signal covariances;
+    # fcp_mwmpdr_wpe reuses the mwmpdr stage
+    assert calls == {"wpe": 0, "wpe_field": 2, "masked_covariances": 2,
                      "signal_covariances": 1, "weighted_covariance": 1}
     # no other pipeline runs mvdr: its output dies with the result, while a
     # stage that several pipelines share stays with the scene

@@ -8,6 +8,7 @@ import pytest
 
 from lodistort import (
     compute_mask,
+    fcp_weight,
     masked_covariances,
     psd_floor,
     signal_covariances,
@@ -185,3 +186,14 @@ def test_psd_floor_literal_and_monotone():
     nan_input[2, 3] = np.nan
     with pytest.raises(ValueError, match="finite"):
         psd_floor(nan_input)
+
+
+def test_psd_floor_rejects_overflowing_power():
+    # finite input whose power overflows float64 would leave inf weights;
+    # fcp_weight floors the residual power by the same rule and rejects it too
+    big = np.full((3, 4), 1e200 + 0j)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            psd_floor(big)
+        with pytest.raises(ValueError, match="finite"):
+            fcp_weight(big, np.zeros_like(big))
