@@ -10,21 +10,16 @@ sin(theta))) / pi -- a closed form this demo checks against measured flip
 rates at several estimate qualities.
 """
 
-import numpy as np
-
 from lodistort import (
     RoomSpec,
     analyze,
     corrupt_estimate,
-    energy_mask,
     oracle_estimate,
-    pdsacc,
     render_scene,
-    sign_flip_probability,
     synth_noise,
     synth_speech_like,
-    wrap_phase,
 )
+from lodistort.metrics import ScoreReference, phase_report
 
 
 def main():
@@ -33,29 +28,21 @@ def main():
     source = synth_speech_like(32000, seed=[5, 1])
     scene = render_scene(source, [synth_noise(32000, seed=[5, 2])], room,
                          snr_db=0.0)
-    mix = analyze(scene.mixture)[:, :, 0]
-    tgt = analyze(scene.direct_path)[:, :, 0]
-    clean = oracle_estimate(analyze(scene.mixture), analyze(scene.direct_path),
-                            "oracleDirect")
-    mask = energy_mask(tgt)
-    theta = np.abs(wrap_phase(np.angle(tgt) - np.angle(mix)))[mask]
-    # wrapping can land exactly on pi; nudge inside the formula's domain
-    theta = np.minimum(theta, np.nextafter(np.pi, 0.0))
+    mix_spec, tgt_spec = analyze(scene.mixture), analyze(scene.direct_path)
+    clean = oracle_estimate(mix_spec, tgt_spec, "oracleDirect")
+    reference = ScoreReference(tgt_spec[:, :, 0], mix_spec[:, :, 0])
 
-    print(f"{mask.sum()} bins inside the energy mask")
+    print(f"{reference.phase_sides[0].sum()} bins inside the energy mask")
     print(f"{'est err SNR':>12s} {'measured flip':>14s} "
           f"{'predicted flip':>15s} {'phase acc':>10s}")
     for err_db in (20.0, 10.0, 5.0, 0.0, -5.0):
         noisy = corrupt_estimate(clean, err_db, seed=1).channel()
         # the corruption is isotropic, so its phase is uniform and the
         # closed form applies with |V| = |est - target| per bin
-        resid = np.abs(noisy - tgt)[mask]
-        predicted = float(np.mean(
-            sign_flip_probability(np.abs(tgt)[mask], resid, theta)))
-        acc = pdsacc(noisy, tgt, mix)
-        measured = 1.0 - acc / 100.0
-        print(f"{err_db:+11.0f}dB {measured:14.4f} {predicted:15.4f} "
-              f"{acc:9.1f}%")
+        stats = phase_report(reference, noisy)
+        print(f"{err_db:+11.0f}dB {stats['empiricalFlipRate']:14.4f} "
+              f"{stats['meanPredictedFlipProbability']:15.4f} "
+              f"{stats['pdsAccPercent']:9.1f}%")
     print()
     print("a perfect estimate never flips; as the estimate degrades the "
           "measured rate tracks the closed form and phase accuracy falls "

@@ -19,10 +19,9 @@ import sys
 import numpy as np
 
 from .errors import FormatError, SingularMatrixError
-from .estimator import ORACLE_KINDS, load_spectrogram
+from .estimator import ORACLE_KINDS, check_est_err_snr_db, load_spectrogram
 from .fsio import atomic_write_json, atomic_write_text, from_jsonable, json_text
-from .metrics import ScoreReference, score_against, score_estimate
-from .phase_geometry import phase_candidates, sign_flip_probability, wrap_phase
+from .metrics import ScoreReference, phase_report, score_estimate
 from .pipeline import PARAM_KEYS, PipelineSpec, list_pipelines, make_estimate
 from .pipeline import run_pipeline, write_feature_bundle
 from .scene import RoomSpec, render_scene, synth_noise, synth_speech_like
@@ -303,50 +302,28 @@ def cmd_evaluate(args):
 
 
 def cmd_analyze_phase(args):
-    cfg = StftConfig()
+    # the flags are checked before the scene is read
+    check_est_err_snr_db(args.est_err_snr_db)
+    q = args.ref_mic
+    if q < 0:
+        raise ValueError(f"--ref-mic {q} out of range")
     _, mixture, target = _load_scene_dir(args.scene)
     if target is None:
-        raise FormatError(
-            f"{args.scene}: scene has no direct-path file; phase analysis "
-            "needs the clean target"
-        )
-    mix_spec = analyze(mixture, cfg)
-    tgt_spec = analyze(target, cfg)
-    q = args.ref_mic
-    if not 0 <= q < mix_spec.shape[2]:
+        raise FormatError(f"{args.scene}: scene has no direct-path file; phase "
+                          "analysis needs the clean target")
+    if q >= mixture.num_channels:
         raise ValueError(f"--ref-mic {q} out of range")
-    mix_q = mix_spec[:, :, q]
-    tgt_q = tgt_spec[:, :, q]
-    dist_q = mix_q - tgt_q
-
-    candidates = phase_candidates(mix_q, np.abs(tgt_q), np.abs(dist_q))
+    mix_spec, tgt_spec = analyze(mixture), analyze(target)
     # the estimator flags carry PipelineSpec's field names
     estimate = make_estimate(args, mix_spec, tgt_spec)
-    est_q = estimate.channel(q)
-    residual_mag = np.abs(est_q - tgt_q)
-
-    reference = ScoreReference(tgt_q, mix_q)
-    mask, _, true_side = reference.phase_sides
-    report = score_against(reference, est_q)
-    theta = np.abs(wrap_phase(np.angle(tgt_q) - np.angle(mix_q)))
-    theta = np.minimum(theta, np.nextafter(np.pi, 0.0))
-    predicted = sign_flip_probability(np.abs(tgt_q), residual_mag, theta)
-    accuracy = report.pdsacc_percent
-
+    reference = ScoreReference(tgt_spec[:, :, q], mix_spec[:, :, q])
     stats = {
         "schemaVersion": SCHEMA_VERSION,
         "scene": args.scene,
         "estimator": args.estimator,
         "estErrSnrDb": args.est_err_snr_db,
         "refMic": q,
-        "numMaskedBins": int(mask.sum()),
-        "degenerateFraction": float(np.mean(candidates.degenerate[mask])),
-        "meanAbsPhaseDiff": float(np.mean(candidates.abs_diff[mask])),
-        "signPositiveFraction": float(np.mean(true_side)),
-        "meanPredictedFlipProbability": float(np.mean(predicted[mask])),
-        "empiricalFlipRate": float(1.0 - accuracy / 100.0),
-        "pdsAccPercent": accuracy,
-        "pSnrDb": report.psnr_db,
+        **phase_report(reference, estimate.channel(q)),
     }
     _emit(stats, args.out)
     return 0

@@ -97,6 +97,12 @@ def oracle_estimate(mixture, target, kind, ref_mic=0):
     return TargetEstimate(values, kind, ref_mic)
 
 
+def check_est_err_snr_db(est_err_snr_db):
+    """Reject an estimate-to-error ratio that is neither finite nor +inf."""
+    if math.isnan(est_err_snr_db) or est_err_snr_db == -math.inf:
+        raise ValueError(f"est_err_snr_db must be finite or +inf, got {est_err_snr_db}")
+
+
 def corrupt_estimate(estimate, est_err_snr_db, seed):
     """Add complex Gaussian error at a fixed estimate-to-error energy ratio.
 
@@ -104,10 +110,7 @@ def corrupt_estimate(estimate, est_err_snr_db, seed):
     `est_err_snr_db`; +inf returns the input values unchanged.  The error's
     real parts are drawn first, then its imaginary parts.
     """
-    if math.isnan(est_err_snr_db) or est_err_snr_db == -math.inf:
-        raise ValueError(
-            f"est_err_snr_db must be finite or +inf, got {est_err_snr_db}"
-        )
+    check_est_err_snr_db(est_err_snr_db)
     values = np.ascontiguousarray(estimate.values, dtype=np.complex128)
     if math.isinf(est_err_snr_db):
         return TargetEstimate(values.copy(), "corrupted", estimate.ref_mic)

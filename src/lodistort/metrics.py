@@ -11,6 +11,8 @@ Both phase scores work on complex products, never on angles:
 * pSNR compares the target S with |S| e / |e|, where e is any complex array
   carrying the estimate's phase (zeros treated as above):
   10 log10( Sum |S|^2 / Sum |S - (|S| / |e|) e|^2 ).
+* |phase(a) - phase(b)| is arctan2(|Im(a conj(b))|, Re(a conj(b))) (zeros
+  treated as above), held below pi.
 """
 
 import math
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fsio import jsonable
-from .stft import TimeSignal
+from .phase_geometry import sign_flip_probability
+from .stft import as_mono
 
 ENERGY_MASK_DB = -60.0
 
@@ -45,44 +48,29 @@ class MetricsReport:
         })
 
 
-def _as_vector(signal, name):
-    if isinstance(signal, TimeSignal):
-        if signal.num_channels != 1:
-            raise ValueError(f"{name} must be single-channel")
-        return signal.channel(0)
-    arr = np.asarray(signal, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D array or mono TimeSignal")
-    return arr
-
-
 def si_sdr(estimate, reference):
     """Scale-invariant signal-to-distortion ratio, in dB.
 
     Projects the estimate onto the reference (alpha = <est, ref> / |ref|^2)
     and scores 10 log10(|alpha ref|^2 / |alpha ref - est|^2).  Returns -inf
     when the projection is zero (including an all-zero estimate) and +inf
-    when a nonzero estimate equals its projection exactly.
+    when a nonzero estimate equals its projection exactly.  Its sums are numpy's
+    pairwise sums of float64 products: no score depends on BLAS threads.
     """
-    if (
-        isinstance(estimate, TimeSignal)
-        and isinstance(reference, TimeSignal)
-        and estimate.sample_rate != reference.sample_rate
-    ):
-        raise ValueError("estimate and reference sample rates differ")
-    est = _as_vector(estimate, "estimate")
-    ref = _as_vector(reference, "reference")
+    est = as_mono(estimate, "estimate")
+    # two TimeSignals must share one rate
+    ref = as_mono(reference, "reference", getattr(estimate, "sample_rate", None))
     if est.shape != ref.shape:
         raise ValueError(
             f"length mismatch: estimate {est.shape[0]} vs reference {ref.shape[0]}"
         )
-    ref_energy = float(np.dot(ref, ref))
+    ref_energy = float(np.sum(np.square(ref)))
     if ref_energy <= 0.0:
         raise ValueError("reference signal is identically zero")
-    alpha = float(np.dot(est, ref)) / ref_energy
+    alpha = float(np.sum(est * ref)) / ref_energy
     target = alpha * ref
-    target_energy = float(np.dot(target, target))
-    error_energy = float(np.sum((target - est) ** 2))
+    target_energy = float(np.sum(np.square(target)))
+    error_energy = float(np.sum(np.square(target - est)))
     # a zero projection (orthogonal or all-zero estimate) has no target
     # component, even when the error energy is zero too
     if target_energy == 0.0:
@@ -116,6 +104,15 @@ def _cross(a, b):
     return cross
 
 
+def _with_zero_phasors(values):
+    # a copy of values with each exact zero replaced by its phasor
+    zero = values == 0.0
+    if zero.any():
+        values = values.copy()
+        values[zero] = _zero_phasors(values[zero])
+    return values
+
+
 def _side(a, b):
     """True where phase(a) - phase(b), wrapped to (-pi, pi], is >= 0."""
     cross = _cross(a, b)
@@ -123,12 +120,19 @@ def _side(a, b):
     # only an exact zero product can involve a zero a or b
     tie = cross == 0.0
     if tie.any():
-        a_t, b_t = a[tie], b[tie]
-        for values in (a_t, b_t):
-            zero = values == 0.0
-            values[zero] = _zero_phasors(values[zero])
+        a_t, b_t = (_with_zero_phasors(values[tie]) for values in (a, b))
         side[tie] = _cross(a_t, b_t) >= 0.0
     return side
+
+
+def _abs_phase_diff(a, b):
+    """|phase(a) - phase(b)| in [0, pi), as the module docstring states."""
+    a, b = _with_zero_phasors(a), _with_zero_phasors(b)
+    theta = np.abs(_cross(a, b))
+    dot = a.real * b.real
+    dot += a.imag * b.imag
+    np.arctan2(theta, dot, out=theta)
+    return np.minimum(theta, np.nextafter(np.pi, 0.0), out=theta)
 
 
 def _phase_sides(target_q, mixture_q, threshold_db):
@@ -162,13 +166,8 @@ def _target_energy(target_q):
 def _psnr(parts, carrier):
     # carrier: complex array whose phase is the estimate's
     target_parts, magnitude, signal_energy = parts
-    carrier = np.ascontiguousarray(carrier, dtype=np.complex128)
+    carrier = _with_zero_phasors(np.ascontiguousarray(carrier, dtype=np.complex128))
     carrier_mag = np.abs(carrier)
-    zero = carrier_mag == 0.0
-    if zero.any():
-        carrier = carrier.copy()
-        carrier[zero] = _zero_phasors(carrier[zero])
-        carrier_mag[zero] = 1.0
     gain = np.divide(magnitude, carrier_mag, out=carrier_mag)
     # S - gain e, one float64 component at a time, summed pairwise
     error_energy = 0.0
@@ -264,3 +263,31 @@ def score_estimate(
     """
     return score_against(ScoreReference(target_q, mixture_q), estimate_q,
                          estimate_wave, target_wave, pipeline_name, ref_mic)
+
+
+def phase_report(reference, estimate_q):
+    """`analyze-phase`'s statistics of the estimate E against a ScoreReference,
+    under its JSON keys.  Over the energy-masked bins: their count, the share
+    where the mixture Y is exactly 0 (degenerate), the mean |theta| =
+    |phase(S) - phase(Y)| read from S conj(Y), the share where phase(S) -
+    phase(Y) >= 0, the mean forecast sign_flip_probability(|S|, |E - S|,
+    |theta|), the measured flip rate 1 - PDSAcc / 100, and PDSAcc and pSNR."""
+    report = score_against(reference, estimate_q)
+    mask, mixture, true_side = reference.phase_sides
+    (target_real, target_imag), magnitude, _ = reference.target_energy
+    target = np.empty_like(mixture)
+    target.real = target_real[mask]
+    target.imag = target_imag[mask]
+    theta = _abs_phase_diff(target, mixture)
+    residual = np.abs(np.asarray(estimate_q, dtype=np.complex128)[mask] - target)
+    flip = sign_flip_probability(magnitude[mask], residual, theta)
+    return {
+        "numMaskedBins": int(mixture.size),
+        "degenerateFraction": float(np.mean(mixture == 0.0)),
+        "meanAbsPhaseDiff": float(np.mean(theta)),
+        "signPositiveFraction": float(np.mean(true_side)),
+        "meanPredictedFlipProbability": float(np.mean(flip)),
+        "empiricalFlipRate": float(1.0 - report.pdsacc_percent / 100.0),
+        "pdsAccPercent": report.pdsacc_percent,
+        "pSnrDb": report.psnr_db,
+    }

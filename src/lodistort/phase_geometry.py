@@ -17,6 +17,12 @@ def wrap_phase(x):
     return np.pi - np.mod(np.pi - np.asarray(x, dtype=np.float64), 2.0 * np.pi)
 
 
+def _check_magnitudes(*magnitudes):
+    for magnitude in magnitudes:
+        if not np.all((magnitude >= 0.0) & np.isfinite(magnitude)):
+            raise ValueError("magnitudes must be nonnegative and finite")
+
+
 @dataclass
 class PhaseCandidates:
     """Candidate target phases per T-F bin.
@@ -44,8 +50,8 @@ def phase_candidates(mixture_q, target_mag, residual_mag):
     |theta| = 0 and are flagged degenerate.
 
     Arguments:
-        mixture_q: complex mixture at the reference mic, T x F
-        target_mag, residual_mag: nonnegative magnitudes, T x F
+        mixture_q: finite complex mixture at the reference mic, T x F
+        target_mag, residual_mag: nonnegative finite magnitudes, T x F
     Return:
         PhaseCandidates
     """
@@ -54,10 +60,8 @@ def phase_candidates(mixture_q, target_mag, residual_mag):
     residual_mag = np.asarray(residual_mag, dtype=np.float64)
     if mixture_q.shape != target_mag.shape or mixture_q.shape != residual_mag.shape:
         raise ValueError("mixture, target, and residual shapes must match")
-    if target_mag.min() < 0 or residual_mag.min() < 0:
-        raise ValueError("magnitudes must be nonnegative")
-
     mix_mag = np.abs(mixture_q)
+    _check_magnitudes(mix_mag, target_mag, residual_mag)
     denom = 2.0 * mix_mag * target_mag
     degenerate = denom == 0.0
     cosine = np.where(
@@ -90,7 +94,7 @@ def sign_flip_probability(target_mag, residual_mag, abs_phase_diff):
     residual magnitude gives probability 0.
 
     Arguments:
-        target_mag, residual_mag: nonnegative magnitudes (scalars or arrays)
+        target_mag, residual_mag: nonnegative finite magnitudes (scalars or arrays)
         abs_phase_diff: theta in [0, pi)
     Return:
         flip probability in [0, 1/2], matching the broadcast shape
@@ -100,10 +104,9 @@ def sign_flip_probability(target_mag, residual_mag, abs_phase_diff):
         np.asarray(residual_mag, dtype=np.float64),
         np.asarray(abs_phase_diff, dtype=np.float64),
     )
-    if np.any((theta < 0.0) | (theta >= np.pi)):
+    if not np.all((theta >= 0.0) & (theta < np.pi)):
         raise ValueError("abs_phase_diff must lie in [0, pi)")
-    if np.any(target_mag < 0.0) or np.any(residual_mag < 0.0):
-        raise ValueError("magnitudes must be nonnegative")
+    _check_magnitudes(target_mag, residual_mag)
     vanished = residual_mag == 0.0
     ratio = target_mag * np.sin(theta) / np.where(vanished, 1.0, residual_mag)
     prob = np.arccos(np.minimum(ratio, 1.0)) / np.pi

@@ -33,7 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from . import beamform, linpred, stats
-from .estimator import ORACLE_KINDS, corrupt_estimate, load_external_estimate, oracle_estimate
+from .estimator import ORACLE_KINDS, check_est_err_snr_db, corrupt_estimate
+from .estimator import load_external_estimate, oracle_estimate
 from .linalg import DEFAULT_LOADING
 from .metrics import ScoreReference, score_against
 from .scene import Scene
@@ -186,10 +187,7 @@ class PipelineSpec:
             raise ValueError(
                 f"loading must be nonnegative and finite, got {self.loading}"
             )
-        if math.isnan(self.est_err_snr_db) or self.est_err_snr_db == -math.inf:
-            raise ValueError(
-                f"est_err_snr_db must be finite or +inf, got {self.est_err_snr_db}"
-            )
+        check_est_err_snr_db(self.est_err_snr_db)
         for name in ("taps", "taps_fcp", "delay"):
             value = getattr(self, name)
             # only taps has a default (None) chosen from the channel count

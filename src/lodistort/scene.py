@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stft import TimeSignal
+from .stft import TimeSignal, as_mono
 
 # rng stream tags so source and noise responses never share draws
 _SOURCE_STREAM = 0
@@ -118,22 +118,6 @@ def _noise_rir(room, noise_index, mic_index):
     return _tap_rir(room, delay, [room.seed, _NOISE_STREAM, noise_index, mic_index])
 
 
-def _as_mono(signal, room, role):
-    if isinstance(signal, TimeSignal):
-        if signal.sample_rate != room.sample_rate_hz:
-            raise ValueError(
-                f"{role} sample rate {signal.sample_rate} Hz does not match the "
-                f"room rate {room.sample_rate_hz} Hz"
-            )
-        if signal.num_channels != 1:
-            raise ValueError(f"{role} must be mono, got {signal.num_channels} channels")
-        return signal.channel(0)
-    arr = np.asarray(signal, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{role} must be a 1-D array or mono TimeSignal")
-    return arr
-
-
 def render_noise_component(noise, room, noise_index):
     """Convolve one noise source with its per-mic responses (unscaled).
 
@@ -141,7 +125,7 @@ def render_noise_component(noise, room, noise_index):
     taps used inside :func:`render_scene`, so components can be rendered alone
     and summed.
     """
-    samples = _as_mono(noise, room, f"noise source {noise_index}")
+    samples = as_mono(noise, f"noise source {noise_index}", room.sample_rate_hz)
     num = samples.shape[0]
     out = np.empty((num, room.num_mics))
     for m in range(room.num_mics):
@@ -162,7 +146,7 @@ def render_scene(source, noise_sources, room, snr_db, normalize=True):
     Return:
         Scene
     """
-    src = _as_mono(source, room, "source")
+    src = as_mono(source, "source", room.sample_rate_hz)
     num = src.shape[0]
     if num == 0:
         raise ValueError("source must contain at least one sample")

@@ -62,6 +62,24 @@ class TimeSignal:
         return self.samples[:, index]
 
 
+def as_mono(signal, role, sample_rate=None):
+    """A mono TimeSignal's one channel, or any other signal as a 1-D float64
+    array.  A TimeSignal must also carry `sample_rate` when one is given."""
+    if isinstance(signal, TimeSignal):
+        if sample_rate is not None and signal.sample_rate != sample_rate:
+            raise ValueError(
+                f"{role} sample rate {signal.sample_rate} Hz does not match "
+                f"{sample_rate} Hz"
+            )
+        if signal.num_channels != 1:
+            raise ValueError(f"{role} must be mono, got {signal.num_channels} channels")
+        return signal.channel(0)
+    arr = np.asarray(signal, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"{role} must be a 1-D array or mono TimeSignal")
+    return arr
+
+
 @dataclass(frozen=True)
 class StftConfig:
     """Analysis parameters: 32 ms sqrt-Hann frames, 8 ms hop at 16 kHz."""

@@ -287,14 +287,20 @@ def test_invalid_filter_parameters_exit_2(scene_dir, tmp_path, capsys, flag, val
     assert "usage error" in err
 
 
-def test_analyze_phase_nan_est_err_snr_exits_2(scene_dir, tmp_path, capsys):
-    # analyze-phase builds its estimate without a PipelineSpec, so the estimator
-    # itself must reject NaN instead of writing an all-NaN estimate's statistics
+@pytest.mark.parametrize("flags, named", [
+    (("--est-err-snr-db", "nan"), "est_err_snr_db"),
+    (("--est-err-snr-db=-inf",), "est_err_snr_db"),
+    (("--ref-mic", "-3"), "--ref-mic"),
+], ids=["nan-err-snr", "minus-inf-err-snr", "negative-ref-mic"])
+def test_analyze_phase_invalid_flag_exits_2_before_reading_scene(
+        tmp_path, capsys, flags, named):
+    # a bad flag is a usage error even when the scene is missing, and no
+    # statistics file is written
     out = str(tmp_path / "phase.json")
-    rc, _, err = run_cli(capsys, "analyze-phase", "--scene", scene_dir,
-                         "--est-err-snr-db", "nan", "--out", out)
+    rc, _, err = run_cli(capsys, "analyze-phase", "--scene", str(tmp_path / "ghost"),
+                         *flags, "--out", out)
     assert rc == 2 and "usage error" in err
-    assert "est_err_snr_db" in err
+    assert named in err
     assert not os.path.exists(out)
 
 

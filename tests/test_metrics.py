@@ -8,13 +8,30 @@ import pytest
 
 from lodistort import (
     MetricsReport,
+    PipelineSpec,
     TimeSignal,
+    analyze,
     energy_mask,
     pdsacc,
+    phase_candidates,
     psnr,
+    read_wav,
     score_estimate,
     si_sdr,
+    sign_flip_probability,
+    wrap_phase,
 )
+from lodistort.cli import main as cli_main
+from lodistort.linpred import _openblas_threads
+from lodistort.metrics import (
+    ScoreReference,
+    _abs_phase_diff,
+    phase_report,
+    score_against,
+)
+from lodistort.pipeline import make_estimate
+
+from conftest import build_suite_scene, suite_scene_params
 
 
 def _pdsacc_oracle(est, tgt, mix, threshold_db=-60.0):
@@ -108,6 +125,26 @@ def test_si_sdr_validation():
         si_sdr(TimeSignal(np.ones((10, 2)), 16000), TimeSignal(ref, 16000))
     with pytest.raises(ValueError):
         si_sdr(np.ones((5, 2)), np.ones((5, 2)))
+
+
+def test_si_sdr_ignores_blas_thread_count():
+    # the same waves score identically whatever OpenBLAS's thread count
+    control = _openblas_threads()
+    if control is None:
+        pytest.skip("numpy's OpenBLAS thread count is not reachable")
+    get_threads, set_threads = control
+    rng = np.random.default_rng(21)
+    pairs = [(rng.standard_normal(64000), rng.standard_normal(64000))
+             for _ in range(20)]
+    saved = get_threads()
+    scores = []
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            scores.append([si_sdr(ref + 0.3 * noise, ref) for ref, noise in pairs])
+    finally:
+        set_threads(saved)
+    assert scores[0] == scores[1]
 
 
 # --- energy_mask ---
@@ -266,3 +303,88 @@ def test_metrics_report_json_sentinels():
     }
     finite = MetricsReport(1.5, 50.0, -2.25).to_json_dict()
     assert finite["siSdrDb"] == 1.5 and finite["pSnrDb"] == -2.25
+
+
+# --- phase report ---
+
+
+def _parent_cli_statistics(mix_q, tgt_q, est_q):
+    """analyze-phase's statistics as its command computed them before
+    phase_report: the law of cosines over every bin for |theta|, and a second
+    |theta| from two angles for the forecast.  -> (statistics, that clamped
+    angle-form |theta| on the masked bins)"""
+    candidates = phase_candidates(mix_q, np.abs(tgt_q), np.abs(mix_q - tgt_q))
+    residual_mag = np.abs(est_q - tgt_q)
+    reference = ScoreReference(tgt_q, mix_q)
+    mask, _, true_side = reference.phase_sides
+    report = score_against(reference, est_q)
+    theta = np.abs(wrap_phase(np.angle(tgt_q) - np.angle(mix_q)))
+    theta = np.minimum(theta, np.nextafter(np.pi, 0.0))
+    predicted = sign_flip_probability(np.abs(tgt_q), residual_mag, theta)
+    accuracy = report.pdsacc_percent
+    stats = {
+        "numMaskedBins": int(mask.sum()),
+        "degenerateFraction": float(np.mean(candidates.degenerate[mask])),
+        "meanAbsPhaseDiff": float(np.mean(candidates.abs_diff[mask])),
+        "signPositiveFraction": float(np.mean(true_side)),
+        "meanPredictedFlipProbability": float(np.mean(predicted[mask])),
+        "empiricalFlipRate": float(1.0 - accuracy / 100.0),
+        "pdsAccPercent": accuracy,
+        "pSnrDb": report.psnr_db,
+    }
+    return stats, theta[mask]
+
+
+def _cli_test_scene(tmp_path):
+    # the scene test_cli.py simulates for its analyze-phase tests
+    out = str(tmp_path / "scene")
+    assert cli_main(["simulate", "--mics", "2", "--t60", "0.2", "--snr-db", "0",
+                     "--seed", "7", "--out", out]) == 0
+    return (read_wav(f"{out}/mixture.wav", 16000),
+            read_wav(f"{out}/direct.wav", 16000))
+
+
+@pytest.mark.parametrize("source", ["cli", "suite"])
+def test_phase_report_matches_parent_cli_computation(source, tmp_path, capsys):
+    if source == "cli":
+        mixture, target = _cli_test_scene(tmp_path)
+        capsys.readouterr()
+    else:
+        scene = build_suite_scene(*suite_scene_params()[0])
+        mixture, target = scene.mixture, scene.direct_path
+    mix_spec, tgt_spec = analyze(mixture), analyze(target)
+    mix_q, tgt_q = mix_spec[:, :, 0], tgt_spec[:, :, 0]
+    reference = ScoreReference(tgt_q, mix_q)
+    for err_db in (20.0, 0.0):
+        spec = PipelineSpec("wpe", est_err_snr_db=err_db, seed=3)
+        est_q = make_estimate(spec, mix_spec, tgt_spec).channel(0)
+        want, angle_theta = _parent_cli_statistics(mix_q, tgt_q, est_q)
+        got = phase_report(reference, est_q)
+        assert list(got) == list(want)
+        for key in ("numMaskedBins", "degenerateFraction", "signPositiveFraction",
+                    "empiricalFlipRate", "pdsAccPercent", "pSnrDb"):
+            assert got[key] == want[key], key
+        assert abs(got["meanPredictedFlipProbability"]
+                   - want["meanPredictedFlipProbability"]) <= 1e-12
+        # the declared change: |theta| from products, not the law of cosines
+        assert abs(got["meanAbsPhaseDiff"] - want["meanAbsPhaseDiff"]) <= 1e-9
+        mask = reference.phase_sides[0]
+        theta = _abs_phase_diff(tgt_q[mask], mix_q[mask])
+        assert np.max(np.abs(theta - angle_theta)) <= 1e-14
+        assert got["meanAbsPhaseDiff"] == float(np.mean(theta))
+
+
+def test_phase_report_degenerate_bins_read_the_zero_mixture_phasor():
+    # a zero mixture bin takes the phase np.angle gives it, as in PDSAcc
+    tgt = np.array([[1.0 + 1.0j, -1.0 + 1.0j, 2.0 - 0.5j]])
+    mix = np.array([[0.0 + 0.0j, complex(-0.0, 0.0), 1.0 + 1.0j]])
+    report = phase_report(ScoreReference(tgt, mix), tgt)
+    assert report["numMaskedBins"] == 3
+    assert report["degenerateFraction"] == pytest.approx(2.0 / 3.0, abs=1e-15)
+    theta = _abs_phase_diff(tgt[0], mix[0])
+    want = np.abs(wrap_phase(np.angle(tgt[0]) - np.angle(mix[0])))
+    assert np.max(np.abs(theta - want)) <= 1e-15
+    assert theta[1] == pytest.approx(np.pi / 4.0, abs=1e-15)  # Y = -0 reads pi
+    # an exact estimate has no residual and never flips
+    assert report["meanPredictedFlipProbability"] == 0.0
+    assert report["empiricalFlipRate"] == 0.0

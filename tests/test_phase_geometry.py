@@ -96,6 +96,17 @@ def test_candidates_validation():
         phase_candidates(y, np.ones((2, 3)), np.ones((2, 2)))
     with pytest.raises(ValueError):
         phase_candidates(y, -np.ones((2, 2)), np.ones((2, 2)))
+    # non-finite input is rejected, not returned as a NaN angle
+    nan_mag = np.ones((2, 2))
+    nan_mag[0, 1] = np.nan
+    with pytest.raises(ValueError):
+        phase_candidates(y, nan_mag, np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        phase_candidates(y, np.ones((2, 2)), np.full((2, 2), np.inf))
+    bad_y = y.copy()
+    bad_y[1, 0] = complex(np.nan, 0.0)
+    with pytest.raises(ValueError):
+        phase_candidates(bad_y, np.ones((2, 2)), np.ones((2, 2)))
 
 
 def test_flip_probability_literal():
@@ -141,6 +152,11 @@ def test_flip_probability_validation():
         sign_flip_probability(1.0, 2.0, -0.1)
     with pytest.raises(ValueError):
         sign_flip_probability(-1.0, 2.0, 0.1)
+    # non-finite input is rejected, not returned as NaN or as 1/2
+    for args in [(1.0, 2.0, np.nan), (np.nan, 2.0, 0.3), (1.0, np.inf, 0.3),
+                 (np.inf, 2.0, 0.3), (1.0, np.nan, 0.3)]:
+        with pytest.raises(ValueError):
+            sign_flip_probability(*args)
 
 
 def test_flip_probability_matches_monte_carlo():
