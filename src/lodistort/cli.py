@@ -262,6 +262,9 @@ def cmd_enhance(args):
 
 
 def cmd_evaluate(args):
+    # the flag is checked before the files are read
+    if args.ref_mic < 0:
+        raise ValueError(f"--ref-mic {args.ref_mic} out of range")
     cfg = StftConfig()
     inputs = {role: load_spectrogram(path, cfg) for role, path in (
         ("estimate", args.estimate),

@@ -52,7 +52,9 @@ class TargetEstimate:
 def oracle_estimate(mixture, target, kind, ref_mic=0):
     """Build an oracle estimate of `target` from the known signals.
 
-    oracleDirect passes the target through verbatim.  The mask oracles apply
+    oracleDirect passes the target through verbatim: its values are the
+    `target` array itself (converted to complex128 only if it is not), not
+    a copy, so treat both as read-only.  The mask oracles apply
     a per-channel real mask to the mixture: the magnitude mask |S|/|Y| or the
     phase-sensitive mask |S|/|Y| * cos(phase(S) - phase(Y)), computed as
     Re(S conj(Y)) / |Y|^2, each truncated to [0, 1].  Bins where the mixture
@@ -74,7 +76,7 @@ def oracle_estimate(mixture, target, kind, ref_mic=0):
     if mixture.ndim != 3:
         raise ValueError(f"expected T x F x P spectrograms, got {mixture.shape}")
     if kind == ORACLE_DIRECT:
-        return TargetEstimate(target.copy(), kind, ref_mic)
+        return TargetEstimate(target, kind, ref_mic)
     if kind not in (ORACLE_MAG_MASK, ORACLE_PSM):
         raise ValueError(f"unknown oracle kind {kind!r}, expected one of {ORACLE_KINDS}")
 

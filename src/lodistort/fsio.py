@@ -11,14 +11,17 @@ import os
 import tempfile
 
 
-def atomic_write_bytes(path, payload):
-    """Write `payload` to `path` atomically (temp file + rename)."""
+def atomic_write_bytes(path, *parts):
+    """Write the bytes-like `parts`, one after another, to `path` atomically
+    (temp file + rename).  Writing the parts in turn spares joining them
+    into one copy first."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            for part in parts:
+                handle.write(part)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

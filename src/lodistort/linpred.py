@@ -8,17 +8,22 @@ Two flavors share one weighted least-squares core:
   reverberant reference, then removes the excess (the estimated reverberation
   of the estimate) from the reference.
 
-The core works frequency-major: it takes its predictor source, targets and
-weights as F x T x ... arrays and solves one D x D system per frequency bin,
-D = taps * channels.  The bins are independent, so the core splits them into
-chunks and runs the chunks on a pool of threads, one worker per CPU in the
-process's affinity mask (`os.sched_getaffinity`).  Each worker fills a
-workspace that the calling thread allocates once per call: the chunk's
-zero-padded frames, its F x T x D delayed stack, and per bin the real
-2D x 2D Gram of linalg.hermitian_gram and the complex D x D Gram G.
-CHUNK_BUDGET_BYTES bounds every in-flight chunk together (_bin_bytes is
-one bin's share), so peak memory grows with the budget, not with the full
-T x F x D stack or the F x D x D Gram stack.
+The core works frequency-major: it reads its predictor source, targets and
+weights as F x T x ... arrays, in practice the transposed views of the
+callers' T x F x ... arrays (no F-major copy is made), and solves one D x D
+system per frequency bin, D = taps * channels.  The bins are independent,
+so the core splits them into chunks and runs the chunks on a pool of
+threads, one worker per CPU in the process's affinity mask
+(`os.sched_getaffinity`).  Each worker fills a workspace that the calling
+thread allocates once per call: the chunk's zero-padded frames, its
+F x T x D delayed stack, per bin the real 2D x 2D Gram of
+linalg.hermitian_gram and the complex D x D Gram G, and an F x T x M
+buffer that holds first the chunk's conjugated, scaled targets and then
+its predictions.  The worker copies the predictions into the caller's
+output bins, and wpe and fcp subtract in place, so no F x T x M copy of
+the predictions exists either.  CHUNK_BUDGET_BYTES bounds every in-flight
+chunk together (_bin_bytes is one bin's share), so peak memory grows with
+the budget, not with the full T x F x D stack or the F x D x D Gram stack.
 
 With weights w, the stack s is scaled in place by w^-1/2, so the weighted
 normal equations become plain ones: G = Sum_t s' s'^H comes exactly
@@ -50,9 +55,9 @@ from .linalg import DEFAULT_LOADING, hermitian_gram, load_diagonal, solve_stack
 from .stats import psd_floor
 
 # bound on every in-flight bin chunk together: each worker's padded frames,
-# delayed stack and Grams.  The worker count comes from
-# CPU affinity and each worker gets an equal share, at least one bin's worth;
-# a single bin that exceeds the whole budget still runs, alone
+# delayed stack, Grams and target/prediction buffer.  The worker count comes
+# from CPU affinity and each worker gets an equal share, at least one bin's
+# worth; a single bin that exceeds the whole budget still runs, alone
 CHUNK_BUDGET_BYTES = 8 * 2 ** 20
 
 
@@ -123,25 +128,27 @@ def build_delayed_stack(field, taps, delay):
     return stack.reshape(num_bins, num_frames, -1).transpose(1, 0, 2)
 
 
-def _workspace(num_bins, num_frames, num_channels, taps, delay):
+def _workspace(num_bins, num_frames, num_channels, taps, delay, num_targets):
     # one worker's buffers for chunks of up to num_bins bins: the padded
-    # frames, the stack, the real Gram hermitian_gram works in and the
-    # complex Gram
+    # frames, the stack, the real Gram hermitian_gram works in, the complex
+    # Gram, and the conjugated targets, later the predictions
     dim = taps * num_channels
     return (
         *_stack_buffers(num_bins, num_frames, num_channels, taps, delay),
         np.empty((num_bins, 2 * dim, 2 * dim)),
         np.empty((num_bins, dim, dim), dtype=np.complex128),
+        np.empty((num_bins, num_frames, num_targets), dtype=np.complex128),
     )
 
 
-def _bin_bytes(num_frames, num_channels, taps, delay):
+def _bin_bytes(num_frames, num_channels, taps, delay, num_targets):
     # one bin's share of the chunk budget, in complex128 units: the padded
     # frames, the stack (T x D), the real Gram (two D x D units), the complex
-    # Gram and the copy of it that LAPACK factors (D x D each)
+    # Gram and the copy of it that LAPACK factors (D x D each), and the
+    # targets/predictions (T x M)
     dim = taps * num_channels
     return 16 * ((delay + taps - 1 + num_frames) * num_channels
-                 + num_frames * dim + 4 * dim * dim)
+                 + num_frames * (dim + num_targets) + 4 * dim * dim)
 
 
 def _check_weights(weights, shape, name):
@@ -160,11 +167,6 @@ def _scaled(arr, factors):
     real = arr.view(np.float64)
     real *= factors[:, :, None]
     return arr
-
-
-def _fmajor(arr):
-    # T x F [x ...] -> contiguous F x T [x ...]
-    return np.ascontiguousarray(np.swapaxes(arr, 0, 1))
 
 
 def _numpy_openblas_path():
@@ -287,23 +289,25 @@ def _run_chunks(solve, spaces, starts):
             future.result()
 
 
-def _predict_fmajor(source, targets, weights, taps, delay, loading):
+def _predict_fmajor(source, targets, weights, taps, delay, loading, out=None):
     """Weighted linear prediction of `targets` from delayed `source` frames.
+
+    Every argument may be a strided view, such as the transpose of a T x F
+    [x ...] array: each chunk of bins is copied into the workspace.
 
     Arguments:
         source: F x T x P, the frames the delayed stack is built from
         targets: F x T x M
         weights: strictly positive F x T
+        out: F x T x M destination of the predictions, or None for none
     Return:
-        (coefficients F x D x M, predictions F x T x M), D = taps * P
+        coefficients F x D x M, D = taps * P
     """
     num_bins, num_frames, num_channels = source.shape
+    num_targets = targets.shape[2]
     dim = taps * num_channels
-    coeffs = np.empty((num_bins, dim, targets.shape[2]), dtype=np.complex128)
-    predictions = np.empty(targets.shape, dtype=np.complex128)
-    root = np.sqrt(weights)
-    inverse_root = 1.0 / root
-    per_bin = _bin_bytes(num_frames, num_channels, taps, delay)
+    coeffs = np.empty((num_bins, dim, num_targets), dtype=np.complex128)
+    per_bin = _bin_bytes(num_frames, num_channels, taps, delay, num_targets)
     # each worker's share of the budget holds at least one bin
     workers = max(1, min(_worker_count(), CHUNK_BUDGET_BYTES // per_bin))
     chunk = max(1, CHUNK_BUDGET_BYTES // workers // per_bin)
@@ -311,23 +315,29 @@ def _predict_fmajor(source, targets, weights, taps, delay, loading):
     # allocated here rather than in the workers: buffers a worker thread
     # allocates stay resident in its own malloc arena after the call
     spaces = [
-        _workspace(min(chunk, num_bins), num_frames, num_channels, taps, delay)
+        _workspace(min(chunk, num_bins), num_frames, num_channels, taps, delay,
+                   num_targets)
         for _ in range(max(1, min(workers, len(starts))))
     ]
 
     def solve(space, lo):
         bins = slice(lo, min(lo + chunk, num_bins))
-        padded, stack, work, gram = (buf[:bins.stop - lo] for buf in space)
+        padded, stack, work, gram, target_buf = (buf[:bins.stop - lo] for buf in space)
+        root = np.sqrt(weights[bins])
+        inverse_root = 1.0 / root
         _fill_stack(stack, padded, source[bins])
-        stack = _scaled(stack.reshape(len(gram), num_frames, dim), inverse_root[bins])
+        stack = _scaled(stack.reshape(len(gram), num_frames, dim), inverse_root)
         load_diagonal(hermitian_gram(stack, out=gram, work=work), loading)
-        conj_z = _scaled(np.conjugate(targets[bins]), inverse_root[bins])
+        conj_z = _scaled(np.conjugate(targets[bins], out=target_buf), inverse_root)
         coeffs[bins] = solve_stack(gram, np.matmul(stack.transpose(0, 2, 1), conj_z))
-        _scaled(np.matmul(stack, np.conjugate(coeffs[bins]), out=predictions[bins]),
-                root[bins])
+        if out is not None:
+            # the product goes to the contiguous buffer, not straight to the
+            # strided output, so its rounding does not follow the layout
+            out[bins] = _scaled(
+                np.matmul(stack, np.conjugate(coeffs[bins]), out=target_buf), root)
 
     _run_chunks(solve, spaces, starts)
-    return coeffs, predictions
+    return coeffs
 
 
 def solve_weighted_lp(stack, target, weights, loading=DEFAULT_LOADING):
@@ -356,10 +366,8 @@ def solve_weighted_lp(stack, target, weights, loading=DEFAULT_LOADING):
         )
     weights = _check_weights(weights, stack.shape[:2], "weights")
     # a given stack is its own one-tap, zero-delay stack
-    coeffs, _ = _predict_fmajor(
-        _fmajor(stack), _fmajor(target)[:, :, None], _fmajor(weights), 1, 0,
-        loading,
-    )
+    coeffs = _predict_fmajor(stack.transpose(1, 0, 2), target.T[:, :, None],
+                             weights.T, 1, 0, loading)
     return coeffs[:, :, 0]
 
 
@@ -379,11 +387,12 @@ def _wpe_solve(field, psd, taps, delay, loading, ref_mic=0):
     psd = _check_weights(psd, field.shape[:2], "psd")
     if not 0 <= ref_mic < field.shape[2]:
         raise ValueError(f"ref_mic {ref_mic} out of range for {field.shape[2]} channels")
-    source = _fmajor(field)
-    coeffs, predictions = _predict_fmajor(
-        source, source, _fmajor(psd), taps, delay, loading
-    )
-    return coeffs, field - predictions.transpose(1, 0, 2)
+    source = field.transpose(1, 0, 2)
+    dereverbed = np.empty_like(field)
+    coeffs = _predict_fmajor(source, source, psd.T, taps, delay, loading,
+                             out=dereverbed.transpose(1, 0, 2))
+    # field minus its prediction, in place
+    return coeffs, np.subtract(field, dereverbed, out=dereverbed)
 
 
 def wpe(field, psd, taps, delay=3, ref_mic=0, loading=DEFAULT_LOADING):
@@ -451,9 +460,10 @@ def fcp(reference, estimate, taps=40, epsilon=1e-3, loading=DEFAULT_LOADING):
         )
     _check_lags(taps, 0)
     eta = fcp_weight(reference, estimate, epsilon)
-    coeffs, filtered = _predict_fmajor(
-        _fmajor(estimate)[:, :, None], _fmajor(reference)[:, :, None],
-        _fmajor(eta), taps, 0, loading,
-    )
-    compensated = reference - (filtered[:, :, 0].T - estimate)
+    compensated = np.empty_like(reference)
+    coeffs = _predict_fmajor(estimate.T[:, :, None], reference.T[:, :, None],
+                             eta.T, taps, 0, loading, out=compensated.T[:, :, None])
+    # reference - (filtered - estimate), in place
+    compensated -= estimate
+    np.subtract(reference, compensated, out=compensated)
     return PredictionFilter(coeffs[:, :, 0]), compensated

@@ -188,6 +188,9 @@ class PipelineSpec:
                 f"loading must be nonnegative and finite, got {self.loading}"
             )
         check_est_err_snr_db(self.est_err_snr_db)
+        # the upper bound needs the scene's channel count: run_pipeline checks it
+        if self.ref_mic < 0:
+            raise ValueError(f"ref_mic must be >= 0, got {self.ref_mic}")
         for name in ("taps", "taps_fcp", "delay"):
             value = getattr(self, name)
             # only taps has a default (None) chosen from the channel count

@@ -20,7 +20,11 @@ _HEADER = struct.Struct("<III")
 
 
 def write_spectrogram(path, values):
-    """Write a T x F (x P) complex spectrogram to `path` atomically."""
+    """Write a T x F (x P) complex spectrogram to `path` atomically.
+
+    The payload is written from the array's own buffer when it already is
+    C-contiguous little-endian complex128; otherwise from one converted copy.
+    """
     arr = np.asarray(values, dtype=np.complex128)
     if arr.ndim == 2:
         arr = arr[:, :, None]
@@ -28,30 +32,36 @@ def write_spectrogram(path, values):
         raise ValueError(f"expected T x F (x P) spectrogram, got shape {arr.shape}")
     num_frames, num_bins, num_channels = arr.shape
     header = MAGIC + _HEADER.pack(num_frames, num_bins, num_channels)
-    payload = np.ascontiguousarray(arr).astype("<c16").tobytes()
-    atomic_write_bytes(path, header + payload)
+    payload = np.ascontiguousarray(arr, dtype="<c16")
+    atomic_write_bytes(path, header, payload.reshape(-1).view(np.uint8))
 
 
 def read_spectrogram(path):
     """Read an LDSPEC1 file back into a T x F x P complex128 array.
 
-    Files that are not LDSPEC1, whose size disagrees with the header, or that
-    hold NaN or inf raise FormatError.
+    The payload is read straight into the new array.  Files that are not
+    LDSPEC1, whose size disagrees with the header, or that hold NaN or inf
+    raise FormatError.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     with open(path, "rb") as handle:
-        blob = handle.read()
-    if len(blob) < len(MAGIC) + _HEADER.size or not blob.startswith(MAGIC):
-        raise FormatError(f"{path}: not an LDSPEC1 spectrogram file")
-    num_frames, num_bins, num_channels = _HEADER.unpack_from(blob, len(MAGIC))
-    expected = len(MAGIC) + _HEADER.size + 16 * num_frames * num_bins * num_channels
-    if len(blob) != expected:
-        raise FormatError(
-            f"{path}: payload size {len(blob)} does not match header "
-            f"(expected {expected} bytes for {num_frames}x{num_bins}x{num_channels})"
-        )
-    flat = np.frombuffer(blob, dtype="<c16", offset=len(MAGIC) + _HEADER.size)
-    if not np.all(np.isfinite(flat)):
+        head = handle.read(len(MAGIC) + _HEADER.size)
+        if len(head) < len(MAGIC) + _HEADER.size or not head.startswith(MAGIC):
+            raise FormatError(f"{path}: not an LDSPEC1 spectrogram file")
+        num_frames, num_bins, num_channels = _HEADER.unpack_from(head, len(MAGIC))
+        size = os.fstat(handle.fileno()).st_size
+        expected = len(head) + 16 * num_frames * num_bins * num_channels
+        if size != expected:
+            raise FormatError(
+                f"{path}: payload size {size} does not match header (expected "
+                f"{expected} bytes for {num_frames}x{num_bins}x{num_channels})"
+            )
+        values = np.empty((num_frames, num_bins, num_channels), dtype="<c16")
+        payload = values.reshape(-1).view(np.uint8)
+        # a buffered read of a file fills the buffer unless the file ends
+        if handle.readinto(payload) != payload.size:
+            raise FormatError(f"{path}: file ended inside the payload")
+    if not np.all(np.isfinite(values)):
         raise FormatError(f"{path}: spectrogram holds non-finite values")
-    return flat.reshape(num_frames, num_bins, num_channels).astype(np.complex128)
+    return values.astype(np.complex128, copy=False)

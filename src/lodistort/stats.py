@@ -179,16 +179,17 @@ def psd_floor(estimates, epsilon=1e-5):
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     estimates = np.asarray(estimates)
-    if estimates.ndim == 2:
-        power = np.abs(estimates) ** 2
-    elif estimates.ndim == 3:
-        power = np.sum(np.abs(estimates) ** 2, axis=2)
-    else:
+    if estimates.ndim not in (2, 3):
         raise ValueError(
             f"expected T x F or T x F x P estimates, got shape {estimates.shape}"
         )
+    # squared and floored in place: one float64 array beside the input
+    power = np.abs(estimates).astype(np.float64, copy=False)
+    np.square(power, out=power)
+    if power.ndim == 3:
+        power = np.sum(power, axis=2)
     # NaN or inf input has a NaN or inf power, as has one too large to square
     if not np.all(np.isfinite(power)):
         raise ValueError("estimates and their power must be finite")
-    floored = np.maximum(epsilon * power.max(), power)
-    return np.maximum(floored, PSD_ABS_FLOOR)
+    np.maximum(epsilon * power.max(), power, out=power)
+    return np.maximum(power, PSD_ABS_FLOOR, out=power)

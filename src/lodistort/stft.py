@@ -22,6 +22,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 # Floor for the overlap-add window-power denominator.
 COLA_FLOOR = 1e-12
 
+# analyze windows and transforms its frames in blocks whose transform takes
+# about this many bytes
+_BLOCK_BYTES = 2 ** 18
+
 
 @dataclass
 class TimeSignal:
@@ -168,8 +172,17 @@ def analyze(signal, cfg=StftConfig()):
     # C x T x W view: frame t starts at sample t * hop
     frames = sliding_window_view(buf, cfg.window_len, axis=1)[:, ::cfg.hop]
     window = sqrt_hann_window(cfg.window_len)
-    spec = np.fft.rfft(frames * window, n=cfg.fft_len, axis=-1)  # C x T x F
-    return np.ascontiguousarray(spec.transpose(1, 2, 0))
+    # a block of frames at a time, every channel, straight into the T x F x C
+    # result: the windowed frames and their transform stay small and in cache
+    block = max(1, _BLOCK_BYTES // (8 * cfg.fft_len * num_channels))
+    windowed = np.empty((num_channels, min(block, num_frames), cfg.window_len))
+    spec = np.empty((num_frames, cfg.num_bins, num_channels), dtype=np.complex128)
+    for lo in range(0, num_frames, block):
+        part = windowed[:, :min(block, num_frames - lo)]
+        np.multiply(frames[:, lo:lo + part.shape[1]], window, out=part)
+        spec[lo:lo + part.shape[1]] = np.fft.rfft(
+            part, n=cfg.fft_len).transpose(1, 2, 0)  # C x B x F -> B x F x C
+    return spec
 
 
 def synthesize(spectrogram, cfg=StftConfig(), num_samples=None):

@@ -257,11 +257,21 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("--pipeline", "wpe", "--epsilon", "nan"),
     ("--pipeline", "nosuch"),
+    ("--pipeline", "wpe", "--ref-mic", "-3"),
 ])
 def test_invalid_spec_exits_2_before_reading_input(tmp_path, capsys, argv):
     rc, _, err = run_cli(capsys, "enhance", "--scene", str(tmp_path / "ghost"),
                          *argv, "--out", str(tmp_path / "run"))
     assert rc == 2 and "usage error" in err
+
+
+def test_evaluate_negative_ref_mic_exits_2_before_reading_input(tmp_path, capsys):
+    # the channel's lower bound needs no file, so it is checked first
+    ghost = str(tmp_path / "ghost.wav")
+    rc, _, err = run_cli(capsys, "evaluate", "--est", ghost, "--ref", ghost,
+                         "--mix", ghost, "--ref-mic", "-3")
+    assert rc == 2 and "usage error" in err
+    assert "--ref-mic -3" in err
 
 
 def test_unknown_pipeline_exits_2(scene_dir, tmp_path, capsys):

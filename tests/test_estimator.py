@@ -25,13 +25,15 @@ def random_pair(seed, shape=(6, 5, 2)):
     return mix, tgt
 
 
-def test_oracle_direct_is_verbatim_copy():
+def test_oracle_direct_is_the_target_itself():
+    # no copy of the target: the estimate's values are the complex128 target
+    # array (both read-only by contract), and other input is converted once
     mix, tgt = random_pair(0)
     est = oracle_estimate(mix, tgt, "oracleDirect")
     assert est.kind == "oracleDirect"
-    assert np.array_equal(est.values, tgt)
-    est.values[0, 0, 0] = 99.0  # a copy, not a view
-    assert tgt[0, 0, 0] != 99.0
+    assert est.values is tgt
+    real = oracle_estimate(mix.real, tgt.real, "oracleDirect").values
+    assert real.dtype == np.complex128 and np.array_equal(real, tgt.real)
 
 
 def test_single_bin_mask_values():

@@ -172,6 +172,30 @@ def test_spectrogram_byte_layout():
     os.remove(path)
 
 
+@pytest.mark.parametrize("layout", ["contiguous", "mono", "strided", "real",
+                                    "big-endian"])
+def test_spectrogram_bytes_match_the_joined_form(tmp_path, layout):
+    # the header and the array's buffer, written in turn, give the bytes of
+    # the header joined to the payload's little-endian complex128 copy
+    rng = np.random.default_rng(7)
+    field = rng.standard_normal((4, 5, 3)) + 1j * rng.standard_normal((4, 5, 3))
+    values = {
+        "contiguous": field,
+        "mono": field[:, :, 1],
+        "strided": field[::2, ::-1],
+        "real": field.real,
+        "big-endian": field.astype(">c16"),
+    }[layout]
+    path = tmp_path / "x.ldspec"
+    write_spectrogram(path, values)
+    arr = np.asarray(values, dtype=np.complex128)
+    arr = arr[:, :, None] if arr.ndim == 2 else arr
+    joined = (b"LDSPEC1" + struct.pack("<III", *arr.shape)
+              + np.ascontiguousarray(arr).astype("<c16").tobytes())
+    assert path.read_bytes() == joined
+    assert np.array_equal(read_spectrogram(path), arr)
+
+
 def test_spectrogram_corruption_raises(tmp_path):
     path = tmp_path / "c.ldspec"
     write_spectrogram(path, np.ones((2, 3), dtype=complex))

@@ -349,12 +349,14 @@ def test_zero_stack_gives_the_zero_filter():
 ])
 def test_bin_bytes_are_the_workspace_plus_one_solver_copy(frames, channels, taps,
                                                           delay):
-    # one bin's share of the chunk budget: its workspace buffers plus the
-    # D x D complex copy LAPACK factors
+    # one bin's share of the chunk budget: its workspace buffers (with the
+    # target/prediction buffer, one column per target: fcp's one, wpe's P)
+    # plus the D x D complex copy LAPACK factors
     dim = taps * channels
-    space = linpred._workspace(1, frames, channels, taps, delay)
-    want = sum(buf.nbytes for buf in space) + 16 * dim * dim
-    assert linpred._bin_bytes(frames, channels, taps, delay) == want
+    for targets in {1, channels}:
+        space = linpred._workspace(1, frames, channels, taps, delay, targets)
+        want = sum(buf.nbytes for buf in space) + 16 * dim * dim
+        assert linpred._bin_bytes(frames, channels, taps, delay, targets) == want
 
 
 def _chunk_runs(monkeypatch, budget, fn):

@@ -263,6 +263,9 @@ def test_validation_errors(small_scene):
         run_pipeline(small_scene, PipelineSpec("mvdr_wpe_x"))
     with pytest.raises(ValueError, match="ref_mic"):
         run_pipeline(small_scene, PipelineSpec("wpe", ref_mic=5))
+    # the lower bound needs no scene, so the spec itself rejects it
+    with pytest.raises(ValueError, match="ref_mic must be >= 0, got -3"):
+        PipelineSpec("wpe", ref_mic=-3)
     with pytest.raises(ValueError, match="needs the target"):
         run_pipeline(small_scene.mixture, PipelineSpec("wpe"))
     with pytest.raises(ValueError, match="estimate_path"):

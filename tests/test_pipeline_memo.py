@@ -231,3 +231,15 @@ def test_rewritten_external_estimate_is_reread(scene, tmp_path):
         results.append(run_pipeline(scene, field_spec))
         assert_same_result(results[-1], cold_run(scene, field_spec))
     assert not np.array_equal(results[0].stages["wpe"], results[1].stages["wpe"])
+
+
+def test_oracle_direct_estimate_is_the_memo_target(scene):
+    # the oracleDirect estimate holds no copy: it is the scene's frozen
+    # target STFT, read-only like every shared node
+    drop_memo()
+    result = run_pipeline(scene, PipelineSpec("mvdr"))
+    target = pipeline._memo.values["target"]
+    estimate = result.stages["estimate"]
+    assert np.shares_memory(estimate, target)
+    assert np.array_equal(estimate, target[:, :, 0])
+    assert not target.flags.writeable and not estimate.flags.writeable
