@@ -1,0 +1,41 @@
+"""Traced peak memory of the field-sized steps, and the bound each keeps.
+
+tracemalloc sees numpy's array allocations in every thread.  A step is
+measured after its inputs exist, so its peak counts what the step itself
+allocates: its output and its transients.  tests/test_memory.py checks the
+bounds on small fields and tools/long_scene_memory.py on a 60 s scene.
+"""
+
+import tracemalloc
+
+from .linpred import CHUNK_BUDGET_BYTES
+
+
+def traced_peak(step):
+    """(bytes step() allocated at its peak, its result)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = step()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        tracemalloc.stop()
+
+
+def analyze_bound(spec):
+    """The result, the zero-padded samples (a quarter field) and one block
+    of windowed frames and their transform; no full-size frame copies."""
+    return 1.6 * spec.nbytes
+
+
+def wpe_field_bound(field, out):
+    """The output, every worker's workspace (within CHUNK_BUDGET_BYTES) and
+    small transients: no F-major copy of the field, no predictions array."""
+    return out.nbytes + CHUNK_BUDGET_BYTES + 0.35 * field.nbytes
+
+
+def fcp_bound(reference, out):
+    """As for wpe_field, plus fcp's own T x F float weights (half a field)."""
+    return (out.nbytes + reference.nbytes // 2 + CHUNK_BUDGET_BYTES
+            + 0.35 * reference.nbytes)

@@ -1,29 +1,16 @@
 """Peak traced memory of the field-sized steps, pinned to stated formulas.
 
-tracemalloc sees numpy's array allocations in every thread.  Each step is
-measured after its inputs exist, so its peak counts what the step itself
-allocates: its output and its transients.  A "field" is the step's input
-spectrogram: T x F x C for analyze's result and wpe_field, T x F for fcp.
+The formulas live in lodistort._memtrace, which also measures the steps of
+tools/long_scene_memory.py.  A "field" is the step's input spectrogram:
+T x F x C for analyze's result and wpe_field, T x F for fcp.
 """
-
-import tracemalloc
 
 import numpy as np
 
-from lodistort import (analyze, fcp, linpred, psd_floor, read_spectrogram,
-                       wpe_field, write_spectrogram)
-
-
-def traced_peak(step):
-    """(bytes step() allocated at its peak, its result)."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = step()
-        return tracemalloc.get_traced_memory()[1] - base, result
-    finally:
-        tracemalloc.stop()
+from lodistort import (analyze, fcp, psd_floor, read_spectrogram, wpe_field,
+                       write_spectrogram)
+from lodistort._memtrace import (analyze_bound, fcp_bound, traced_peak,
+                                 wpe_field_bound)
 
 
 def random_field(shape, seed):
@@ -32,30 +19,23 @@ def random_field(shape, seed):
 
 
 def test_analyze_peak_is_the_result_plus_small_blocks():
-    # the result, the zero-padded samples (a quarter field) and one block
-    # of windowed frames and their transform; no full-size frame copies
     samples = np.random.default_rng(1).standard_normal((32000, 6))
     peak, spec = traced_peak(lambda: analyze(samples))
-    assert peak <= 1.6 * spec.nbytes
+    assert peak <= analyze_bound(spec)
 
 
 def test_wpe_field_peak_is_the_output_plus_the_chunk_budget():
-    # the output, every worker's workspace (within CHUNK_BUDGET_BYTES) and
-    # small transients: no F-major copy of the field, no predictions array
     field = random_field((300, 257, 4), seed=2)
     lam = psd_floor(field[:, :, 0])
     peak, (_, out) = traced_peak(lambda: wpe_field(field, lam, taps=10))
-    assert peak <= out.nbytes + linpred.CHUNK_BUDGET_BYTES + 0.35 * field.nbytes
+    assert peak <= wpe_field_bound(field, out)
 
 
 def test_fcp_peak_is_the_output_and_weights_plus_the_chunk_budget():
-    # as for wpe_field, plus fcp's own T x F float weights (half a field)
     reference = random_field((1000, 257), seed=3)
     estimate = reference + 0.3 * random_field((1000, 257), seed=4)
     peak, (_, out) = traced_peak(lambda: fcp(reference, estimate, taps=40))
-    weights = reference.nbytes // 2
-    assert peak <= (out.nbytes + weights + linpred.CHUNK_BUDGET_BYTES
-                    + 0.35 * reference.nbytes)
+    assert peak <= fcp_bound(reference, out)
 
 
 def test_spectrogram_files_move_no_payload_copies(tmp_path):

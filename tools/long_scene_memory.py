@@ -3,10 +3,10 @@
 
 Run from anywhere (the checkout's src/ is put on the path):
 
-    python3 tools/long_scene_memory.py [--seconds 60] [--mics 6]
+    python3 tools/long_scene_memory.py
 
-The probe caps its own address space (RLIMIT_AS, 5 GiB by default, set on
-this process only), renders the scene, and runs every pipeline with the
+The probe caps its own address space (RLIMIT_AS, 5 GiB, set on this
+process only), renders the scene, and runs every pipeline with the
 oracleDirect estimate.  It then measures, each from a fresh tracemalloc
 start, the peaks of the three steps whose memory grows with the field:
 
@@ -16,18 +16,18 @@ start, the peaks of the three steps whose memory grows with the field:
 
 A step's peak counts its output and its transients, not its inputs.  The
 last line of standard output is the JSON result, with the process's peak
-RSS (ru_maxrss) after the pipelines, before the step measurements.
+RSS (ru_maxrss) after the pipelines, before the step measurements.  The
+probe exits 1 if a step's peak is above the bound tests/test_memory.py
+holds it to (lodistort._memtrace), or if the pipelines exceed the cap.
 
 It takes about 30 s and 1.2 GB on a 2-core Xeon, too long for Tier-1.
 """
 
-import argparse
 import json
 import os
 import resource
 import sys
 import time
-import tracemalloc
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
@@ -46,30 +46,27 @@ from lodistort import (  # noqa: E402
     synth_speech_like,
     wpe_field,
 )
+from lodistort._memtrace import (  # noqa: E402
+    analyze_bound,
+    fcp_bound,
+    traced_peak,
+    wpe_field_bound,
+)
 
 SAMPLE_RATE = 16000
-
-
-def traced_peak(step):
-    """Bytes step() allocated at its peak (its output and transients)."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        step()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+SECONDS = 60
+MICS = 6
+CAP_BYTES = 5 * 2 ** 30
 
 
 def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def make_scene(seconds, mics, seed=11):
-    num_samples = int(seconds * SAMPLE_RATE)
-    room = RoomSpec(num_mics=mics, t60_seconds=0.6, rir_len_samples=10400,
-                    direct_delay_samples=tuple(8 + k for k in range(mics)),
+def make_scene(seed=11):
+    num_samples = SECONDS * SAMPLE_RATE
+    room = RoomSpec(num_mics=MICS, t60_seconds=0.6, rir_len_samples=10400,
+                    direct_delay_samples=tuple(8 + k for k in range(MICS)),
                     seed=seed)
     return render_scene(
         synth_speech_like(num_samples, seed=[seed, 1]),
@@ -80,16 +77,9 @@ def make_scene(seconds, mics, seed=11):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seconds", type=float, default=60.0)
-    parser.add_argument("--mics", type=int, default=6)
-    parser.add_argument("--cap-gib", type=float, default=5.0,
-                        help="address-space cap of this process")
-    args = parser.parse_args()
-    cap = int(args.cap_gib * 2 ** 30)
-    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+    resource.setrlimit(resource.RLIMIT_AS, (CAP_BYTES, CAP_BYTES))
 
-    scene = make_scene(args.seconds, args.mics)
+    scene = make_scene()
     start = time.perf_counter()
     for name in PIPELINE_NAMES:
         run_pipeline(scene, PipelineSpec(name))
@@ -100,24 +90,34 @@ def main():
     mix, tgt = analyze(scene.mixture), analyze(scene.direct_path)
     lam = psd_floor(tgt[:, :, 0])
     field_bytes, mono_bytes = mix.nbytes, mix[:, :, 0].nbytes
-    steps = {
-        "analyze": traced_peak(lambda: analyze(scene.mixture)) / field_bytes,
-        "wpe_field": traced_peak(
-            lambda: wpe_field(mix, lam, default_taps(args.mics))) / field_bytes,
-        "fcp": traced_peak(lambda: fcp(mix[:, :, 0], tgt[:, :, 0])) / mono_bytes,
-    }
+    peak, spec = traced_peak(lambda: analyze(scene.mixture))
+    analyze_fields = (peak / field_bytes, analyze_bound(spec) / field_bytes)
+    peak, (_, out) = traced_peak(lambda: wpe_field(mix, lam, default_taps(MICS)))
+    wpe_fields = (peak / field_bytes, wpe_field_bound(mix, out) / field_bytes)
+    reference = mix[:, :, 0]
+    peak, (_, out) = traced_peak(lambda: fcp(reference, tgt[:, :, 0]))
+    fcp_fields = (peak / mono_bytes, fcp_bound(reference, out) / mono_bytes)
+    steps = {"analyze": analyze_fields, "wpe_field": wpe_fields,
+             "fcp": fcp_fields}
     result = {
-        "seconds": args.seconds,
-        "mics": args.mics,
+        "seconds": SECONDS,
+        "mics": MICS,
         "frames": mix.shape[0],
         "fieldMb": field_bytes / 1e6,
         "monoFieldMb": mono_bytes / 1e6,
-        "capGib": args.cap_gib,
+        "capGib": CAP_BYTES / 2 ** 30,
         "pipelinesS": pipelines_s,
         "peakRssMb": rss_mb,
-        "stepPeakFields": {name: round(value, 3) for name, value in steps.items()},
+        "stepPeakFields": {name: round(peak, 3)
+                           for name, (peak, _) in steps.items()},
+        "stepBoundFields": {name: round(bound, 3)
+                            for name, (_, bound) in steps.items()},
     }
     print(json.dumps(result))
+    over = [name for name, (peak, bound) in steps.items() if peak > bound]
+    if over:
+        print("step peak above its bound: " + ", ".join(over), file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":
