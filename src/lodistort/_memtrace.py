@@ -9,6 +9,7 @@ bounds on small fields and tools/long_scene_memory.py on a 60 s scene.
 import tracemalloc
 
 from .linpred import CHUNK_BUDGET_BYTES
+from .stats import BLOCK_BYTES
 
 
 def traced_peak(step):
@@ -39,3 +40,13 @@ def fcp_bound(reference, out):
     """As for wpe_field, plus fcp's own T x F float weights (half a field)."""
     return (out.nbytes + reference.nbytes // 2 + CHUNK_BUDGET_BYTES
             + 0.35 * reference.nbytes)
+
+
+def covariance_bound(field, *outputs, weights=None):
+    """The outputs, one block of scaled or differenced frames (at least one
+    bin's), a float scale the size of the step's T x F weights, and under
+    1 MiB of numpy's ufunc buffers and the block's real Gram: no copy of
+    the field."""
+    block = max(BLOCK_BYTES, field.nbytes // field.shape[1])
+    scale = 0 if weights is None else weights.nbytes
+    return sum(out.nbytes for out in outputs) + block + scale + 2 ** 20

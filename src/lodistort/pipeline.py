@@ -320,10 +320,11 @@ def _scene_digest(mixture, target, cfg):
     return digest.digest()
 
 
-def _forget(nodes):
+def _forget(nodes_ref):
+    # the finalizer holds the nodes weakly, so dropping _memo frees them
     global _memo
     with _memo_lock:
-        if _memo is nodes:
+        if _memo is nodes_ref():
             _memo = None
 
 
@@ -339,7 +340,8 @@ def _scene_nodes(mixture, target, cfg):
             if nodes is not None:
                 nodes.finalizer.detach()
             _memo = nodes = _SceneNodes(digest)
-            nodes.finalizer = weakref.finalize(mixture, _forget, nodes)
+            nodes.finalizer = weakref.finalize(mixture, _forget,
+                                              weakref.ref(nodes))
     return nodes
 
 

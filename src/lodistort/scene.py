@@ -141,7 +141,7 @@ def render_scene(source, noise_sources, room, snr_db, normalize=True):
     snr_db=None skips that scaling (diagnostic mode); an empty noise list
     yields a noise-free scene.  With normalize=True the mixture's sample
     variance is brought to 1 and every component is scaled by the same factor,
-    so mixture = direct + reverb + noise is preserved exactly.
+    so mixture = direct + reverb + noise holds to rounding.
 
     Return:
         Scene
@@ -197,15 +197,15 @@ def render_scene(source, noise_sources, room, snr_db, normalize=True):
     else:
         achieved_snr = math.inf
 
-    mixture = direct + residual + noise
+    # summed and scaled in place: no further signal-sized arrays
+    mixture = direct + residual
+    mixture += noise
     if normalize:
         variance = float(np.var(mixture))
         if variance > 0.0:
             factor = 1.0 / math.sqrt(variance)
-            mixture = mixture * factor
-            direct = direct * factor
-            residual = residual * factor
-            noise = noise * factor
+            for signal in (mixture, direct, residual, noise):
+                signal *= factor
 
     rate = room.sample_rate_hz
     return Scene(

@@ -4,9 +4,13 @@ and floored power weights.
 Covariances are plain sums of per-frame outer products (no 1/T); every
 downstream weight is a ratio in which the scale cancels.  Each one is the
 exactly Hermitian linalg.hermitian_gram of the frequency-major frames, a
-weighted one Sum_t w Z Z^H that of the frames scaled by sqrt(w).  Masks and
-powers are checked finite first: NaN or inf would pass through sqrt(w)
-into the covariances unnoticed.
+weighted one Sum_t w Z Z^H that of the frames scaled by sqrt(w).  The
+frames of a weighted Gram, and the residual mixture - estimate, are formed
+a block of bins at a time (BLOCK_BYTES) in one reusable buffer, so no
+scaled or differenced copy of the whole field is made; each bin's Gram does
+not depend on its block, so the result is the one the whole field gives.
+Masks and powers are checked finite first: NaN or inf would pass through
+sqrt(w) into the covariances unnoticed.
 """
 
 import warnings
@@ -21,6 +25,9 @@ PSD_ABS_FLOOR = 1e-12
 # top-two eigenvalue gap, relative to the top one, at or below which a
 # steering vector has no preferred direction
 DEGENERACY_RTOL = 1e-6
+# size of the buffer that holds one block of scaled or differenced frames
+# (at least one bin's frames)
+BLOCK_BYTES = 2 ** 20
 
 
 @dataclass
@@ -45,11 +52,28 @@ def _check_field(field, name):
     return arr
 
 
-def _gram(field, scale=None):
-    # Sum_t scale(t,f)^2 Z(t,f) Z(t,f)^H: the Gram of the rows scale * Z,
-    # read through their frequency-major view
-    rows = field if scale is None else field * scale[:, :, None]
-    return hermitian_gram(rows.transpose(1, 0, 2))
+def _blocked_gram(shape, fill):
+    # the Gram of the T x F x P rows that fill(bins, rows) writes, a block
+    # of bins at a time, into one T x block x P buffer
+    num_frames, num_bins, dim = shape
+    step = max(1, BLOCK_BYTES // max(1, 16 * num_frames * dim))
+    out = np.empty((num_bins, dim, dim), dtype=np.complex128)
+    width = min(step, num_bins)
+    rows = np.empty((num_frames, width, dim), dtype=np.complex128)
+    work = np.empty((width, 2 * dim, 2 * dim))
+    for start in range(0, num_bins, step):
+        bins = slice(start, min(start + step, num_bins))
+        block = rows[:, :bins.stop - start]
+        fill(bins, block)
+        hermitian_gram(block.transpose(1, 0, 2), out=out[bins],
+                       work=work[:block.shape[1]])
+    return out
+
+
+def _scaled_gram(field, scale):
+    # Sum_t scale(t,f)^2 Z(t,f) Z(t,f)^H: the Gram of the rows scale * Z
+    return _blocked_gram(field.shape, lambda bins, block: np.multiply(
+        field[:, bins], scale[:, bins, None], out=block))
 
 
 def signal_covariances(mixture, estimate):
@@ -69,7 +93,11 @@ def signal_covariances(mixture, estimate):
         raise ValueError(
             f"mixture {mixture.shape} and estimate {estimate.shape} shapes differ"
         )
-    return CovarianceSet(phi_s=_gram(estimate), phi_v=_gram(mixture - estimate))
+    phi_v = _blocked_gram(mixture.shape, lambda bins, block: np.subtract(
+        mixture[:, bins], estimate[:, bins], out=block))
+    # the estimate's Gram reads it in place, through the frequency-major view
+    return CovarianceSet(phi_s=hermitian_gram(estimate.transpose(1, 0, 2)),
+                         phi_v=phi_v)
 
 
 def compute_mask(estimate_q, reference_q):
@@ -109,8 +137,10 @@ def masked_covariances(field, mask):
     # a NaN fails both comparisons, so test for the good case
     if not np.all((mask >= 0.0) & (mask <= 1.0)):
         raise ValueError("mask values must be finite and lie in [0, 1]")
-    return CovarianceSet(phi_s=_gram(field, np.sqrt(mask)),
-                         phi_v=_gram(field, np.sqrt(1.0 - mask)))
+    phi_s = _scaled_gram(field, np.sqrt(mask))
+    scale = np.subtract(1.0, mask)
+    return CovarianceSet(phi_s=phi_s,
+                         phi_v=_scaled_gram(field, np.sqrt(scale, out=scale)))
 
 
 def weighted_covariance(field, psd):
@@ -126,7 +156,8 @@ def weighted_covariance(field, psd):
         raise ValueError(
             "psd must be finite and strictly positive; apply psd_floor first"
         )
-    return _gram(field, 1.0 / np.sqrt(psd))
+    scale = np.sqrt(psd)
+    return _scaled_gram(field, np.divide(1.0, scale, out=scale))
 
 
 def steering_vector(phi_s, ref_mic=0):

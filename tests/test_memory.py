@@ -2,15 +2,17 @@
 
 The formulas live in lodistort._memtrace, which also measures the steps of
 tools/long_scene_memory.py.  A "field" is the step's input spectrogram:
-T x F x C for analyze's result and wpe_field, T x F for fcp.
+T x F x C for analyze's result, wpe_field and the covariances, T x F for
+fcp.
 """
 
 import numpy as np
 
-from lodistort import (analyze, fcp, psd_floor, read_spectrogram, wpe_field,
-                       write_spectrogram)
-from lodistort._memtrace import (analyze_bound, fcp_bound, traced_peak,
-                                 wpe_field_bound)
+from lodistort import (analyze, fcp, masked_covariances, psd_floor,
+                       read_spectrogram, signal_covariances,
+                       weighted_covariance, wpe_field, write_spectrogram)
+from lodistort._memtrace import (analyze_bound, covariance_bound, fcp_bound,
+                                 traced_peak, wpe_field_bound)
 
 
 def random_field(shape, seed):
@@ -36,6 +38,23 @@ def test_fcp_peak_is_the_output_and_weights_plus_the_chunk_budget():
     estimate = reference + 0.3 * random_field((1000, 257), seed=4)
     peak, (_, out) = traced_peak(lambda: fcp(reference, estimate, taps=40))
     assert peak <= fcp_bound(reference, out)
+
+
+def test_covariance_peaks_are_the_outputs_plus_one_block():
+    # a 4.9 MB field against a bound of about 2.8 MB: a scaled or
+    # differenced copy of the whole field does not fit
+    field = random_field((300, 257, 4), seed=6)
+    estimate = random_field((300, 257, 4), seed=7)
+    mask = np.random.default_rng(8).random((300, 257))
+    psd = psd_floor(estimate)
+    peak, cov = traced_peak(lambda: masked_covariances(field, mask))
+    assert peak <= covariance_bound(field, cov.phi_s, cov.phi_v, weights=mask)
+    peak, phi = traced_peak(lambda: weighted_covariance(field, psd))
+    assert peak <= covariance_bound(field, phi, weights=psd)
+    peak, cov = traced_peak(lambda: signal_covariances(field, estimate))
+    assert peak <= covariance_bound(field, cov.phi_s, cov.phi_v)
+    bound = covariance_bound(field, cov.phi_s, cov.phi_v, weights=psd)
+    assert bound < 0.6 * field.nbytes
 
 
 def test_spectrogram_files_move_no_payload_copies(tmp_path):

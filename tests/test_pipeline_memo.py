@@ -168,6 +168,16 @@ def test_nodes_die_with_their_mixture():
     assert pipeline._memo is None
 
 
+def test_dropped_nodes_die_while_their_mixture_lives(scene):
+    run_pipeline(scene, PipelineSpec("mvdr"))
+    nodes = weakref.ref(pipeline._memo)
+    drop_memo()
+    gc.collect()
+    # the mixture's finalizer must not keep the nodes alive
+    assert nodes() is None
+    assert scene.mixture.num_channels == 3
+
+
 def test_a_new_scene_releases_the_old_nodes():
     first, second = make_scene(13), make_scene(14)
     result = run_pipeline(first, PipelineSpec("mvdr"))

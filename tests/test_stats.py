@@ -15,6 +15,8 @@ from lodistort import (
     steering_vector,
     weighted_covariance,
 )
+from lodistort import stats
+from lodistort.linalg import hermitian_gram
 
 
 def random_field(seed, num_frames=12, num_bins=4, num_mics=3):
@@ -99,6 +101,27 @@ def test_weighted_covariance_matches_loop():
     assert np.max(np.abs(got - loop_outer(field, weights=1.0 / lam))) < 1e-12
     with pytest.raises(ValueError):
         weighted_covariance(field, lam * 0.0)  # not strictly positive
+
+
+@pytest.mark.parametrize("block_bytes", [1, stats.BLOCK_BYTES])
+@pytest.mark.parametrize("num_frames", [1, 300])
+@pytest.mark.parametrize("num_mics", [1, 8])
+def test_blocked_grams_equal_the_whole_field_gram(monkeypatch, block_bytes,
+                                                  num_frames, num_mics):
+    # each bin's Gram does not depend on its block: one bin at a time, and
+    # blocks that do not divide F = 257, give the whole field's Gram exactly
+    monkeypatch.setattr(stats, "BLOCK_BYTES", block_bytes)
+    field = random_field(11, num_frames=num_frames, num_bins=257,
+                         num_mics=num_mics)
+    estimate = random_field(12, num_frames=num_frames, num_bins=257,
+                            num_mics=num_mics)
+    scale = np.random.default_rng(13).uniform(0.1, 2.0, size=field.shape[:2])
+    assert np.array_equal(
+        stats._scaled_gram(field, scale),
+        hermitian_gram((field * scale[:, :, None]).transpose(1, 0, 2)))
+    assert np.array_equal(
+        signal_covariances(field, estimate).phi_v,
+        hermitian_gram((field - estimate).transpose(1, 0, 2)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

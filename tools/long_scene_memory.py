@@ -8,11 +8,16 @@ Run from anywhere (the checkout's src/ is put on the path):
 The probe caps its own address space (RLIMIT_AS, 5 GiB, set on this
 process only), renders the scene, and runs every pipeline with the
 oracleDirect estimate.  It then measures, each from a fresh tracemalloc
-start, the peaks of the three steps whose memory grows with the field:
+start, the peaks of the steps whose memory grows with the field:
 
-    analyze    the mixture's STFT, in T x F x C fields
-    wpe_field  the multichannel WPE solve, in T x F x C fields
-    fcp        forward-filter compensation at mic 0, in T x F (mono) fields
+    analyze              the mixture's STFT, in T x F x C fields
+    wpe_field            the multichannel WPE solve, in T x F x C fields
+    fcp                  forward-filter compensation at mic 0, in T x F
+                         (mono) fields
+    masked_covariances   the mask-weighted covariances of the mixture,
+    weighted_covariance  its power-weighted covariance and
+    signal_covariances   its estimate and residual covariances, in
+                         T x F x C fields
 
 A step's peak counts its output and its transients, not its inputs.  The
 last line of standard output is the JSON result, with the process's peak
@@ -37,17 +42,22 @@ from lodistort import (  # noqa: E402
     PipelineSpec,
     RoomSpec,
     analyze,
+    compute_mask,
     default_taps,
     fcp,
+    masked_covariances,
     psd_floor,
     render_scene,
     run_pipeline,
+    signal_covariances,
     synth_noise,
     synth_speech_like,
+    weighted_covariance,
     wpe_field,
 )
 from lodistort._memtrace import (  # noqa: E402
     analyze_bound,
+    covariance_bound,
     fcp_bound,
     traced_peak,
     wpe_field_bound,
@@ -97,8 +107,20 @@ def main():
     reference = mix[:, :, 0]
     peak, (_, out) = traced_peak(lambda: fcp(reference, tgt[:, :, 0]))
     fcp_fields = (peak / mono_bytes, fcp_bound(reference, out) / mono_bytes)
+    mask = compute_mask(tgt[:, :, 0], reference)
+    peak, cov = traced_peak(lambda: masked_covariances(mix, mask))
+    masked_fields = (peak / field_bytes, covariance_bound(
+        mix, cov.phi_s, cov.phi_v, weights=mask) / field_bytes)
+    peak, phi = traced_peak(lambda: weighted_covariance(mix, lam))
+    weighted_fields = (peak / field_bytes,
+                       covariance_bound(mix, phi, weights=lam) / field_bytes)
+    peak, cov = traced_peak(lambda: signal_covariances(mix, tgt))
+    signal_fields = (peak / field_bytes, covariance_bound(
+        mix, cov.phi_s, cov.phi_v) / field_bytes)
     steps = {"analyze": analyze_fields, "wpe_field": wpe_fields,
-             "fcp": fcp_fields}
+             "fcp": fcp_fields, "masked_covariances": masked_fields,
+             "weighted_covariance": weighted_fields,
+             "signal_covariances": signal_fields}
     result = {
         "seconds": SECONDS,
         "mics": MICS,
