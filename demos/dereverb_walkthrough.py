@@ -51,9 +51,9 @@ def main():
     lam = psd_floor(tgt_spec)
     delay = 3
     for taps in (5, 15, 30):
-        filt, dereverbed = wpe(mix_spec, lam, taps=taps, delay=delay)
+        coeffs, dereverbed = wpe(mix_spec, lam, taps=taps, delay=delay)
         score(f"wpe taps={taps}", dereverbed, target_wave)
-    print(f"  (last filter: {filt.coeffs.shape[1]} coefficients per bin, "
+    print(f"  (last filter: {coeffs.shape[1]} coefficients per bin, "
           f"delay {delay} frames)")
 
     # forward compensation against the oracle target estimate

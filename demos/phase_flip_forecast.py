@@ -36,7 +36,7 @@ def main():
     print(f"{'est err SNR':>12s} {'measured flip':>14s} "
           f"{'predicted flip':>15s} {'phase acc':>10s}")
     for err_db in (20.0, 10.0, 5.0, 0.0, -5.0):
-        noisy = corrupt_estimate(clean, err_db, seed=1).channel()
+        noisy = corrupt_estimate(clean, err_db, seed=1).channel(0)
         # the corruption is isotropic, so its phase is uniform and the
         # closed form applies with |V| = |est - target| per bin
         stats = phase_report(reference, noisy)

@@ -17,7 +17,6 @@ from .estimator import (
     oracle_estimate,
 )
 from .linpred import (
-    PredictionFilter,
     build_delayed_stack,
     fcp,
     fcp_weight,
@@ -82,7 +81,6 @@ __all__ = [
     "PhaseCandidates",
     "PipelineResult",
     "PipelineSpec",
-    "PredictionFilter",
     "RoomSpec",
     "Scene",
     "SingularMatrixError",

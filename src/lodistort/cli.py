@@ -237,12 +237,13 @@ def cmd_enhance(args):
         stage_files[stage_name] = filename
     feature_paths = write_feature_bundle(result, os.path.join(out_dir, "features"))
 
+    labels = {"pipelineName": spec.name, "refMic": spec.ref_mic}
     report = {
         "schemaVersion": SCHEMA_VERSION,
-        "pipelineName": spec.name,
-        "refMic": spec.ref_mic,
+        **labels,
         "params": spec.params_dict(),
-        "stages": {k: v.to_json_dict() for k, v in result.metrics.items()},
+        "stages": {k: {**v.to_json_dict(), **labels}
+                   for k, v in result.metrics.items()},
         "files": stage_files,
         "features": {
             k: os.path.relpath(v, out_dir) for k, v in feature_paths.items()
@@ -296,11 +297,9 @@ def cmd_evaluate(args):
         raise ValueError(
             "estimate and reference lengths differ; use matching formats"
         )
-    report = score_estimate(est_spec, ref_spec, mix_spec, est_wave, ref_wave,
-                            args.pipeline_name, args.ref_mic)
-    payload = {"schemaVersion": SCHEMA_VERSION}
-    payload.update(report.to_json_dict())
-    _emit(payload, args.out)
+    report = score_estimate(est_spec, ref_spec, mix_spec, est_wave, ref_wave)
+    _emit({"schemaVersion": SCHEMA_VERSION, **report.to_json_dict(),
+           "pipelineName": args.pipeline_name, "refMic": args.ref_mic}, args.out)
     return 0
 
 

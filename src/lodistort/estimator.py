@@ -28,28 +28,18 @@ class TargetEstimate:
 
     Attributes:
         values: complex array, T x F x C
-        kind: one of ORACLE_KINDS, "corrupted", or "external"
-        ref_mic: reference channel index the estimate is anchored to
     """
 
     values: np.ndarray
-    kind: str
-    ref_mic: int = 0
 
-    @property
-    def num_channels(self):
-        return self.values.shape[2]
-
-    def channel(self, index=None):
-        """T x F view of one channel (defaults to ref_mic, clamped for mono)."""
-        if index is None:
-            index = self.ref_mic
+    def channel(self, index):
+        """T x F view of channel `index` (channel 0 of a mono estimate)."""
         if self.values.shape[2] == 1:
             index = 0
         return self.values[:, :, index]
 
 
-def oracle_estimate(mixture, target, kind, ref_mic=0):
+def oracle_estimate(mixture, target, kind):
     """Build an oracle estimate of `target` from the known signals.
 
     oracleDirect passes the target through verbatim: its values are the
@@ -76,7 +66,7 @@ def oracle_estimate(mixture, target, kind, ref_mic=0):
     if mixture.ndim != 3:
         raise ValueError(f"expected T x F x P spectrograms, got {mixture.shape}")
     if kind == ORACLE_DIRECT:
-        return TargetEstimate(target, kind, ref_mic)
+        return TargetEstimate(target)
     if kind not in (ORACLE_MAG_MASK, ORACLE_PSM):
         raise ValueError(f"unknown oracle kind {kind!r}, expected one of {ORACLE_KINDS}")
 
@@ -96,7 +86,7 @@ def oracle_estimate(mixture, target, kind, ref_mic=0):
     values = np.empty_like(mixture)
     np.multiply(mask, mixture.real, out=values.real)
     np.multiply(mask, mixture.imag, out=values.imag)
-    return TargetEstimate(values, kind, ref_mic)
+    return TargetEstimate(values)
 
 
 def check_est_err_snr_db(est_err_snr_db):
@@ -115,7 +105,7 @@ def corrupt_estimate(estimate, est_err_snr_db, seed):
     check_est_err_snr_db(est_err_snr_db)
     values = np.ascontiguousarray(estimate.values, dtype=np.complex128)
     if math.isinf(est_err_snr_db):
-        return TargetEstimate(values.copy(), "corrupted", estimate.ref_mic)
+        return TargetEstimate(values.copy())
     rng = np.random.default_rng(seed)
     noise = np.empty_like(values)
     noise_parts = noise.view(np.float64)
@@ -134,7 +124,7 @@ def corrupt_estimate(estimate, est_err_snr_db, seed):
         scale = math.sqrt(clean_energy * 10.0 ** (-est_err_snr_db / 10.0) / noise_energy)
     noise_parts *= scale
     noise += values
-    return TargetEstimate(noise, "corrupted", estimate.ref_mic)
+    return TargetEstimate(noise)
 
 
 def load_spectrogram(path, cfg=None):
@@ -151,7 +141,7 @@ def load_spectrogram(path, cfg=None):
     return analyze(wave, cfg), wave
 
 
-def load_external_estimate(path, expected_shape, cfg=None, ref_mic=0):
+def load_external_estimate(path, expected_shape, cfg=None):
     """Load an estimate from a spectrogram file read by load_spectrogram.
 
     The result must match the mixture's frame/bin counts and carry either 1
@@ -172,4 +162,4 @@ def load_external_estimate(path, expected_shape, cfg=None, ref_mic=0):
             f"{path}: estimate has {values.shape[2]} channels, expected 1 or "
             f"{num_channels}"
         )
-    return TargetEstimate(values, "external", ref_mic)
+    return TargetEstimate(values)

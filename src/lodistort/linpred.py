@@ -46,7 +46,6 @@ import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -60,18 +59,11 @@ from .stats import psd_floor
 # worth; a single bin that exceeds the whole budget still runs, alone
 CHUNK_BUDGET_BYTES = 8 * 2 ** 20
 
-
-@dataclass
-class PredictionFilter:
-    """Per-frequency prediction coefficients of wpe or fcp.
-
-    Attributes:
-        coeffs: complex array, F x (taps * channels), lag-major as
-            build_delayed_stack orders the stack; applied conjugated,
-            prediction(t,f) = coeffs(f)^H stack(t,f)
-    """
-
-    coeffs: np.ndarray
+# prediction delay of wpe and wpe_field, in frames
+DEFAULT_DELAY = 3
+# filter length and relative weight floor of fcp and fcp_weight
+DEFAULT_TAPS_FCP = 40
+DEFAULT_EPSILON_FCP = 1e-3
 
 
 def _check_lags(taps, delay):
@@ -376,26 +368,7 @@ def predict(coeffs, stack):
     return np.einsum("fd,tfd->tf", np.conj(coeffs), stack)
 
 
-def _wpe_solve(field, psd, taps, delay, loading, ref_mic=0):
-    # checks, then every channel predicted from one stack under shared weights
-    field = np.asarray(field, dtype=np.complex128)
-    if field.ndim != 3:
-        raise ValueError(f"field must be T x F x P, got shape {field.shape}")
-    if delay < 1:
-        raise ValueError(f"delay must be >= 1 for wpe, got {delay}")
-    _check_lags(taps, delay)
-    psd = _check_weights(psd, field.shape[:2], "psd")
-    if not 0 <= ref_mic < field.shape[2]:
-        raise ValueError(f"ref_mic {ref_mic} out of range for {field.shape[2]} channels")
-    source = field.transpose(1, 0, 2)
-    dereverbed = np.empty_like(field)
-    coeffs = _predict_fmajor(source, source, psd.T, taps, delay, loading,
-                             out=dereverbed.transpose(1, 0, 2))
-    # field minus its prediction, in place
-    return coeffs, np.subtract(field, dereverbed, out=dereverbed)
-
-
-def wpe(field, psd, taps, delay=3, ref_mic=0, loading=DEFAULT_LOADING):
+def wpe(field, psd, taps, delay=DEFAULT_DELAY, ref_mic=0, loading=DEFAULT_LOADING):
     """Dereverberate one channel by delayed multichannel linear prediction.
 
     The result is channel ref_mic of wpe_field's solve, bit for bit.
@@ -408,14 +381,18 @@ def wpe(field, psd, taps, delay=3, ref_mic=0, loading=DEFAULT_LOADING):
             immediate successors are never predicted away)
         ref_mic: channel to dereverberate
     Return:
-        (PredictionFilter, dereverbed T x F)
+        (coefficients F x D, dereverbed T x F), D = taps * P lag-major as
+        build_delayed_stack orders the stack; applied conjugated,
+        prediction(t,f) = coeffs(f)^H stack(t,f)
     """
-    coeffs, dereverbed = _wpe_solve(field, psd, taps, delay, loading, ref_mic)
-    return (PredictionFilter(coeffs[:, :, ref_mic].copy()),
-            dereverbed[:, :, ref_mic].copy())
+    field = np.asarray(field, dtype=np.complex128)
+    if field.ndim == 3 and not 0 <= ref_mic < field.shape[2]:
+        raise ValueError(f"ref_mic {ref_mic} out of range for {field.shape[2]} channels")
+    coeffs, dereverbed = wpe_field(field, psd, taps, delay, loading)
+    return coeffs[:, :, ref_mic].copy(), dereverbed[:, :, ref_mic].copy()
 
 
-def wpe_field(field, psd, taps, delay=3, loading=DEFAULT_LOADING):
+def wpe_field(field, psd, taps, delay=DEFAULT_DELAY, loading=DEFAULT_LOADING):
     """Dereverberate every channel with a shared stack and shared weights.
 
     One Gram factorization per frequency serves all channels (multiple
@@ -424,17 +401,30 @@ def wpe_field(field, psd, taps, delay=3, loading=DEFAULT_LOADING):
     Return:
         (coefficients F x D x P, dereverbed field T x F x P)
     """
-    return _wpe_solve(field, psd, taps, delay, loading)
+    field = np.asarray(field, dtype=np.complex128)
+    if field.ndim != 3:
+        raise ValueError(f"field must be T x F x P, got shape {field.shape}")
+    if delay < 1:
+        raise ValueError(f"delay must be >= 1 for wpe, got {delay}")
+    _check_lags(taps, delay)
+    psd = _check_weights(psd, field.shape[:2], "psd")
+    source = field.transpose(1, 0, 2)
+    dereverbed = np.empty_like(field)
+    coeffs = _predict_fmajor(source, source, psd.T, taps, delay, loading,
+                             out=dereverbed.transpose(1, 0, 2))
+    # field minus its prediction, in place
+    return coeffs, np.subtract(field, dereverbed, out=dereverbed)
 
 
-def fcp_weight(reference, estimate, epsilon=1e-3):
+def fcp_weight(reference, estimate, epsilon=DEFAULT_EPSILON_FCP):
     """Prediction-error weights: psd_floor of the reference-mic residual
     reference - estimate, floored by the rule of every other power weight."""
     return psd_floor(np.asarray(reference, dtype=np.complex128)
                      - np.asarray(estimate, dtype=np.complex128), epsilon)
 
 
-def fcp(reference, estimate, taps=40, epsilon=1e-3, loading=DEFAULT_LOADING):
+def fcp(reference, estimate, taps=DEFAULT_TAPS_FCP, epsilon=DEFAULT_EPSILON_FCP,
+        loading=DEFAULT_LOADING):
     """Forward-filter the estimate onto the reference, keep only the excess.
 
     The filter g' minimizes Sum_t |ref - g'^H stack(est)|^2 / eta with a
@@ -449,7 +439,7 @@ def fcp(reference, estimate, taps=40, epsilon=1e-3, loading=DEFAULT_LOADING):
         taps: filter length K'
         epsilon: relative floor for the weights eta
     Return:
-        (PredictionFilter, compensated T x F)
+        (coefficients F x K', compensated T x F)
     """
     reference = np.asarray(reference, dtype=np.complex128)
     estimate = np.asarray(estimate, dtype=np.complex128)
@@ -466,4 +456,4 @@ def fcp(reference, estimate, taps=40, epsilon=1e-3, loading=DEFAULT_LOADING):
     # reference - (filtered - estimate), in place
     compensated -= estimate
     np.subtract(reference, compensated, out=compensated)
-    return PredictionFilter(coeffs[:, :, 0]), compensated
+    return coeffs[:, :, 0], compensated

@@ -27,15 +27,13 @@ from .stft import as_mono
 ENERGY_MASK_DB = -60.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricsReport:
     """Scores of one estimate against a reference."""
 
     si_sdr_db: float
     pdsacc_percent: float
     psnr_db: float
-    pipeline_name: str = ""
-    ref_mic: int = 0
 
     def to_json_dict(self):
         # camelCase keys, non-finite scores as fsio's string sentinels
@@ -43,8 +41,6 @@ class MetricsReport:
             "siSdrDb": self.si_sdr_db,
             "pdsAccPercent": self.pdsacc_percent,
             "pSnrDb": self.psnr_db,
-            "pipelineName": self.pipeline_name,
-            "refMic": self.ref_mic,
         })
 
 
@@ -218,18 +214,17 @@ class ScoreReference:
     phase-difference side on the masked bins, and S's parts, |S| and energy.
     Build it once, then score any number of estimates with `score_against`."""
 
-    def __init__(self, target_q, mixture_q, threshold_db=ENERGY_MASK_DB):
+    def __init__(self, target_q, mixture_q):
         target_q = np.asarray(target_q)
         mixture_q = np.asarray(mixture_q)
         if target_q.shape != mixture_q.shape:
             raise ValueError("estimate, target, and mixture shapes must match")
         self.shape = target_q.shape
-        self.phase_sides = _phase_sides(target_q, mixture_q, threshold_db)
+        self.phase_sides = _phase_sides(target_q, mixture_q, ENERGY_MASK_DB)
         self.target_energy = _target_energy(target_q)
 
 
-def score_against(reference, estimate_q, estimate_wave=None, target_wave=None,
-                  pipeline_name="", ref_mic=0):
+def score_against(reference, estimate_q, estimate_wave=None, target_wave=None):
     """score_estimate with the target and mixture given as a ScoreReference."""
     # one contiguous copy serves both phase scores
     estimate_q = np.ascontiguousarray(estimate_q, dtype=np.complex128)
@@ -243,26 +238,17 @@ def score_against(reference, estimate_q, estimate_wave=None, target_wave=None,
         si_sdr_db=sdr,
         pdsacc_percent=_pdsacc(reference.phase_sides, estimate_q),
         psnr_db=_psnr(reference.target_energy, estimate_q),
-        pipeline_name=pipeline_name,
-        ref_mic=ref_mic,
     )
 
 
-def score_estimate(
-    estimate_q,
-    target_q,
-    mixture_q,
-    estimate_wave=None,
-    target_wave=None,
-    pipeline_name="",
-    ref_mic=0,
-):
+def score_estimate(estimate_q, target_q, mixture_q, estimate_wave=None,
+                   target_wave=None):
     """Bundle the three scores for one spectrogram estimate.
 
     SI-SDR is computed on the provided waveforms when given, otherwise NaN.
     """
     return score_against(ScoreReference(target_q, mixture_q), estimate_q,
-                         estimate_wave, target_wave, pipeline_name, ref_mic)
+                         estimate_wave, target_wave)
 
 
 def phase_report(reference, estimate_q):

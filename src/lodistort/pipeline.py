@@ -20,14 +20,15 @@ its own name to its input's key.  A stage's output, wave and score are kept
 only when several CATALOG pipelines run its chain of stages.  A call on a
 different digest drops the old scene before computing anything; the scene
 also goes when the mixture object it was built from is collected.  Shared
-arrays are read-only, including those a PipelineResult exposes.
+arrays are read-only, including those a PipelineResult exposes, and shared
+scores are frozen MetricsReports, handed out as they are.
 """
 
 import math
 import os
 import threading
 import weakref
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -166,10 +167,10 @@ class PipelineSpec:
     est_err_snr_db: float = math.inf
     ref_mic: int = 0
     taps: int = None
-    taps_fcp: int = 40
-    delay: int = 3
-    epsilon: float = 1e-5
-    epsilon_fcp: float = 1e-3
+    taps_fcp: int = linpred.DEFAULT_TAPS_FCP
+    delay: int = linpred.DEFAULT_DELAY
+    epsilon: float = stats.DEFAULT_EPSILON
+    epsilon_fcp: float = linpred.DEFAULT_EPSILON_FCP
     loading: float = DEFAULT_LOADING
     seed: int = 0
     estimate_path: str = None
@@ -243,23 +244,21 @@ class PipelineResult:
 
 def make_estimate(spec, mix_spec, tgt_spec, cfg=None):
     """First-stage estimate for `spec`, a PipelineSpec or any object with its
-    estimator, est_err_snr_db, ref_mic and seed fields (and estimate_path for
-    the external estimator)."""
+    estimator, est_err_snr_db and seed fields (and estimate_path for the
+    external estimator)."""
     if spec.estimator in ORACLE_KINDS:
         if tgt_spec is None:
             raise ValueError(
                 f"estimator {spec.estimator!r} needs the target signal"
             )
-        est = oracle_estimate(mix_spec, tgt_spec, spec.estimator, spec.ref_mic)
+        est = oracle_estimate(mix_spec, tgt_spec, spec.estimator)
         if not math.isinf(spec.est_err_snr_db):
             est = corrupt_estimate(est, spec.est_err_snr_db, spec.seed)
         return est
     if spec.estimator == "external":
         if spec.estimate_path is None:
             raise ValueError("external estimator needs estimate_path")
-        return load_external_estimate(
-            spec.estimate_path, mix_spec.shape, cfg, spec.ref_mic
-        )
+        return load_external_estimate(spec.estimate_path, mix_spec.shape, cfg)
     raise ValueError(
         f"unknown estimator {spec.estimator!r}; expected one of "
         f"{ORACLE_KINDS + ('external',)}"
@@ -487,17 +486,17 @@ def run_pipeline(scene_or_mixture, spec, target=None, cfg=StftConfig()):
         tgt_wave = target.channel(q)
         reference = nodes.get(params + ("reference",),
                               lambda: ScoreReference(tgt_spec[:, :, q], mix_q))
-        report = nodes.get(params + ("reference", "mixture"), lambda: score_against(
-            reference, mix_q, mixture.channel(q), tgt_wave, spec.name, q))
-        metrics["mixture"] = replace(report, pipeline_name=spec.name)
+        metrics["mixture"] = nodes.get(
+            params + ("reference", "mixture"),
+            lambda: score_against(reference, mix_q, mixture.channel(q), tgt_wave))
     for name, out, out_key in outputs:
         stages[name] = out
         waves[name] = wave = nodes.get(out_key and out_key + ("wave",),
                                        lambda: synthesize(out, cfg, num_samples))
         if target is not None:
-            report = nodes.get(out_key and out_key + ("score",), lambda: score_against(
-                reference, out, wave.channel(0), tgt_wave, spec.name, q))
-            metrics[name] = replace(report, pipeline_name=spec.name)
+            metrics[name] = nodes.get(
+                out_key and out_key + ("score",),
+                lambda: score_against(reference, out, wave.channel(0), tgt_wave))
     return PipelineResult(spec, stages, waves, metrics, mix_spec)
 
 

@@ -177,25 +177,20 @@ def render_scene(source, noise_sources, room, snr_db, normalize=True):
             "cannot reach the requested SNR without noise sources "
             "(pass snr_db=None for a noise-free scene)"
         )
-    if noise_sources and snr_db is not None:
+    achieved_snr = math.inf
+    if noise_sources:
+        # energies at the reference mic
         direct_energy = float(np.sum(direct[:, 0] ** 2))
         noise_energy = float(np.sum(noise[:, 0] ** 2))
-        if direct_energy <= 0.0:
-            raise ValueError("source has no direct-path energy at the reference mic")
-        if noise_energy <= 0.0:
-            raise ValueError("cannot reach the requested SNR: noise has no energy")
-        noise *= math.sqrt(direct_energy / noise_energy * 10.0 ** (-snr_db / 10.0))
-        achieved_snr = float(snr_db)
-    elif noise_sources:
-        direct_energy = float(np.sum(direct[:, 0] ** 2))
-        noise_energy = float(np.sum(noise[:, 0] ** 2))
-        achieved_snr = (
-            10.0 * math.log10(direct_energy / noise_energy)
-            if noise_energy > 0 and direct_energy > 0
-            else math.inf
-        )
-    else:
-        achieved_snr = math.inf
+        if snr_db is not None:
+            if direct_energy <= 0.0:
+                raise ValueError("source has no direct-path energy at the reference mic")
+            if noise_energy <= 0.0:
+                raise ValueError("cannot reach the requested SNR: noise has no energy")
+            noise *= math.sqrt(direct_energy / noise_energy * 10.0 ** (-snr_db / 10.0))
+            achieved_snr = float(snr_db)
+        elif noise_energy > 0 and direct_energy > 0:
+            achieved_snr = 10.0 * math.log10(direct_energy / noise_energy)
 
     # summed and scaled in place: no further signal-sized arrays
     mixture = direct + residual

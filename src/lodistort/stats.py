@@ -20,7 +20,8 @@ import numpy as np
 
 from .linalg import hermitian_gram, principal_eigenpairs, rotate_reference_phase
 
-# absolute floor applied after the relative one
+# psd_floor's default relative floor, and the absolute floor applied after it
+DEFAULT_EPSILON = 1e-5
 PSD_ABS_FLOOR = 1e-12
 # top-two eigenvalue gap, relative to the top one, at or below which a
 # steering vector has no preferred direction
@@ -193,7 +194,7 @@ def steering_vector(phi_s, ref_mic=0):
     return rotate_reference_phase(vectors, ref_mic)
 
 
-def psd_floor(estimates, epsilon=1e-5):
+def psd_floor(estimates, epsilon=DEFAULT_EPSILON):
     """Per-bin power, floored relative to its own maximum: the weights of
     every weighted least-squares stage (the target power of wpe and wmpdr,
     the residual power of fcp).

@@ -106,7 +106,9 @@ def test_enhance_scene(scene_dir, tmp_path, capsys):
     assert report["params"]["taps"] == 6
     assert set(report["stages"]) == {"mixture", "estimate", "wpe", "mwmpdr_wpe"}
     for scores in report["stages"].values():
-        assert set(scores) >= {"siSdrDb", "pdsAccPercent", "pSnrDb"}
+        assert set(scores) == {"siSdrDb", "pdsAccPercent", "pSnrDb",
+                               "pipelineName", "refMic"}
+        assert scores["pipelineName"] == "mwmpdr_wpe" and scores["refMic"] == 0
     final = report["stages"]["mwmpdr_wpe"]
     assert final["siSdrDb"] > report["stages"]["mixture"]["siSdrDb"]
 
@@ -129,6 +131,8 @@ def test_enhance_config_file(scene_dir, tmp_path, capsys):
     assert report["pipelineName"] == "wpe"
     assert report["params"]["taps"] == 5
     assert report["refMic"] == 1
+    for scores in report["stages"].values():
+        assert scores["pipelineName"] == "wpe" and scores["refMic"] == 1
 
 
 def test_enhance_mixture_paths(scene_dir, tmp_path, capsys):
@@ -165,6 +169,23 @@ def test_evaluate_wav_triple(scene_dir, tmp_path, capsys):
     rc, out_short, _ = run_cli(capsys, "evaluate", "--est", est, "--ref", ref,
                                "--mix", mix)
     assert rc == 0 and out_short == out_long
+
+
+def test_evaluate_writes_the_run_labels(scene_dir, tmp_path, capsys):
+    out_path = str(tmp_path / "report.json")
+    rc, out, err = run_cli(capsys, "evaluate",
+                           "--est", os.path.join(scene_dir, "mixture.wav"),
+                           "--ref", os.path.join(scene_dir, "direct.wav"),
+                           "--mix", os.path.join(scene_dir, "mixture.wav"),
+                           "--pipeline-name", "x", "--ref-mic", "1",
+                           "--out", out_path)
+    assert rc == 0, err
+    report = json.loads(out)
+    assert set(report) == {"schemaVersion", "siSdrDb", "pdsAccPercent", "pSnrDb",
+                           "pipelineName", "refMic"}
+    assert report["pipelineName"] == "x" and report["refMic"] == 1
+    with open(out_path) as handle:
+        assert json.load(handle) == report
 
 
 def test_evaluate_spectrogram_estimate(scene_dir, tmp_path, capsys):

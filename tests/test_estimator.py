@@ -30,7 +30,6 @@ def test_oracle_direct_is_the_target_itself():
     # array (both read-only by contract), and other input is converted once
     mix, tgt = random_pair(0)
     est = oracle_estimate(mix, tgt, "oracleDirect")
-    assert est.kind == "oracleDirect"
     assert est.values is tgt
     real = oracle_estimate(mix.real, tgt.real, "oracleDirect").values
     assert real.dtype == np.complex128 and np.array_equal(real, tgt.real)
@@ -118,7 +117,7 @@ def test_unknown_kind_and_shape_mismatch():
 
 def test_corrupt_energy_ratio_is_exact():
     _, tgt = random_pair(6, shape=(10, 8, 2))
-    clean = TargetEstimate(tgt, "oracleDirect")
+    clean = TargetEstimate(tgt)
     for snr in (0.0, 10.0, -5.0):
         noisy = corrupt_estimate(clean, snr, seed=3)
         added = noisy.values - clean.values
@@ -141,7 +140,7 @@ def corrupt_two_draw(values, est_err_snr_db, seed):
 def test_corrupt_matches_two_draw_form():
     for seed, shape in ((0, (10, 8, 2)), (1, (131, 257, 8)), (2, (3, 5, 1))):
         _, tgt = random_pair(seed, shape=shape)
-        clean = TargetEstimate(tgt, "oracleMagMask")
+        clean = TargetEstimate(tgt)
         for snr in (-5.0, 0.0, 10.0, 37.5):
             got = corrupt_estimate(clean, snr, seed=seed + 40).values
             want = corrupt_two_draw(tgt, snr, seed + 40)
@@ -151,7 +150,7 @@ def test_corrupt_matches_two_draw_form():
 
 def test_corrupt_inf_is_identity_and_seeded_otherwise():
     _, tgt = random_pair(7)
-    clean = TargetEstimate(tgt, "oracleDirect")
+    clean = TargetEstimate(tgt)
     same = corrupt_estimate(clean, np.inf, seed=0)
     assert np.array_equal(same.values, clean.values)
     a = corrupt_estimate(clean, 5.0, seed=11).values
@@ -165,7 +164,7 @@ def test_corrupt_inf_is_identity_and_seeded_otherwise():
 
 def test_corrupt_rejects_nan_snr():
     _, tgt = random_pair(12)
-    clean = TargetEstimate(tgt, "oracleDirect")
+    clean = TargetEstimate(tgt)
     with pytest.raises(ValueError, match="est_err_snr_db"):
         corrupt_estimate(clean, float("nan"), seed=0)
     with pytest.raises(ValueError, match="est_err_snr_db"):
@@ -177,7 +176,6 @@ def test_external_spectrogram_round_trip(tmp_path):
     path = tmp_path / "est.ldspec"
     write_spectrogram(path, tgt)
     est = load_external_estimate(path, (7, 257, 2))
-    assert est.kind == "external"
     assert np.array_equal(est.values, tgt)
 
     with pytest.raises(FormatError):  # frame count mismatch
@@ -209,6 +207,6 @@ def test_external_wav_is_analyzed(tmp_path):
 
 
 def test_mono_channel_clamp():
-    est = TargetEstimate(np.ones((2, 3, 1), dtype=complex), "external", ref_mic=2)
-    assert est.channel().shape == (2, 3)
+    est = TargetEstimate(np.ones((2, 3, 1), dtype=complex))
+    assert est.channel(2).shape == (2, 3)
     assert est.channel(5) is not None  # mono clamps any index to channel 0

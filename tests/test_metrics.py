@@ -279,27 +279,23 @@ def test_score_estimate_bundles_all_three():
     mix = tgt + rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     wave_t = rng.standard_normal(500)
     wave_e = wave_t + 0.01 * rng.standard_normal(500)
-    report = score_estimate(est, tgt, mix, wave_e, wave_t,
-                            pipeline_name="demo", ref_mic=1)
+    report = score_estimate(est, tgt, mix, wave_e, wave_t)
     assert report.si_sdr_db == si_sdr(wave_e, wave_t)
     assert report.pdsacc_percent == pdsacc(est, tgt, mix)
     # the bundle scores the estimate's phasor est/|est|, psnr the rebuilt
     # exp(1j*angle(est)): equal up to rounding
     assert report.psnr_db == pytest.approx(psnr(np.angle(est), tgt), rel=1e-12)
-    assert report.pipeline_name == "demo" and report.ref_mic == 1
     no_wave = score_estimate(est, tgt, mix)
     assert math.isnan(no_wave.si_sdr_db)
 
 
 def test_metrics_report_json_sentinels():
-    report = MetricsReport(math.inf, 75.0, -math.inf, "x", 2)
+    report = MetricsReport(math.inf, 75.0, -math.inf)
     blob = report.to_json_dict()
     assert blob == {
         "siSdrDb": "inf",
         "pdsAccPercent": 75.0,
         "pSnrDb": "-inf",
-        "pipelineName": "x",
-        "refMic": 2,
     }
     finite = MetricsReport(1.5, 50.0, -2.25).to_json_dict()
     assert finite["siSdrDb"] == 1.5 and finite["pSnrDb"] == -2.25

@@ -126,7 +126,7 @@ def test_wpe_pipeline_matches_manual_composition(small_scene):
         cfg = StftConfig()
         mix_spec = analyze(small_scene.mixture, cfg)
         tgt_spec = analyze(small_scene.direct_path, cfg)
-        est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect", q).channel(q)
+        est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect").channel(q)
         lam = psd_floor(est_q, 1e-5)
         _, manual = wpe(mix_spec, lam, taps, 3, q, 1e-8)
         assert np.array_equal(result.stages["estimate"], est_q), q
@@ -142,7 +142,7 @@ def test_mwmpdr_wpe_pipeline_matches_manual_composition(small_scene):
         cfg = StftConfig()
         mix_spec = analyze(small_scene.mixture, cfg)
         tgt_spec = analyze(small_scene.direct_path, cfg)
-        est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect", q).channel(q)
+        est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect").channel(q)
         lam = psd_floor(est_q, 1e-5)
         _, wfield = wpe_field(mix_spec, lam, taps, 3, 1e-8)
         mask = compute_mask(est_q, wfield[:, :, q])
@@ -160,7 +160,7 @@ def test_fcp_and_mmvdr_match_manual_composition(small_scene):
         cfg = StftConfig()
         mix_spec = analyze(small_scene.mixture, cfg)
         tgt_spec = analyze(small_scene.direct_path, cfg)
-        est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect", q).channel(q)
+        est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect").channel(q)
         mix_q = mix_spec[:, :, q]
 
         got_fcp = run_pipeline(small_scene, PipelineSpec("fcp", ref_mic=q)).final
@@ -182,7 +182,7 @@ def test_fcp_wpe_pipeline_matches_manual_composition(small_scene):
         cfg = StftConfig()
         mix_spec = analyze(small_scene.mixture, cfg)
         tgt_spec = analyze(small_scene.direct_path, cfg)
-        est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect", q).channel(q)
+        est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect").channel(q)
         lam = psd_floor(est_q, 1e-5)
         _, wpe_q = wpe(mix_spec[:, :, q:q + 1], lam, default_taps(1), 3, 0, 1e-8)
         _, manual = fcp(wpe_q, est_q, 40, 1e-3, 1e-8)
@@ -218,7 +218,7 @@ def test_external_estimator_roundtrip(small_scene, tmp_path):
     cfg = StftConfig()
     mix_spec = analyze(small_scene.mixture, cfg)
     tgt_spec = analyze(small_scene.direct_path, cfg)
-    est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect", q).channel(q)
+    est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect").channel(q)
     path = str(tmp_path / "estimate.ldspec")
     write_spectrogram(path, est_q)
     spec = PipelineSpec("fcp", estimator="external", estimate_path=path)

@@ -2,6 +2,7 @@
 the outputs a fresh computation gives, follow the samples' content, stay
 read-only, and live no longer than their scene."""
 
+import dataclasses
 import gc
 import sys
 import threading
@@ -70,11 +71,12 @@ def test_warm_runs_match_cold_runs(scene):
         for name in PIPELINE_NAMES:
             cold = cold_run(scene, PipelineSpec(name, taps=6, ref_mic=q))
             assert_same_result(warm[name], cold)
-            assert warm[name].metrics[name].pipeline_name == name
-            assert warm[name].metrics["mixture"].pipeline_name == name
-        # the warm runs read one memoized mixture spectrogram
-        first = warm[PIPELINE_NAMES[0]].mixture_spectrogram
-        assert all(r.mixture_spectrogram is first for r in warm.values())
+        # the warm runs read one memoized mixture spectrogram and score
+        first = warm[PIPELINE_NAMES[0]]
+        assert all(r.mixture_spectrogram is first.mixture_spectrogram
+                   for r in warm.values())
+        assert all(r.metrics["mixture"] is first.metrics["mixture"]
+                   for r in warm.values())
 
 
 def test_shared_nodes_are_computed_once_per_scene(scene, monkeypatch):
@@ -156,6 +158,8 @@ def test_result_arrays_are_read_only(scene):
         result.stages["estimate"][0, 0] = 0.0
     with pytest.raises(ValueError):
         result.waves["wpe"].samples[0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.metrics["wpe"].si_sdr_db = 0.0
 
 
 def test_nodes_die_with_their_mixture():
