@@ -13,6 +13,7 @@ All file outputs are written atomically (temp file + rename).
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -127,17 +128,28 @@ def _emit(obj, out_path=None):
 
 
 def cmd_simulate(args):
-    if args.duration <= 0:
-        raise ValueError("--duration must be positive")
+    rate = StftConfig.sample_rate
+    # NaN compares False to everything, so test for the valid range
+    if not 0 < args.duration * rate < math.inf:
+        raise ValueError(
+            f"--duration must be positive with a finite sample count at {rate} Hz, "
+            f"got {args.duration}"
+        )
+    num_samples = round(args.duration * rate)
+    if num_samples < 1:
+        raise ValueError(
+            f"--duration {args.duration:g} s is shorter than one sample at {rate} Hz"
+        )
     if args.num_noises < 0:
         raise ValueError("--num-noises must be >= 0")
-    num_samples = int(round(args.duration * StftConfig.sample_rate))
     rir_len = args.rir_len
     if rir_len is None:
-        rir_len = max(
-            args.direct_delay + args.mics + 2,
-            int((args.t60 + 0.05) * StftConfig.sample_rate),
-        )
+        if not 0 <= args.t60 * rate < math.inf:
+            raise ValueError(
+                f"--t60 must be >= 0 with a finite sample count at {rate} Hz, "
+                f"got {args.t60}"
+            )
+        rir_len = max(args.direct_delay + args.mics + 2, int((args.t60 + 0.05) * rate))
     delays = tuple(args.direct_delay + m for m in range(args.mics))
     room = RoomSpec(
         num_mics=args.mics,
@@ -145,12 +157,12 @@ def cmd_simulate(args):
         rir_len_samples=rir_len,
         direct_delay_samples=delays,
         seed=args.seed,
-        sample_rate_hz=StftConfig.sample_rate,
+        sample_rate_hz=rate,
         tail_gain=args.tail_gain,
     )
-    source = synth_speech_like(num_samples, StftConfig.sample_rate, seed=args.seed)
+    source = synth_speech_like(num_samples, rate, seed=args.seed)
     noises = [
-        synth_noise(num_samples, StftConfig.sample_rate, seed=[args.seed, i])
+        synth_noise(num_samples, rate, seed=[args.seed, i])
         for i in range(args.num_noises)
     ]
     # a noise-free scene has no SNR to hit; render unscaled instead
@@ -170,7 +182,7 @@ def cmd_simulate(args):
     manifest = {
         "schemaVersion": SCHEMA_VERSION,
         "kind": "scene",
-        "sampleRateHz": StftConfig.sample_rate,
+        "sampleRateHz": rate,
         "numMics": args.mics,
         "t60Seconds": args.t60,
         "snrDb": scene.snr_db,

@@ -7,6 +7,10 @@ followed by an i.i.d. Gaussian tail whose envelope decays by 60 dB over the
 requested T60.  Noise sources get their own independent responses.  All
 randomness is keyed off (seed, stream, source index, mic index) so any piece
 of a scene can be regenerated in isolation, bit-identically.
+
+Each source is transformed once per scene and convolved with every mic's
+response from that one spectrum; the result is bit-identical to convolving
+it per mic, with the source transformed anew each time.
 """
 
 import math
@@ -47,12 +51,15 @@ class RoomSpec:
     def __post_init__(self):
         if self.num_mics < 1:
             raise ValueError(f"num_mics must be >= 1, got {self.num_mics}")
-        if self.t60_seconds < 0:
-            raise ValueError(f"t60_seconds must be >= 0, got {self.t60_seconds}")
+        # NaN compares False to everything, so test for the valid range
+        if not 0 <= self.t60_seconds < math.inf:
+            raise ValueError(
+                f"t60_seconds must be finite and >= 0, got {self.t60_seconds}"
+            )
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
-        if self.tail_gain < 0:
-            raise ValueError("tail_gain must be >= 0")
+        if not 0 <= self.tail_gain < math.inf:
+            raise ValueError(f"tail_gain must be finite and >= 0, got {self.tail_gain}")
         delays = self.direct_delay_samples
         if np.isscalar(delays):
             delays = (int(delays),) * self.num_mics
@@ -84,13 +91,34 @@ class Scene:
     snr_db: float
 
 
-def _fft_convolve(signal, kernel):
-    """Full linear convolution of two 1-D arrays through a real FFT whose
-    size is the next power of two that holds the whole result."""
-    num = signal.shape[0] + kernel.shape[0] - 1
-    size = 1 << (num - 1).bit_length()
-    spectrum = np.fft.rfft(signal, size) * np.fft.rfft(kernel, size)
-    return np.fft.irfft(spectrum, size)[:num]
+def _convolve_mics(signal, kernels, out):
+    """Write into out[:, m] the first out.shape[0] samples of the linear
+    convolution of the 1-D `signal` with kernels[m]; a None kernel leaves its
+    column as it is.  All kernels have one length.
+
+    The convolution runs through a real FFT whose size is the next power of
+    two that holds the whole result.  The signal is transformed once, and
+    each product is formed in one reused buffer with the signal's spectrum
+    as the left operand: numpy's SIMD complex multiply is not bitwise
+    commutative, and `rfft(signal) * rfft(kernel)` multiplies into the
+    signal's spectrum, so this order keeps every column bit-identical to a
+    convolution that transforms the signal again for each kernel.
+
+    Return:
+        out
+    """
+    spectrum = product = None
+    for m, kernel in enumerate(kernels):
+        if kernel is None:
+            continue
+        if spectrum is None:
+            num = signal.shape[0] + kernel.shape[0] - 1
+            size = 1 << (num - 1).bit_length()
+            spectrum = np.fft.rfft(signal, size)
+            product = np.empty_like(spectrum)
+        np.multiply(spectrum, np.fft.rfft(kernel, size), out=product)
+        out[:, m] = np.fft.irfft(product, size)[:out.shape[0]]
+    return out
 
 
 def _tap_rir(room, delay, key):
@@ -118,6 +146,14 @@ def _noise_rir(room, noise_index, mic_index):
     return _tap_rir(room, delay, [room.seed, _NOISE_STREAM, noise_index, mic_index])
 
 
+def _live_tail(room, mic_index):
+    """The source response without its direct tap, or None when nothing is
+    left, so t60 = 0 leaves the residual exactly zero."""
+    tail = generate_rir(room, mic_index)
+    tail[room.direct_delay_samples[mic_index]] = 0.0
+    return tail if np.any(tail) else None
+
+
 def render_noise_component(noise, room, noise_index):
     """Convolve one noise source with its per-mic responses (unscaled).
 
@@ -126,11 +162,8 @@ def render_noise_component(noise, room, noise_index):
     and summed.
     """
     samples = as_mono(noise, f"noise source {noise_index}", room.sample_rate_hz)
-    num = samples.shape[0]
-    out = np.empty((num, room.num_mics))
-    for m in range(room.num_mics):
-        out[:, m] = _fft_convolve(samples, _noise_rir(room, noise_index, m))[:num]
-    return out
+    rirs = (_noise_rir(room, noise_index, m) for m in range(room.num_mics))
+    return _convolve_mics(samples, rirs, np.empty((samples.shape[0], room.num_mics)))
 
 
 def render_scene(source, noise_sources, room, snr_db, normalize=True):
@@ -138,30 +171,28 @@ def render_scene(source, noise_sources, room, snr_db, normalize=True):
 
     The noise field is scaled so that the energy ratio of direct-path speech
     to total noise at the reference mic (mic 0) equals `snr_db`.  Passing
-    snr_db=None skips that scaling (diagnostic mode); an empty noise list
-    yields a noise-free scene.  With normalize=True the mixture's sample
-    variance is brought to 1 and every component is scaled by the same factor,
-    so mixture = direct + reverb + noise holds to rounding.
+    snr_db=None skips that scaling (diagnostic mode) and snr_db=+inf scales
+    the noise to silence; an empty noise list yields a noise-free scene.
+    With normalize=True the mixture's sample variance is brought to 1 and
+    every component is scaled by the same factor, so mixture = direct +
+    reverb + noise holds to rounding.
 
     Return:
         Scene
     """
+    if snr_db is not None and not -math.inf < snr_db <= math.inf:
+        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
     src = as_mono(source, "source", room.sample_rate_hz)
     num = src.shape[0]
     if num == 0:
         raise ValueError("source must contain at least one sample")
 
     direct = np.zeros((num, room.num_mics))
-    residual = np.zeros((num, room.num_mics))
-    for m in range(room.num_mics):
-        delay = room.direct_delay_samples[m]
+    for m, delay in enumerate(room.direct_delay_samples):
         if delay < num:
             direct[delay:, m] = src[:num - delay]
-        # convolve only the tail so t60 = 0 leaves the residual exactly zero
-        tail = generate_rir(room, m)
-        tail[delay] = 0.0
-        if np.any(tail):
-            residual[:, m] = _fft_convolve(src, tail)[:num]
+    tails = (_live_tail(room, m) for m in range(room.num_mics))
+    residual = _convolve_mics(src, tails, np.zeros((num, room.num_mics)))
 
     noise = np.zeros((num, room.num_mics))
     for i, nz in enumerate(noise_sources):

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,34 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "enhance", "--scene", str(tmp_path),
                          "--pipeline", "nosuch", "--out", str(tmp_path / "y"))
     assert rc == 2  # the bad name is reported before the missing manifest
+
+
+@pytest.mark.parametrize("flags, name", [
+    ({"--t60": "nan"}, "t60_seconds"),
+    ({"--t60": "inf"}, "t60_seconds"),
+    ({"--t60": "nan", "--rir-len": None}, "--t60"),  # sizes the default response
+    ({"--t60": "inf", "--rir-len": None}, "--t60"),
+    ({"--tail-gain": "nan"}, "tail_gain"),
+    ({"--snr-db": "-inf"}, "snr_db"),
+    ({"--snr-db": "nan"}, "snr_db"),
+    ({"--duration": "inf"}, "--duration"),
+    ({"--duration": "nan"}, "--duration"),
+    ({"--duration": "1e-9"}, "--duration"),
+    ({"--duration": "1e308"}, "--duration"),  # too many samples for a float
+])
+def test_simulate_non_finite_or_empty_values_exit_2(tmp_path, capsys, flags, name):
+    # each is named in a one-line usage error, with no warning before it
+    argv = {"--mics": "2", "--t60": "0.3", "--rir-len": "2000",
+            "--snr-db": "0", "--duration": "0.5"}
+    argv.update(flags)
+    out = str(tmp_path / "scene")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, _, err = run_cli(capsys, "simulate", "--out", out,
+                             *(f"{k}={v}" for k, v in argv.items() if v is not None))
+    assert rc == 2 and "usage error" in err and name in err
+    assert err.count("\n") == 1
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("argv", [

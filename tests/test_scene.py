@@ -1,6 +1,8 @@
 """Scene simulator tests: impulse-response structure, exact component
 additivity, SNR control, and deterministic regeneration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from lodistort import (
     synth_noise,
     synth_speech_like,
 )
-from lodistort.scene import _fft_convolve
+from lodistort.scene import _convolve_mics, _noise_rir
 
 
 def make_room(**kwargs):
@@ -28,11 +30,87 @@ def test_fft_convolve_matches_direct_convolution():
     for _ in range(40):
         x = rng.standard_normal(int(rng.integers(1, 70)))
         h = rng.standard_normal(int(rng.integers(1, 70)))
-        got = _fft_convolve(x, h)
+        got = _convolve_mics(x, [h], np.empty((x.shape[0] + h.shape[0] - 1, 1)))
         want = np.convolve(x, h)
-        assert got.shape == want.shape
+        assert got.shape == want[:, None].shape
         scale = np.sum(np.abs(x)) * np.max(np.abs(h))
-        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        assert np.max(np.abs(got[:, 0] - want)) <= 1e-13 * scale
+
+
+def _per_mic_convolve(signal, kernel):
+    # the reference: the signal is transformed again for every kernel
+    num = signal.shape[0] + kernel.shape[0] - 1
+    size = 1 << (num - 1).bit_length()
+    spectrum = np.fft.rfft(signal, size) * np.fft.rfft(kernel, size)
+    return np.fft.irfft(spectrum, size)[:num]
+
+
+def _per_mic_noise(noise, room, noise_index):
+    samples = noise.samples[:, 0]
+    num = samples.shape[0]
+    out = np.empty((num, room.num_mics))
+    for m in range(room.num_mics):
+        out[:, m] = _per_mic_convolve(samples, _noise_rir(room, noise_index, m))[:num]
+    return out
+
+
+def _per_mic_scene(source, noise_sources, room, snr_db):
+    """render_scene with one signal transform per mic and response."""
+    src = source.samples[:, 0]
+    num = src.shape[0]
+    direct = np.zeros((num, room.num_mics))
+    residual = np.zeros((num, room.num_mics))
+    for m in range(room.num_mics):
+        delay = room.direct_delay_samples[m]
+        if delay < num:
+            direct[delay:, m] = src[:num - delay]
+        tail = generate_rir(room, m)
+        tail[delay] = 0.0
+        if np.any(tail):
+            residual[:, m] = _per_mic_convolve(src, tail)[:num]
+    noise = np.zeros((num, room.num_mics))
+    for i, nz in enumerate(noise_sources):
+        noise += _per_mic_noise(nz, room, i)
+    if noise_sources and snr_db is not None:
+        direct_energy = float(np.sum(direct[:, 0] ** 2))
+        noise_energy = float(np.sum(noise[:, 0] ** 2))
+        noise *= math.sqrt(direct_energy / noise_energy * 10.0 ** (-snr_db / 10.0))
+    mixture = direct + residual
+    mixture += noise
+    factor = 1.0 / math.sqrt(float(np.var(mixture)))
+    for signal in (mixture, direct, residual, noise):
+        signal *= factor
+    return mixture, direct, residual, noise
+
+
+@pytest.mark.parametrize("num_mics, t60, delays, num_noises, snr_db", [
+    (1, 0.3, 8, 1, 0.0),
+    (8, 0.5, tuple(8 + 3 * m for m in range(8)), 2, -4.0),
+    (2, 0.0, (8, 11), 2, 3.0),        # no live tails: the residual is zero
+    (3, 0.4, (8, 700, 1200), 1, 2.0),  # mic 2's delay is past the signal
+    (2, 0.3, (8, 11), 0, None),
+    (2, 0.3, (8, 11), 2, None),
+])
+def test_render_matches_per_mic_transforms(num_mics, t60, delays, num_noises,
+                                           snr_db):
+    """Transforming each source once gives the same bits as transforming it
+    again for every mic."""
+    room = RoomSpec(num_mics=num_mics, t60_seconds=t60, rir_len_samples=1500,
+                    direct_delay_samples=delays, seed=17)
+    num = 1000
+    source = synth_speech_like(num, seed=3)
+    noises = [synth_noise(num, seed=[4, i]) for i in range(num_noises)]
+    scene = render_scene(source, noises, room, snr_db)
+    want = _per_mic_scene(source, noises, room, snr_db)
+    got = (scene.mixture.samples, scene.direct_path.samples,
+           scene.reverb_residual.samples, scene.noise.samples)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    if t60 == 0.0:
+        assert not np.any(scene.reverb_residual.samples)
+    for i, nz in enumerate(noises):
+        assert np.array_equal(render_noise_component(nz, room, i),
+                              _per_mic_noise(nz, room, i))
 
 
 def test_rir_direct_tap_and_causality():
@@ -177,12 +255,30 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         RoomSpec(num_mics=3, t60_seconds=0.3, rir_len_samples=100,
                  direct_delay_samples=(1, 2))  # wrong delay count
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t60_seconds"):
+            make_room(t60_seconds=bad)
+        with pytest.raises(ValueError, match="tail_gain"):
+            make_room(tail_gain=bad)
     room = make_room()
     with pytest.raises(ValueError):
         render_scene(synth_speech_like(1000, seed=1), [], room, snr_db=5.0)
     with pytest.raises(ValueError):  # zero-energy source cannot meet an SNR
         render_scene(TimeSignal(np.zeros(1000), 16000),
                      [synth_noise(1000, seed=2)], room, snr_db=5.0)
+
+
+def test_snr_must_be_a_number_or_plus_inf():
+    room = make_room()
+    source = synth_speech_like(1000, seed=1)
+    noises = [synth_noise(1000, seed=2)]
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="snr_db"):
+            render_scene(source, noises, room, snr_db=bad)
+    # +inf keeps its meaning: the noise is scaled to silence
+    scene = render_scene(source, noises, room, snr_db=math.inf)
+    assert not np.any(scene.noise.samples)
+    assert scene.snr_db == math.inf
 
 
 def test_synth_sources_are_unit_power_and_seeded():
