@@ -25,7 +25,7 @@ from .fsio import atomic_write_json, atomic_write_text, from_jsonable, json_text
 from .metrics import ScoreReference, phase_report, score_estimate
 from .pipeline import PARAM_KEYS, PipelineSpec, list_pipelines, make_estimate
 from .pipeline import run_pipeline, write_feature_bundle
-from .scene import RoomSpec, render_scene, synth_noise, synth_speech_like
+from .scene import RoomSpec, check_snr_db, render_scene, synth_noise, synth_speech_like
 from .stft import StftConfig, analyze, synthesize
 from .wavio import read_wav, write_wav
 
@@ -142,6 +142,12 @@ def cmd_simulate(args):
         )
     if args.num_noises < 0:
         raise ValueError("--num-noises must be >= 0")
+    # checked here, before anything is drawn: a noise-free scene renders
+    # with snr_db=None, so render_scene never sees the flag's value
+    try:
+        check_snr_db(args.snr_db)
+    except ValueError as exc:
+        raise ValueError(f"--snr-db: {exc}") from None
     rir_len = args.rir_len
     if rir_len is None:
         if not 0 <= args.t60 * rate < math.inf:
@@ -321,6 +327,8 @@ def cmd_analyze_phase(args):
     q = args.ref_mic
     if q < 0:
         raise ValueError(f"--ref-mic {q} out of range")
+    if args.seed < 0:
+        raise ValueError(f"--seed: seed must be >= 0, got {args.seed}")
     _, mixture, target = _load_scene_dir(args.scene)
     if target is None:
         raise FormatError(f"{args.scene}: scene has no direct-path file; phase "

@@ -12,10 +12,11 @@ The core works frequency-major: it reads its predictor source, targets and
 weights as F x T x ... arrays, in practice the transposed views of the
 callers' T x F x ... arrays (no F-major copy is made), and solves one D x D
 system per frequency bin, D = taps * channels.  The bins are independent,
-so the core splits them into chunks and runs the chunks on a pool of
-threads, one worker per CPU in the process's affinity mask
-(`os.sched_getaffinity`).  Each worker fills a workspace that the calling
-thread allocates once per call: the chunk's zero-padded frames, its
+so the core splits them into chunks and runs the chunks on the process-wide
+worker pool of the _pool module, one worker per CPU in the process's
+affinity mask (`os.sched_getaffinity`): the calling thread solves chunks
+itself and the pool's threads help.  Each worker fills a workspace that the
+calling thread allocates once per call: the chunk's zero-padded frames, its
 F x T x D delayed stack, per bin the real 2D x 2D Gram of
 linalg.hermitian_gram and the complex D x D Gram G, and an F x T x M
 buffer that holds first the chunk's conjugated, scaled targets and then
@@ -32,24 +33,15 @@ coeffs = G^-1 Sum_t s' conj(z) with z = targets * w^-1/2.  The prediction
 coeffs^H s is (s' @ conj(coeffs)) * w^1/2.  The right-hand side and the
 prediction are batched matrix products.
 
-While the workers run, the process-wide thread count of the OpenBLAS that
-numpy loaded is held at one and restored afterwards, so the workers do not
-oversubscribe the CPUs; other threads that call BLAS during a linpred call
-run single-threaded as well.  Where that count cannot be controlled (numpy
-on another BLAS, or no /proc/self/maps to find the library), the core runs
-with one worker: the same code, serially.
+While the workers run, numpy's OpenBLAS is held at one thread (see
+_pool).  Where that cannot be done, the core runs with one worker: the same
+code, serially on the caller.
 """
-
-import contextlib
-import ctypes
-import functools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _pool
 from .linalg import DEFAULT_LOADING, hermitian_gram, load_diagonal, solve_stack
 from .stats import psd_floor
 
@@ -161,126 +153,6 @@ def _scaled(arr, factors):
     return arr
 
 
-def _numpy_openblas_path():
-    # the OpenBLAS library numpy loaded: the one under numpy's own install
-    # directory, else the only OpenBLAS mapped into the process
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            # address, perms, offset, device, inode, then the path if any
-            lines = [line.rstrip("\n").split(maxsplit=5) for line in maps]
-    except OSError:
-        return None
-    mapped = {fields[5] for fields in lines
-              if len(fields) == 6 and "openblas" in os.path.basename(fields[5])}
-    own = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy")
-    candidates = [path for path in mapped if path.startswith(own)] or list(mapped)
-    return candidates[0] if len(candidates) == 1 else None
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the process-wide OpenBLAS thread count, or None.
-
-    The functions come from the OpenBLAS that numpy loaded, through ctypes,
-    under any of the symbol names its builds export.
-    """
-    path = _numpy_openblas_path()
-    if path is None:
-        return None
-    try:
-        lib = ctypes.CDLL(path)
-    except OSError:
-        return None
-    for prefix in ("", "scipy_"):
-        for suffix in ("", "64_", "_64"):
-            names = (f"{prefix}openblas_get_num_threads{suffix}",
-                     f"{prefix}openblas_set_num_threads{suffix}")
-            if not all(hasattr(lib, name) for name in names):
-                continue
-            get, set_threads = (getattr(lib, name) for name in names)
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            return get, set_threads
-    return None
-
-
-def _worker_count():
-    # one worker per CPU this process may run on, where BLAS can be held at
-    # one thread meanwhile; otherwise one worker
-    if _openblas_threads() is None:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-class _BlasHold:
-    """Holds the OpenBLAS thread count at one while any parallel region runs.
-
-    The first region to enter saves the count and the last to leave restores
-    it, so overlapping calls from several threads leave it as they found it.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._regions = 0
-        self._saved = None
-
-    @contextlib.contextmanager
-    def single_threaded(self):
-        control = _openblas_threads()
-        if control is None:
-            yield
-            return
-        get, set_threads = control
-        with self._lock:
-            if self._regions == 0:
-                self._saved = get()
-                set_threads(1)
-            self._regions += 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._regions -= 1
-                if self._regions == 0:
-                    set_threads(self._saved)
-
-
-_BLAS_HOLD = _BlasHold()
-
-
-def _run_chunks(solve, spaces, starts):
-    """Call solve(space, start) for every chunk start, one worker per space.
-
-    One space runs every chunk in the calling thread.  Several run as a pool
-    of threads, each pulling the next start until none is left or a worker
-    has failed; the first failure is raised.
-    """
-    if len(spaces) == 1:
-        for start in starts:
-            solve(spaces[0], start)
-        return
-    pending = iter(starts)
-    lock = threading.Lock()
-    failed = threading.Event()
-
-    def drain(space):
-        while not failed.is_set():
-            with lock:
-                start = next(pending, None)
-            if start is None:
-                return
-            try:
-                solve(space, start)
-            except BaseException:
-                failed.set()
-                raise
-
-    with _BLAS_HOLD.single_threaded(), ThreadPoolExecutor(len(spaces)) as pool:
-        futures = [pool.submit(drain, space) for space in spaces]
-        for future in futures:
-            future.result()
-
-
 def _predict_fmajor(source, targets, weights, taps, delay, loading, out=None):
     """Weighted linear prediction of `targets` from delayed `source` frames.
 
@@ -301,7 +173,7 @@ def _predict_fmajor(source, targets, weights, taps, delay, loading, out=None):
     coeffs = np.empty((num_bins, dim, num_targets), dtype=np.complex128)
     per_bin = _bin_bytes(num_frames, num_channels, taps, delay, num_targets)
     # each worker's share of the budget holds at least one bin
-    workers = max(1, min(_worker_count(), CHUNK_BUDGET_BYTES // per_bin))
+    workers = max(1, min(_pool.worker_count(), CHUNK_BUDGET_BYTES // per_bin))
     chunk = max(1, CHUNK_BUDGET_BYTES // workers // per_bin)
     starts = range(0, num_bins, chunk)
     # allocated here rather than in the workers: buffers a worker thread
@@ -328,7 +200,7 @@ def _predict_fmajor(source, targets, weights, taps, delay, loading, out=None):
             out[bins] = _scaled(
                 np.matmul(stack, np.conjugate(coeffs[bins]), out=target_buf), root)
 
-    _run_chunks(solve, spaces, starts)
+    _pool.run_chunks(solve, spaces, starts)
     return coeffs
 
 

@@ -192,6 +192,8 @@ class PipelineSpec:
         # the upper bound needs the scene's channel count: run_pipeline checks it
         if self.ref_mic < 0:
             raise ValueError(f"ref_mic must be >= 0, got {self.ref_mic}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("taps", "taps_fcp", "delay"):
             value = getattr(self, name)
             # only taps has a default (None) chosen from the channel count

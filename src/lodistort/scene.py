@@ -9,15 +9,20 @@ randomness is keyed off (seed, stream, source index, mic index) so any piece
 of a scene can be regenerated in isolation, bit-identically.
 
 Each source is transformed once per scene and convolved with every mic's
-response from that one spectrum; the result is bit-identical to convolving
-it per mic, with the source transformed anew each time.
+response from that one spectrum.  Each (source, mic) response is built,
+transformed and applied as one job on the worker pool linpred uses (see
+_pool), one call per scene, so the responses render in parallel; the result
+is bit-identical to convolving each source per mic, serially, with the
+source transformed anew each time.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pool
 from .stft import TimeSignal, as_mono
 
 # rng stream tags so source and noise responses never share draws
@@ -60,6 +65,8 @@ class RoomSpec:
             raise ValueError("sample_rate_hz must be positive")
         if not 0 <= self.tail_gain < math.inf:
             raise ValueError(f"tail_gain must be finite and >= 0, got {self.tail_gain}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         delays = self.direct_delay_samples
         if np.isscalar(delays):
             delays = (int(delays),) * self.num_mics
@@ -91,34 +98,48 @@ class Scene:
     snr_db: float
 
 
-def _convolve_mics(signal, kernels, out):
-    """Write into out[:, m] the first out.shape[0] samples of the linear
-    convolution of the 1-D `signal` with kernels[m]; a None kernel leaves its
-    column as it is.  All kernels have one length.
+def _convolve_mics(sources, num_mics, kernel_len, num_out):
+    """Convolve every source with every mic's response.
 
-    The convolution runs through a real FFT whose size is the next power of
-    two that holds the whole result.  The signal is transformed once, and
-    each product is formed in one reused buffer with the signal's spectrum
-    as the left operand: numpy's SIMD complex multiply is not bitwise
-    commutative, and `rfft(signal) * rfft(kernel)` multiplies into the
-    signal's spectrum, so this order keeps every column bit-identical to a
-    convolution that transforms the signal again for each kernel.
+    `sources` holds (signal, response) pairs, the signals 1-D and of one
+    length; response(m) builds mic m's response, kernel_len samples long,
+    or returns None for a zero column.  Each convolution runs through a
+    real FFT whose size is the next power of two that holds the whole
+    result, and each signal is transformed once.  Every (source, mic) pair
+    is one job on the worker pool, all in one call: the job builds the
+    response, transforms it and multiplies it into its worker's product
+    buffer with the signal's spectrum as the left operand.  numpy's SIMD
+    complex multiply is not bitwise commutative, and
+    `rfft(signal) * rfft(kernel)` multiplies into the signal's spectrum, so
+    this order keeps every column bit-identical to a serial convolution
+    that transforms the signal again for each kernel.  The inverse
+    transform goes to the pair's row of a sources x num_mics x num_out
+    buffer, copied into the results once: columns of a result written from
+    two threads would share cache lines.
 
     Return:
-        out
+        per source, the first num_out samples of its convolutions as a
+        num_out x num_mics array
     """
-    spectrum = product = None
-    for m, kernel in enumerate(kernels):
-        if kernel is None:
-            continue
-        if spectrum is None:
-            num = signal.shape[0] + kernel.shape[0] - 1
-            size = 1 << (num - 1).bit_length()
-            spectrum = np.fft.rfft(signal, size)
-            product = np.empty_like(spectrum)
-        np.multiply(spectrum, np.fft.rfft(kernel, size), out=product)
-        out[:, m] = np.fft.irfft(product, size)[:out.shape[0]]
-    return out
+    num = sources[0][0].shape[0] + kernel_len - 1
+    size = 1 << (num - 1).bit_length()
+    spectra = [np.fft.rfft(signal, size) for signal, _ in sources]
+    rows = np.zeros((len(sources), num_mics, num_out))
+    jobs = range(len(sources) * num_mics)
+    # allocated here rather than in the jobs: buffers a pool thread
+    # allocates stay resident in its own malloc arena after the call
+    products = [np.empty_like(spectra[0])
+                for _ in range(max(1, min(_pool.worker_count(), len(jobs))))]
+
+    def convolve(product, job):
+        s, m = divmod(job, num_mics)
+        kernel = sources[s][1](m)
+        if kernel is not None:
+            np.multiply(spectra[s], np.fft.rfft(kernel, size), out=product)
+            rows[s, m] = np.fft.irfft(product, size)[:num_out]
+
+    _pool.run_chunks(convolve, products, jobs)
+    return [row.T.copy() for row in rows]
 
 
 def _tap_rir(room, delay, key):
@@ -162,8 +183,15 @@ def render_noise_component(noise, room, noise_index):
     and summed.
     """
     samples = as_mono(noise, f"noise source {noise_index}", room.sample_rate_hz)
-    rirs = (_noise_rir(room, noise_index, m) for m in range(room.num_mics))
-    return _convolve_mics(samples, rirs, np.empty((samples.shape[0], room.num_mics)))
+    response = functools.partial(_noise_rir, room, noise_index)
+    return _convolve_mics([(samples, response)], room.num_mics, room.rir_len_samples,
+                          samples.shape[0])[0]
+
+
+def check_snr_db(snr_db):
+    """Reject an SNR that is neither None, finite nor +inf."""
+    if snr_db is not None and not -math.inf < snr_db <= math.inf:
+        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
 
 
 def render_scene(source, noise_sources, room, snr_db, normalize=True):
@@ -180,8 +208,7 @@ def render_scene(source, noise_sources, room, snr_db, normalize=True):
     Return:
         Scene
     """
-    if snr_db is not None and not -math.inf < snr_db <= math.inf:
-        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
+    check_snr_db(snr_db)
     src = as_mono(source, "source", room.sample_rate_hz)
     num = src.shape[0]
     if num == 0:
@@ -191,16 +218,22 @@ def render_scene(source, noise_sources, room, snr_db, normalize=True):
     for m, delay in enumerate(room.direct_delay_samples):
         if delay < num:
             direct[delay:, m] = src[:num - delay]
-    tails = (_live_tail(room, m) for m in range(room.num_mics))
-    residual = _convolve_mics(src, tails, np.zeros((num, room.num_mics)))
-
-    noise = np.zeros((num, room.num_mics))
-    for i, nz in enumerate(noise_sources):
-        component = render_noise_component(nz, room, i)
-        if component.shape[0] != num:
+    noises = [as_mono(nz, f"noise source {i}", room.sample_rate_hz)
+              for i, nz in enumerate(noise_sources)]
+    for i, samples in enumerate(noises):
+        if samples.shape[0] != num:
             raise ValueError(
-                f"noise source {i} has {component.shape[0]} samples, expected {num}"
+                f"noise source {i} has {samples.shape[0]} samples, expected {num}"
             )
+    # the residual and every noise component in one call to the pool; the
+    # components are rendered as render_noise_component renders them
+    sources = [(src, functools.partial(_live_tail, room))]
+    sources += [(samples, functools.partial(_noise_rir, room, i))
+                for i, samples in enumerate(noises)]
+    residual, *components = _convolve_mics(sources, room.num_mics,
+                                           room.rir_len_samples, num)
+    noise = np.zeros((num, room.num_mics))
+    for component in components:
         noise += component
 
     if snr_db is not None and not noise_sources:

@@ -304,6 +304,40 @@ def test_simulate_non_finite_or_empty_values_exit_2(tmp_path, capsys, flags, nam
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("num_noises", ["0", "2"])
+@pytest.mark.parametrize("snr_db", ["nan", "-inf"])
+def test_simulate_bad_snr_exits_2_before_drawing(tmp_path, capsys, monkeypatch,
+                                                 snr_db, num_noises):
+    # a noise-free scene renders unscaled, so the flag is checked by itself
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a source was drawn")
+
+    monkeypatch.setattr(lodistort.cli, "synth_speech_like", no_draw)
+    monkeypatch.setattr(lodistort.cli, "synth_noise", no_draw)
+    out = str(tmp_path / "scene")
+    rc, stdout, err = run_cli(capsys, "simulate", "--mics", "2", "--t60", "0.3",
+                              f"--snr-db={snr_db}", "--num-noises", num_noises,
+                              "--duration", "0.5", "--out", out)
+    assert rc == 2 and "usage error" in err and "--snr-db" in err
+    assert stdout == "" and not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ("--mics", "2", "--t60", "0.3", "--snr-db", "0", "--duration", "0.5")),
+    ("enhance", ("--pipeline", "wpe")),
+    ("enhance", ("--pipeline", "wpe", "--est-err-snr-db", "10")),
+    ("analyze-phase", ("--est-err-snr-db", "10")),
+], ids=["simulate", "enhance", "enhance-corrupted", "analyze-phase"])
+def test_negative_seed_exits_2(scene_dir, tmp_path, capsys, command, flags):
+    # used or not, a negative seed is a usage error that names the seed
+    out = str(tmp_path / "out")
+    scene = () if command == "simulate" else ("--scene", scene_dir)
+    rc, stdout, err = run_cli(capsys, command, *scene, *flags, "--seed", "-1",
+                              "--out", out)
+    assert rc == 2 and "usage error" in err and "seed must be >= 0, got -1" in err
+    assert stdout == "" and not os.path.exists(out)
+
+
 @pytest.mark.parametrize("argv", [
     ("--pipeline", "wpe", "--epsilon", "nan"),
     ("--pipeline", "nosuch"),
@@ -351,7 +385,8 @@ def test_invalid_filter_parameters_exit_2(scene_dir, tmp_path, capsys, flag, val
     (("--est-err-snr-db", "nan"), "est_err_snr_db"),
     (("--est-err-snr-db=-inf",), "est_err_snr_db"),
     (("--ref-mic", "-3"), "--ref-mic"),
-], ids=["nan-err-snr", "minus-inf-err-snr", "negative-ref-mic"])
+    (("--seed", "-1"), "--seed"),
+], ids=["nan-err-snr", "minus-inf-err-snr", "negative-ref-mic", "negative-seed"])
 def test_analyze_phase_invalid_flag_exits_2_before_reading_scene(
         tmp_path, capsys, flags, named):
     # a bad flag is a usage error even when the scene is missing, and no

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import lodistort
-from lodistort import linpred
+from lodistort import _pool, linpred
 from lodistort.linalg import solve_stack
 from lodistort import (
     RoomSpec,
@@ -424,26 +424,44 @@ def _solve_threads(monkeypatch):
     return threads
 
 
+def _meeting_solves(monkeypatch):
+    # records the thread of every chunk solve; each solve waits until a
+    # second thread has entered one, so a pooled call whose chunks all ran
+    # on one thread fails instead of passing by timing
+    threads = []
+    met = threading.Event()
+
+    def meeting_solve(mats, rhs):
+        threads.append(threading.get_ident())
+        if len(set(threads)) > 1:
+            met.set()
+        assert met.wait(timeout=60), "no second thread solved a chunk"
+        return solve_stack(mats, rhs)
+
+    monkeypatch.setattr(linpred, "solve_stack", meeting_solve)
+    return threads
+
+
 @pytest.mark.parametrize("kind", ["wpe_field", "wpe", "fcp"])
 def test_worker_counts_agree(monkeypatch, kind):
     run = _pool_case(kind)
     monkeypatch.setattr(linpred, "CHUNK_BUDGET_BYTES", 2 ** 20)
+    monkeypatch.setattr(_pool, "worker_count", lambda: 1)
     threads = _solve_threads(monkeypatch)
-    outputs = {}
-    for workers in (1, 2, 5):
-        monkeypatch.setattr(linpred, "_worker_count", lambda: workers)
-        threads.clear()
-        outputs[workers] = run()
-        on_caller = set(threads) == {threading.get_ident()}
-        assert on_caller == (workers == 1), workers
+    serial = run()
+    assert set(threads) == {threading.get_ident()}
     for workers in (2, 5):
-        _assert_close(outputs[workers], outputs[1])
+        monkeypatch.setattr(_pool, "worker_count", lambda: workers)
+        threads = _meeting_solves(monkeypatch)
+        _assert_close(run(), serial)
+        # pooled solves leave the calling thread
+        assert set(threads) - {threading.get_ident()}, workers
 
 
 def test_repeated_calls_are_bit_identical(monkeypatch):
     run = _pool_case("wpe_field")
     monkeypatch.setattr(linpred, "CHUNK_BUDGET_BYTES", 2 ** 20)
-    monkeypatch.setattr(linpred, "_worker_count", lambda: 3)
+    monkeypatch.setattr(_pool, "worker_count", lambda: 3)
     first = run()
     for _ in range(3):
         again = run()
@@ -454,8 +472,8 @@ def test_without_blas_control_runs_serially(monkeypatch):
     run = _pool_case("wpe_field")
     monkeypatch.setattr(linpred, "CHUNK_BUDGET_BYTES", 2 ** 20)
     pooled = run()
-    monkeypatch.setattr(linpred, "_openblas_threads", lambda: None)
-    assert linpred._worker_count() == 1
+    monkeypatch.setattr(_pool, "openblas_threads", lambda: None)
+    assert _pool.worker_count() == 1
     threads = _solve_threads(monkeypatch)
     serial = run()
     assert set(threads) == {threading.get_ident()}
@@ -465,7 +483,7 @@ def test_without_blas_control_runs_serially(monkeypatch):
 @pytest.fixture()
 def blas_threads():
     # the OpenBLAS thread count at 3 for the test, put back afterwards
-    control = linpred._openblas_threads()
+    control = _pool.openblas_threads()
     if control is None:
         pytest.skip("numpy's BLAS thread count cannot be controlled here")
     get, set_threads = control
@@ -480,7 +498,7 @@ def blas_threads():
 def test_blas_thread_count_restored(monkeypatch, blas_threads):
     run = _pool_case("wpe_field")
     monkeypatch.setattr(linpred, "CHUNK_BUDGET_BYTES", 2 ** 20)
-    monkeypatch.setattr(linpred, "_worker_count", lambda: 2)
+    monkeypatch.setattr(_pool, "worker_count", lambda: 2)
     inside = []
 
     def solve_then_fail(mats, rhs):
@@ -506,9 +524,9 @@ def test_overlapping_calls_from_threads(monkeypatch, blas_threads):
     # result matches a serial run and the last region out restores BLAS
     run = _pool_case("wpe")
     monkeypatch.setattr(linpred, "CHUNK_BUDGET_BYTES", 2 ** 20)
-    monkeypatch.setattr(linpred, "_worker_count", lambda: 1)
+    monkeypatch.setattr(_pool, "worker_count", lambda: 1)
     want = run()
-    monkeypatch.setattr(linpred, "_worker_count", lambda: 3)
+    monkeypatch.setattr(_pool, "worker_count", lambda: 3)
     results = [None] * 6
 
     def call(index):

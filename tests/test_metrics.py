@@ -22,7 +22,7 @@ from lodistort import (
     wrap_phase,
 )
 from lodistort.cli import main as cli_main
-from lodistort.linpred import _openblas_threads
+from lodistort._pool import openblas_threads
 from lodistort.metrics import (
     ScoreReference,
     _abs_phase_diff,
@@ -129,7 +129,7 @@ def test_si_sdr_validation():
 
 def test_si_sdr_ignores_blas_thread_count():
     # the same waves score identically whatever OpenBLAS's thread count
-    control = _openblas_threads()
+    control = openblas_threads()
     if control is None:
         pytest.skip("numpy's OpenBLAS thread count is not reachable")
     get_threads, set_threads = control

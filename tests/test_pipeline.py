@@ -266,6 +266,9 @@ def test_validation_errors(small_scene):
     # the lower bound needs no scene, so the spec itself rejects it
     with pytest.raises(ValueError, match="ref_mic must be >= 0, got -3"):
         PipelineSpec("wpe", ref_mic=-3)
+    # so is a negative seed, whether or not the estimate is corrupted
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        PipelineSpec("wpe", seed=-1)
     with pytest.raises(ValueError, match="needs the target"):
         run_pipeline(small_scene.mixture, PipelineSpec("wpe"))
     with pytest.raises(ValueError, match="estimate_path"):

@@ -30,7 +30,8 @@ def test_fft_convolve_matches_direct_convolution():
     for _ in range(40):
         x = rng.standard_normal(int(rng.integers(1, 70)))
         h = rng.standard_normal(int(rng.integers(1, 70)))
-        got = _convolve_mics(x, [h], np.empty((x.shape[0] + h.shape[0] - 1, 1)))
+        num = x.shape[0] + h.shape[0] - 1
+        got = _convolve_mics([(x, lambda m: h)], 1, h.shape[0], num)[0]
         want = np.convolve(x, h)
         assert got.shape == want[:, None].shape
         scale = np.sum(np.abs(x)) * np.max(np.abs(h))
@@ -266,6 +267,11 @@ def test_validation_errors():
     with pytest.raises(ValueError):  # zero-energy source cannot meet an SNR
         render_scene(TimeSignal(np.zeros(1000), 16000),
                      [synth_noise(1000, seed=2)], room, snr_db=5.0)
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        make_room(seed=-1)
 
 
 def test_snr_must_be_a_number_or_plus_inf():
