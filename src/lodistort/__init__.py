@@ -7,7 +7,7 @@ evaluation.  A first-stage estimate of the target spectrogram (here: oracles
 or files, in a full system a learned model) drives every filter.
 """
 
-from .beamform import BeamformerWeights, apply_beamformer, gev_ban, mcwf, mvdr, wmpdr
+from .beamform import apply_beamformer, gev_ban, mcwf, mvdr, wmpdr
 from .errors import FormatError, SingularMatrixError
 from .estimator import (
     ORACLE_KINDS,
@@ -72,7 +72,6 @@ from .wavio import read_wav, write_wav
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeamformerWeights",
     "CovarianceSet",
     "FormatError",
     "MetricsReport",

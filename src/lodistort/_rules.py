@@ -1,0 +1,79 @@
+"""The rule of every numeric parameter, in one table that PipelineSpec,
+RoomSpec, the library functions and the CLI all check against.
+
+Integer rules take any numbers.Integral but bool, real rules ints too.
+Every check tests for the valid range, so a NaN fails it.
+"""
+
+import math
+import numbers
+from collections.abc import Iterable
+from dataclasses import fields
+from typing import NamedTuple
+
+
+class Rule(NamedTuple):
+    flag: str  # the CLI flag that sets the parameter
+    integer: bool
+    low: float  # -inf: no lower bound
+    closed: bool = True  # whether low itself is allowed
+    inf: bool = False  # whether +inf is allowed
+
+    def holds(self, value):
+        above = self.low <= value if self.closed else self.low < value
+        return above and (value <= math.inf if self.inf else value < math.inf)
+
+    def text(self):
+        if self.low == -math.inf:
+            bound = "finite"
+        else:
+            bound = f"{'>=' if self.closed else '>'} {self.low}"
+            bound += "" if self.integer else " and finite"
+        return bound + (" or +inf" if self.inf else "")
+
+
+RULES = {
+    # PipelineSpec, the estimator and the linear-prediction core
+    "est_err_snr_db": Rule("--est-err-snr-db", False, -math.inf, False, inf=True),
+    "ref_mic": Rule("--ref-mic", True, 0),
+    "taps": Rule("--taps", True, 1),
+    "taps_fcp": Rule("--taps-fcp", True, 1),
+    "delay": Rule("--delay", True, 1),
+    "epsilon": Rule("--epsilon", False, 0, False),
+    "epsilon_fcp": Rule("--epsilon-fcp", False, 0, False),
+    "loading": Rule("--loading", False, 0),
+    "seed": Rule("--seed", True, 0),
+    # RoomSpec, render_scene and simulate
+    "num_mics": Rule("--mics", True, 1),
+    "t60_seconds": Rule("--t60", False, 0),
+    "rir_len_samples": Rule("--rir-len", True, 1),
+    "direct_delay_samples": Rule("--direct-delay", True, 0),
+    "sample_rate_hz": Rule(None, True, 1),
+    "tail_gain": Rule("--tail-gain", False, 0),
+    "snr_db": Rule("--snr-db", False, -math.inf, False, inf=True),
+    "num_noises": Rule("--num-noises", True, 0),
+}
+
+
+def check(name, value, prefix=""):
+    """Raise ValueError, its message led by `prefix`, unless `value` obeys
+    the rule of `name`."""
+    rule = RULES[name]
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if rule.integer and isinstance(value, numbers.Real) and not (
+            number and isinstance(value, numbers.Integral)):
+        raise ValueError(f"{prefix}{name} must be an integer, got {value}")
+    if not (number and rule.holds(value)):
+        raise ValueError(f"{prefix}{name} must be {rule.text()}, got {value}")
+
+
+def check_fields(spec, optional=(), sequences=()):
+    """Check each field of the dataclass `spec` that has a rule.  A field in
+    `optional` may also be None, one in `sequences` a sequence of values."""
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        if field.name not in RULES or (value is None and field.name in optional):
+            continue
+        many = field.name in sequences and isinstance(value, Iterable)
+        for item in value if many else (value,):
+            check(field.name, item)

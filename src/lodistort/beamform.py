@@ -2,11 +2,10 @@
 variant), GEV with blind analytic normalization, and the multichannel Wiener
 filter.
 
-Weights are stored conjugated-application style: the beamformer output is
-w(f)^H Z(t,f), implemented by apply_beamformer.
+Each beamformer returns its weights as a complex F x P array, stored
+conjugated-application style: the beamformer output is w(f)^H Z(t,f),
+implemented by apply_beamformer.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,19 +20,6 @@ from .linalg import (
     rotate_reference_phase,
     solve_stack,
 )
-
-
-@dataclass
-class BeamformerWeights:
-    """Per-frequency beamforming weights of mvdr, wmpdr, gev_ban or mcwf.
-
-    Attributes:
-        weights: complex array, F x P, applied conjugated by apply_beamformer
-        ref_mic: reference channel the weights are anchored to
-    """
-
-    weights: np.ndarray
-    ref_mic: int
 
 
 def _check_square(mats, name):
@@ -62,8 +48,7 @@ def _distortionless(phi, steering, ref_mic, loading):
             "(zero steering vector or indefinite covariance)",
             frequency_bin=bad,
         )
-    weights = num / den[:, None] * np.conj(steering[:, ref_mic])[:, None]
-    return BeamformerWeights(weights, ref_mic)
+    return num / den[:, None] * np.conj(steering[:, ref_mic])[:, None]
 
 
 def mvdr(cov, ref_mic=0, loading=DEFAULT_LOADING):
@@ -130,7 +115,7 @@ def gev_ban(cov, ref_mic=0, loading=DEFAULT_LOADING):
     num = np.sqrt(np.sum(np.abs(propagated) ** 2, axis=1) / num_mics)
     den = np.einsum("fp,fp->f", np.conj(weights), propagated).real
     gain = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-    return BeamformerWeights(weights * gain[:, None], ref_mic)
+    return weights * gain[:, None]
 
 
 def mcwf(field, target_q, ref_mic=0, loading=DEFAULT_LOADING):
@@ -145,6 +130,7 @@ def mcwf(field, target_q, ref_mic=0, loading=DEFAULT_LOADING):
     Arguments:
         field: complex spectrogram, T x F x P
         target_q: complex target, T x F
+        ref_mic: unused; the target already fixes the reference
     """
     field = np.asarray(field, dtype=np.complex128)
     target_q = np.asarray(target_q, dtype=np.complex128)
@@ -157,14 +143,13 @@ def mcwf(field, target_q, ref_mic=0, loading=DEFAULT_LOADING):
         )
     gram = load_diagonal(hermitian_gram(field.transpose(1, 0, 2)), loading)
     rhs = np.einsum("tfp,tf->fp", field, np.conj(target_q))
-    weights = solve_stack(gram, rhs)
-    return BeamformerWeights(weights, ref_mic)
+    return solve_stack(gram, rhs)
 
 
 def apply_beamformer(weights, field):
     """Apply w^H to every frame: out(t,f) = Sum_p conj(w(f,p)) Z(t,f,p)."""
     field = np.asarray(field, dtype=np.complex128)
-    w = np.asarray(weights.weights)
+    w = np.asarray(weights)
     if field.ndim != 3:
         raise ValueError(f"field must be T x F x P, got shape {field.shape}")
     if w.shape != (field.shape[1], field.shape[2]):

@@ -7,6 +7,8 @@ Subcommands:
     analyze-phase   per-scene phase-geometry statistics as JSON
     list-pipelines  the pipeline catalog as JSON
 
+Each numeric flag and config value is checked once, against its one rule,
+before any file is read or written, and a bad flag's message names the flag.
 Exit codes: 0 success, 2 usage error, 3 file/format error, 4 numerical error.
 All file outputs are written atomically (temp file + rename).
 """
@@ -19,40 +21,42 @@ import sys
 
 import numpy as np
 
+from ._rules import RULES, check
 from .errors import FormatError, SingularMatrixError
-from .estimator import ORACLE_KINDS, check_est_err_snr_db, load_spectrogram
+from .estimator import ORACLE_KINDS, load_spectrogram
 from .fsio import atomic_write_json, atomic_write_text, from_jsonable, json_text
 from .metrics import ScoreReference, phase_report, score_estimate
 from .pipeline import PARAM_KEYS, PipelineSpec, list_pipelines, make_estimate
 from .pipeline import run_pipeline, write_feature_bundle
-from .scene import RoomSpec, check_snr_db, render_scene, synth_noise, synth_speech_like
+from .scene import RoomSpec, render_scene, synth_noise, synth_speech_like
 from .stft import StftConfig, analyze, synthesize
 from .wavio import read_wav, write_wav
 
 SCHEMA_VERSION = 1
 
 
-# a PipelineSpec field's flag has the field's name as dest and its default
+def _flag(sub, name, **kwargs):
+    # a ruled flag has its parameter's name as dest, so main can check it
+    rule = RULES[name]
+    sub.add_argument(rule.flag, dest=name, type=int if rule.integer else float,
+                     **kwargs)
+
+
+# a PipelineSpec field's flag has the field's default
 def _add_estimate_flags(sub, kinds):
     sub.add_argument("--estimator", default=PipelineSpec.estimator, choices=kinds)
-    sub.add_argument("--est-err-snr-db", type=float, default=PipelineSpec.est_err_snr_db)
-    sub.add_argument("--ref-mic", type=int, default=PipelineSpec.ref_mic)
-    sub.add_argument("--seed", type=int, default=PipelineSpec.seed)
+    for name in ("est_err_snr_db", "ref_mic", "seed"):
+        _flag(sub, name, default=getattr(PipelineSpec, name))
 
 
 def _add_filter_flags(sub):
-    sub.add_argument("--taps", type=int, default=PipelineSpec.taps,
-                     help="prediction order (default: per-channel-count table)")
-    sub.add_argument("--taps-fcp", type=int, default=PipelineSpec.taps_fcp,
-                     help="compensation filter length")
-    sub.add_argument("--delay", type=int, default=PipelineSpec.delay,
-                     help="prediction delay in frames")
-    sub.add_argument("--epsilon", type=float, default=PipelineSpec.epsilon,
-                     help="relative floor for the power weights")
-    sub.add_argument("--epsilon-fcp", type=float, default=PipelineSpec.epsilon_fcp,
-                     help="relative floor for the compensation weights")
-    sub.add_argument("--loading", type=float, default=PipelineSpec.loading,
-                     help="relative diagonal loading")
+    for name, text in (("taps", "prediction order (default: per-channel-count table)"),
+                       ("taps_fcp", "compensation filter length"),
+                       ("delay", "prediction delay in frames"),
+                       ("epsilon", "relative floor for the power weights"),
+                       ("epsilon_fcp", "relative floor for the compensation weights"),
+                       ("loading", "relative diagonal loading")):
+        _flag(sub, name, default=getattr(PipelineSpec, name), help=text)
 
 
 def build_parser():
@@ -63,17 +67,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="render a seeded multichannel scene")
-    sim.add_argument("--mics", type=int, required=True)
-    sim.add_argument("--t60", type=float, required=True, help="seconds")
-    sim.add_argument("--snr-db", type=float, required=True)
-    sim.add_argument("--seed", type=int, default=0)
+    _flag(sim, "num_mics", required=True)
+    _flag(sim, "t60_seconds", required=True, help="seconds")
+    _flag(sim, "snr_db", required=True)
+    _flag(sim, "seed", default=0)
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--duration", type=float, default=1.0, help="seconds")
-    sim.add_argument("--num-noises", type=int, default=2)
-    sim.add_argument("--direct-delay", type=int, default=8,
-                     help="direct-path delay of mic 0 in samples (mic m adds m)")
-    sim.add_argument("--tail-gain", type=float, default=0.05)
-    sim.add_argument("--rir-len", type=int, default=None, help="samples")
+    _flag(sim, "num_noises", default=2)
+    _flag(sim, "direct_delay_samples", default=8,
+          help="direct-path delay of mic 0 in samples (mic m adds m)")
+    _flag(sim, "tail_gain", default=0.05)
+    _flag(sim, "rir_len_samples", default=None, help="samples")
     sim.set_defaults(func=cmd_simulate)
 
     enh = sub.add_parser("enhance", help="run a pipeline over a scene")
@@ -95,7 +99,7 @@ def build_parser():
     ev.add_argument("--estimate", "--est", required=True, help=".wav or .ldspec")
     ev.add_argument("--reference", "--ref", required=True, help=".wav or .ldspec")
     ev.add_argument("--mixture", "--mix", required=True, help=".wav or .ldspec")
-    ev.add_argument("--ref-mic", type=int, default=0)
+    _flag(ev, "ref_mic", default=0)
     ev.add_argument("--pipeline-name", default="")
     ev.add_argument("--out", help="write the report here instead of stdout only")
     ev.set_defaults(func=cmd_evaluate)
@@ -140,26 +144,14 @@ def cmd_simulate(args):
         raise ValueError(
             f"--duration {args.duration:g} s is shorter than one sample at {rate} Hz"
         )
-    if args.num_noises < 0:
-        raise ValueError("--num-noises must be >= 0")
-    # checked here, before anything is drawn: a noise-free scene renders
-    # with snr_db=None, so render_scene never sees the flag's value
-    try:
-        check_snr_db(args.snr_db)
-    except ValueError as exc:
-        raise ValueError(f"--snr-db: {exc}") from None
-    rir_len = args.rir_len
+    rir_len = args.rir_len_samples
     if rir_len is None:
-        if not 0 <= args.t60 * rate < math.inf:
-            raise ValueError(
-                f"--t60 must be >= 0 with a finite sample count at {rate} Hz, "
-                f"got {args.t60}"
-            )
-        rir_len = max(args.direct_delay + args.mics + 2, int((args.t60 + 0.05) * rate))
-    delays = tuple(args.direct_delay + m for m in range(args.mics))
+        rir_len = max(args.direct_delay_samples + args.num_mics + 2,
+                      int((args.t60_seconds + 0.05) * rate))
+    delays = tuple(args.direct_delay_samples + m for m in range(args.num_mics))
     room = RoomSpec(
-        num_mics=args.mics,
-        t60_seconds=args.t60,
+        num_mics=args.num_mics,
+        t60_seconds=args.t60_seconds,
         rir_len_samples=rir_len,
         direct_delay_samples=delays,
         seed=args.seed,
@@ -189,8 +181,8 @@ def cmd_simulate(args):
         "schemaVersion": SCHEMA_VERSION,
         "kind": "scene",
         "sampleRateHz": rate,
-        "numMics": args.mics,
-        "t60Seconds": args.t60,
+        "numMics": args.num_mics,
+        "t60Seconds": args.t60_seconds,
         "snrDb": scene.snr_db,
         "seed": args.seed,
         "durationSeconds": args.duration,
@@ -202,8 +194,8 @@ def cmd_simulate(args):
     }
     manifest_path = os.path.join(args.out, "manifest.json")
     atomic_write_json(manifest_path, manifest)
-    print(f"wrote scene to {args.out} ({args.mics} mics, "
-          f"t60={args.t60:g} s, snr={args.snr_db:g} dB, seed={args.seed})")
+    print(f"wrote scene to {args.out} ({args.num_mics} mics, "
+          f"t60={args.t60_seconds:g} s, snr={args.snr_db:g} dB, seed={args.seed})")
     return 0
 
 
@@ -281,9 +273,6 @@ def cmd_enhance(args):
 
 
 def cmd_evaluate(args):
-    # the flag is checked before the files are read
-    if args.ref_mic < 0:
-        raise ValueError(f"--ref-mic {args.ref_mic} out of range")
     cfg = StftConfig()
     inputs = {role: load_spectrogram(path, cfg) for role, path in (
         ("estimate", args.estimate),
@@ -322,13 +311,7 @@ def cmd_evaluate(args):
 
 
 def cmd_analyze_phase(args):
-    # the flags are checked before the scene is read
-    check_est_err_snr_db(args.est_err_snr_db)
     q = args.ref_mic
-    if q < 0:
-        raise ValueError(f"--ref-mic {q} out of range")
-    if args.seed < 0:
-        raise ValueError(f"--seed: seed must be >= 0, got {args.seed}")
     _, mixture, target = _load_scene_dir(args.scene)
     if target is None:
         raise FormatError(f"{args.scene}: scene has no direct-path file; phase "
@@ -364,6 +347,10 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        # every flag with a rule, before the command reads or writes a file
+        for name, rule in RULES.items():
+            if getattr(args, name, None) is not None:
+                check(name, getattr(args, name), f"{rule.flag}: ")
         return args.func(args)
     except (FormatError, OSError) as exc:
         print(f"lodistort: file error: {exc}", file=sys.stderr)
@@ -371,7 +358,7 @@ def main(argv=None):
     except (SingularMatrixError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"lodistort: numerical error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         print(f"lodistort: usage error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # numpy's message names the allocation

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import check
 from .errors import FormatError
 from .specio import read_spectrogram
 from .stft import StftConfig, analyze
@@ -89,12 +90,6 @@ def oracle_estimate(mixture, target, kind):
     return TargetEstimate(values)
 
 
-def check_est_err_snr_db(est_err_snr_db):
-    """Reject an estimate-to-error ratio that is neither finite nor +inf."""
-    if math.isnan(est_err_snr_db) or est_err_snr_db == -math.inf:
-        raise ValueError(f"est_err_snr_db must be finite or +inf, got {est_err_snr_db}")
-
-
 def corrupt_estimate(estimate, est_err_snr_db, seed):
     """Add complex Gaussian error at a fixed estimate-to-error energy ratio.
 
@@ -102,7 +97,7 @@ def corrupt_estimate(estimate, est_err_snr_db, seed):
     `est_err_snr_db`; +inf returns the input values unchanged.  The error's
     real parts are drawn first, then its imaginary parts.
     """
-    check_est_err_snr_db(est_err_snr_db)
+    check("est_err_snr_db", est_err_snr_db)
     values = np.ascontiguousarray(estimate.values, dtype=np.complex128)
     if math.isinf(est_err_snr_db):
         return TargetEstimate(values.copy())

@@ -42,6 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _pool
+from ._rules import check
 from .linalg import DEFAULT_LOADING, hermitian_gram, load_diagonal, solve_stack
 from .stats import psd_floor
 
@@ -56,13 +57,6 @@ DEFAULT_DELAY = 3
 # filter length and relative weight floor of fcp and fcp_weight
 DEFAULT_TAPS_FCP = 40
 DEFAULT_EPSILON_FCP = 1e-3
-
-
-def _check_lags(taps, delay):
-    if taps < 1:
-        raise ValueError(f"taps must be >= 1, got {taps}")
-    if delay < 0:
-        raise ValueError(f"delay must be >= 0, got {delay}")
 
 
 def _stack_buffers(num_bins, num_frames, num_channels, taps, delay):
@@ -105,7 +99,9 @@ def build_delayed_stack(field, taps, delay):
     field = np.asarray(field, dtype=np.complex128)
     if field.ndim != 3:
         raise ValueError(f"field must be T x F x P, got shape {field.shape}")
-    _check_lags(taps, delay)
+    check("taps", taps)
+    if delay < 0:
+        raise ValueError(f"delay must be >= 0, got {delay}")
     num_frames, num_bins, num_channels = field.shape
     padded, stack = _stack_buffers(num_bins, num_frames, num_channels, taps, delay)
     _fill_stack(stack, padded, field.transpose(1, 0, 2))
@@ -276,9 +272,8 @@ def wpe_field(field, psd, taps, delay=DEFAULT_DELAY, loading=DEFAULT_LOADING):
     field = np.asarray(field, dtype=np.complex128)
     if field.ndim != 3:
         raise ValueError(f"field must be T x F x P, got shape {field.shape}")
-    if delay < 1:
-        raise ValueError(f"delay must be >= 1 for wpe, got {delay}")
-    _check_lags(taps, delay)
+    check("delay", delay)
+    check("taps", taps)
     psd = _check_weights(psd, field.shape[:2], "psd")
     source = field.transpose(1, 0, 2)
     dereverbed = np.empty_like(field)
@@ -320,7 +315,7 @@ def fcp(reference, estimate, taps=DEFAULT_TAPS_FCP, epsilon=DEFAULT_EPSILON_FCP,
             f"reference {reference.shape} and estimate {estimate.shape} must be "
             "matching T x F arrays"
         )
-    _check_lags(taps, 0)
+    check("taps", taps)
     eta = fcp_weight(reference, estimate, epsilon)
     compensated = np.empty_like(reference)
     coeffs = _predict_fmajor(estimate.T[:, :, None], reference.T[:, :, None],

@@ -34,7 +34,8 @@ from functools import cached_property
 import numpy as np
 
 from . import beamform, linpred, stats
-from .estimator import ORACLE_KINDS, check_est_err_snr_db, corrupt_estimate
+from ._rules import check_fields
+from .estimator import ORACLE_KINDS, corrupt_estimate
 from .estimator import load_external_estimate, oracle_estimate
 from .linalg import DEFAULT_LOADING
 from .metrics import ScoreReference, score_against
@@ -180,27 +181,9 @@ class PipelineSpec:
             raise ValueError(
                 f"unknown pipeline {self.name!r}; valid names: {', '.join(CATALOG)}"
             )
-        for name in ("epsilon", "epsilon_fcp"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not (math.isfinite(self.loading) and self.loading >= 0):
-            raise ValueError(
-                f"loading must be nonnegative and finite, got {self.loading}"
-            )
-        check_est_err_snr_db(self.est_err_snr_db)
-        # the upper bound needs the scene's channel count: run_pipeline checks it
-        if self.ref_mic < 0:
-            raise ValueError(f"ref_mic must be >= 0, got {self.ref_mic}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("taps", "taps_fcp", "delay"):
-            value = getattr(self, name)
-            # only taps has a default (None) chosen from the channel count
-            if value is None and name == "taps":
-                continue
-            if value is None or value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        # only taps may be None: its default follows the channel count; the
+        # upper bound of ref_mic needs the scene's, so run_pipeline checks it
+        check_fields(self, optional=("taps",))
 
     def params_dict(self):
         # the estimate's file is an input of the run, not one of its parameters

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _pool
+from ._rules import check, check_fields
 from .stft import TimeSignal, as_mono
 
 # rng stream tags so source and noise responses never share draws
@@ -54,19 +55,7 @@ class RoomSpec:
     tail_gain: float = 0.05
 
     def __post_init__(self):
-        if self.num_mics < 1:
-            raise ValueError(f"num_mics must be >= 1, got {self.num_mics}")
-        # NaN compares False to everything, so test for the valid range
-        if not 0 <= self.t60_seconds < math.inf:
-            raise ValueError(
-                f"t60_seconds must be finite and >= 0, got {self.t60_seconds}"
-            )
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
-        if not 0 <= self.tail_gain < math.inf:
-            raise ValueError(f"tail_gain must be finite and >= 0, got {self.tail_gain}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_fields(self, sequences=("direct_delay_samples",))
         delays = self.direct_delay_samples
         if np.isscalar(delays):
             delays = (int(delays),) * self.num_mics
@@ -77,8 +66,6 @@ class RoomSpec:
                 f"need one direct delay per mic, got {len(delays)} for "
                 f"{self.num_mics} mics"
             )
-        if min(delays) < 0:
-            raise ValueError("direct delays must be nonnegative")
         if max(delays) >= self.rir_len_samples:
             raise ValueError(
                 "rir_len_samples must exceed the largest direct delay "
@@ -188,12 +175,6 @@ def render_noise_component(noise, room, noise_index):
                           samples.shape[0])[0]
 
 
-def check_snr_db(snr_db):
-    """Reject an SNR that is neither None, finite nor +inf."""
-    if snr_db is not None and not -math.inf < snr_db <= math.inf:
-        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
-
-
 def render_scene(source, noise_sources, room, snr_db, normalize=True):
     """Render a scene from a mono source and a list of mono noise sources.
 
@@ -208,7 +189,8 @@ def render_scene(source, noise_sources, room, snr_db, normalize=True):
     Return:
         Scene
     """
-    check_snr_db(snr_db)
+    if snr_db is not None:
+        check("snr_db", snr_db)
     src = as_mono(source, "source", room.sample_rate_hz)
     num = src.shape[0]
     if num == 0:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import check
 from .linalg import hermitian_gram, principal_eigenpairs, rotate_reference_phase
 
 # psd_floor's default relative floor, and the absolute floor applied after it
@@ -208,8 +209,7 @@ def psd_floor(estimates, epsilon=DEFAULT_EPSILON):
     Return:
         float64 array, T x F, strictly positive
     """
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    check("epsilon", epsilon)
     estimates = np.asarray(estimates)
     if estimates.ndim not in (2, 3):
         raise ValueError(

@@ -132,32 +132,24 @@ def sqrt_hann_window(length):
     return np.sqrt(hann)
 
 
-def _as_samples(signal, cfg):
-    if isinstance(signal, TimeSignal):
-        if cfg is not None and signal.sample_rate != cfg.sample_rate:
-            raise ValueError(
-                f"sample rate mismatch: signal has {signal.sample_rate} Hz, "
-                f"config expects {cfg.sample_rate} Hz (resampling not supported)"
-            )
-        return signal.samples
-    samples = np.asarray(signal, dtype=np.float64)
-    if samples.ndim == 1:
-        samples = samples[:, None]
-    if samples.ndim != 2:
-        raise ValueError(f"expected 1-D or 2-D signal, got shape {samples.shape}")
-    return samples
-
-
 def analyze(signal, cfg=StftConfig()):
     """Short-time Fourier transform of a (multichannel) signal.
 
     Arguments:
-        signal: TimeSignal or array of shape [N] / [N x C]
+        signal: TimeSignal, or an array of shape [N] / [N x C] read as a
+            TimeSignal at cfg.sample_rate
         cfg: StftConfig
     Return:
         complex128 spectrogram, T x F x C
     """
-    samples = _as_samples(signal, cfg)
+    if not isinstance(signal, TimeSignal):
+        signal = TimeSignal(signal, cfg.sample_rate)
+    if signal.sample_rate != cfg.sample_rate:
+        raise ValueError(
+            f"sample rate mismatch: signal has {signal.sample_rate} Hz, "
+            f"config expects {cfg.sample_rate} Hz (resampling not supported)"
+        )
+    samples = signal.samples
     num_samples, num_channels = samples.shape
     if num_samples == 0:
         raise ValueError("cannot analyze an empty signal")

@@ -74,8 +74,8 @@ def test_criterion_02_distortionless_constraint():
         w_mvdr = mvdr(
             CovarianceSet(None, random_psd_stack(rng, 4, num_mics), steering=d),
             ref_mic=q,
-        ).weights
-        w_wmpdr = wmpdr(random_psd_stack(rng, 4, num_mics), d, ref_mic=q).weights
+        )
+        w_wmpdr = wmpdr(random_psd_stack(rng, 4, num_mics), d, ref_mic=q)
         for w in (w_mvdr, w_wmpdr):
             gap = np.einsum("fp,fp->f", np.conj(w), d) - d[:, q]
             worst = max(worst, float(np.max(np.abs(gap))))
@@ -104,7 +104,7 @@ def test_criterion_04_solver_oracles():
         + 1j * rng.standard_normal((num_frames, num_bins))
 
     # dense per-frequency normal equations, assembled independently
-    got = mcwf(field, target, ref_mic=0, loading=0.0).weights
+    got = mcwf(field, target, ref_mic=0, loading=0.0)
     worst = 0.0
     for f in range(num_bins):
         z = field[:, f, :]
@@ -129,7 +129,7 @@ def test_criterion_04_solver_oracles():
         (num_bins, num_mics)
     )
     planted_tgt = np.einsum("tfp,fp->tf", field, np.conj(w0))
-    rec_mcwf = mcwf(field, planted_tgt, ref_mic=0).weights
+    rec_mcwf = mcwf(field, planted_tgt, ref_mic=0)
     rec_lp = solve_weighted_lp(field, planted_tgt, weights)
     planted_err = max(
         float(np.max(np.abs(rec_mcwf - w0))), float(np.max(np.abs(rec_lp - w0)))
@@ -149,7 +149,7 @@ def test_criterion_05_gev_and_ban():
         num_mics = (2, 3, 4, 6)[case % 4]
         phi_s = random_psd_stack(rng, 1, num_mics, rows=max(2, num_mics - 1))
         phi_v = random_psd_stack(rng, 1, num_mics)
-        w = gev_ban(CovarianceSet(phi_s, phi_v), ref_mic=0, loading=0.0).weights[0]
+        w = gev_ban(CovarianceSet(phi_s, phi_v), ref_mic=0, loading=0.0)[0]
         vals, _ = scipy.linalg.eigh(phi_s[0], phi_v[0])
         lam = vals[-1]
         resid = np.linalg.norm(phi_s[0] @ w - lam * (phi_v[0] @ w))

@@ -33,8 +33,8 @@ def test_distortionless_constraint_holds():
         phi_y = random_psd_stack(rng, 5, num_mics)
         d = random_steering(rng, 5, num_mics)
         cov = CovarianceSet(phi_s=None, phi_v=phi_v, steering=d)
-        for w in (mvdr(cov, ref_mic=1).weights,
-                  wmpdr(phi_y, d, ref_mic=1).weights):
+        for w in (mvdr(cov, ref_mic=1),
+                  wmpdr(phi_y, d, ref_mic=1)):
             gap = np.einsum("fp,fp->f", np.conj(w), d) - d[:, 1]
             assert np.max(np.abs(gap)) < 1e-10, num_mics
 
@@ -48,7 +48,7 @@ def test_mvdr_against_bordered_kkt_oracle():
     phi_v = random_psd_stack(rng, num_bins, num_mics)
     d = random_steering(rng, num_bins, num_mics)
     cov = CovarianceSet(phi_s=None, phi_v=phi_v, steering=d)
-    got = mvdr(cov, ref_mic=0, loading=0.0).weights
+    got = mvdr(cov, ref_mic=0, loading=0.0)
     for f in range(num_bins):
         kkt = np.zeros((num_mics + 1, num_mics + 1), dtype=complex)
         kkt[:num_mics, :num_mics] = phi_v[f]
@@ -65,11 +65,11 @@ def test_mvdr_derives_steering_from_phi_s():
     d = random_steering(rng, 4, 3)
     phi_s = 2.0 * np.einsum("fp,fq->fpq", d, np.conj(d))
     phi_v = random_psd_stack(rng, 4, 3)
-    auto = mvdr(CovarianceSet(phi_s=phi_s, phi_v=phi_v), ref_mic=0).weights
+    auto = mvdr(CovarianceSet(phi_s=phi_s, phi_v=phi_v), ref_mic=0)
     manual = mvdr(
         CovarianceSet(phi_s=None, phi_v=phi_v, steering=steering_vector(phi_s, 0)),
         ref_mic=0,
-    ).weights
+    )
     assert np.array_equal(auto, manual)
 
 
@@ -77,11 +77,11 @@ def test_scale_invariance():
     rng = np.random.default_rng(3)
     phi_v = random_psd_stack(rng, 5, 4)
     d = random_steering(rng, 5, 4)
-    base = mvdr(CovarianceSet(None, phi_v, steering=d)).weights
-    scaled = mvdr(CovarianceSet(None, 37.5 * phi_v, steering=d)).weights
+    base = mvdr(CovarianceSet(None, phi_v, steering=d))
+    scaled = mvdr(CovarianceSet(None, 37.5 * phi_v, steering=d))
     assert np.max(np.abs(base - scaled)) < 1e-10
-    base_w = wmpdr(phi_v, d).weights
-    scaled_w = wmpdr(0.004 * phi_v, d).weights
+    base_w = wmpdr(phi_v, d)
+    scaled_w = wmpdr(0.004 * phi_v, d)
     assert np.max(np.abs(base_w - scaled_w)) < 1e-10
 
 
@@ -89,7 +89,7 @@ def test_single_channel_passthrough():
     rng = np.random.default_rng(4)
     phi_v = np.abs(rng.standard_normal((3, 1, 1))) + 0.5 + 0j
     d = np.ones((3, 1), dtype=complex)
-    w = mvdr(CovarianceSet(None, phi_v, steering=d)).weights
+    w = mvdr(CovarianceSet(None, phi_v, steering=d))
     assert np.max(np.abs(w - 1.0)) < 1e-12
 
 
@@ -112,7 +112,7 @@ def test_gev_matches_generalized_eigensolver():
     phi_s = random_psd_stack(rng, num_bins, num_mics, rows=2)  # low-ish rank
     phi_v = random_psd_stack(rng, num_bins, num_mics)
     result = gev_ban(CovarianceSet(phi_s, phi_v), ref_mic=0, loading=0.0)
-    w = result.weights
+    w = result
     gain = np.linalg.norm(w, axis=1)
     unit = w / gain[:, None]
     for f in range(num_bins):
@@ -136,7 +136,7 @@ def test_gev_maximizes_rayleigh_quotient():
     rng = np.random.default_rng(7)
     phi_s = random_psd_stack(rng, 3, 3)
     phi_v = random_psd_stack(rng, 3, 3)
-    w = gev_ban(CovarianceSet(phi_s, phi_v), loading=0.0).weights
+    w = gev_ban(CovarianceSet(phi_s, phi_v), loading=0.0)
 
     def quotient(f, x):
         return np.real(np.conj(x) @ phi_s[f] @ x) / np.real(
@@ -154,7 +154,7 @@ def test_ban_gain_for_identity_noise():
     rng = np.random.default_rng(8)
     phi_s = random_psd_stack(rng, 4, 3, rows=1)  # rank one
     phi_v = np.stack([np.eye(3, dtype=complex)] * 4)
-    w = gev_ban(CovarianceSet(phi_s, phi_v), loading=0.0).weights
+    w = gev_ban(CovarianceSet(phi_s, phi_v), loading=0.0)
     # with identity noise the BAN gain collapses to 1/sqrt(P)
     assert np.max(np.abs(np.linalg.norm(w, axis=1) - 1.0 / np.sqrt(3.0))) < 1e-10
 
@@ -162,7 +162,7 @@ def test_ban_gain_for_identity_noise():
 def test_mcwf_selects_target_channel():
     rng = np.random.default_rng(9)
     field = rng.standard_normal((30, 4, 3)) + 1j * rng.standard_normal((30, 4, 3))
-    w = mcwf(field, field[:, :, 2], loading=0.0).weights
+    w = mcwf(field, field[:, :, 2], loading=0.0)
     want = np.zeros((4, 3), dtype=complex)
     want[:, 2] = 1.0
     assert np.max(np.abs(w - want)) < 1e-10
@@ -174,7 +174,7 @@ def test_mcwf_matches_lstsq_oracle():
     rng = np.random.default_rng(10)
     field = rng.standard_normal((50, 6, 2)) + 1j * rng.standard_normal((50, 6, 2))
     target = rng.standard_normal((50, 6)) + 1j * rng.standard_normal((50, 6))
-    got = mcwf(field, target, loading=0.0).weights
+    got = mcwf(field, target, loading=0.0)
     for f in range(6):
         # w minimizing ||Z conj(w) - s||: lstsq on the conjugated system
         w_oracle = np.conj(np.linalg.lstsq(field[:, f, :], target[:, f], rcond=None)[0])
@@ -202,11 +202,11 @@ def test_mcwf_perturbation_does_not_improve():
         out = np.einsum("fp,tfp->tf", np.conj(w), field)
         return float(np.sum(np.abs(target - out) ** 2))
 
-    base = objective(weights.weights)
+    base = objective(weights)
     for _ in range(50):
         step = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         step *= 1e-3 / np.linalg.norm(step)
-        assert objective(weights.weights + step) >= base - 1e-12
+        assert objective(weights + step) >= base - 1e-12
 
 
 def test_apply_matches_scalar_loop_and_is_linear():
@@ -216,7 +216,7 @@ def test_apply_matches_scalar_loop_and_is_linear():
     out = apply_beamformer(w, field)
     for t in range(7):
         for f in range(3):
-            want = sum(np.conj(w.weights[f, p]) * field[t, f, p] for p in range(2))
+            want = sum(np.conj(w[f, p]) * field[t, f, p] for p in range(2))
             assert abs(out[t, f] - want) < 1e-12
     c = 2.0 - 1.0j
     assert np.allclose(apply_beamformer(w, c * field), c * out, atol=1e-12)

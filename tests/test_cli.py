@@ -3,6 +3,7 @@ contract (0 ok / 2 usage / 3 file / 4 numerical)."""
 
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from lodistort import (
     write_spectrogram,
     write_wav,
 )
-from lodistort.cli import main
+from lodistort.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -355,7 +356,7 @@ def test_evaluate_negative_ref_mic_exits_2_before_reading_input(tmp_path, capsys
     rc, _, err = run_cli(capsys, "evaluate", "--est", ghost, "--ref", ghost,
                          "--mix", ghost, "--ref-mic", "-3")
     assert rc == 2 and "usage error" in err
-    assert "--ref-mic -3" in err
+    assert "--ref-mic: ref_mic must be >= 0, got -3" in err
 
 
 def test_unknown_pipeline_exits_2(scene_dir, tmp_path, capsys):
@@ -409,6 +410,83 @@ def test_config_null_filter_length_exits_2(scene_dir, tmp_path, capsys, key, fie
     rc, _, err = run_cli(capsys, "enhance", "--config", config_path)
     assert rc == 2 and "usage error" in err
     assert f"{field} must be >= 1, got None" in err
+
+
+@pytest.mark.parametrize("params, named", [
+    ({"refMic": 0.5}, "ref_mic must be an integer, got 0.5"),
+    ({"delay": "inf"}, "delay must be an integer, got inf"),
+    ({"seed": "nan", "estErrSnrDb": 10}, "seed must be an integer, got nan"),
+], ids=["fractional-ref-mic", "infinite-delay", "nan-seed"])
+def test_config_invalid_param_exits_2_before_reading_scene(tmp_path, capsys,
+                                                           params, named):
+    # the scene does not exist: reading it first would exit 3
+    out = str(tmp_path / "run")
+    config_path = str(tmp_path / "config.json")
+    with open(config_path, "w") as handle:
+        json.dump({"pipeline": "wpe", "scene": str(tmp_path / "ghost"),
+                   "out": out, "params": params}, handle)
+    rc, stdout, err = run_cli(capsys, "enhance", "--config", config_path)
+    assert rc == 2 and "usage error" in err and named in err
+    assert stdout == "" and not os.path.exists(out)
+
+
+# the values every numeric flag is driven through; sizes that would
+# exhaust memory are left out
+SWEEP_VALUES = ("nan", "inf", "-inf", "-1", "0", "1.5")
+
+
+def _numeric_flags(command):
+    subparsers = next(action for action in build_parser()._actions
+                      if action.choices and command in action.choices)
+    return [action.option_strings[0]
+            for action in subparsers.choices[command]._actions
+            if action.type in (int, float)]
+
+
+def _sweep_argv(command, flag, value, scene, out):
+    wav = {name: os.path.join(scene, name) for name in ("mixture.wav", "direct.wav")}
+    base = {
+        "simulate": {"--mics": "2", "--t60": "0.2", "--snr-db": "0",
+                     "--duration": "0.5"},
+        "enhance": {"--scene": scene, "--pipeline": "fcp_mwmpdr_wpe"},
+        "evaluate": {"--estimate": wav["mixture.wav"],
+                     "--reference": wav["direct.wav"],
+                     "--mixture": wav["mixture.wav"]},
+        "analyze-phase": {"--scene": scene},
+    }[command]
+    argv = {**base, flag: value, "--out": out}
+    return [command, *(f"{k}={v}" for k, v in argv.items())]
+
+
+@pytest.mark.parametrize("command", ["simulate", "enhance", "evaluate",
+                                     "analyze-phase"])
+def test_numeric_flag_sweep(scene_dir, tmp_path, capsys, command):
+    # each value either runs (exit 0) or is a one-line usage error (exit 2)
+    # that names the flag; the run on a missing scene shows the error comes
+    # before any file is read (reading first would exit 3), and nothing is
+    # written
+    flags = _numeric_flags(command)
+    assert flags
+    ghost = str(tmp_path / "ghost")
+    out = str(tmp_path / "out")
+    for flag in flags:
+        for value in SWEEP_VALUES:
+            case = f"{command} {flag}={value}"
+            rc, _, err = run_cli(capsys, *_sweep_argv(command, flag, value, ghost, out))
+            assert "Traceback" not in err, case
+            if rc == 2:
+                assert flag in err and "error" in err, (case, err)
+                assert not os.path.exists(out), case
+                continue
+            if command != "simulate":  # the value passed: run on the real scene
+                assert rc == 3, (case, err)
+                rc, _, err = run_cli(capsys, *_sweep_argv(command, flag, value,
+                                                          scene_dir, out))
+            assert rc == 0, (case, err)
+            if os.path.isdir(out):
+                shutil.rmtree(out)
+            else:
+                os.remove(out)
 
 
 def test_file_errors_exit_3(tmp_path, capsys):

@@ -301,6 +301,10 @@ def test_validation_errors(small_scene):
     {"taps": 0},
     {"taps_fcp": 0},
     {"delay": 0},
+    {"seed": float("nan")},
+    {"delay": math.inf},
+    {"ref_mic": 0.5},
+    {"taps": True},
 ])
 def test_spec_rejects_invalid_parameters(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):

@@ -49,7 +49,7 @@ def test_distortionless_response_at_reference(seed, num_mics, data):
         + 1j * rng.standard_normal((num_bins, num_mics))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     cov = CovarianceSet(phi_s=None, phi_v=phi_v, steering=d)
-    for w in (mvdr(cov, ref_mic=q).weights, wmpdr(phi_y, d, ref_mic=q).weights):
+    for w in (mvdr(cov, ref_mic=q), wmpdr(phi_y, d, ref_mic=q)):
         response = np.einsum("fp,fp->f", np.conj(w), d)
         assert np.max(np.abs(response - d[:, q])) < 1e-9 * np.max(np.abs(d))
 

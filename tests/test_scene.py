@@ -269,6 +269,19 @@ def test_validation_errors():
                      [synth_noise(1000, seed=2)], room, snr_db=5.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"seed": 1.5},
+    {"rir_len_samples": math.nan},
+    {"sample_rate_hz": math.nan},
+    {"direct_delay_samples": 2.7},  # not truncated to 2
+    {"direct_delay_samples": (8, 2.7)},
+    {"num_mics": True},
+])
+def test_room_rejects_invalid_parameters(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        make_room(**kwargs)
+
+
 def test_negative_seed_is_rejected():
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         make_room(seed=-1)

@@ -251,5 +251,10 @@ def test_analyze_rejects_bad_input():
         analyze(TimeSignal(np.empty((0,)), 16000))
     with pytest.raises(ValueError):
         TimeSignal(np.array([1.0, np.nan]), 16000)
+    # a raw array is read as a TimeSignal is, so a NaN sample is rejected too
+    samples = np.ones(1000)
+    samples[500] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        analyze(samples)
     with pytest.raises(ValueError):
         synthesize(np.zeros((10, 17), dtype=complex))  # wrong bin count
