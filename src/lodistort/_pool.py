@@ -1,23 +1,26 @@
 """The process-wide worker pool that linpred's bin chunks and the scene
 simulator's per-mic responses run on.
 
-A call hands run_chunks a job, one set of buffers (a space) per worker and
-the items to process.  The calling thread works through the items itself
-with the first space; each further space goes to a pool thread that only
-helps.  Once the caller finds no item left, it cancels the helpers that have
-not started and waits for those that have; only then does it release the
-BLAS hold and raise the first failure.  So a call never waits on a queued
-job: calls may overlap, run inside another call's job, or run in a forked
-child, whose pool starts empty.
+A call hands run_chunks a job, the items to process, a cap on its workers
+and a function that makes one set of buffers (a space) per worker.  The
+calling thread makes every space, then works through the items itself with
+the first; each further space goes to a pool thread that only helps.  Once
+the caller finds no item left, it cancels the helpers that have not started
+and waits for those that have; only then does it release the BLAS hold and
+raise the first failure.  So a call never waits on a queued job: calls may
+overlap, run inside another call's job, or run in a forked child, whose
+pool starts empty.
 
-The pool is made on first use and rebuilt when the process id changes.  Its
-threads are started as calls first need them, one per extra space: in
-practice one per CPU in the process's affinity mask, less one for the
-caller.  They are daemon threads that wait on a queue between calls, so
-they never delay the process's exit.
+The pool is a concurrent.futures.ThreadPoolExecutor of one thread per CPU
+in the process's affinity mask, less one for the caller, made on first use
+and made again when the process id changes.  It starts its threads as calls
+first need them.  They are not daemon threads: at exit the interpreter
+joins them, which an idle thread does at once.  A call made after that,
+from a thread that outlives the main thread or from an atexit hook, runs
+on the caller alone.
 
-The caller allocates every buffer the jobs write into: buffers a pool
-thread allocates stay resident in its own malloc arena after the call.
+The spaces are made on the calling thread: buffers a pool thread allocates
+stay resident in its own malloc arena after the call.
 
 While a call runs on several workers, the process-wide thread count of the
 OpenBLAS that numpy loaded is held at one and restored afterwards, so the
@@ -32,7 +35,6 @@ import contextlib
 import ctypes
 import functools
 import os
-import queue
 import threading
 
 import numpy as np
@@ -122,78 +124,42 @@ class _BlasHold:
                     set_threads(self._saved)
 
 
-class _Task:
-    """fn(arg), run once by a pool thread unless the caller cancels it first."""
-
-    def __init__(self, fn, arg):
-        self._fn, self._arg = fn, arg
-        self._claim = threading.Lock()
-        self._done = threading.Event()
-
-    def run(self):
-        if self._claim.acquire(blocking=False):
-            try:
-                self._fn(self._arg)
-            finally:
-                self._done.set()
-
-    def cancel_or_wait(self):
-        # a task a pool thread has claimed is waited for, any other never runs
-        if not self._claim.acquire(blocking=False):
-            self._done.wait()
-
-
-def _serve(tasks):
-    while True:
-        tasks.get().run()
-
-
-class _Pool:
-    """Daemon threads that take tasks from one queue."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._pid = None
-
-    def submit(self, fn, arg, threads):
-        """Queue fn(arg), with at least `threads` pool threads started."""
-        task = _Task(fn, arg)
-        with self._lock:
-            if self._pid != os.getpid():
-                # a forked child has none of its parent's threads
-                self._pid, self._tasks, self._threads = os.getpid(), queue.SimpleQueue(), 0
-            while self._threads < threads:
-                threading.Thread(target=_serve, args=(self._tasks,), daemon=True,
-                                 name=f"lodistort-pool-{self._threads}").start()
-                self._threads += 1
-            self._tasks.put(task)
-        return task
-
-
 _BLAS_HOLD = _BlasHold()
-_POOL = _Pool()
 
 
-def _fresh_locks():
+def _fresh_lock():
     # a lock another thread held at the fork stays held in the child
-    _POOL._lock = threading.Lock()
     _BLAS_HOLD._lock = threading.Lock()
 
 
-os.register_at_fork(after_in_child=_fresh_locks)
+os.register_at_fork(after_in_child=_fresh_lock)
+
+
+@functools.lru_cache(maxsize=1)
+def _executor(pid):
+    # keyed on the process id: a forked child has none of its parent's threads
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max(1, worker_count() - 1),
+                              thread_name_prefix="lodistort-pool")
+
 
 # marks the end of a call's items
 _DONE = object()
 
 
-def run_chunks(job, spaces, items):
+def run_chunks(job, items, workers, make_space):
     """Call job(space, item) for every item, each space in one thread at a time.
 
-    One space runs every item in the calling thread.  With several, the
-    caller takes the first and pool threads the others, each pulling the
-    next item until none is left or a job has failed.  The first failure
-    is raised once every pool thread that started has returned.
+    The call makes max(1, min(workers, worker_count(), len(items))) spaces
+    with make_space().  One space runs every item in the calling thread.
+    With several, the caller takes the first and pool threads the others,
+    each pulling the next item until none is left or a job has failed.  The
+    first failure is raised once every pool thread that started has
+    returned.
     """
+    spaces = [make_space()
+              for _ in range(max(1, min(workers, worker_count(), len(items))))]
     if len(spaces) == 1:
         for item in items:
             job(spaces[0], item)
@@ -215,10 +181,17 @@ def run_chunks(job, spaces, items):
                     failures.append(exc)
                 return
 
+    helpers = []
     with _BLAS_HOLD.single_threaded():
-        helpers = [_POOL.submit(drain, space, len(spaces) - 1) for space in spaces[1:]]
+        # the executor refuses jobs once the interpreter has begun to exit
+        with contextlib.suppress(RuntimeError):
+            executor = _executor(os.getpid())
+            for space in spaces[1:]:
+                helpers.append(executor.submit(drain, space))
         drain(spaces[0])
         for helper in helpers:
-            helper.cancel_or_wait()
+            # a helper a thread has started is waited for, any other never runs
+            if not helper.cancel():
+                helper.result()
     if failures:
         raise failures[0]

@@ -60,11 +60,12 @@ def check(name, value, prefix=""):
     the rule of `name`."""
     rule = RULES[name]
     number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    shown = value if isinstance(value, numbers.Real) else repr(value)
     if rule.integer and isinstance(value, numbers.Real) and not (
             number and isinstance(value, numbers.Integral)):
-        raise ValueError(f"{prefix}{name} must be an integer, got {value}")
+        raise ValueError(f"{prefix}{name} must be an integer, got {shown}")
     if not (number and rule.holds(value)):
-        raise ValueError(f"{prefix}{name} must be {rule.text()}, got {value}")
+        raise ValueError(f"{prefix}{name} must be {rule.text()}, got {shown}")
 
 
 def check_fields(spec, optional=(), sequences=()):

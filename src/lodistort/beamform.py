@@ -118,7 +118,7 @@ def gev_ban(cov, ref_mic=0, loading=DEFAULT_LOADING):
     return weights * gain[:, None]
 
 
-def mcwf(field, target_q, ref_mic=0, loading=DEFAULT_LOADING):
+def mcwf(field, target_q, loading=DEFAULT_LOADING):
     """Multichannel Wiener filter regressing the field onto a target.
 
     Solves the per-frequency normal equations
@@ -130,7 +130,6 @@ def mcwf(field, target_q, ref_mic=0, loading=DEFAULT_LOADING):
     Arguments:
         field: complex spectrogram, T x F x P
         target_q: complex target, T x F
-        ref_mic: unused; the target already fixes the reference
     """
     field = np.asarray(field, dtype=np.complex128)
     target_q = np.asarray(target_q, dtype=np.complex128)

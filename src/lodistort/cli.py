@@ -146,8 +146,11 @@ def cmd_simulate(args):
         )
     rir_len = args.rir_len_samples
     if rir_len is None:
-        rir_len = max(args.direct_delay_samples + args.num_mics + 2,
-                      int((args.t60_seconds + 0.05) * rate))
+        default_len = (args.t60_seconds + 0.05) * rate
+        if not default_len < math.inf:
+            raise ValueError(f"--t60 {args.t60_seconds:g} s gives no finite default "
+                             f"--rir-len at {rate} Hz")
+        rir_len = max(args.direct_delay_samples + args.num_mics + 2, int(default_len))
     delays = tuple(args.direct_delay_samples + m for m in range(args.num_mics))
     room = RoomSpec(
         num_mics=args.num_mics,

@@ -16,15 +16,16 @@ so the core splits them into chunks and runs the chunks on the process-wide
 worker pool of the _pool module, one worker per CPU in the process's
 affinity mask (`os.sched_getaffinity`): the calling thread solves chunks
 itself and the pool's threads help.  Each worker fills a workspace that the
-calling thread allocates once per call: the chunk's zero-padded frames, its
-F x T x D delayed stack, per bin the real 2D x 2D Gram of
-linalg.hermitian_gram and the complex D x D Gram G, and an F x T x M
-buffer that holds first the chunk's conjugated, scaled targets and then
-its predictions.  The worker copies the predictions into the caller's
-output bins, and wpe and fcp subtract in place, so no F x T x M copy of
-the predictions exists either.  CHUNK_BUDGET_BYTES bounds every in-flight
-chunk together (_bin_bytes is one bin's share), so peak memory grows with
-the budget, not with the full T x F x D stack or the F x D x D Gram stack.
+pool allocates on the calling thread once per call: the chunk's
+zero-padded frames, its F x T x D delayed stack, per bin the real 2D x 2D
+Gram of linalg.hermitian_gram and the complex D x D Gram G, and an
+F x T x M buffer that holds first the chunk's conjugated, scaled targets
+and then its predictions.  The worker copies the predictions into the
+caller's output bins, and wpe and fcp subtract in place, so no F x T x M
+copy of the predictions exists either.  CHUNK_BUDGET_BYTES bounds every
+in-flight chunk together (_bin_bytes is one bin's share), so peak memory
+grows with the budget, not with the full T x F x D stack or the F x D x D
+Gram stack.
 
 With weights w, the stack s is scaled in place by w^-1/2, so the weighted
 normal equations become plain ones: G = Sum_t s' s'^H comes exactly
@@ -171,14 +172,6 @@ def _predict_fmajor(source, targets, weights, taps, delay, loading, out=None):
     # each worker's share of the budget holds at least one bin
     workers = max(1, min(_pool.worker_count(), CHUNK_BUDGET_BYTES // per_bin))
     chunk = max(1, CHUNK_BUDGET_BYTES // workers // per_bin)
-    starts = range(0, num_bins, chunk)
-    # allocated here rather than in the workers: buffers a worker thread
-    # allocates stay resident in its own malloc arena after the call
-    spaces = [
-        _workspace(min(chunk, num_bins), num_frames, num_channels, taps, delay,
-                   num_targets)
-        for _ in range(max(1, min(workers, len(starts))))
-    ]
 
     def solve(space, lo):
         bins = slice(lo, min(lo + chunk, num_bins))
@@ -196,7 +189,10 @@ def _predict_fmajor(source, targets, weights, taps, delay, loading, out=None):
             out[bins] = _scaled(
                 np.matmul(stack, np.conjugate(coeffs[bins]), out=target_buf), root)
 
-    _pool.run_chunks(solve, spaces, starts)
+    _pool.run_chunks(
+        solve, range(0, num_bins, chunk), workers,
+        lambda: _workspace(min(chunk, num_bins), num_frames, num_channels, taps,
+                           delay, num_targets))
     return coeffs
 
 

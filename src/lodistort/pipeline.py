@@ -389,7 +389,7 @@ def _mwmpdr(ctx):
 
 
 def _mcwf(ctx):
-    weights = beamform.mcwf(ctx.field, ctx.est_q, ctx.q, ctx.spec.loading)
+    weights = beamform.mcwf(ctx.field, ctx.est_q, ctx.spec.loading)
     return ctx.field, beamform.apply_beamformer(weights, ctx.field)
 
 

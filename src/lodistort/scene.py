@@ -112,11 +112,6 @@ def _convolve_mics(sources, num_mics, kernel_len, num_out):
     size = 1 << (num - 1).bit_length()
     spectra = [np.fft.rfft(signal, size) for signal, _ in sources]
     rows = np.zeros((len(sources), num_mics, num_out))
-    jobs = range(len(sources) * num_mics)
-    # allocated here rather than in the jobs: buffers a pool thread
-    # allocates stay resident in its own malloc arena after the call
-    products = [np.empty_like(spectra[0])
-                for _ in range(max(1, min(_pool.worker_count(), len(jobs))))]
 
     def convolve(product, job):
         s, m = divmod(job, num_mics)
@@ -125,7 +120,8 @@ def _convolve_mics(sources, num_mics, kernel_len, num_out):
             np.multiply(spectra[s], np.fft.rfft(kernel, size), out=product)
             rows[s, m] = np.fft.irfft(product, size)[:num_out]
 
-    _pool.run_chunks(convolve, products, jobs)
+    jobs = range(len(sources) * num_mics)
+    _pool.run_chunks(convolve, jobs, len(jobs), lambda: np.empty_like(spectra[0]))
     return [row.T.copy() for row in rows]
 
 

@@ -104,7 +104,7 @@ def test_criterion_04_solver_oracles():
         + 1j * rng.standard_normal((num_frames, num_bins))
 
     # dense per-frequency normal equations, assembled independently
-    got = mcwf(field, target, ref_mic=0, loading=0.0)
+    got = mcwf(field, target, loading=0.0)
     worst = 0.0
     for f in range(num_bins):
         z = field[:, f, :]
@@ -129,7 +129,7 @@ def test_criterion_04_solver_oracles():
         (num_bins, num_mics)
     )
     planted_tgt = np.einsum("tfp,fp->tf", field, np.conj(w0))
-    rec_mcwf = mcwf(field, planted_tgt, ref_mic=0)
+    rec_mcwf = mcwf(field, planted_tgt)
     rec_lp = solve_weighted_lp(field, planted_tgt, weights)
     planted_err = max(
         float(np.max(np.abs(rec_mcwf - w0))), float(np.max(np.abs(rec_lp - w0)))

@@ -289,6 +289,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ({"--duration": "nan"}, "--duration"),
     ({"--duration": "1e-9"}, "--duration"),
     ({"--duration": "1e308"}, "--duration"),  # too many samples for a float
+    ({"--t60": "1e305", "--rir-len": None}, "--t60"),  # finite, but not its samples
 ])
 def test_simulate_non_finite_or_empty_values_exit_2(tmp_path, capsys, flags, name):
     # each is named in a one-line usage error, with no warning before it

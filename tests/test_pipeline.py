@@ -3,6 +3,7 @@ determinism, and suite-level quality orderings."""
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -305,9 +306,11 @@ def test_validation_errors(small_scene):
     {"delay": math.inf},
     {"ref_mic": 0.5},
     {"taps": True},
+    {"delay": "5"},  # shown with its quotes
 ])
 def test_spec_rejects_invalid_parameters(kwargs):
-    with pytest.raises(ValueError, match=next(iter(kwargs))):
+    (name, value), = kwargs.items()
+    with pytest.raises(ValueError, match=rf"^{name} must .*, got {re.escape(repr(value))}$"):
         PipelineSpec("fcp_mwmpdr_wpe", **kwargs)
 
 

@@ -10,6 +10,7 @@ import threading
 import time
 
 import numpy as np
+import pytest
 
 import lodistort
 from lodistort import (
@@ -132,7 +133,7 @@ def test_nested_calls_match_serial(monkeypatch):
         results[seed] = _scene(seed)
 
     caller = threading.Thread(target=_pool.run_chunks,
-                              args=(render, [None] * 3, range(4)), daemon=True)
+                              args=(render, range(4), 3, lambda: None), daemon=True)
     caller.start()
     caller.join(timeout=120)
     assert not caller.is_alive()
@@ -153,3 +154,71 @@ def test_process_exits_promptly_after_rendering():
     exited = time.monotonic()
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert exited - float(proc.stdout) < 10.0
+
+
+def test_failure_is_raised_once_started_jobs_end(monkeypatch):
+    # the caller's job fails once a pool thread has started one; pool jobs
+    # are slow, so a raise that did not wait for them would come first
+    monkeypatch.setattr(_pool, "worker_count", lambda: 3)
+    caller = threading.get_ident()
+    helped = threading.Event()
+    lock = threading.Lock()
+    spans = []
+
+    def job(_, item):
+        span = [time.monotonic(), None]
+        with lock:
+            spans.append(span)
+        try:
+            if threading.get_ident() == caller:
+                assert helped.wait(timeout=60)
+                raise RuntimeError("planted failure")
+            helped.set()
+            time.sleep(0.2)
+        finally:
+            span[1] = time.monotonic()
+
+    with pytest.raises(RuntimeError, match="planted failure"):
+        _pool.run_chunks(job, range(12), 3, lambda: None)
+    raised = time.monotonic()
+    time.sleep(0.5)  # a job started after the raise would show by now
+    with lock:
+        assert len(spans) >= 2
+        assert all(end is not None and end <= raised for _, end in spans)
+
+
+def test_executor_is_imported_on_first_pooled_call():
+    proc = _run_pooled("""
+        import sys
+        import numpy as np
+        from lodistort import wpe_field
+
+        assert "concurrent.futures" not in sys.modules, "imported with lodistort"
+        field = np.random.default_rng(0).standard_normal((200, 65, 2)) + 0j
+        wpe_field(field, np.ones((200, 65)), taps=2)
+        assert "concurrent.futures" in sys.modules, "not imported by a pooled call"
+    """)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_thread_that_outlives_the_main_thread_matches():
+    # the interpreter shuts the pool down before it joins the other threads
+    proc = _run_pooled("""
+        import threading, time
+        import numpy as np
+        from lodistort import wpe_field
+
+        field = np.random.default_rng(0).standard_normal((200, 65, 2)) + 0j
+        power = np.ones((200, 65))
+        want = wpe_field(field, power, taps=2)[1]
+
+        def late():
+            threading.main_thread().join()
+            time.sleep(0.2)
+            got = wpe_field(field, power, taps=2)[1]
+            print("same" if np.array_equal(got, want) else "differs")
+
+        threading.Thread(target=late).start()
+    """)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "same"
