@@ -1,5 +1,6 @@
 """The rule of every numeric parameter, in one table that PipelineSpec,
-RoomSpec, the library functions and the CLI all check against.
+RoomSpec, StftConfig, TimeSignal, the library functions and the CLI all
+check against.
 
 Integer rules take any numbers.Integral but bool, real rules ints too.
 Every check tests for the valid range, so a NaN fails it.
@@ -52,6 +53,11 @@ RULES = {
     "tail_gain": Rule("--tail-gain", False, 0),
     "snr_db": Rule("--snr-db", False, -math.inf, False, inf=True),
     "num_noises": Rule("--num-noises", True, 0),
+    # StftConfig and TimeSignal
+    "window_len": Rule(None, True, 1),
+    "hop": Rule(None, True, 1),
+    "fft_len": Rule(None, True, 1),
+    "sample_rate": Rule(None, True, 1),
 }
 
 

@@ -76,9 +76,17 @@ def si_sdr(estimate, reference):
     return 10.0 * math.log10(target_energy / error_energy)
 
 
+def _finite(values, name):
+    # values as an array, or a ValueError naming the argument
+    values = np.asarray(values)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+    return values
+
+
 def energy_mask(target_q, threshold_db=ENERGY_MASK_DB):
     """Boolean mask of bins within `threshold_db` of the target's peak power."""
-    power = np.abs(np.asarray(target_q)) ** 2
+    power = np.abs(_finite(target_q, "target_q")) ** 2
     peak = power.max()
     if peak <= 0.0:
         raise ValueError("target spectrogram is identically zero")
@@ -136,6 +144,7 @@ def _phase_sides(target_q, mixture_q, threshold_db):
     mask = energy_mask(target_q, threshold_db)
     if not mask.any():
         raise ValueError("energy mask selected no bins")
+    mixture_q = _finite(mixture_q, "mixture_q")
     mixture_masked = np.asarray(mixture_q, dtype=np.complex128)[mask]
     true_side = _side(np.asarray(target_q, dtype=np.complex128)[mask], mixture_masked)
     return mask, mixture_masked, true_side
@@ -184,7 +193,7 @@ def pdsacc(estimate_q, target_q, mixture_q, threshold_db=ENERGY_MASK_DB):
     differences are wrapped to (-pi, pi] and sign(x) is +1 iff x >= 0; the
     side is read from Im(a conj(b)) as the module docstring states.
     """
-    estimate_q = np.asarray(estimate_q)
+    estimate_q = _finite(estimate_q, "estimate_q")
     target_q = np.asarray(target_q)
     mixture_q = np.asarray(mixture_q)
     if estimate_q.shape != target_q.shape or estimate_q.shape != mixture_q.shape:
@@ -200,12 +209,14 @@ def psnr(estimate_phase, target_q):
     +inf when the phases coincide everywhere the target has energy.  The
     everywhere-antipodal phase scores 10 log10(1/4).
     """
-    estimate_phase = np.asarray(estimate_phase, dtype=np.float64)
+    estimate_phase = _finite(np.asarray(estimate_phase, dtype=np.float64),
+                             "estimate_phase")
     if estimate_phase.shape != np.shape(target_q):
         raise ValueError(
             f"phase {estimate_phase.shape} and target {np.shape(target_q)} shapes differ"
         )
-    return _psnr(_target_energy(target_q), np.exp(1j * estimate_phase))
+    return _psnr(_target_energy(_finite(target_q, "target_q")),
+                 np.exp(1j * estimate_phase))
 
 
 class ScoreReference:
@@ -247,8 +258,8 @@ def score_estimate(estimate_q, target_q, mixture_q, estimate_wave=None,
 
     SI-SDR is computed on the provided waveforms when given, otherwise NaN.
     """
-    return score_against(ScoreReference(target_q, mixture_q), estimate_q,
-                         estimate_wave, target_wave)
+    return score_against(ScoreReference(target_q, mixture_q),
+                         _finite(estimate_q, "estimate_q"), estimate_wave, target_wave)
 
 
 def phase_report(reference, estimate_q):

@@ -9,17 +9,19 @@ composing by hand.  The wpe stage runs linpred.wpe_field on any channel
 count; on the one channel of a mono run that equals linpred.wpe bit for bit.
 
 Calls on the same scene share their common nodes.  A module-level memo keeps
-one scene, identified by a SHA-256 digest of the StftConfig and of the
-mixture's and target's shapes, sample rates and samples.  Its STFTs are
+one scene: its StftConfig and weak references to its mixture and target.  A
+call is on that scene when its mixture and target are those same objects
+(TimeSignals are read-only values, so identity is an exact test) and its
+cfg is equal; nothing is hashed.  Its STFTs are
 keyed by name, every other node by one rule: the estimate's key is the
 spec's params_dict() values, or None for an external estimate (its file may
 change between calls), and None propagates; a mono run appends a marker,
 each stage its name, and each sub-node (the mask with its masked covariances
 and steering, the signal covariances, a wave, a score, the scoring reference)
 its own name to its input's key.  A stage's output, wave and score are kept
-only when several CATALOG pipelines run its chain of stages.  A call on a
-different digest drops the old scene before computing anything; the scene
-also goes when the mixture object it was built from is collected.  Shared
+only when several CATALOG pipelines run its chain of stages.  A call on
+another scene drops the old one before computing anything; the scene also
+goes when the mixture object it was built from is collected.  Shared
 arrays are read-only, including those a PipelineResult exposes, and shared
 scores are frozen MetricsReports, handed out as they are.
 """
@@ -256,10 +258,21 @@ class _SceneNodes:
     a node that must not be shared (an external estimate and what follows
     from it) and is always computed."""
 
-    def __init__(self, digest):
-        self.digest = digest
+    def __init__(self, mixture, target, cfg):
+        self.cfg = cfg
+        self.target = target and weakref.ref(target)
         self.values = {}
-        self.finalizer = None
+        # holds the mixture weakly, and the nodes weakly too, so dropping
+        # _memo frees them
+        self.finalizer = weakref.finalize(mixture, _forget, weakref.ref(self))
+
+    def holds(self, mixture, target, cfg):
+        # weak references to live objects compare their referents, which
+        # TimeSignal compares by identity; a dead one equals only itself
+        alive = self.finalizer.peek()
+        return (alive is not None and alive[0] is mixture
+                and self.target == (target and weakref.ref(target))
+                and self.cfg == cfg)
 
     def get(self, key, compute):
         if key is None:
@@ -289,23 +302,7 @@ _memo = None
 _memo_lock = threading.RLock()
 
 
-def _scene_digest(mixture, target, cfg):
-    import hashlib  # only run_pipeline needs it; `import lodistort` stays lean
-
-    digest = hashlib.sha256(repr(cfg).encode())
-    for signal in (mixture, target):
-        if signal is None:
-            digest.update(b"no signal")
-            continue
-        samples = np.ascontiguousarray(signal.samples)
-        digest.update(repr((samples.shape, samples.dtype.str,
-                            signal.sample_rate)).encode())
-        digest.update(samples)
-    return digest.digest()
-
-
 def _forget(nodes_ref):
-    # the finalizer holds the nodes weakly, so dropping _memo frees them
     global _memo
     with _memo_lock:
         if _memo is nodes_ref():
@@ -313,19 +310,16 @@ def _forget(nodes_ref):
 
 
 def _scene_nodes(mixture, target, cfg):
-    """The memo entry for this mixture and target, replacing the old one
-    (dropped before anything new is computed) when the content differs.  An
-    entry also goes when the mixture object it was built from is collected."""
+    """The memo entry for these mixture and target objects and this cfg,
+    replacing the old one (dropped before anything new is computed) when it
+    holds another scene.  An entry also goes when its mixture is collected."""
     global _memo
-    digest = _scene_digest(mixture, target, cfg)
     with _memo_lock:
         nodes = _memo
-        if nodes is None or nodes.digest != digest:
+        if nodes is None or not nodes.holds(mixture, target, cfg):
             if nodes is not None:
                 nodes.finalizer.detach()
-            _memo = nodes = _SceneNodes(digest)
-            nodes.finalizer = weakref.finalize(mixture, _forget,
-                                              weakref.ref(nodes))
+            _memo = nodes = _SceneNodes(mixture, target, cfg)
     return nodes
 
 

@@ -246,12 +246,18 @@ def render_scene(source, noise_sources, room, snr_db, normalize=True):
 
     rate = room.sample_rate_hz
     return Scene(
-        mixture=TimeSignal(mixture, rate),
-        direct_path=TimeSignal(direct, rate),
-        reverb_residual=TimeSignal(residual, rate),
-        noise=TimeSignal(noise, rate),
+        mixture=_signal(mixture, rate),
+        direct_path=_signal(direct, rate),
+        reverb_residual=_signal(residual, rate),
+        noise=_signal(noise, rate),
         snr_db=achieved_snr,
     )
+
+
+def _signal(samples, sample_rate):
+    # a TimeSignal that adopts the array just built, frozen, not a copy
+    samples.flags.writeable = False
+    return TimeSignal(samples, sample_rate)
 
 
 def _seed_key(seed, salt):
@@ -274,7 +280,7 @@ def synth_speech_like(num_samples, sample_rate=16000, seed=0):
     envelope = np.interp(positions, np.arange(num_ctrl), ctrl)
     out = carrier * envelope
     rms = np.sqrt(np.mean(out ** 2))
-    return TimeSignal(out / max(rms, 1e-12), sample_rate)
+    return _signal(out / max(rms, 1e-12), sample_rate)
 
 
 def synth_noise(num_samples, sample_rate=16000, seed=0):
@@ -282,4 +288,4 @@ def synth_noise(num_samples, sample_rate=16000, seed=0):
     rng = np.random.default_rng(_seed_key(seed, 13))
     out = rng.standard_normal(num_samples)
     rms = np.sqrt(np.mean(out ** 2))
-    return TimeSignal(out / max(rms, 1e-12), sample_rate)
+    return _signal(out / max(rms, 1e-12), sample_rate)

@@ -2,7 +2,9 @@
 
 Array conventions used throughout the package:
 
-* time signals carry float64 samples of shape N x C (samples x channels),
+* time signals carry float64 samples of shape N x C (samples x channels);
+  a TimeSignal is a read-only value that owns its finite samples, so
+  run_pipeline's memo can tell its scene by the signal objects alone,
 * spectrograms are complex128 arrays of shape T x F x C
   (frames x frequency bins x channels).
 
@@ -19,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._rules import check_fields
+
 # Floor for the overlap-add window-power denominator.
 COLA_FLOOR = 1e-12
 
@@ -27,31 +31,49 @@ COLA_FLOOR = 1e-12
 _BLOCK_BYTES = 2 ** 18
 
 
-@dataclass
+def _checked_samples(values, role="samples"):
+    """`values` as a float64 array, checked to be 1-D or 2-D (N x C) and
+    finite; no copy when they already are float64."""
+    samples = np.asarray(values, dtype=np.float64)
+    if samples.ndim not in (1, 2):
+        raise ValueError(
+            f"{role} must be 1-D or 2-D (N x C), got shape {samples.shape}")
+    if not np.isfinite(samples).all():
+        raise ValueError(f"{role} must be finite")
+    return samples
+
+
+def _columns(samples):
+    # N x C samples, a 1-D array as its N x 1 view
+    return samples[:, None] if samples.ndim == 1 else samples
+
+
+@dataclass(frozen=True, eq=False)
 class TimeSignal:
-    """A sampled multichannel signal.
+    """A sampled multichannel signal: a read-only value, compared and hashed
+    by identity.
+
+    The signal owns its samples.  It adopts a float64 ndarray that is
+    already read-only and owns its memory, as the library's constructors
+    hand it, and copies any other input once; it never marks a caller's
+    array read-only.
 
     Attributes:
-        samples: N x C float64 array (mono input is reshaped to N x 1)
-        sample_rate: sampling rate in Hz
+        samples: read-only N x C float64 array (mono input is reshaped to N x 1)
+        sample_rate: sampling rate in Hz, an integer >= 1
     """
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim == 1:
-            samples = samples[:, None]
-        if samples.ndim != 2:
-            raise ValueError(
-                f"samples must be 1-D or 2-D (N x C), got shape {samples.shape}"
-            )
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        if samples.size and not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-        self.samples = samples
+        check_fields(self)
+        samples = self.samples
+        if not (type(samples) is np.ndarray and samples.dtype == np.float64
+                and samples.flags.owndata and not samples.flags.writeable):
+            samples = np.array(samples, dtype=np.float64)
+            samples.flags.writeable = False
+        object.__setattr__(self, "samples", _columns(_checked_samples(samples)))
 
     @property
     def num_samples(self):
@@ -68,7 +90,8 @@ class TimeSignal:
 
 def as_mono(signal, role, sample_rate=None):
     """A mono TimeSignal's one channel, or any other signal as a 1-D float64
-    array.  A TimeSignal must also carry `sample_rate` when one is given."""
+    array, checked as a TimeSignal's samples are but not copied.  A
+    TimeSignal must also carry `sample_rate` when one is given."""
     if isinstance(signal, TimeSignal):
         if sample_rate is not None and signal.sample_rate != sample_rate:
             raise ValueError(
@@ -78,15 +101,18 @@ def as_mono(signal, role, sample_rate=None):
         if signal.num_channels != 1:
             raise ValueError(f"{role} must be mono, got {signal.num_channels} channels")
         return signal.channel(0)
-    arr = np.asarray(signal, dtype=np.float64)
-    if arr.ndim != 1:
+    samples = _checked_samples(signal, role)
+    if samples.ndim != 1:
         raise ValueError(f"{role} must be a 1-D array or mono TimeSignal")
-    return arr
+    return samples
 
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Analysis parameters: 32 ms sqrt-Hann frames, 8 ms hop at 16 kHz."""
+    """Analysis parameters: 32 ms sqrt-Hann frames, 8 ms hop at 16 kHz.
+
+    Every field is an integer >= 1 (not a bool); hop divides window_len and
+    fft_len is at least window_len."""
 
     window_len: int = 512
     hop: int = 128
@@ -94,8 +120,7 @@ class StftConfig:
     sample_rate: int = 16000
 
     def __post_init__(self):
-        if min(self.window_len, self.hop, self.fft_len, self.sample_rate) <= 0:
-            raise ValueError("all StftConfig fields must be positive")
+        check_fields(self)
         if self.hop > self.window_len:
             raise ValueError("hop must not exceed window_len")
         if self.window_len % self.hop:
@@ -142,14 +167,15 @@ def analyze(signal, cfg=StftConfig()):
     Return:
         complex128 spectrogram, T x F x C
     """
-    if not isinstance(signal, TimeSignal):
-        signal = TimeSignal(signal, cfg.sample_rate)
-    if signal.sample_rate != cfg.sample_rate:
-        raise ValueError(
-            f"sample rate mismatch: signal has {signal.sample_rate} Hz, "
-            f"config expects {cfg.sample_rate} Hz (resampling not supported)"
-        )
-    samples = signal.samples
+    if isinstance(signal, TimeSignal):
+        if signal.sample_rate != cfg.sample_rate:
+            raise ValueError(
+                f"sample rate mismatch: signal has {signal.sample_rate} Hz, "
+                f"config expects {cfg.sample_rate} Hz (resampling not supported)"
+            )
+        samples = signal.samples
+    else:  # checked as a TimeSignal's samples are, but not copied
+        samples = _columns(_checked_samples(signal))
     num_samples, num_channels = samples.shape
     if num_samples == 0:
         raise ValueError("cannot analyze an empty signal")
@@ -231,4 +257,5 @@ def synthesize(spectrogram, cfg=StftConfig(), num_samples=None):
     avail = min(num_samples, buf_len - cfg.pad)
     if avail > 0:
         out[:avail] = buf[cfg.pad:cfg.pad + avail]
+    out.flags.writeable = False
     return TimeSignal(out, cfg.sample_rate)

@@ -8,7 +8,7 @@ fcp.
 
 import numpy as np
 
-from lodistort import (analyze, fcp, masked_covariances, psd_floor,
+from lodistort import (TimeSignal, analyze, fcp, masked_covariances, psd_floor,
                        read_spectrogram, signal_covariances,
                        weighted_covariance, wpe_field, write_spectrogram)
 from lodistort._memtrace import (analyze_bound, covariance_bound, fcp_bound,
@@ -24,6 +24,15 @@ def test_analyze_peak_is_the_result_plus_small_blocks():
     samples = np.random.default_rng(1).standard_normal((32000, 6))
     peak, spec = traced_peak(lambda: analyze(samples))
     assert peak <= analyze_bound(spec)
+
+
+def test_analyze_reads_a_raw_array_without_copying_it():
+    # a TimeSignal copies a writeable array; analyze only checks it
+    samples = np.random.default_rng(1).standard_normal((32000, 6))
+    signal_peak, _ = traced_peak(lambda: analyze(TimeSignal(samples, 16000)))
+    raw_peak, _ = traced_peak(lambda: analyze(samples))
+    assert raw_peak <= signal_peak - 0.9 * samples.nbytes
+    assert samples.flags.writeable
 
 
 def test_wpe_field_peak_is_the_output_plus_the_chunk_budget():

@@ -268,6 +268,45 @@ def test_psnr_validation():
         psnr(np.zeros((2, 3)), np.ones((2, 2), dtype=complex))
 
 
+# --- non-finite input ---
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scores_reject_non_finite_input_by_name(bad):
+    rng = np.random.default_rng(14)
+    wave = rng.standard_normal(100)
+    spoiled = wave.copy()
+    spoiled[7] = bad
+    with pytest.raises(ValueError, match="^estimate must be finite"):
+        si_sdr(spoiled, wave)
+    with pytest.raises(ValueError, match="^reference must be finite"):
+        si_sdr(wave, spoiled)
+    spec = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+    bad_spec = spec.copy()
+    bad_spec[2, 3] = complex(bad, 0.0)
+    with pytest.raises(ValueError, match="^target_q must be finite"):
+        energy_mask(bad_spec)
+    with pytest.raises(ValueError, match="^target_q must be finite"):
+        pdsacc(spec, bad_spec, spec)
+    with pytest.raises(ValueError, match="^mixture_q must be finite"):
+        pdsacc(spec, spec, bad_spec)
+    with pytest.raises(ValueError, match="^estimate_q must be finite"):
+        pdsacc(bad_spec, spec, spec)
+    phase = np.angle(spec)
+    bad_phase = phase.copy()
+    bad_phase[1, 1] = bad
+    with pytest.raises(ValueError, match="^estimate_phase must be finite"):
+        psnr(bad_phase, spec)
+    with pytest.raises(ValueError, match="^target_q must be finite"):
+        psnr(phase, bad_spec)
+    with pytest.raises(ValueError, match="^estimate_q must be finite"):
+        score_estimate(bad_spec, spec, spec)
+    with pytest.raises(ValueError, match="^target_q must be finite"):
+        score_estimate(spec, bad_spec, spec)
+    with pytest.raises(ValueError, match="^mixture_q must be finite"):
+        score_estimate(spec, spec, bad_spec)
+
+
 # --- bundling ---
 
 

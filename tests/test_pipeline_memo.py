@@ -1,6 +1,7 @@
 """The per-scene memo behind run_pipeline: nodes shared across calls give
-the outputs a fresh computation gives, follow the samples' content, stay
-read-only, and live no longer than their scene."""
+the outputs a fresh computation gives, belong to the signal objects they
+were computed from (whose samples are read-only), stay read-only, and live
+no longer than their scene."""
 
 import dataclasses
 import gc
@@ -16,6 +17,7 @@ from lodistort import (
     PipelineSpec,
     RoomSpec,
     StftConfig,
+    TimeSignal,
     analyze,
     fcp,
     pipeline,
@@ -139,15 +141,55 @@ def test_every_shared_node_and_only_those_are_kept(scene, monkeypatch):
     assert pipeline._memo is not None
 
 
-def test_in_place_mutation_changes_the_result():
+def test_in_place_writes_are_refused():
     scene = make_scene(11)
     spec = PipelineSpec("mmvdr_wpe", taps=6)
     before = run_pipeline(scene, spec)
-    scene.mixture.samples[:2000] *= 0.5
-    after = run_pipeline(scene, spec)
+    with pytest.raises(ValueError):
+        scene.mixture.samples[:2000] *= 0.5
+    # the changed content is a new signal, and so a new scene
+    samples = scene.mixture.samples.copy()
+    samples[:2000] *= 0.5
+    mixture = TimeSignal(samples, scene.mixture.sample_rate)
+    after = run_pipeline(mixture, spec, scene.direct_path)
     assert not np.array_equal(before.final, after.final)
     assert not np.array_equal(before.mixture_spectrogram, after.mixture_spectrogram)
-    assert_same_result(after, cold_run(scene, spec))
+    assert_same_result(after, cold_run(mixture, spec, scene.direct_path))
+
+
+def test_equal_signals_that_are_distinct_objects_run_cold(scene, monkeypatch):
+    calls = []
+
+    def counting(signal, cfg):
+        calls.append(signal)
+        return analyze(signal, cfg)
+
+    monkeypatch.setattr(pipeline, "analyze", counting)
+    spec = PipelineSpec("mvdr")
+    drop_memo()
+    first = run_pipeline(scene, spec)
+    again = run_pipeline(scene, spec)
+    assert len(calls) == 2 and again.mixture_spectrogram is first.mixture_spectrogram
+    copies = [TimeSignal(s.samples.copy(), s.sample_rate)
+              for s in (scene.mixture, scene.direct_path)]
+    # an equal mixture, then an equal target: each is a different scene,
+    # analyzed again, with bit-identical results
+    second = run_pipeline(copies[0], spec, scene.direct_path)
+    assert calls[2] is copies[0] and calls[3] is scene.direct_path
+    third = run_pipeline(copies[0], spec, copies[1])
+    assert calls[4] is copies[0] and calls[5] is copies[1]
+    for result in (second, third):
+        assert result.mixture_spectrogram is not first.mixture_spectrogram
+        assert_same_result(result, first)
+    # another StftConfig is another scene, an equal one the same
+    run_pipeline(copies[0], spec, copies[1], StftConfig(256, 64, 256))
+    assert len(calls) == 8
+    run_pipeline(copies[0], spec, copies[1], StftConfig(256, 64, 256))
+    assert len(calls) == 8
+    # a call without the target is another scene too: the oracle estimate
+    # is not reused but asked of the missing target
+    with pytest.raises(ValueError, match="needs the target"):
+        run_pipeline(copies[0], spec)
 
 
 def test_result_arrays_are_read_only(scene):

@@ -8,10 +8,13 @@ here as a second oracle that the framing must match bit for bit, and so is
 the per-frame overlap-add that synthesis must match bit for bit.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lodistort import StftConfig, TimeSignal, analyze, sqrt_hann_window, synthesize
+from lodistort import scene, stft, wavio
 
 CFG = StftConfig()
 
@@ -244,6 +247,106 @@ def test_config_validation():
         StftConfig(window_len=512, hop=600)
     with pytest.raises(ValueError):
         StftConfig(fft_len=256)  # smaller than the window
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"window_len": 512.0}, "window_len"),
+    ({"hop": 128.0}, "hop"),
+    ({"fft_len": 512.5}, "fft_len"),
+    ({"sample_rate": 16000.0}, "sample_rate"),
+    ({"sample_rate": float("nan")}, "sample_rate"),
+    ({"sample_rate": 0}, "sample_rate"),
+    ({"window_len": 1, "hop": True, "fft_len": 1}, "hop"),
+    ({"window_len": "512"}, "window_len"),
+])
+def test_config_fields_are_integers_of_at_least_one(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        StftConfig(**kwargs)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), 16000.5, float("inf"), True, 0, -8000,
+                                  16000.0, "16000"])
+def test_signal_sample_rate_is_an_integer_of_at_least_one(rate):
+    with pytest.raises(ValueError, match="^sample_rate must be"):
+        TimeSignal(np.zeros(10), rate)
+
+
+def test_signal_samples_are_read_only():
+    signal = TimeSignal(np.ones((100, 2)), 16000)
+    assert not signal.samples.flags.writeable
+    with pytest.raises(ValueError):
+        signal.samples[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        signal.channel(1)[:] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        signal.samples = np.zeros((100, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        signal.sample_rate = 8000
+
+
+@pytest.mark.parametrize("shape", [(100,), (100, 2)])
+def test_signal_copies_a_writeable_input_once_and_leaves_it_writeable(shape):
+    values = np.arange(float(np.prod(shape))).reshape(shape)
+    signal = TimeSignal(values, 16000)
+    assert values.flags.writeable
+    assert not np.shares_memory(values, signal.samples)
+    values *= -1.0
+    assert np.array_equal(signal.samples.reshape(shape), -values)
+    # so is a read-only view of a writeable array
+    base = np.arange(100.0)
+    view = base[10:]
+    view.flags.writeable = False
+    signal = TimeSignal(view, 16000)
+    base *= -1.0
+    assert np.array_equal(signal.samples[:, 0], -view)
+
+
+def test_signal_adopts_a_read_only_array_that_owns_its_memory():
+    values = np.ones((100, 3))
+    values.flags.writeable = False
+    signal = TimeSignal(values, 16000)
+    assert signal.samples is values
+    mono = np.ones(100)
+    mono.flags.writeable = False
+    assert np.shares_memory(TimeSignal(mono, 16000).samples, mono)
+
+
+def _built_arrays(monkeypatch):
+    # every array handed to a TimeSignal the library builds, and the signal
+    built = []
+
+    class Recording(TimeSignal):
+        def __post_init__(self):
+            array = self.samples
+            super().__post_init__()
+            built.append((array, self))
+
+    for module in (stft, scene, wavio):
+        monkeypatch.setattr(module, "TimeSignal", Recording)
+    return built
+
+
+@pytest.mark.parametrize("make, count", [
+    (lambda wav: synthesize(analyze(np.ones(1000))), 1),
+    (lambda wav: scene.synth_speech_like(1000, seed=1), 1),
+    (lambda wav: scene.synth_noise(1000, seed=1), 1),
+    # the two sources, then the scene's four signals
+    (lambda wav: scene.render_scene(
+        scene.synth_speech_like(4000, seed=2), [scene.synth_noise(4000, seed=3)],
+        scene.RoomSpec(num_mics=2, t60_seconds=0.2, rir_len_samples=512),
+        snr_db=0.0), 6),
+    (lambda wav: wavio.read_wav(wav), 1),
+], ids=["synthesize", "synth_speech_like", "synth_noise", "render_scene", "read_wav"])
+def test_library_constructors_freeze_what_they_built(make, count, tmp_path,
+                                                     monkeypatch):
+    wav = str(tmp_path / "x.wav")
+    wavio.write_wav(wav, TimeSignal(np.linspace(-0.5, 0.5, 300).reshape(150, 2), 16000))
+    built = _built_arrays(monkeypatch)
+    make(wav)
+    assert len(built) == count
+    for array, signal in built:
+        assert not signal.samples.flags.writeable
+        assert np.shares_memory(array, signal.samples)
 
 
 def test_analyze_rejects_bad_input():
