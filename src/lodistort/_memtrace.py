@@ -8,7 +8,7 @@ bounds on small fields and tools/long_scene_memory.py on a 60 s scene.
 
 import tracemalloc
 
-from .linpred import CHUNK_BUDGET_BYTES
+from .linpred import DEFAULT_DELAY, DEFAULT_TAPS_FCP, _bin_bytes, _chunk_plan
 from .stats import BLOCK_BYTES
 
 
@@ -30,16 +30,26 @@ def analyze_bound(spec):
     return 1.6 * spec.nbytes
 
 
-def wpe_field_bound(field, out):
-    """The output, every worker's workspace (within CHUNK_BUDGET_BYTES) and
-    small transients: no F-major copy of the field, no predictions array."""
-    return out.nbytes + CHUNK_BUDGET_BYTES + 0.35 * field.nbytes
+def _workspaces(num_frames, num_channels, taps, delay):
+    # every worker's workspace under linpred's chunk rule: at most
+    # CHUNK_MAX_BINS bins each, within CHUNK_BUDGET_BYTES, at least one bin
+    per_bin = _bin_bytes(num_frames, num_channels, taps, delay, num_channels)
+    workers, chunk = _chunk_plan(per_bin)
+    return workers * chunk * per_bin
 
 
-def fcp_bound(reference, out):
+def wpe_field_bound(field, out, taps, delay=DEFAULT_DELAY):
+    """The output, every worker's workspace and small transients: no
+    F-major copy of the field, no predictions array."""
+    num_frames, _, num_channels = field.shape
+    return (out.nbytes + _workspaces(num_frames, num_channels, taps, delay)
+            + 0.35 * field.nbytes)
+
+
+def fcp_bound(reference, out, taps=DEFAULT_TAPS_FCP):
     """As for wpe_field, plus fcp's own T x F float weights (half a field)."""
-    return (out.nbytes + reference.nbytes // 2 + CHUNK_BUDGET_BYTES
-            + 0.35 * reference.nbytes)
+    return (out.nbytes + reference.nbytes // 2
+            + _workspaces(reference.shape[0], 1, taps, 0) + 0.35 * reference.nbytes)
 
 
 def covariance_bound(field, *outputs, weights=None):

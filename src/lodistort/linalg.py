@@ -4,8 +4,8 @@ All routines operate on stacks of per-frequency matrices, shape F x P x P,
 with dense LAPACK-backed methods throughout.  Beamformer stacks cover every
 bin with P <= 8 channels.  The linear-prediction core passes one chunk of
 bins at a time with P = taps * channels (60 by default, 1000 and more when
-asked for); linpred.CHUNK_BUDGET_BYTES bounds those chunks, and a single
-bin larger than the budget runs alone.
+asked for); linpred's chunk rule (linpred._chunk_plan) bounds those chunks,
+and a single bin larger than the budget runs alone.
 
 Every Gram Sum_t r r^H, weighted or not, comes from hermitian_gram.  It
 reads the complex rows as real rows of twice the width and forms their

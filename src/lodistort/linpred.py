@@ -22,10 +22,12 @@ Gram of linalg.hermitian_gram and the complex D x D Gram G, and an
 F x T x M buffer that holds first the chunk's conjugated, scaled targets
 and then its predictions.  The worker copies the predictions into the
 caller's output bins, and wpe and fcp subtract in place, so no F x T x M
-copy of the predictions exists either.  CHUNK_BUDGET_BYTES bounds every
-in-flight chunk together (_bin_bytes is one bin's share), so peak memory
-grows with the budget, not with the full T x F x D stack or the F x D x D
-Gram stack.
+copy of the predictions exists either.  The chunk rule (_chunk_plan) gives
+each worker an equal share of CHUNK_BUDGET_BYTES, which bounds every
+in-flight chunk together (_bin_bytes is one bin's share), and caps a chunk
+at CHUNK_MAX_BINS bins, at least one: so peak memory grows with the
+smaller of the budget and the capped chunks, not with the full T x F x D
+stack or the F x D x D Gram stack.
 
 With weights w, the stack s is scaled in place by w^-1/2, so the weighted
 normal equations become plain ones: G = Sum_t s' s'^H comes exactly
@@ -52,6 +54,13 @@ from .stats import psd_floor
 # from CPU affinity and each worker gets an equal share, at least one bin's
 # worth; a single bin that exceeds the whole budget still runs, alone
 CHUNK_BUDGET_BYTES = 8 * 2 ** 20
+# ...and a chunk holds at most this many bins, however many its share
+# fits, which bounds the workspace of short fields as the budget bounds
+# long ones: a 2 s 4-mic wpe_field takes 4.8 MB instead of 7.8, fcp on one
+# of its channels 4.4 MB instead of 8.3.  Chunks are not made smaller: each
+# has a fixed cost, and at 5 bins that fcp took 59 ms against 51 at 8 and
+# 36 uncapped (2-core Xeon)
+CHUNK_MAX_BINS = 8
 
 # prediction delay of wpe and wpe_field, in frames
 DEFAULT_DELAY = 3
@@ -132,6 +141,15 @@ def _bin_bytes(num_frames, num_channels, taps, delay, num_targets):
                  + num_frames * (dim + num_targets) + 4 * dim * dim)
 
 
+def _chunk_plan(per_bin):
+    """(workers, bins per chunk) for bins of `per_bin` bytes: each worker's
+    share of CHUNK_BUDGET_BYTES, capped at CHUNK_MAX_BINS bins and holding
+    at least one."""
+    workers = max(1, min(_pool.worker_count(), CHUNK_BUDGET_BYTES // per_bin))
+    chunk = max(1, min(CHUNK_MAX_BINS, CHUNK_BUDGET_BYTES // workers // per_bin))
+    return workers, chunk
+
+
 def _check_weights(weights, shape, name):
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != shape:
@@ -168,10 +186,8 @@ def _predict_fmajor(source, targets, weights, taps, delay, loading, out=None):
     num_targets = targets.shape[2]
     dim = taps * num_channels
     coeffs = np.empty((num_bins, dim, num_targets), dtype=np.complex128)
-    per_bin = _bin_bytes(num_frames, num_channels, taps, delay, num_targets)
-    # each worker's share of the budget holds at least one bin
-    workers = max(1, min(_pool.worker_count(), CHUNK_BUDGET_BYTES // per_bin))
-    chunk = max(1, CHUNK_BUDGET_BYTES // workers // per_bin)
+    workers, chunk = _chunk_plan(
+        _bin_bytes(num_frames, num_channels, taps, delay, num_targets))
 
     def solve(space, lo):
         bins = slice(lo, min(lo + chunk, num_bins))

@@ -25,6 +25,9 @@ from .phase_geometry import sign_flip_probability
 from .stft import as_mono
 
 ENERGY_MASK_DB = -60.0
+# the phase scores read the estimate in blocks of frames of about this many
+# bins (a 256 KiB complex block)
+_BLOCK_BINS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -150,11 +153,24 @@ def _phase_sides(target_q, mixture_q, threshold_db):
     return mask, mixture_masked, true_side
 
 
+def _frame_blocks(values):
+    # the frames of a T x F array in blocks of about _BLOCK_BINS bins
+    rows = max(1, _BLOCK_BINS // values.shape[1])
+    return [slice(lo, min(lo + rows, len(values))) for lo in range(0, len(values), rows)]
+
+
 def _pdsacc(sides, estimate_q):
+    # the masked bins of frames lo:hi are entries start[lo]:start[hi] of the
+    # masked arrays; the count of agreeing sides is exact, so its share is
+    # np.mean's
     mask, mixture_masked, true_side = sides
-    est_side = _side(np.ascontiguousarray(estimate_q, dtype=np.complex128)[mask],
-                     mixture_masked)
-    return 100.0 * float(np.mean(est_side == true_side))
+    start = np.concatenate(([0], np.cumsum(np.count_nonzero(mask, axis=1))))
+    agree = 0
+    for frames in _frame_blocks(mask):
+        part = slice(start[frames.start], start[frames.stop])
+        est_side = _side(estimate_q[frames][mask[frames]], mixture_masked[part])
+        agree += int(np.count_nonzero(est_side == true_side[part]))
+    return 100.0 * (agree / true_side.size)
 
 
 def _target_energy(target_q):
@@ -171,14 +187,25 @@ def _target_energy(target_q):
 def _psnr(parts, carrier):
     # carrier: complex array whose phase is the estimate's
     target_parts, magnitude, signal_energy = parts
-    carrier = _with_zero_phasors(np.ascontiguousarray(carrier, dtype=np.complex128))
-    carrier_mag = np.abs(carrier)
-    gain = np.divide(magnitude, carrier_mag, out=carrier_mag)
-    # S - gain e, one float64 component at a time, summed pairwise
+    # S - gain e with gain = |S| / |e|, one float64 component at a time in
+    # one buffer, summed pairwise; the buffer is filled a block of frames at
+    # a time from a copy of the carrier's block, the gain taken again for
+    # each component
+    blocks = _frame_blocks(magnitude)
+    copy = np.empty((blocks[0].stop, magnitude.shape[1]), dtype=np.complex128)
+    error = np.empty(magnitude.shape)
     error_energy = 0.0
-    for target_part, carrier_part in zip(target_parts, (carrier.real, carrier.imag)):
-        error = np.multiply(gain, carrier_part)
-        np.subtract(target_part, error, out=error)
+    for component, target_part in enumerate(target_parts):
+        for frames in blocks:
+            block = copy[:frames.stop - frames.start]
+            block[...] = carrier[frames]
+            out = np.abs(block, out=error[frames])
+            if not out.all():  # |e| is 0 only where e is
+                block = _with_zero_phasors(block)
+                np.abs(block, out=out)
+            np.divide(magnitude[frames], out, out=out)
+            np.multiply(out, (block.real, block.imag)[component], out=out)
+            np.subtract(target_part[frames], out, out=out)
         error_energy += float(np.sum(np.square(error, out=error)))
     if error_energy == 0.0:
         return math.inf
@@ -198,7 +225,8 @@ def pdsacc(estimate_q, target_q, mixture_q, threshold_db=ENERGY_MASK_DB):
     mixture_q = np.asarray(mixture_q)
     if estimate_q.shape != target_q.shape or estimate_q.shape != mixture_q.shape:
         raise ValueError("estimate, target, and mixture shapes must match")
-    return _pdsacc(_phase_sides(target_q, mixture_q, threshold_db), estimate_q)
+    return _pdsacc(_phase_sides(target_q, mixture_q, threshold_db),
+                   np.asarray(estimate_q, dtype=np.complex128))
 
 
 def psnr(estimate_phase, target_q):
@@ -236,9 +264,11 @@ class ScoreReference:
 
 
 def score_against(reference, estimate_q, estimate_wave=None, target_wave=None):
-    """score_estimate with the target and mixture given as a ScoreReference."""
-    # one contiguous copy serves both phase scores
-    estimate_q = np.ascontiguousarray(estimate_q, dtype=np.complex128)
+    """score_estimate with the target and mixture given as a ScoreReference.
+
+    A complex128 estimate is read in place, a strided view too: no T x F
+    copy of it is made, only copies of blocks of its frames."""
+    estimate_q = np.asarray(estimate_q, dtype=np.complex128)
     if estimate_q.shape != reference.shape:
         raise ValueError("estimate, target, and mixture shapes must match")
     if estimate_wave is not None and target_wave is not None:

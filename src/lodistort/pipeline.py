@@ -12,20 +12,29 @@ Calls on the same scene share their common nodes.  A module-level memo keeps
 one scene: its StftConfig and weak references to its mixture and target.  A
 call is on that scene when its mixture and target are those same objects
 (TimeSignals are read-only values, so identity is an exact test) and its
-cfg is equal; nothing is hashed.  Its STFTs are
-keyed by name, every other node by one rule: the estimate's key is the
-spec's params_dict() values, or None for an external estimate (its file may
-change between calls), and None propagates; a mono run appends a marker,
-each stage its name, and each sub-node (the mask with its masked covariances
-and steering, the signal covariances, a wave, a score, the scoring reference)
-its own name to its input's key.  A stage's output, wave and score are kept
-only when several CATALOG pipelines run its chain of stages.  A call on
-another scene drops the old one before computing anything; the scene also
-goes when the mixture object it was built from is collected.  Shared
-arrays are read-only, including those a PipelineResult exposes, and shared
-scores are frozen MetricsReports, handed out as they are.
+cfg is equal; nothing is hashed.  The mixture's STFT is
+keyed by name, every other node by one rule.  The estimate's key is the
+estimator's own fields (estimator, est_err_snr_db, seed), or None for an
+external estimate (its file may change between calls), and None
+propagates.  The scoring reference, the mixture's score and the estimate's
+wave and score append ref_mic and their names to it.  A stage's input
+is keyed by the spec's params_dict() values (None after an external
+estimate); a mono run appends a marker, each stage its name, and each
+sub-node (the mask with its masked covariances and steering, the signal
+covariances, a wave, a score) its own name to its input's key.  A stage's
+output, wave and score are kept only when several CATALOG pipelines run
+its chain of stages.
+
+The target's STFT is not kept: it is read only to build the estimate and
+the scoring reference, so the call that computes either computes it and
+drops it on return (an oracleDirect estimate is that STFT, kept as the
+estimate).  A call on another scene drops the old one before computing
+anything; the scene also goes when the mixture object it was built from is
+collected.  Shared arrays are read-only, including those a PipelineResult
+exposes, and shared scores are frozen MetricsReports, handed out as they are.
 """
 
+import functools
 import math
 import os
 import threading
@@ -404,6 +413,21 @@ _STAGES = {"wpe": _wpe, "mvdr": _mvdr, "mmvdr": _mmvdr, "mwmpdr": _mwmpdr,
            "mcwf": _mcwf, "gev": _gev, "fcp": _fcp}
 
 
+def _estimate_and_reference(nodes, spec, mix_spec, target, cfg):
+    """(the estimate's key, the estimate, the ScoreReference at ref_mic or
+    None without a target).  The target's STFT is read only here: it is
+    computed once if either node is, and dropped on return."""
+    tgt_spec = functools.cache(lambda: target and analyze(target, cfg))
+    est_key = (None if spec.estimator == "external"
+               else (spec.estimator, spec.est_err_snr_db, spec.seed))
+    est = nodes.get(est_key, lambda: make_estimate(spec, mix_spec, tgt_spec(), cfg))
+    q = spec.ref_mic
+    reference = target and nodes.get(
+        est_key and est_key + (q, "reference"),
+        lambda: ScoreReference(tgt_spec()[:, :, q], mix_spec[:, :, q]))
+    return est_key, est, reference
+
+
 def run_pipeline(scene_or_mixture, spec, target=None, cfg=StftConfig()):
     """Run one named pipeline on a scene or a raw mixture.
 
@@ -437,20 +461,18 @@ def run_pipeline(scene_or_mixture, spec, target=None, cfg=StftConfig()):
 
     nodes = _scene_nodes(mixture, target, cfg)
     mix_spec = nodes.get("mixture", lambda: analyze(mixture, cfg))  # T x F x P
-    tgt_spec = None
-    if target is not None:
-        tgt_spec = nodes.get("target", lambda: analyze(target, cfg))
-    params = tuple(spec.params_dict().values())
-    key = None if spec.estimator == "external" else params
-    est = nodes.get(key, lambda: make_estimate(spec, mix_spec, tgt_spec, cfg))
-    est_q = est.channel(q)
     mix_q = mix_spec[:, :, q]
+    est_key, est, reference = _estimate_and_reference(nodes, spec, mix_spec, target, cfg)
+    est_q = est.channel(q)
+    # stages read every parameter; None after an external estimate
+    key = est_key and tuple(spec.params_dict().values())
 
     if info.channels == "mono":  # channel q alone, as the context's channel 0
         ctx = _Context(spec, mix_spec[:, :, q:q + 1], 0, mix_q, est, est_q, nodes)
     else:
         ctx = _Context(spec, mix_spec, q, mix_q, est, est_q, nodes)
-    outputs = [("estimate", est_q, key)]  # (name, T x F output, key when kept)
+    # (name, T x F output, key when kept)
+    outputs = [("estimate", est_q, est_key and est_key + (q,))]
     for k, path in enumerate(_paths(info), 1):  # path ends with stage k
         ctx.key = key and key + path[:-1]  # the stage's input
         out_key = key and key + path if path in _KEPT else None
@@ -463,10 +485,8 @@ def run_pipeline(scene_or_mixture, spec, target=None, cfg=StftConfig()):
     num_samples = mixture.num_samples
     if target is not None:
         tgt_wave = target.channel(q)
-        reference = nodes.get(params + ("reference",),
-                              lambda: ScoreReference(tgt_spec[:, :, q], mix_q))
         metrics["mixture"] = nodes.get(
-            params + ("reference", "mixture"),
+            est_key and est_key + (q, "reference", "mixture"),
             lambda: score_against(reference, mix_q, mixture.channel(q), tgt_wave))
     for name, out, out_key in outputs:
         stages[name] = out

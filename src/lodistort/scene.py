@@ -256,8 +256,7 @@ def render_scene(source, noise_sources, room, snr_db, normalize=True):
 
 def _signal(samples, sample_rate):
     # a TimeSignal that adopts the array just built, frozen, not a copy
-    samples.flags.writeable = False
-    return TimeSignal(samples, sample_rate)
+    return TimeSignal(samples, sample_rate, _adopt=True)
 
 
 def _seed_key(seed, salt):

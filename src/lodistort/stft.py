@@ -16,7 +16,7 @@ full complement of overlapping windows and makes reconstruction exact up to
 float64 rounding.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -53,10 +53,11 @@ class TimeSignal:
     """A sampled multichannel signal: a read-only value, compared and hashed
     by identity.
 
-    The signal owns its samples.  It adopts a float64 ndarray that is
-    already read-only and owns its memory, as the library's constructors
-    hand it, and copies any other input once; it never marks a caller's
-    array read-only.
+    The signal owns its samples: it copies its input once, whatever it is,
+    and never marks a caller's array read-only (whoever holds an array may
+    make it writeable again).  Only the library's own constructors pass
+    _adopt=True, for a float64 array they just built and hand over: the
+    signal marks it read-only and keeps it, no copy.
 
     Attributes:
         samples: read-only N x C float64 array (mono input is reshaped to N x 1)
@@ -65,14 +66,12 @@ class TimeSignal:
 
     samples: np.ndarray
     sample_rate: int
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt):
         check_fields(self)
-        samples = self.samples
-        if not (type(samples) is np.ndarray and samples.dtype == np.float64
-                and samples.flags.owndata and not samples.flags.writeable):
-            samples = np.array(samples, dtype=np.float64)
-            samples.flags.writeable = False
+        samples = self.samples if _adopt else np.array(self.samples, dtype=np.float64)
+        samples.flags.writeable = False
         object.__setattr__(self, "samples", _columns(_checked_samples(samples)))
 
     @property
@@ -257,5 +256,4 @@ def synthesize(spectrogram, cfg=StftConfig(), num_samples=None):
     avail = min(num_samples, buf_len - cfg.pad)
     if avail > 0:
         out[:avail] = buf[cfg.pad:cfg.pad + avail]
-    out.flags.writeable = False
-    return TimeSignal(out, cfg.sample_rate)
+    return TimeSignal(out, cfg.sample_rate, _adopt=True)

@@ -98,8 +98,7 @@ def read_wav(path, expect_rate=None):
         samples = data.astype(np.float64)
         if not np.all(np.isfinite(samples)):
             raise FormatError(f"{path}: WAV holds non-finite samples")
-    samples.flags.writeable = False  # adopted by the signal, not copied
-    signal = TimeSignal(samples, rate)
+    signal = TimeSignal(samples, rate, _adopt=True)  # adopted, not copied
     if expect_rate is not None and signal.sample_rate != expect_rate:
         raise ValueError(
             f"{path}: sample rate {signal.sample_rate} Hz does not match the "

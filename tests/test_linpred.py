@@ -367,6 +367,8 @@ def _chunk_runs(monkeypatch, budget, fn):
         return solve_stack(mats, rhs)
 
     monkeypatch.setattr(linpred, "CHUNK_BUDGET_BYTES", budget)
+    # the budget alone sizes the chunks
+    monkeypatch.setattr(linpred, "CHUNK_MAX_BINS", 2 ** 40)
     monkeypatch.setattr(linpred, "solve_stack", counting_solve)
     return fn(), solves
 

@@ -11,6 +11,7 @@ import numpy as np
 from lodistort import (TimeSignal, analyze, fcp, masked_covariances, psd_floor,
                        read_spectrogram, signal_covariances,
                        weighted_covariance, wpe_field, write_spectrogram)
+from lodistort import _pool, linpred
 from lodistort._memtrace import (analyze_bound, covariance_bound, fcp_bound,
                                  traced_peak, wpe_field_bound)
 
@@ -39,14 +40,29 @@ def test_wpe_field_peak_is_the_output_plus_the_chunk_budget():
     field = random_field((300, 257, 4), seed=2)
     lam = psd_floor(field[:, :, 0])
     peak, (_, out) = traced_peak(lambda: wpe_field(field, lam, taps=10))
-    assert peak <= wpe_field_bound(field, out)
+    assert peak <= wpe_field_bound(field, out, taps=10)
+
+
+def test_wpe_field_workspace_at_the_cli_shape_is_capped_chunks():
+    # the field of a 2 s 4-mic scene: its bins are small enough that the
+    # budget would fit 13 per worker, so the bin cap sizes the workspace
+    field = random_field((256, 257, 4), seed=9)
+    lam = psd_floor(field[:, :, 0])
+    peak, (_, out) = traced_peak(lambda: wpe_field(field, lam, taps=10))
+    per_bin = linpred._bin_bytes(256, 4, 10, linpred.DEFAULT_DELAY, 4)
+    workers = _pool.worker_count()
+    allowed = max(per_bin, min(linpred.CHUNK_BUDGET_BYTES,
+                               workers * linpred.CHUNK_MAX_BINS * per_bin))
+    bound = wpe_field_bound(field, out, taps=10)
+    assert bound <= out.nbytes + allowed + 0.35 * field.nbytes
+    assert peak <= bound
 
 
 def test_fcp_peak_is_the_output_and_weights_plus_the_chunk_budget():
     reference = random_field((1000, 257), seed=3)
     estimate = reference + 0.3 * random_field((1000, 257), seed=4)
     peak, (_, out) = traced_peak(lambda: fcp(reference, estimate, taps=40))
-    assert peak <= fcp_bound(reference, out)
+    assert peak <= fcp_bound(reference, out, taps=40)
 
 
 def test_covariance_peaks_are_the_outputs_plus_one_block():

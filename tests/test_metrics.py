@@ -1,6 +1,7 @@
 """Waveform and phase-aware metrics against closed forms and counting
 oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from lodistort import (
     wrap_phase,
 )
 from lodistort.cli import main as cli_main
+from lodistort._memtrace import traced_peak
 from lodistort._pool import openblas_threads
 from lodistort.metrics import (
     ScoreReference,
@@ -423,3 +425,24 @@ def test_phase_report_degenerate_bins_read_the_zero_mixture_phasor():
     # an exact estimate has no residual and never flips
     assert report["meanPredictedFlipProbability"] == 0.0
     assert report["empiricalFlipRate"] == 0.0
+
+
+def test_a_strided_channel_view_scores_as_its_copy_without_copying_it():
+    rng = np.random.default_rng(23)
+    shape = (200, 257, 4)
+    target = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mixture = target + rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    estimate = target + 0.5 * (rng.standard_normal(shape)
+                               + 1j * rng.standard_normal(shape))
+    reference = ScoreReference(target[:, :, 1], mixture[:, :, 1])
+    view = estimate[:, :, 1]
+    copy = np.ascontiguousarray(view)
+    wave = rng.standard_normal(4000)
+    target_wave = wave + 0.1 * rng.standard_normal(4000)
+    peak, report = traced_peak(lambda: score_against(reference, view, wave, target_wave))
+    bits = [float(x).hex() for x in dataclasses.astuple(report)]
+    want = score_against(reference, copy, wave, target_wave)
+    assert bits == [float(x).hex() for x in dataclasses.astuple(want)]
+    # every bin is masked here, and no complex T x F copy is made
+    assert reference.phase_sides[0].all()
+    assert peak < copy.nbytes

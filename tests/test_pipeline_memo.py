@@ -5,6 +5,7 @@ no longer than their scene."""
 
 import dataclasses
 import gc
+import math
 import sys
 import threading
 import weakref
@@ -294,8 +295,60 @@ def test_oracle_direct_estimate_is_the_memo_target(scene):
     # target STFT, read-only like every shared node
     drop_memo()
     result = run_pipeline(scene, PipelineSpec("mvdr"))
-    target = pipeline._memo.values["target"]
+    target = pipeline._memo.values[("oracleDirect", math.inf, 0)].values
     estimate = result.stages["estimate"]
+    assert np.array_equal(target, analyze(scene.direct_path))
     assert np.shares_memory(estimate, target)
     assert np.array_equal(estimate, target[:, :, 0])
     assert not target.flags.writeable and not estimate.flags.writeable
+
+
+def test_target_stft_is_not_kept_with_a_mask_estimate(scene, monkeypatch):
+    spectra = {}
+
+    def recording(signal, cfg):
+        spec = analyze(signal, cfg)
+        spectra[signal] = weakref.ref(spec)
+        return spec
+
+    monkeypatch.setattr(pipeline, "analyze", recording)
+    drop_memo()
+    spec = PipelineSpec("mwmpdr_wpe", estimator="oraclePhaseSensitiveMask",
+                        est_err_snr_db=10.0, taps=6)
+    result = run_pipeline(scene, spec)
+    gc.collect()
+    # the mixture's STFT is a memo node; no node, nor the result, holds
+    # the target's, which only built the estimate and the scoring reference
+    assert spectra[scene.mixture]() is result.mixture_spectrogram
+    assert spectra[scene.direct_path]() is None
+    assert_same_result(result, cold_run(scene, spec))
+
+
+def test_estimate_and_reference_outlive_stage_parameters(scene, monkeypatch):
+    calls = {}
+
+    def counting(name):
+        fn = getattr(pipeline, name)
+        calls[name] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, wrapper)
+
+    for name in ("analyze", "oracle_estimate", "corrupt_estimate", "ScoreReference"):
+        counting(name)
+    drop_memo()
+    base = dict(name="fcp_mwmpdr_wpe", estimator="oraclePhaseSensitiveMask",
+                est_err_snr_db=10.0, seed=3)
+    specs = [PipelineSpec(**base, **change) for change in (
+        {}, {"taps": 5}, {"delay": 2}, {"epsilon": 1e-2}, {"loading": 1e-6})]
+    results = [run_pipeline(scene, spec) for spec in specs]
+    # the mixture and the target are analyzed once; the estimate, its
+    # corruption and the scoring reference are built once
+    assert calls == {"analyze": 2, "oracle_estimate": 1, "corrupt_estimate": 1,
+                     "ScoreReference": 1}
+    assert all(r.metrics["mixture"] is results[0].metrics["mixture"] for r in results)
+    monkeypatch.undo()
+    for spec, result in zip(specs, results):
+        assert_same_result(result, cold_run(scene, spec))

@@ -301,14 +301,17 @@ def test_signal_copies_a_writeable_input_once_and_leaves_it_writeable(shape):
     assert np.array_equal(signal.samples[:, 0], -view)
 
 
-def test_signal_adopts_a_read_only_array_that_owns_its_memory():
-    values = np.ones((100, 3))
-    values.flags.writeable = False
-    signal = TimeSignal(values, 16000)
-    assert signal.samples is values
-    mono = np.ones(100)
-    mono.flags.writeable = False
-    assert np.shares_memory(TimeSignal(mono, 16000).samples, mono)
+def test_signal_copies_a_read_only_array_its_caller_still_holds():
+    # whoever holds an array that owns its memory may make it writeable again
+    for shape in ((100,), (100, 3)):
+        values = np.ones(shape)
+        values.flags.writeable = False
+        signal = TimeSignal(values, 16000)
+        assert not np.shares_memory(values, signal.samples)
+        values.flags.writeable = True
+        values[0] = 5.0
+        assert signal.samples[0, 0] == 1.0
+        assert not signal.samples.flags.writeable
 
 
 def _built_arrays(monkeypatch):
@@ -316,9 +319,9 @@ def _built_arrays(monkeypatch):
     built = []
 
     class Recording(TimeSignal):
-        def __post_init__(self):
+        def __post_init__(self, adopt):
             array = self.samples
-            super().__post_init__()
+            super().__post_init__(adopt)
             built.append((array, self))
 
     for module in (stft, scene, wavio):

@@ -102,8 +102,9 @@ def main():
     field_bytes, mono_bytes = mix.nbytes, mix[:, :, 0].nbytes
     peak, spec = traced_peak(lambda: analyze(scene.mixture))
     analyze_fields = (peak / field_bytes, analyze_bound(spec) / field_bytes)
-    peak, (_, out) = traced_peak(lambda: wpe_field(mix, lam, default_taps(MICS)))
-    wpe_fields = (peak / field_bytes, wpe_field_bound(mix, out) / field_bytes)
+    taps = default_taps(MICS)
+    peak, (_, out) = traced_peak(lambda: wpe_field(mix, lam, taps))
+    wpe_fields = (peak / field_bytes, wpe_field_bound(mix, out, taps) / field_bytes)
     reference = mix[:, :, 0]
     peak, (_, out) = traced_peak(lambda: fcp(reference, tgt[:, :, 0]))
     fcp_fields = (peak / mono_bytes, fcp_bound(reference, out) / mono_bytes)
