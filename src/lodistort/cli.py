@@ -87,8 +87,8 @@ def build_parser():
     enh.add_argument("--pipeline", help="pipeline name (see list-pipelines)")
     enh.add_argument("--out", help="output directory")
     enh.add_argument("--config",
-                     help="JSON config {pipeline, params, scene|mixture, out}; "
-                     "file values override flags")
+                     help="JSON config {pipeline, params, scene|mixture, target, "
+                     "out}, params keyed as metrics.json's; file values override flags")
     _add_estimate_flags(enh, ORACLE_KINDS + ("external",))
     enh.add_argument("--estimate", dest="estimate_path",
                      help="external estimate (.ldspec or .wav)")
@@ -122,6 +122,24 @@ def _read_json(path):
             return from_jsonable(json.load(handle))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+
+
+# the keys of an `enhance --config` object; its params take PARAM_KEYS' values
+_CONFIG_KEYS = ("pipeline", "params", "scene", "mixture", "target", "out")
+
+
+def _read_config(path):
+    config = _read_json(path)
+    params = config.get("params", {}) if isinstance(config, dict) else None
+    if not isinstance(params, dict):
+        raise FormatError(f"{path}: expected a JSON object whose params is an object")
+    for given, known, what in ((config, _CONFIG_KEYS, "key"),
+                               (params, tuple(PARAM_KEYS.values()), "params key")):
+        for key in given:
+            if key not in known:
+                raise ValueError(f"{path}: unknown config {what} {key!r}; "
+                                 f"expected one of {', '.join(known)}")
+    return config, params
 
 
 def _emit(obj, out_path=None):
@@ -219,8 +237,7 @@ def _load_scene_dir(scene_dir):
 
 
 def cmd_enhance(args):
-    config = _read_json(args.config) if args.config else {}
-    params = config.get("params", {})
+    config, params = _read_config(args.config) if args.config else ({}, {})
     name = config.get("pipeline", args.pipeline)
     out_dir = config.get("out", args.out)
     scene_dir = config.get("scene", args.scene)

@@ -8,30 +8,23 @@ composition would, in the same order, so their outputs are bit-identical to
 composing by hand.  The wpe stage runs linpred.wpe_field on any channel
 count; on the one channel of a mono run that equals linpred.wpe bit for bit.
 
-Calls on the same scene share their common nodes.  A module-level memo keeps
-one scene: its StftConfig and weak references to its mixture and target.  A
-call is on that scene when its mixture and target are those same objects
-(TimeSignals are read-only values, so identity is an exact test) and its
-cfg is equal; nothing is hashed.  The mixture's STFT is
-keyed by name, every other node by one rule.  The estimate's key is the
-estimator's own fields (estimator, est_err_snr_db, seed), or None for an
-external estimate (its file may change between calls), and None
-propagates.  The scoring reference, the mixture's score and the estimate's
-wave and score append ref_mic and their names to it.  A stage's input
-is keyed by the spec's params_dict() values (None after an external
-estimate); a mono run appends a marker, each stage its name, and each
-sub-node (the mask with its masked covariances and steering, the signal
-covariances, a wave, a score) its own name to its input's key.  A stage's
-output, wave and score are kept only when several CATALOG pipelines run
-its chain of stages.
-
-The target's STFT is not kept: it is read only to build the estimate and
-the scoring reference, so the call that computes either computes it and
-drops it on return (an oracleDirect estimate is that STFT, kept as the
-estimate).  A call on another scene drops the old one before computing
-anything; the scene also goes when the mixture object it was built from is
-collected.  Shared arrays are read-only, including those a PipelineResult
-exposes, and shared scores are frozen MetricsReports, handed out as they are.
+Calls on the same scene share their common nodes.  The memo is a weak map
+with at most one entry: the mixture object -> ((a weak reference to the
+target, cfg), the scene's nodes).  A call is on that scene when its mixture
+and target are those objects (TimeSignals are read-only values, so identity
+is exact) and its cfg is equal; another scene replaces the entry before
+anything is computed, and the entry goes with its mixture.  Each node is
+keyed by what it reads: the mixture's STFT by name; the scoring reference
+and the mixture's score by (ref_mic, name); the estimate by its estimator's
+fields (estimator, est_err_snr_db, seed), or None for an external estimate,
+whose file may change, and None propagates.  The estimate's wave and score
+append ref_mic.  A stage's input is keyed by the spec's params_dict()
+values; a mono run appends a marker, each stage its name, and each sub-node
+(the masked covariances, the signal covariances, a wave, a score) its name.
+Stage outputs, waves and scores are kept only when several CATALOG
+pipelines run that chain.  The target's STFT is not kept: the call that
+builds the estimate or the reference computes it and drops it on return.
+Shared arrays are read-only, and shared scores are frozen MetricsReports.
 """
 
 import functools
@@ -164,8 +157,9 @@ class PipelineSpec:
 
     Attributes:
         name: one of PIPELINE_NAMES
-        estimator: oracle kind, "external" (with estimate_path), or the
-            oracles' names; finite est_err_snr_db corrupts the estimate
+        estimator: one of ORACLE_KINDS, or "external", which reads
+            estimate_path (only it does); finite est_err_snr_db corrupts
+            an oracle estimate
         taps: prediction order for the dereverberation stage
             (None = per-channel-count default)
         taps_fcp: filter length of the compensation stage
@@ -195,6 +189,12 @@ class PipelineSpec:
         # only taps may be None: its default follows the channel count; the
         # upper bound of ref_mic needs the scene's, so run_pipeline checks it
         check_fields(self, optional=("taps",))
+        kinds = ORACLE_KINDS + ("external",)
+        if self.estimator not in kinds:
+            raise ValueError(f"unknown estimator {self.estimator!r}; expected one of {kinds}")
+        if (self.estimator == "external") != (self.estimate_path is not None):
+            raise ValueError("estimator 'external' needs estimate_path, and only it reads "
+                             f"one (got {self.estimator!r} and {self.estimate_path!r})")
 
     def params_dict(self):
         # the estimate's file is an input of the run, not one of its parameters
@@ -240,56 +240,15 @@ class PipelineResult:
 
 def make_estimate(spec, mix_spec, tgt_spec, cfg=None):
     """First-stage estimate for `spec`, a PipelineSpec or any object with its
-    estimator, est_err_snr_db and seed fields (and estimate_path for the
-    external estimator)."""
-    if spec.estimator in ORACLE_KINDS:
-        if tgt_spec is None:
-            raise ValueError(
-                f"estimator {spec.estimator!r} needs the target signal"
-            )
-        est = oracle_estimate(mix_spec, tgt_spec, spec.estimator)
-        if not math.isinf(spec.est_err_snr_db):
-            est = corrupt_estimate(est, spec.est_err_snr_db, spec.seed)
-        return est
+    estimator, est_err_snr_db and seed fields naming an oracle."""
     if spec.estimator == "external":
-        if spec.estimate_path is None:
-            raise ValueError("external estimator needs estimate_path")
         return load_external_estimate(spec.estimate_path, mix_spec.shape, cfg)
-    raise ValueError(
-        f"unknown estimator {spec.estimator!r}; expected one of "
-        f"{ORACLE_KINDS + ('external',)}"
-    )
-
-
-class _SceneNodes:
-    """The memoized nodes of one scene: `get(key, compute)` returns the value
-    stored under `key`, or computes, freezes and stores it.  A None key marks
-    a node that must not be shared (an external estimate and what follows
-    from it) and is always computed."""
-
-    def __init__(self, mixture, target, cfg):
-        self.cfg = cfg
-        self.target = target and weakref.ref(target)
-        self.values = {}
-        # holds the mixture weakly, and the nodes weakly too, so dropping
-        # _memo frees them
-        self.finalizer = weakref.finalize(mixture, _forget, weakref.ref(self))
-
-    def holds(self, mixture, target, cfg):
-        # weak references to live objects compare their referents, which
-        # TimeSignal compares by identity; a dead one equals only itself
-        alive = self.finalizer.peek()
-        return (alive is not None and alive[0] is mixture
-                and self.target == (target and weakref.ref(target))
-                and self.cfg == cfg)
-
-    def get(self, key, compute):
-        if key is None:
-            return compute()
-        value = self.values.get(key)
-        if value is None:
-            value = self.values.setdefault(key, _freeze(compute()))
-        return value
+    if tgt_spec is None:
+        raise ValueError(f"estimator {spec.estimator!r} needs the target signal")
+    est = oracle_estimate(mix_spec, tgt_spec, spec.estimator)
+    if not math.isinf(spec.est_err_snr_db):
+        est = corrupt_estimate(est, spec.est_err_snr_db, spec.seed)
+    return est
 
 
 def _freeze(value):
@@ -305,31 +264,33 @@ def _freeze(value):
     return value
 
 
-# the one scene whose nodes are kept between calls, swapped under the lock
-# (reentrant: a finalizer may run during a collection inside the swap)
-_memo = None
-_memo_lock = threading.RLock()
+def _node(nodes, key, compute):
+    """The node stored under `key`, or compute()'s value, frozen and stored.
+    A None key marks a node that is not shared (an external estimate and
+    what follows from it): it is computed on every call."""
+    if key is None:
+        return compute()
+    value = nodes.get(key)
+    if value is None:
+        value = nodes.setdefault(key, _freeze(compute()))
+    return value
 
 
-def _forget(nodes_ref):
-    global _memo
-    with _memo_lock:
-        if _memo is nodes_ref():
-            _memo = None
+# mixture -> ((weak reference to the target, cfg), nodes): one scene at most
+_memo = weakref.WeakKeyDictionary()
+_memo_lock = threading.Lock()
 
 
 def _scene_nodes(mixture, target, cfg):
-    """The memo entry for these mixture and target objects and this cfg,
-    replacing the old one (dropped before anything new is computed) when it
-    holds another scene.  An entry also goes when its mixture is collected."""
-    global _memo
+    # weak references to live objects compare their referents, which
+    # TimeSignal compares by identity; a dead one equals only itself
+    scene = (target and weakref.ref(target), cfg)
     with _memo_lock:
-        nodes = _memo
-        if nodes is None or not nodes.holds(mixture, target, cfg):
-            if nodes is not None:
-                nodes.finalizer.detach()
-            _memo = nodes = _SceneNodes(mixture, target, cfg)
-    return nodes
+        entry = _memo.get(mixture)
+        if entry is None or entry[0] != scene:
+            _memo.clear()  # before anything of the new scene is computed
+            entry = _memo[mixture] = (scene, {})
+    return entry[1]
 
 
 @dataclass
@@ -342,7 +303,7 @@ class _Context:
     ref: np.ndarray  # T x F output of the last stage at the reference mic
     est: object  # TargetEstimate
     est_q: np.ndarray
-    nodes: _SceneNodes
+    nodes: dict
     key: tuple = None  # memo key of field and ref, None after an external estimate
 
     @cached_property
@@ -353,7 +314,7 @@ class _Context:
     def node(self, compute):
         # the sub-node compute(self) of field and ref, named by the function
         name = compute.__name__
-        return self.nodes.get(self.key and self.key + (name,), lambda: compute(self))
+        return _node(self.nodes, self.key and self.key + (name,), lambda: compute(self))
 
 
 def _wpe(ctx):
@@ -420,10 +381,10 @@ def _estimate_and_reference(nodes, spec, mix_spec, target, cfg):
     tgt_spec = functools.cache(lambda: target and analyze(target, cfg))
     est_key = (None if spec.estimator == "external"
                else (spec.estimator, spec.est_err_snr_db, spec.seed))
-    est = nodes.get(est_key, lambda: make_estimate(spec, mix_spec, tgt_spec(), cfg))
+    est = _node(nodes, est_key, lambda: make_estimate(spec, mix_spec, tgt_spec(), cfg))
     q = spec.ref_mic
-    reference = target and nodes.get(
-        est_key and est_key + (q, "reference"),
+    reference = target and _node(
+        nodes, (q, "reference"),
         lambda: ScoreReference(tgt_spec()[:, :, q], mix_spec[:, :, q]))
     return est_key, est, reference
 
@@ -460,7 +421,7 @@ def run_pipeline(scene_or_mixture, spec, target=None, cfg=StftConfig()):
         raise ValueError("target and mixture channel counts differ")
 
     nodes = _scene_nodes(mixture, target, cfg)
-    mix_spec = nodes.get("mixture", lambda: analyze(mixture, cfg))  # T x F x P
+    mix_spec = _node(nodes, "mixture", lambda: analyze(mixture, cfg))  # T x F x P
     mix_q = mix_spec[:, :, q]
     est_key, est, reference = _estimate_and_reference(nodes, spec, mix_spec, target, cfg)
     est_q = est.channel(q)
@@ -476,7 +437,7 @@ def run_pipeline(scene_or_mixture, spec, target=None, cfg=StftConfig()):
     for k, path in enumerate(_paths(info), 1):  # path ends with stage k
         ctx.key = key and key + path[:-1]  # the stage's input
         out_key = key and key + path if path in _KEPT else None
-        ctx.field, ctx.ref = nodes.get(out_key, lambda: _STAGES[path[-1]](ctx))
+        ctx.field, ctx.ref = _node(nodes, out_key, lambda: _STAGES[path[-1]](ctx))
         outputs.append(("_".join(info.stages[k:0:-1]), ctx.ref, out_key))
 
     # resynthesis and scoring once every stage has run (measured faster than
@@ -485,16 +446,16 @@ def run_pipeline(scene_or_mixture, spec, target=None, cfg=StftConfig()):
     num_samples = mixture.num_samples
     if target is not None:
         tgt_wave = target.channel(q)
-        metrics["mixture"] = nodes.get(
-            est_key and est_key + (q, "reference", "mixture"),
+        metrics["mixture"] = _node(
+            nodes, (q, "mixture"),
             lambda: score_against(reference, mix_q, mixture.channel(q), tgt_wave))
     for name, out, out_key in outputs:
         stages[name] = out
-        waves[name] = wave = nodes.get(out_key and out_key + ("wave",),
-                                       lambda: synthesize(out, cfg, num_samples))
+        waves[name] = wave = _node(nodes, out_key and out_key + ("wave",),
+                                   lambda: synthesize(out, cfg, num_samples))
         if target is not None:
-            metrics[name] = nodes.get(
-                out_key and out_key + ("score",),
+            metrics[name] = _node(
+                nodes, out_key and out_key + ("score",),
                 lambda: score_against(reference, out, wave.channel(0), tgt_wave))
     return PipelineResult(spec, stages, waves, metrics, mix_spec)
 

@@ -203,6 +203,15 @@ def render_scene(source, noise_sources, room, snr_db, normalize=True):
             raise ValueError(
                 f"noise source {i} has {samples.shape[0]} samples, expected {num}"
             )
+    if snr_db is not None and not noises:
+        raise ValueError(
+            "cannot reach the requested SNR without noise sources "
+            "(pass snr_db=None for a noise-free scene)"
+        )
+    # energy at the reference mic
+    direct_energy = float(np.sum(direct[:, 0] ** 2))
+    if snr_db is not None and direct_energy <= 0.0:
+        raise ValueError("source has no direct-path energy at the reference mic")
     # the residual and every noise component in one call to the pool; the
     # components are rendered as render_noise_component renders them
     sources = [(src, functools.partial(_live_tail, room))]
@@ -214,19 +223,10 @@ def render_scene(source, noise_sources, room, snr_db, normalize=True):
     for component in components:
         noise += component
 
-    if snr_db is not None and not noise_sources:
-        raise ValueError(
-            "cannot reach the requested SNR without noise sources "
-            "(pass snr_db=None for a noise-free scene)"
-        )
     achieved_snr = math.inf
-    if noise_sources:
-        # energies at the reference mic
-        direct_energy = float(np.sum(direct[:, 0] ** 2))
+    if noises:
         noise_energy = float(np.sum(noise[:, 0] ** 2))
         if snr_db is not None:
-            if direct_energy <= 0.0:
-                raise ValueError("source has no direct-path energy at the reference mic")
             if noise_energy <= 0.0:
                 raise ValueError("cannot reach the requested SNR: noise has no energy")
             noise *= math.sqrt(direct_energy / noise_energy * 10.0 ** (-snr_db / 10.0))

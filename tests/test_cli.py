@@ -344,6 +344,9 @@ def test_negative_seed_exits_2(scene_dir, tmp_path, capsys, command, flags):
     ("--pipeline", "wpe", "--epsilon", "nan"),
     ("--pipeline", "nosuch"),
     ("--pipeline", "wpe", "--ref-mic", "-3"),
+    # an estimate file is read only by the external estimator, which needs one
+    ("--pipeline", "wpe", "--estimate", "missing.ldspec"),
+    ("--pipeline", "wpe", "--estimator", "external"),
 ])
 def test_invalid_spec_exits_2_before_reading_input(tmp_path, capsys, argv):
     rc, _, err = run_cli(capsys, "enhance", "--scene", str(tmp_path / "ghost"),
@@ -417,7 +420,8 @@ def test_config_null_filter_length_exits_2(scene_dir, tmp_path, capsys, key, fie
     ({"refMic": 0.5}, "ref_mic must be an integer, got 0.5"),
     ({"delay": "inf"}, "delay must be an integer, got inf"),
     ({"seed": "nan", "estErrSnrDb": 10}, "seed must be an integer, got nan"),
-], ids=["fractional-ref-mic", "infinite-delay", "nan-seed"])
+    ({"tap": 3}, "unknown config params key 'tap'"),
+], ids=["fractional-ref-mic", "infinite-delay", "nan-seed", "unknown-key"])
 def test_config_invalid_param_exits_2_before_reading_scene(tmp_path, capsys,
                                                            params, named):
     # the scene does not exist: reading it first would exit 3
@@ -429,6 +433,32 @@ def test_config_invalid_param_exits_2_before_reading_scene(tmp_path, capsys,
     rc, stdout, err = run_cli(capsys, "enhance", "--config", config_path)
     assert rc == 2 and "usage error" in err and named in err
     assert stdout == "" and not os.path.exists(out)
+
+
+def _write_config(tmp_path, config):
+    path = str(tmp_path / "config.json")
+    with open(path, "w") as handle:
+        json.dump(config, handle)
+    return path
+
+
+@pytest.mark.parametrize("config", [
+    [1, 2],
+    {"pipeline": "wpe", "scene": "ghost", "out": "run", "params": [1]},
+], ids=["list", "params-list"])
+def test_config_that_is_not_an_object_exits_3(tmp_path, capsys, config):
+    config_path = _write_config(tmp_path, config)
+    rc, stdout, err = run_cli(capsys, "enhance", "--config", config_path)
+    assert rc == 3 and "file error" in err and config_path in err
+    assert "Traceback" not in err and stdout == ""
+
+
+def test_config_unknown_key_exits_2_before_reading_scene(tmp_path, capsys):
+    config_path = _write_config(tmp_path, {"pipeline": "wpe", "outdir": "run",
+                                           "scene": str(tmp_path / "ghost")})
+    rc, stdout, err = run_cli(capsys, "enhance", "--config", config_path)
+    assert rc == 2 and "usage error" in err
+    assert "unknown config key 'outdir'" in err and stdout == ""
 
 
 # the values every numeric flag is driven through; sizes that would

@@ -288,6 +288,17 @@ def test_validation_errors(small_scene):
         run_pipeline(mono, PipelineSpec("mvdr"))
 
 
+@pytest.mark.parametrize("kwargs, named", [
+    ({"estimator": "psychic"}, "unknown estimator 'psychic'"),
+    ({"estimator": "external"}, "estimate_path"),
+    ({"estimate_path": "estimate.ldspec"}, "estimate_path"),
+], ids=["unknown", "external-without-path", "path-with-oracle"])
+def test_spec_checks_its_estimator_when_built(kwargs, named):
+    # before any signal is analyzed, and the path is not read for an oracle
+    with pytest.raises(ValueError, match=re.escape(named)):
+        PipelineSpec("wpe", **kwargs)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"epsilon": float("nan")},
     {"epsilon": 0.0},

@@ -28,6 +28,7 @@ from lodistort import (
     synth_speech_like,
     write_spectrogram,
 )
+from lodistort.metrics import ScoreReference
 
 
 def make_scene(seed, num_mics=3, num_samples=16000):
@@ -49,7 +50,13 @@ def scene():
 
 def drop_memo():
     with pipeline._memo_lock:
-        pipeline._memo = None
+        pipeline._memo.clear()
+
+
+def memo_nodes():
+    # the node dict of the one scene the memo holds
+    [(_, nodes)] = pipeline._memo.values()
+    return nodes
 
 
 def cold_run(scene_or_mixture, spec, target=None):
@@ -139,7 +146,7 @@ def test_every_shared_node_and_only_those_are_kept(scene, monkeypatch):
     gc.collect()
     assert unshared() is None
     assert shared() is not None
-    assert pipeline._memo is not None
+    assert len(pipeline._memo) == 1
 
 
 def test_in_place_writes_are_refused():
@@ -212,16 +219,16 @@ def test_nodes_die_with_their_mixture():
     del scene, result
     gc.collect()
     assert node() is None
-    assert pipeline._memo is None
+    assert len(pipeline._memo) == 0
 
 
 def test_dropped_nodes_die_while_their_mixture_lives(scene):
     run_pipeline(scene, PipelineSpec("mvdr"))
-    nodes = weakref.ref(pipeline._memo)
+    node = weakref.ref(memo_nodes()["mixture"])
     drop_memo()
     gc.collect()
-    # the mixture's finalizer must not keep the nodes alive
-    assert nodes() is None
+    # the map holds the mixture weakly, and nothing else holds its nodes
+    assert node() is None
     assert scene.mixture.num_channels == 3
 
 
@@ -295,7 +302,7 @@ def test_oracle_direct_estimate_is_the_memo_target(scene):
     # target STFT, read-only like every shared node
     drop_memo()
     result = run_pipeline(scene, PipelineSpec("mvdr"))
-    target = pipeline._memo.values[("oracleDirect", math.inf, 0)].values
+    target = memo_nodes()[("oracleDirect", math.inf, 0)].values
     estimate = result.stages["estimate"]
     assert np.array_equal(target, analyze(scene.direct_path))
     assert np.shares_memory(estimate, target)
@@ -352,3 +359,24 @@ def test_estimate_and_reference_outlive_stage_parameters(scene, monkeypatch):
     monkeypatch.undo()
     for spec, result in zip(specs, results):
         assert_same_result(result, cold_run(scene, spec))
+
+
+def test_external_runs_share_the_scoring_reference(scene, tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args))
+        return ScoreReference(*args)
+
+    monkeypatch.setattr(pipeline, "ScoreReference", counting)
+    path = str(tmp_path / "estimate.ldspec")
+    write_spectrogram(path, analyze(scene.direct_path))
+    spec = PipelineSpec("fcp", estimator="external", estimate_path=path)
+    drop_memo()
+    first, second = run_pipeline(scene, spec), run_pipeline(scene, spec)
+    # the reference and the mixture's score read the mixture and the target
+    # only: the estimate is reread, the reference built once
+    assert len(calls) == 1
+    assert second.metrics["mixture"] is first.metrics["mixture"]
+    monkeypatch.undo()
+    assert_same_result(second, cold_run(scene, spec))

@@ -15,6 +15,7 @@ from lodistort import (
     synth_noise,
     synth_speech_like,
 )
+from lodistort import scene as scene_module
 from lodistort.scene import _convolve_mics, _noise_rir
 
 
@@ -265,6 +266,19 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         render_scene(synth_speech_like(1000, seed=1), [], room, snr_db=5.0)
     with pytest.raises(ValueError):  # zero-energy source cannot meet an SNR
+        render_scene(TimeSignal(np.zeros(1000), 16000),
+                     [synth_noise(1000, seed=2)], room, snr_db=5.0)
+
+
+def test_render_scene_rejects_an_unreachable_snr_before_convolving(monkeypatch):
+    def convolving(*args):
+        raise AssertionError("convolved before the check")
+
+    monkeypatch.setattr(scene_module, "_convolve_mics", convolving)
+    room = make_room()
+    with pytest.raises(ValueError, match="without noise sources"):
+        render_scene(synth_speech_like(1000, seed=1), [], room, snr_db=5.0)
+    with pytest.raises(ValueError, match="no direct-path energy at the reference mic"):
         render_scene(TimeSignal(np.zeros(1000), 16000),
                      [synth_noise(1000, seed=2)], room, snr_db=5.0)
 
