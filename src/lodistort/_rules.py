@@ -1,9 +1,12 @@
 """The rule of every numeric parameter, in one table that PipelineSpec,
 RoomSpec, StftConfig, TimeSignal, the library functions and the CLI all
-check against.
+check against, and the rules of every array argument: its layout
+(check_shapes), a channel index within it (check_channel) and its values
+(check_finite).
 
 Integer rules take any numbers.Integral but bool, real rules ints too.
-Every check tests for the valid range, so a NaN fails it.
+Every check tests for the valid range, so a NaN fails it.  Every message
+names the parameter or argument.
 """
 
 import math
@@ -11,6 +14,8 @@ import numbers
 from collections.abc import Iterable
 from dataclasses import fields
 from typing import NamedTuple
+
+import numpy as np
 
 
 class Rule(NamedTuple):
@@ -84,3 +89,49 @@ def check_fields(spec, optional=(), sequences=()):
         many = field.name in sequences and isinstance(value, Iterable)
         for item in value if many else (value,):
             check(field.name, item)
+
+
+def check_channel(name, index, count, prefix=""):
+    """Raise ValueError, its message led by `prefix`, unless `index` obeys the
+    rule of `name` and is below `count`, the channel count."""
+    check(name, index, prefix)
+    if index >= count:
+        raise ValueError(f"{prefix}{name} must be < {count}, the channel count, "
+                         f"got {index}")
+
+
+def check_shapes(**arrays):
+    """Check each keyword name=(array, layout), as in field=(field, "T x F x P").
+
+    A layout names each axis by a letter, and one letter is one size across
+    every array of the call; an axis written as a number has that size, and
+    trailing axes in brackets ("N [x C]") may be absent.  Return the sizes
+    by letter, or raise ValueError naming the first argument that breaks
+    its layout, and the arguments that set the sizes it breaks."""
+    sizes = {}  # axis letter -> (size, the argument that set it)
+    for name, (array, layout) in arrays.items():
+        shape, known = np.shape(array), dict(sizes)
+        axes = layout.replace("[", "").replace("]", "").split(" x ")
+        fits = layout.split(" [")[0].count(" x ") < len(shape) <= len(axes)
+        for axis, size in zip(axes, shape):
+            want = int(axis) if axis.isdigit() else sizes.setdefault(axis, (size, name))[0]
+            fits = fits and want == size
+        if not fits:
+            given = {axis: known[axis] for axis in axes if axis in known}
+            where = ", ".join(f"{axis} = {size}" for axis, (size, _) in given.items())
+            origin = ", ".join(dict.fromkeys(by for _, by in given.values()))
+            where = f" with {where} as in {origin}" if given else ""
+            raise ValueError(f"{name} must be {layout}{where}, got shape {shape}")
+    return {axis: size for axis, (size, _) in sizes.items()}
+
+
+def check_finite(name, values, positive=False):
+    """`values` as an array, or a ValueError naming `name` unless every value
+    is finite (and > 0 when `positive`)."""
+    values = np.asarray(values)
+    good = np.isfinite(values)
+    if positive:
+        good &= values > 0.0
+    if not good.all():
+        raise ValueError(f"{name} must be finite{' and > 0' if positive else ''}")
+    return values

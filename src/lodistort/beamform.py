@@ -9,6 +9,7 @@ implemented by apply_beamformer.
 
 import numpy as np
 
+from ._rules import check_channel, check_shapes
 from .errors import SingularMatrixError
 from .linalg import (
     DEFAULT_LOADING,
@@ -22,23 +23,12 @@ from .linalg import (
 )
 
 
-def _check_square(mats, name):
-    mats = np.asarray(mats, dtype=np.complex128)
-    if mats.ndim != 3 or mats.shape[-1] != mats.shape[-2]:
-        raise ValueError(f"{name} must be F x P x P, got shape {mats.shape}")
-    return mats
-
-
-def _distortionless(phi, steering, ref_mic, loading):
-    phi = _check_square(phi, "covariance")
+def _distortionless(phi, steering, ref_mic, loading, name):
+    # name: phi's argument name, for the messages
+    phi = np.asarray(phi, dtype=np.complex128)
     steering = np.asarray(steering, dtype=np.complex128)
-    if steering.shape != phi.shape[:2]:
-        raise ValueError(
-            f"steering shape {steering.shape} does not match covariance "
-            f"{phi.shape[:2]}"
-        )
-    if not 0 <= ref_mic < phi.shape[-1]:
-        raise ValueError(f"ref_mic {ref_mic} out of range")
+    sizes = check_shapes(**{name: (phi, "F x P x P")}, steering=(steering, "F x P"))
+    check_channel("ref_mic", ref_mic, sizes["P"])
     num = solve_stack(load_diagonal(phi.copy(), loading), steering)  # F x P
     den = np.einsum("fp,fp->f", np.conj(steering), num).real
     if np.any(den <= 0.0):
@@ -69,7 +59,7 @@ def mvdr(cov, ref_mic=0, loading=DEFAULT_LOADING):
         from .stats import steering_vector
 
         steering = steering_vector(cov.phi_s, ref_mic)
-    return _distortionless(cov.phi_v, steering, ref_mic, loading)
+    return _distortionless(cov.phi_v, steering, ref_mic, loading, "phi_v")
 
 
 def wmpdr(phi_y_prime, steering, ref_mic=0, loading=DEFAULT_LOADING):
@@ -78,7 +68,7 @@ def wmpdr(phi_y_prime, steering, ref_mic=0, loading=DEFAULT_LOADING):
     Same ratio as mvdr with phi_v replaced by phi_y_prime
     (see stats.weighted_covariance).
     """
-    return _distortionless(phi_y_prime, steering, ref_mic, loading)
+    return _distortionless(phi_y_prime, steering, ref_mic, loading, "phi_y_prime")
 
 
 def gev_ban(cov, ref_mic=0, loading=DEFAULT_LOADING):
@@ -94,13 +84,10 @@ def gev_ban(cov, ref_mic=0, loading=DEFAULT_LOADING):
 
     computed on the unloaded phi_v; c is real and nonnegative by construction.
     """
-    phi_s = _check_square(cov.phi_s, "phi_s")
-    phi_v = _check_square(cov.phi_v, "phi_v")
-    if phi_s.shape != phi_v.shape:
-        raise ValueError("phi_s and phi_v shapes differ")
-    num_mics = phi_s.shape[-1]
-    if not 0 <= ref_mic < num_mics:
-        raise ValueError(f"ref_mic {ref_mic} out of range")
+    phi_s = np.asarray(cov.phi_s, dtype=np.complex128)
+    phi_v = np.asarray(cov.phi_v, dtype=np.complex128)
+    num_mics = check_shapes(phi_s=(phi_s, "F x P x P"), phi_v=(phi_v, "F x P x P"))["P"]
+    check_channel("ref_mic", ref_mic, num_mics)
 
     chol = cholesky_stack(load_diagonal(phi_v.copy(), loading))
     half = solve_stack(chol, phi_s)  # L^-1 phi_s
@@ -133,13 +120,7 @@ def mcwf(field, target_q, loading=DEFAULT_LOADING):
     """
     field = np.asarray(field, dtype=np.complex128)
     target_q = np.asarray(target_q, dtype=np.complex128)
-    if field.ndim != 3:
-        raise ValueError(f"field must be T x F x P, got shape {field.shape}")
-    if target_q.shape != field.shape[:2]:
-        raise ValueError(
-            f"target shape {target_q.shape} does not match field frames/bins "
-            f"{field.shape[:2]}"
-        )
+    check_shapes(field=(field, "T x F x P"), target_q=(target_q, "T x F"))
     gram = load_diagonal(hermitian_gram(field.transpose(1, 0, 2)), loading)
     rhs = np.einsum("tfp,tf->fp", field, np.conj(target_q))
     return solve_stack(gram, rhs)
@@ -149,11 +130,5 @@ def apply_beamformer(weights, field):
     """Apply w^H to every frame: out(t,f) = Sum_p conj(w(f,p)) Z(t,f,p)."""
     field = np.asarray(field, dtype=np.complex128)
     w = np.asarray(weights)
-    if field.ndim != 3:
-        raise ValueError(f"field must be T x F x P, got shape {field.shape}")
-    if w.shape != (field.shape[1], field.shape[2]):
-        raise ValueError(
-            f"weights {w.shape} do not match field bins/channels "
-            f"{(field.shape[1], field.shape[2])}"
-        )
+    check_shapes(field=(field, "T x F x P"), weights=(w, "F x P"))
     return np.einsum("fp,tfp->tf", np.conj(w), field)

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from ._rules import RULES, check
+from ._rules import RULES, check, check_channel
 from .errors import FormatError, SingularMatrixError
 from .estimator import ORACLE_KINDS, load_spectrogram
 from .fsio import atomic_write_json, atomic_write_text, from_jsonable, json_text
@@ -303,8 +303,7 @@ def cmd_evaluate(args):
     def pick(role):
         spec, wave = inputs[role]
         chan = 0 if spec.shape[2] == 1 else args.ref_mic
-        if not 0 <= chan < spec.shape[2]:
-            raise ValueError(f"--ref-mic {args.ref_mic} out of range for {role}")
+        check_channel("ref_mic", chan, spec.shape[2], f"--ref-mic ({role}): ")
         wave_1d = wave.channel(min(chan, wave.num_channels - 1)) if wave else None
         return spec[:, :, chan], wave_1d
 
@@ -316,14 +315,12 @@ def cmd_evaluate(args):
             "estimate, reference, and mixture spectrogram shapes differ: "
             f"{est_spec.shape} vs {ref_spec.shape} vs {mix_spec.shape}"
         )
+    # an LDSPEC side is synthesized at the length of a WAV side, if any
+    num_samples = next((len(w) for w in (est_wave, ref_wave) if w is not None), None)
     if est_wave is None:
-        est_wave = synthesize(est_spec, cfg).channel(0)
+        est_wave = synthesize(est_spec, cfg, num_samples).channel(0)
     if ref_wave is None:
-        ref_wave = synthesize(ref_spec, cfg).channel(0)
-    if est_wave.shape != ref_wave.shape:
-        raise ValueError(
-            "estimate and reference lengths differ; use matching formats"
-        )
+        ref_wave = synthesize(ref_spec, cfg, num_samples).channel(0)
     report = score_estimate(est_spec, ref_spec, mix_spec, est_wave, ref_wave)
     _emit({"schemaVersion": SCHEMA_VERSION, **report.to_json_dict(),
            "pipelineName": args.pipeline_name, "refMic": args.ref_mic}, args.out)
@@ -336,8 +333,7 @@ def cmd_analyze_phase(args):
     if target is None:
         raise FormatError(f"{args.scene}: scene has no direct-path file; phase "
                           "analysis needs the clean target")
-    if q >= mixture.num_channels:
-        raise ValueError(f"--ref-mic {q} out of range")
+    check_channel("ref_mic", q, mixture.num_channels, "--ref-mic: ")
     mix_spec, tgt_spec = analyze(mixture), analyze(target)
     # the estimator flags carry PipelineSpec's field names
     estimate = make_estimate(args, mix_spec, tgt_spec)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rules import check
+from ._rules import check, check_shapes
 from .errors import FormatError
 from .specio import read_spectrogram
 from .stft import StftConfig, analyze
@@ -60,12 +60,7 @@ def oracle_estimate(mixture, target, kind):
     """
     mixture = np.asarray(mixture, dtype=np.complex128)
     target = np.asarray(target, dtype=np.complex128)
-    if mixture.shape != target.shape:
-        raise ValueError(
-            f"mixture {mixture.shape} and target {target.shape} shapes differ"
-        )
-    if mixture.ndim != 3:
-        raise ValueError(f"expected T x F x P spectrograms, got {mixture.shape}")
+    check_shapes(mixture=(mixture, "T x F x P"), target=(target, "T x F x P"))
     if kind == ORACLE_DIRECT:
         return TargetEstimate(target)
     if kind not in (ORACLE_MAG_MASK, ORACLE_PSM):

@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _pool
-from ._rules import check
+from ._rules import check, check_channel, check_finite, check_shapes
 from .linalg import DEFAULT_LOADING, hermitian_gram, load_diagonal, solve_stack
 from .stats import psd_floor
 
@@ -107,8 +107,7 @@ def build_delayed_stack(field, taps, delay):
         complex array, T x F x (K * P)
     """
     field = np.asarray(field, dtype=np.complex128)
-    if field.ndim != 3:
-        raise ValueError(f"field must be T x F x P, got shape {field.shape}")
+    check_shapes(field=(field, "T x F x P"))
     check("taps", taps)
     if delay < 0:
         raise ValueError(f"delay must be >= 0, got {delay}")
@@ -148,16 +147,6 @@ def _chunk_plan(per_bin):
     workers = max(1, min(_pool.worker_count(), CHUNK_BUDGET_BYTES // per_bin))
     chunk = max(1, min(CHUNK_MAX_BINS, CHUNK_BUDGET_BYTES // workers // per_bin))
     return workers, chunk
-
-
-def _check_weights(weights, shape, name):
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != shape:
-        raise ValueError(f"{name} shape does not match frames/bins {shape}")
-    # a NaN fails both comparisons, so test for the good case
-    if not np.all((weights > 0.0) & np.isfinite(weights)):
-        raise ValueError(f"{name} must be finite and strictly positive")
-    return weights
 
 
 def _scaled(arr, factors):
@@ -229,14 +218,10 @@ def solve_weighted_lp(stack, target, weights, loading=DEFAULT_LOADING):
     """
     stack = np.asarray(stack, dtype=np.complex128)
     target = np.asarray(target, dtype=np.complex128)
-    if stack.ndim != 3:
-        raise ValueError(f"stack must be T x F x D, got shape {stack.shape}")
-    if target.shape != stack.shape[:2]:
-        raise ValueError(
-            f"target shape {target.shape} does not match stack frames/bins "
-            f"{stack.shape[:2]}"
-        )
-    weights = _check_weights(weights, stack.shape[:2], "weights")
+    weights = np.asarray(weights, dtype=np.float64)
+    check_shapes(stack=(stack, "T x F x D"), target=(target, "T x F"),
+                 weights=(weights, "T x F"))
+    check_finite("weights", weights, positive=True)
     # a given stack is its own one-tap, zero-delay stack
     coeffs = _predict_fmajor(stack.transpose(1, 0, 2), target.T[:, :, None],
                              weights.T, 1, 0, loading)
@@ -266,8 +251,7 @@ def wpe(field, psd, taps, delay=DEFAULT_DELAY, ref_mic=0, loading=DEFAULT_LOADIN
         prediction(t,f) = coeffs(f)^H stack(t,f)
     """
     field = np.asarray(field, dtype=np.complex128)
-    if field.ndim == 3 and not 0 <= ref_mic < field.shape[2]:
-        raise ValueError(f"ref_mic {ref_mic} out of range for {field.shape[2]} channels")
+    check_channel("ref_mic", ref_mic, check_shapes(field=(field, "T x F x P"))["P"])
     coeffs, dereverbed = wpe_field(field, psd, taps, delay, loading)
     return coeffs[:, :, ref_mic].copy(), dereverbed[:, :, ref_mic].copy()
 
@@ -282,11 +266,11 @@ def wpe_field(field, psd, taps, delay=DEFAULT_DELAY, loading=DEFAULT_LOADING):
         (coefficients F x D x P, dereverbed field T x F x P)
     """
     field = np.asarray(field, dtype=np.complex128)
-    if field.ndim != 3:
-        raise ValueError(f"field must be T x F x P, got shape {field.shape}")
+    psd = np.asarray(psd, dtype=np.float64)
+    check_shapes(field=(field, "T x F x P"), psd=(psd, "T x F"))
     check("delay", delay)
     check("taps", taps)
-    psd = _check_weights(psd, field.shape[:2], "psd")
+    check_finite("psd", psd, positive=True)
     source = field.transpose(1, 0, 2)
     dereverbed = np.empty_like(field)
     coeffs = _predict_fmajor(source, source, psd.T, taps, delay, loading,
@@ -297,9 +281,12 @@ def wpe_field(field, psd, taps, delay=DEFAULT_DELAY, loading=DEFAULT_LOADING):
 
 def fcp_weight(reference, estimate, epsilon=DEFAULT_EPSILON_FCP):
     """Prediction-error weights: psd_floor of the reference-mic residual
-    reference - estimate, floored by the rule of every other power weight."""
-    return psd_floor(np.asarray(reference, dtype=np.complex128)
-                     - np.asarray(estimate, dtype=np.complex128), epsilon)
+    reference - estimate (two T x F arrays), floored by the rule of every
+    other power weight."""
+    reference = np.asarray(reference, dtype=np.complex128)
+    estimate = np.asarray(estimate, dtype=np.complex128)
+    check_shapes(reference=(reference, "T x F"), estimate=(estimate, "T x F"))
+    return psd_floor(reference - estimate, epsilon)
 
 
 def fcp(reference, estimate, taps=DEFAULT_TAPS_FCP, epsilon=DEFAULT_EPSILON_FCP,
@@ -322,13 +309,8 @@ def fcp(reference, estimate, taps=DEFAULT_TAPS_FCP, epsilon=DEFAULT_EPSILON_FCP,
     """
     reference = np.asarray(reference, dtype=np.complex128)
     estimate = np.asarray(estimate, dtype=np.complex128)
-    if reference.ndim != 2 or reference.shape != estimate.shape:
-        raise ValueError(
-            f"reference {reference.shape} and estimate {estimate.shape} must be "
-            "matching T x F arrays"
-        )
+    eta = fcp_weight(reference, estimate, epsilon)  # checks both arrays
     check("taps", taps)
-    eta = fcp_weight(reference, estimate, epsilon)
     compensated = np.empty_like(reference)
     coeffs = _predict_fmajor(estimate.T[:, :, None], reference.T[:, :, None],
                              eta.T, taps, 0, loading, out=compensated.T[:, :, None])

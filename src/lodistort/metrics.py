@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import check_finite, check_shapes
 from .fsio import jsonable
 from .phase_geometry import sign_flip_probability
 from .stft import as_mono
@@ -59,10 +60,7 @@ def si_sdr(estimate, reference):
     est = as_mono(estimate, "estimate")
     # two TimeSignals must share one rate
     ref = as_mono(reference, "reference", getattr(estimate, "sample_rate", None))
-    if est.shape != ref.shape:
-        raise ValueError(
-            f"length mismatch: estimate {est.shape[0]} vs reference {ref.shape[0]}"
-        )
+    check_shapes(estimate=(est, "N"), reference=(ref, "N"))
     ref_energy = float(np.sum(np.square(ref)))
     if ref_energy <= 0.0:
         raise ValueError("reference signal is identically zero")
@@ -79,17 +77,9 @@ def si_sdr(estimate, reference):
     return 10.0 * math.log10(target_energy / error_energy)
 
 
-def _finite(values, name):
-    # values as an array, or a ValueError naming the argument
-    values = np.asarray(values)
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} must be finite")
-    return values
-
-
 def energy_mask(target_q, threshold_db=ENERGY_MASK_DB):
     """Boolean mask of bins within `threshold_db` of the target's peak power."""
-    power = np.abs(_finite(target_q, "target_q")) ** 2
+    power = np.abs(check_finite("target_q", target_q)) ** 2
     peak = power.max()
     if peak <= 0.0:
         raise ValueError("target spectrogram is identically zero")
@@ -147,7 +137,7 @@ def _phase_sides(target_q, mixture_q, threshold_db):
     mask = energy_mask(target_q, threshold_db)
     if not mask.any():
         raise ValueError("energy mask selected no bins")
-    mixture_q = _finite(mixture_q, "mixture_q")
+    mixture_q = check_finite("mixture_q", mixture_q)
     mixture_masked = np.asarray(mixture_q, dtype=np.complex128)[mask]
     true_side = _side(np.asarray(target_q, dtype=np.complex128)[mask], mixture_masked)
     return mask, mixture_masked, true_side
@@ -220,11 +210,9 @@ def pdsacc(estimate_q, target_q, mixture_q, threshold_db=ENERGY_MASK_DB):
     differences are wrapped to (-pi, pi] and sign(x) is +1 iff x >= 0; the
     side is read from Im(a conj(b)) as the module docstring states.
     """
-    estimate_q = _finite(estimate_q, "estimate_q")
-    target_q = np.asarray(target_q)
-    mixture_q = np.asarray(mixture_q)
-    if estimate_q.shape != target_q.shape or estimate_q.shape != mixture_q.shape:
-        raise ValueError("estimate, target, and mixture shapes must match")
+    estimate_q = check_finite("estimate_q", estimate_q)
+    check_shapes(estimate_q=(estimate_q, "T x F"), target_q=(target_q, "T x F"),
+                 mixture_q=(mixture_q, "T x F"))
     return _pdsacc(_phase_sides(target_q, mixture_q, threshold_db),
                    np.asarray(estimate_q, dtype=np.complex128))
 
@@ -237,13 +225,10 @@ def psnr(estimate_phase, target_q):
     +inf when the phases coincide everywhere the target has energy.  The
     everywhere-antipodal phase scores 10 log10(1/4).
     """
-    estimate_phase = _finite(np.asarray(estimate_phase, dtype=np.float64),
-                             "estimate_phase")
-    if estimate_phase.shape != np.shape(target_q):
-        raise ValueError(
-            f"phase {estimate_phase.shape} and target {np.shape(target_q)} shapes differ"
-        )
-    return _psnr(_target_energy(_finite(target_q, "target_q")),
+    estimate_phase = check_finite("estimate_phase",
+                                  np.asarray(estimate_phase, dtype=np.float64))
+    check_shapes(estimate_phase=(estimate_phase, "T x F"), target_q=(target_q, "T x F"))
+    return _psnr(_target_energy(check_finite("target_q", target_q)),
                  np.exp(1j * estimate_phase))
 
 
@@ -254,11 +239,8 @@ class ScoreReference:
     Build it once, then score any number of estimates with `score_against`."""
 
     def __init__(self, target_q, mixture_q):
-        target_q = np.asarray(target_q)
-        mixture_q = np.asarray(mixture_q)
-        if target_q.shape != mixture_q.shape:
-            raise ValueError("estimate, target, and mixture shapes must match")
-        self.shape = target_q.shape
+        check_shapes(target_q=(target_q, "T x F"), mixture_q=(mixture_q, "T x F"))
+        self.shape = np.shape(target_q)
         self.phase_sides = _phase_sides(target_q, mixture_q, ENERGY_MASK_DB)
         self.target_energy = _target_energy(target_q)
 
@@ -269,8 +251,7 @@ def score_against(reference, estimate_q, estimate_wave=None, target_wave=None):
     A complex128 estimate is read in place, a strided view too: no T x F
     copy of it is made, only copies of blocks of its frames."""
     estimate_q = np.asarray(estimate_q, dtype=np.complex128)
-    if estimate_q.shape != reference.shape:
-        raise ValueError("estimate, target, and mixture shapes must match")
+    check_shapes(estimate_q=(estimate_q, "{} x {}".format(*reference.shape)))
     if estimate_wave is not None and target_wave is not None:
         sdr = si_sdr(estimate_wave, target_wave)
     else:
@@ -289,7 +270,8 @@ def score_estimate(estimate_q, target_q, mixture_q, estimate_wave=None,
     SI-SDR is computed on the provided waveforms when given, otherwise NaN.
     """
     return score_against(ScoreReference(target_q, mixture_q),
-                         _finite(estimate_q, "estimate_q"), estimate_wave, target_wave)
+                         check_finite("estimate_q", estimate_q), estimate_wave,
+                         target_wave)
 
 
 def phase_report(reference, estimate_q):

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import check_shapes
+
 
 def wrap_phase(x):
     """Wrap angles to (-pi, pi]; -pi maps to +pi."""
@@ -58,8 +60,8 @@ def phase_candidates(mixture_q, target_mag, residual_mag):
     mixture_q = np.asarray(mixture_q, dtype=np.complex128)
     target_mag = np.asarray(target_mag, dtype=np.float64)
     residual_mag = np.asarray(residual_mag, dtype=np.float64)
-    if mixture_q.shape != target_mag.shape or mixture_q.shape != residual_mag.shape:
-        raise ValueError("mixture, target, and residual shapes must match")
+    check_shapes(mixture_q=(mixture_q, "T x F"), target_mag=(target_mag, "T x F"),
+                 residual_mag=(residual_mag, "T x F"))
     mix_mag = np.abs(mixture_q)
     _check_magnitudes(mix_mag, target_mag, residual_mag)
     denom = 2.0 * mix_mag * target_mag

@@ -1,11 +1,12 @@
 """Named estimation pipelines.
 
-CATALOG lists each pipeline's stages in order, and run_pipeline runs exactly
-that list: the estimator, then one _STAGES function per stage over a per-run
-context, naming each output by the chain so far, newest stage first (wpe ->
-mwmpdr_wpe -> fcp_mwmpdr_wpe).  Stages call the library functions a manual
-composition would, in the same order, so their outputs are bit-identical to
-composing by hand.  The wpe stage runs linpred.wpe_field on any channel
+A pipeline's name is its chain of stages, newest first: fcp_mwmpdr_wpe
+runs wpe, then mwmpdr, then fcp (_stages).  CATALOG gives each name only its
+channel use and description.  run_pipeline runs exactly that chain: the
+estimator, then one _STAGES function per stage over a per-run context,
+naming each output by the chain so far (wpe -> mwmpdr_wpe -> fcp_mwmpdr_wpe).
+Stages call the library functions a manual composition would, in the same
+order, so their outputs are bit-identical to composing by hand.  The wpe stage runs linpred.wpe_field on any channel
 count; on the one channel of a mono run that equals linpred.wpe bit for bit.
 
 Calls on the same scene share their common nodes.  The memo is a weak map
@@ -38,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from . import beamform, linpred, stats
-from ._rules import check_fields
+from ._rules import check_channel, check_fields
 from .estimator import ORACLE_KINDS, corrupt_estimate
 from .estimator import load_external_estimate, oracle_estimate
 from .linalg import DEFAULT_LOADING
@@ -60,95 +61,58 @@ def default_taps(num_channels):
     return _TAP_TABLE[best]
 
 
-@dataclass(frozen=True)
-class PipelineInfo:
-    stages: tuple
-    channels: str  # "mono" (uses channel q only), "any", or "multi" (P >= 2)
-    description: str
-
-
+# name -> (channel use: "mono" (channel q only), "any", or "multi" (P >= 2),
+# description); the name spells the stages (_stages)
 CATALOG = {
-    "wpe": PipelineInfo(
-        ("estimator", "wpe"),
-        "any",
-        "delayed linear-prediction dereverberation of the reference channel",
-    ),
-    "fcp": PipelineInfo(
-        ("estimator", "fcp"),
-        "mono",
-        "forward-filter compensation of the mixture against the estimate",
-    ),
-    "fcp_wpe": PipelineInfo(
-        ("estimator", "wpe", "fcp"),
-        "mono",
-        "single-channel dereverberation followed by forward-filter compensation",
-    ),
-    "mvdr": PipelineInfo(
-        ("estimator", "mvdr"),
-        "multi",
-        "distortionless beamformer from estimate/residual covariances",
-    ),
-    "mmvdr": PipelineInfo(
-        ("estimator", "mmvdr"),
-        "multi",
-        "distortionless beamformer from mask-weighted mixture covariances",
-    ),
-    "mmvdr_wpe": PipelineInfo(
-        ("estimator", "wpe", "mmvdr"),
-        "multi",
-        "per-mic dereverberation, then mask-based distortionless beamformer",
-    ),
-    "mwmpdr_wpe": PipelineInfo(
-        ("estimator", "wpe", "mwmpdr"),
-        "multi",
-        "per-mic dereverberation, then power-weighted distortionless beamformer",
-    ),
-    "mcwf_wpe": PipelineInfo(
-        ("estimator", "wpe", "mcwf"),
-        "multi",
-        "per-mic dereverberation, then multichannel Wiener filter",
-    ),
-    "fcp_mwmpdr_wpe": PipelineInfo(
-        ("estimator", "wpe", "mwmpdr", "fcp"),
-        "multi",
-        "dereverberation, power-weighted beamforming, forward-filter compensation",
-    ),
-    "gev": PipelineInfo(
-        ("estimator", "gev"),
-        "multi",
-        "generalized-eigenvector beamformer with blind analytic normalization",
-    ),
-    "mcwf": PipelineInfo(
-        ("estimator", "mcwf"),
-        "multi",
-        "multichannel Wiener filter regressing the mixture onto the estimate",
-    ),
+    "wpe": ("any",
+            "delayed linear-prediction dereverberation of the reference channel"),
+    "fcp": ("mono",
+            "forward-filter compensation of the mixture against the estimate"),
+    "fcp_wpe": ("mono",
+                "single-channel dereverberation followed by forward-filter compensation"),
+    "mvdr": ("multi",
+             "distortionless beamformer from estimate/residual covariances"),
+    "mmvdr": ("multi",
+              "distortionless beamformer from mask-weighted mixture covariances"),
+    "mmvdr_wpe": ("multi",
+                  "per-mic dereverberation, then mask-based distortionless beamformer"),
+    "mwmpdr_wpe": ("multi", "per-mic dereverberation, then power-weighted "
+                   "distortionless beamformer"),
+    "mcwf_wpe": ("multi",
+                 "per-mic dereverberation, then multichannel Wiener filter"),
+    "fcp_mwmpdr_wpe": ("multi", "dereverberation, power-weighted beamforming, "
+                       "forward-filter compensation"),
+    "gev": ("multi",
+            "generalized-eigenvector beamformer with blind analytic normalization"),
+    "mcwf": ("multi",
+             "multichannel Wiener filter regressing the mixture onto the estimate"),
 }
 
 PIPELINE_NAMES = tuple(CATALOG)
 
 
-def _paths(info):
+def _stages(name):
+    # the chain a pipeline name spells, oldest stage first
+    return tuple(name.split("_")[::-1])
+
+
+def _paths(name):
     # each stage output's key less the estimate's: a mono marker, the stages so far
-    head = ("mono",) if info.channels == "mono" else ()
-    return [head + info.stages[1:k] for k in range(2, len(info.stages) + 1)]
+    head = ("mono",) if CATALOG[name][0] == "mono" else ()
+    stages = _stages(name)
+    return [head + stages[:k] for k in range(1, len(stages) + 1)]
 
 
 # chains several pipelines run: only their outputs, waves and scores are kept
-_RUN = [path for info in CATALOG.values() for path in _paths(info)]
+_RUN = [path for name in CATALOG for path in _paths(name)]
 _KEPT = {path for path in _RUN if _RUN.count(path) > 1}
 
 
 def list_pipelines():
     """Catalog of pipeline names with their stage diagrams."""
-    return {
-        name: {
-            "stages": list(info.stages),
-            "channels": info.channels,
-            "description": info.description,
-        }
-        for name, info in CATALOG.items()
-    }
+    return {name: {"stages": ["estimator", *_stages(name)], "channels": channels,
+                   "description": description}
+            for name, (channels, description) in CATALOG.items()}
 
 
 @dataclass(frozen=True)
@@ -410,13 +374,12 @@ def run_pipeline(scene_or_mixture, spec, target=None, cfg=StftConfig()):
     else:
         raise TypeError("expected a Scene or TimeSignal")
 
-    info = CATALOG[spec.name]
+    channels = CATALOG[spec.name][0]
     num_mics = mixture.num_channels
-    if info.channels == "multi" and num_mics < 2:
+    if channels == "multi" and num_mics < 2:
         raise ValueError(f"pipeline {spec.name!r} needs at least 2 channels")
     q = spec.ref_mic
-    if not 0 <= q < num_mics:
-        raise ValueError(f"ref_mic {q} out of range for {num_mics} channels")
+    check_channel("ref_mic", q, num_mics)
     if target is not None and target.num_channels != num_mics:
         raise ValueError("target and mixture channel counts differ")
 
@@ -428,17 +391,18 @@ def run_pipeline(scene_or_mixture, spec, target=None, cfg=StftConfig()):
     # stages read every parameter; None after an external estimate
     key = est_key and tuple(spec.params_dict().values())
 
-    if info.channels == "mono":  # channel q alone, as the context's channel 0
+    if channels == "mono":  # channel q alone, as the context's channel 0
         ctx = _Context(spec, mix_spec[:, :, q:q + 1], 0, mix_q, est, est_q, nodes)
     else:
         ctx = _Context(spec, mix_spec, q, mix_q, est, est_q, nodes)
     # (name, T x F output, key when kept)
     outputs = [("estimate", est_q, est_key and est_key + (q,))]
-    for k, path in enumerate(_paths(info), 1):  # path ends with stage k
+    for path in _paths(spec.name):  # path ends with the stage to run
         ctx.key = key and key + path[:-1]  # the stage's input
         out_key = key and key + path if path in _KEPT else None
         ctx.field, ctx.ref = _node(nodes, out_key, lambda: _STAGES[path[-1]](ctx))
-        outputs.append(("_".join(info.stages[k:0:-1]), ctx.ref, out_key))
+        # named by the chain so far, newest stage first
+        outputs.append(("_".join(path[::-1]).removesuffix("_mono"), ctx.ref, out_key))
 
     # resynthesis and scoring once every stage has run (measured faster than
     # between stages); a kept output's wave and score are kept too

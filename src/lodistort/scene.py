@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _pool
-from ._rules import check, check_fields
+from ._rules import check, check_fields, check_shapes
 from .stft import TimeSignal, as_mono
 
 # rng stream tags so source and noise responses never share draws
@@ -198,11 +198,8 @@ def render_scene(source, noise_sources, room, snr_db, normalize=True):
             direct[delay:, m] = src[:num - delay]
     noises = [as_mono(nz, f"noise source {i}", room.sample_rate_hz)
               for i, nz in enumerate(noise_sources)]
-    for i, samples in enumerate(noises):
-        if samples.shape[0] != num:
-            raise ValueError(
-                f"noise source {i} has {samples.shape[0]} samples, expected {num}"
-            )
+    check_shapes(source=(src, "N"), **{f"noise source {i}": (samples, "N")
+                                       for i, samples in enumerate(noises)})
     if snr_db is not None and not noises:
         raise ValueError(
             "cannot reach the requested SNR without noise sources "

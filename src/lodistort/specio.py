@@ -12,6 +12,7 @@ import struct
 
 import numpy as np
 
+from ._rules import check_shapes
 from .errors import FormatError
 from .fsio import atomic_write_bytes
 
@@ -26,10 +27,9 @@ def write_spectrogram(path, values):
     C-contiguous little-endian complex128; otherwise from one converted copy.
     """
     arr = np.asarray(values, dtype=np.complex128)
+    check_shapes(values=(arr, "T x F [x P]"))
     if arr.ndim == 2:
         arr = arr[:, :, None]
-    if arr.ndim != 3:
-        raise ValueError(f"expected T x F (x P) spectrogram, got shape {arr.shape}")
     num_frames, num_bins, num_channels = arr.shape
     header = MAGIC + _HEADER.pack(num_frames, num_bins, num_channels)
     payload = np.ascontiguousarray(arr, dtype="<c16")

@@ -9,8 +9,9 @@ frames of a weighted Gram, and the residual mixture - estimate, are formed
 a block of bins at a time (BLOCK_BYTES) in one reusable buffer, so no
 scaled or differenced copy of the whole field is made; each bin's Gram does
 not depend on its block, so the result is the one the whole field gives.
-Masks and powers are checked finite first: NaN or inf would pass through
-sqrt(w) into the covariances unnoticed.
+Masks, powers and the mask's inputs are checked finite first: NaN or inf
+would pass through sqrt(w) into the covariances unnoticed, or turn a mask
+bin into 0.
 """
 
 import warnings
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rules import check
+from ._rules import check, check_channel, check_finite, check_shapes
 from .linalg import hermitian_gram, principal_eigenpairs, rotate_reference_phase
 
 # psd_floor's default relative floor, and the absolute floor applied after it
@@ -45,13 +46,6 @@ class CovarianceSet:
     phi_s: np.ndarray
     phi_v: np.ndarray
     steering: np.ndarray = None
-
-
-def _check_field(field, name):
-    arr = np.asarray(field, dtype=np.complex128)
-    if arr.ndim != 3:
-        raise ValueError(f"{name} must be T x F x P, got shape {arr.shape}")
-    return arr
 
 
 def _blocked_gram(shape, fill):
@@ -89,12 +83,9 @@ def signal_covariances(mixture, estimate):
     Return:
         CovarianceSet (steering left unset)
     """
-    mixture = _check_field(mixture, "mixture")
-    estimate = _check_field(estimate, "estimate")
-    if mixture.shape != estimate.shape:
-        raise ValueError(
-            f"mixture {mixture.shape} and estimate {estimate.shape} shapes differ"
-        )
+    mixture = np.asarray(mixture, dtype=np.complex128)
+    estimate = np.asarray(estimate, dtype=np.complex128)
+    check_shapes(mixture=(mixture, "T x F x P"), estimate=(estimate, "T x F x P"))
     phi_v = _blocked_gram(mixture.shape, lambda bins, block: np.subtract(
         mixture[:, bins], estimate[:, bins], out=block))
     # the estimate's Gram reads it in place, through the frequency-major view
@@ -105,12 +96,13 @@ def signal_covariances(mixture, estimate):
 def compute_mask(estimate_q, reference_q):
     """Single-channel ratio mask |est| / (|est| + |ref - est|), in [0, 1].
 
-    Bins where both terms vanish get mask 0.
+    Bins where both terms vanish get mask 0.  Both inputs must be finite.
     """
     estimate_q = np.asarray(estimate_q)
     reference_q = np.asarray(reference_q)
-    if estimate_q.shape != reference_q.shape:
-        raise ValueError("estimate and reference shapes differ")
+    check_shapes(estimate_q=(estimate_q, "T x F"), reference_q=(reference_q, "T x F"))
+    check_finite("estimate_q", estimate_q)
+    check_finite("reference_q", reference_q)
     num = np.abs(estimate_q)
     den = num + np.abs(reference_q - estimate_q)
     return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
@@ -129,13 +121,9 @@ def masked_covariances(field, mask):
     Return:
         CovarianceSet (steering left unset)
     """
-    field = _check_field(field, "field")
+    field = np.asarray(field, dtype=np.complex128)
     mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != field.shape[:2]:
-        raise ValueError(
-            f"mask shape {mask.shape} does not match field frames/bins "
-            f"{field.shape[:2]}"
-        )
+    check_shapes(field=(field, "T x F x P"), mask=(mask, "T x F"))
     # a NaN fails both comparisons, so test for the good case
     if not np.all((mask >= 0.0) & (mask <= 1.0)):
         raise ValueError("mask values must be finite and lie in [0, 1]")
@@ -150,14 +138,10 @@ def weighted_covariance(field, psd):
 
     `psd` must be strictly positive (run it through psd_floor first).
     """
-    field = _check_field(field, "field")
+    field = np.asarray(field, dtype=np.complex128)
     psd = np.asarray(psd, dtype=np.float64)
-    if psd.shape != field.shape[:2]:
-        raise ValueError("psd shape does not match field frames/bins")
-    if not np.all((psd > 0.0) & np.isfinite(psd)):
-        raise ValueError(
-            "psd must be finite and strictly positive; apply psd_floor first"
-        )
+    check_shapes(field=(field, "T x F x P"), psd=(psd, "T x F"))
+    check_finite("psd", psd, positive=True)
     scale = np.sqrt(psd)
     return _scaled_gram(field, np.divide(1.0, scale, out=scale))
 
@@ -176,10 +160,7 @@ def steering_vector(phi_s, ref_mic=0):
         complex steering vectors, F x P
     """
     phi_s = np.asarray(phi_s, dtype=np.complex128)
-    if phi_s.ndim != 3 or phi_s.shape[-1] != phi_s.shape[-2]:
-        raise ValueError(f"phi_s must be F x P x P, got shape {phi_s.shape}")
-    if not 0 <= ref_mic < phi_s.shape[-1]:
-        raise ValueError(f"ref_mic {ref_mic} out of range")
+    check_channel("ref_mic", ref_mic, check_shapes(phi_s=(phi_s, "F x P x P"))["P"])
     top, vectors, gaps = principal_eigenpairs(phi_s)
     scale = np.maximum(np.abs(top), PSD_ABS_FLOOR)
     degenerate = gaps <= DEGENERACY_RTOL * scale
@@ -211,10 +192,7 @@ def psd_floor(estimates, epsilon=DEFAULT_EPSILON):
     """
     check("epsilon", epsilon)
     estimates = np.asarray(estimates)
-    if estimates.ndim not in (2, 3):
-        raise ValueError(
-            f"expected T x F or T x F x P estimates, got shape {estimates.shape}"
-        )
+    check_shapes(estimates=(estimates, "T x F [x P]"))
     # squared and floored in place: one float64 array beside the input
     power = np.abs(estimates).astype(np.float64, copy=False)
     np.square(power, out=power)

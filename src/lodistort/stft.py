@@ -21,7 +21,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._rules import check_fields
+from ._rules import check_fields, check_finite, check_shapes
 
 # Floor for the overlap-add window-power denominator.
 COLA_FLOOR = 1e-12
@@ -31,16 +31,12 @@ COLA_FLOOR = 1e-12
 _BLOCK_BYTES = 2 ** 18
 
 
-def _checked_samples(values, role="samples"):
-    """`values` as a float64 array, checked to be 1-D or 2-D (N x C) and
-    finite; no copy when they already are float64."""
+def _checked_samples(values, role="samples", layout="N [x C]"):
+    """`values` as a float64 array, checked to have `layout` and be finite;
+    no copy when they already are float64."""
     samples = np.asarray(values, dtype=np.float64)
-    if samples.ndim not in (1, 2):
-        raise ValueError(
-            f"{role} must be 1-D or 2-D (N x C), got shape {samples.shape}")
-    if not np.isfinite(samples).all():
-        raise ValueError(f"{role} must be finite")
-    return samples
+    check_shapes(**{role: (samples, layout)})
+    return check_finite(role, samples)
 
 
 def _columns(samples):
@@ -100,10 +96,7 @@ def as_mono(signal, role, sample_rate=None):
         if signal.num_channels != 1:
             raise ValueError(f"{role} must be mono, got {signal.num_channels} channels")
         return signal.channel(0)
-    samples = _checked_samples(signal, role)
-    if samples.ndim != 1:
-        raise ValueError(f"{role} must be a 1-D array or mono TimeSignal")
-    return samples
+    return _checked_samples(signal, role, "N")
 
 
 @dataclass(frozen=True)
@@ -174,7 +167,7 @@ def analyze(signal, cfg=StftConfig()):
             )
         samples = signal.samples
     else:  # checked as a TimeSignal's samples are, but not copied
-        samples = _columns(_checked_samples(signal))
+        samples = _columns(_checked_samples(signal, "signal"))
     num_samples, num_channels = samples.shape
     if num_samples == 0:
         raise ValueError("cannot analyze an empty signal")
@@ -219,15 +212,10 @@ def synthesize(spectrogram, cfg=StftConfig(), num_samples=None):
         TimeSignal of shape num_samples x C
     """
     spec = np.asarray(spectrogram, dtype=np.complex128)
+    check_shapes(spectrogram=(spec, f"T x {cfg.num_bins} [x C]"))
     if spec.ndim == 2:
         spec = spec[:, :, None]
-    if spec.ndim != 3:
-        raise ValueError(f"expected T x F (x C) spectrogram, got shape {spec.shape}")
-    num_frames, num_bins, num_channels = spec.shape
-    if num_bins != cfg.num_bins:
-        raise ValueError(
-            f"spectrogram has {num_bins} bins but config expects {cfg.num_bins}"
-        )
+    num_frames, _, num_channels = spec.shape
     if num_samples is None:
         num_samples = max(1, num_frames * cfg.hop - 2 * cfg.pad)
 

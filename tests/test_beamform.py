@@ -14,6 +14,7 @@ from lodistort import (
     steering_vector,
     wmpdr,
 )
+from lodistort.linalg import solve_stack
 from lodistort.stats import CovarianceSet
 
 from conftest import random_psd_stack, rank_one_field
@@ -228,6 +229,35 @@ def test_singular_noise_covariance_raises():
     with pytest.raises(SingularMatrixError) as info:
         mvdr(CovarianceSet(None, zeros, steering=d), loading=0.0)
     assert info.value.frequency_bin == 0
+
+
+def test_indefinite_covariances_name_their_bin():
+    # -I is negative definite: the Cholesky factor of gev_ban's phi_v fails,
+    # and the distortionless quadratic form d^H phi^-1 d is negative
+    minus_eye = -np.tile(np.eye(2, dtype=complex), (3, 1, 1))
+    with pytest.raises(SingularMatrixError, match="not positive definite") as info:
+        gev_ban(CovarianceSet(-minus_eye, minus_eye))
+    assert info.value.frequency_bin == 0
+    d = np.ones((3, 2), dtype=complex) / np.sqrt(2.0)
+    with pytest.raises(SingularMatrixError, match="non-positive quadratic form") as info:
+        wmpdr(minus_eye, d)
+    assert info.value.frequency_bin == 0
+
+
+def test_non_finite_solves_name_their_bin():
+    # a NaN in bin 1's matrix makes that matrix unsolvable on its own; one
+    # in bin 1's right-hand side leaves every matrix solvable, so the
+    # non-finite result itself is reported
+    mats = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
+    rhs = np.ones((3, 2), dtype=complex)
+    bad_mats, bad_rhs = mats.copy(), rhs.copy()
+    bad_mats[1, 0, 1] = np.nan
+    bad_rhs[1, 0] = np.nan
+    for args, text in (((bad_mats, rhs), "singular matrix at frequency bin 1"),
+                       ((mats, bad_rhs), "non-finite solve result at frequency bin 1")):
+        with pytest.raises(SingularMatrixError, match=text) as info:
+            solve_stack(*args)
+        assert info.value.frequency_bin == 1
 
 
 def test_shape_validation():

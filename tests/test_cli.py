@@ -205,6 +205,36 @@ def test_evaluate_spectrogram_estimate(scene_dir, tmp_path, capsys):
     assert "siSdrDb" in json.loads(out)
 
 
+def test_evaluate_spectrogram_against_wav_on_a_scene_of_partial_hops(tmp_path, capsys):
+    # 1.5 s is not a whole number of hops, so a spectrogram's default
+    # synthesis is longer than the WAV file; the spectrogram side takes the
+    # WAV side's sample count instead, either way round, and scores exactly
+    # as enhance scored the same stage
+    scene, run = str(tmp_path / "scene"), str(tmp_path / "run")
+    rc, _, err = run_cli(capsys, "simulate", "--mics", "2", "--t60", "0.2",
+                         "--snr-db", "0", "--duration", "1.5", "--out", scene)
+    assert rc == 0, err
+    rc, _, err = run_cli(capsys, "enhance", "--scene", scene, "--pipeline", "wpe",
+                         "--out", run)
+    assert rc == 0, err
+    with open(os.path.join(run, "metrics.json")) as handle:
+        stages = json.load(handle)["stages"]
+    mix = os.path.join(scene, "mixture.wav")
+    for est, ref, stage in (
+            (os.path.join(run, "features", "wpe.ldspec"),
+             os.path.join(scene, "direct.wav"), "wpe"),
+            (os.path.join(scene, "direct.wav"),
+             os.path.join(run, "features", "estimate.ldspec"), None)):
+        rc, out, err = run_cli(capsys, "evaluate", "--estimate", est,
+                               "--reference", ref, "--mixture", mix)
+        assert rc == 0, err
+        report = json.loads(out)
+        if stage:
+            assert report == {"schemaVersion": 1, **stages[stage], "pipelineName": ""}
+        else:  # the oracleDirect estimate is the target's own spectrogram
+            assert report["pdsAccPercent"] == 100.0 and report["siSdrDb"] > 60.0
+
+
 def test_wav_estimate_reads_alike_under_any_other_suffix(scene_dir, tmp_path, capsys):
     # one suffix rule for every command: a name that does not end in .ldspec
     # is a WAV file, so est.wave loads and scores as est.wav does

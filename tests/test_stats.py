@@ -71,6 +71,18 @@ def test_mask_literal_values():
     assert compute_mask(np.zeros((1, 1)), np.zeros((1, 1)))[0, 0] == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mask_rejects_non_finite_input_by_name(bad):
+    # a NaN estimate bin used to come out as mask 0 without an error
+    good = np.ones((2, 3), dtype=complex)
+    spoiled = good.copy()
+    spoiled[1, 2] = complex(bad, 0.0)
+    with pytest.raises(ValueError, match="^estimate_q must be finite"):
+        compute_mask(spoiled, good)
+    with pytest.raises(ValueError, match="^reference_q must be finite"):
+        compute_mask(good, spoiled)
+
+
 def test_masked_covariances_complementarity_and_oracle():
     field = random_field(4, num_frames=15)
     rng = np.random.default_rng(5)
