@@ -49,15 +49,16 @@ RULES = {
     "epsilon_fcp": Rule("--epsilon-fcp", False, 0, False),
     "loading": Rule("--loading", False, 0),
     "seed": Rule("--seed", True, 0),
-    # RoomSpec, render_scene and simulate
+    # RoomSpec, generate_rir, render_scene and simulate
     "num_mics": Rule("--mics", True, 1),
     "t60_seconds": Rule("--t60", False, 0),
     "rir_len_samples": Rule("--rir-len", True, 1),
     "direct_delay_samples": Rule("--direct-delay", True, 0),
-    "sample_rate_hz": Rule(None, True, 1),
     "tail_gain": Rule("--tail-gain", False, 0),
     "snr_db": Rule("--snr-db", False, -math.inf, False, inf=True),
     "num_noises": Rule("--num-noises", True, 0),
+    "duration_seconds": Rule("--duration", False, 0, False),
+    "mic_index": Rule(None, True, 0),
     # StftConfig and TimeSignal
     "window_len": Rule(None, True, 1),
     "hop": Rule(None, True, 1),

@@ -18,13 +18,14 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from ._rules import RULES, check, check_channel
 from .errors import FormatError, SingularMatrixError
 from .estimator import ORACLE_KINDS, load_spectrogram
-from .fsio import atomic_write_json, atomic_write_text, from_jsonable, json_text
+from .fsio import atomic_write_json, atomic_write_text, camel, from_jsonable, json_text
 from .metrics import ScoreReference, phase_report, score_estimate
 from .pipeline import PARAM_KEYS, PipelineSpec, list_pipelines, make_estimate
 from .pipeline import run_pipeline, write_feature_bundle
@@ -70,13 +71,13 @@ def build_parser():
     _flag(sim, "num_mics", required=True)
     _flag(sim, "t60_seconds", required=True, help="seconds")
     _flag(sim, "snr_db", required=True)
-    _flag(sim, "seed", default=0)
+    _flag(sim, "seed", default=RoomSpec.seed)
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--duration", type=float, default=1.0, help="seconds")
+    _flag(sim, "duration_seconds", default=1.0, help="seconds")
     _flag(sim, "num_noises", default=2)
-    _flag(sim, "direct_delay_samples", default=8,
+    _flag(sim, "direct_delay_samples", default=RoomSpec.direct_delay_samples,
           help="direct-path delay of mic 0 in samples (mic m adds m)")
-    _flag(sim, "tail_gain", default=0.05)
+    _flag(sim, "tail_gain", default=RoomSpec.tail_gain)
     _flag(sim, "rir_len_samples", default=None, help="samples")
     sim.set_defaults(func=cmd_simulate)
 
@@ -151,17 +152,12 @@ def _emit(obj, out_path=None):
 
 def cmd_simulate(args):
     rate = StftConfig.sample_rate
-    # NaN compares False to everything, so test for the valid range
-    if not 0 < args.duration * rate < math.inf:
-        raise ValueError(
-            f"--duration must be positive with a finite sample count at {rate} Hz, "
-            f"got {args.duration}"
-        )
-    num_samples = round(args.duration * rate)
-    if num_samples < 1:
-        raise ValueError(
-            f"--duration {args.duration:g} s is shorter than one sample at {rate} Hz"
-        )
+    # the rule holds the duration > 0 and finite; its sample count must be
+    # finite too and round to at least one sample
+    if not 0.5 < args.duration_seconds * rate < math.inf:
+        raise ValueError(f"--duration {args.duration_seconds:g} s does not round to a "
+                         f"finite count of at least one sample at {rate} Hz")
+    num_samples = round(args.duration_seconds * rate)
     rir_len = args.rir_len_samples
     if rir_len is None:
         default_len = (args.t60_seconds + 0.05) * rate
@@ -176,12 +172,11 @@ def cmd_simulate(args):
         rir_len_samples=rir_len,
         direct_delay_samples=delays,
         seed=args.seed,
-        sample_rate_hz=rate,
         tail_gain=args.tail_gain,
     )
-    source = synth_speech_like(num_samples, rate, seed=args.seed)
+    source = synth_speech_like(num_samples, seed=args.seed)
     noises = [
-        synth_noise(num_samples, rate, seed=[args.seed, i])
+        synth_noise(num_samples, seed=[args.seed, i])
         for i in range(args.num_noises)
     ]
     # a noise-free scene has no SNR to hit; render unscaled instead
@@ -202,15 +197,10 @@ def cmd_simulate(args):
         "schemaVersion": SCHEMA_VERSION,
         "kind": "scene",
         "sampleRateHz": rate,
-        "numMics": args.num_mics,
-        "t60Seconds": args.t60_seconds,
+        **{camel(f.name): getattr(room, f.name) for f in fields(room)},
         "snrDb": scene.snr_db,
-        "seed": args.seed,
-        "durationSeconds": args.duration,
+        "durationSeconds": args.duration_seconds,
         "numNoises": args.num_noises,
-        "directDelaySamples": list(delays),
-        "rirLenSamples": rir_len,
-        "tailGain": args.tail_gain,
         "files": files,
     }
     manifest_path = os.path.join(args.out, "manifest.json")
@@ -293,8 +283,7 @@ def cmd_enhance(args):
 
 
 def cmd_evaluate(args):
-    cfg = StftConfig()
-    inputs = {role: load_spectrogram(path, cfg) for role, path in (
+    inputs = {role: load_spectrogram(path) for role, path in (
         ("estimate", args.estimate),
         ("reference", args.reference),
         ("mixture", args.mixture),
@@ -304,8 +293,7 @@ def cmd_evaluate(args):
         spec, wave = inputs[role]
         chan = 0 if spec.shape[2] == 1 else args.ref_mic
         check_channel("ref_mic", chan, spec.shape[2], f"--ref-mic ({role}): ")
-        wave_1d = wave.channel(min(chan, wave.num_channels - 1)) if wave else None
-        return spec[:, :, chan], wave_1d
+        return spec[:, :, chan], wave.channel(chan) if wave else None
 
     est_spec, est_wave = pick("estimate")
     ref_spec, ref_wave = pick("reference")
@@ -318,9 +306,9 @@ def cmd_evaluate(args):
     # an LDSPEC side is synthesized at the length of a WAV side, if any
     num_samples = next((len(w) for w in (est_wave, ref_wave) if w is not None), None)
     if est_wave is None:
-        est_wave = synthesize(est_spec, cfg, num_samples).channel(0)
+        est_wave = synthesize(est_spec, num_samples=num_samples).channel(0)
     if ref_wave is None:
-        ref_wave = synthesize(ref_spec, cfg, num_samples).channel(0)
+        ref_wave = synthesize(ref_spec, num_samples=num_samples).channel(0)
     report = score_estimate(est_spec, ref_spec, mix_spec, est_wave, ref_wave)
     _emit({"schemaVersion": SCHEMA_VERSION, **report.to_json_dict(),
            "pipelineName": args.pipeline_name, "refMic": args.ref_mic}, args.out)

@@ -117,21 +117,20 @@ def corrupt_estimate(estimate, est_err_snr_db, seed):
     return TargetEstimate(noise)
 
 
-def load_spectrogram(path, cfg=None):
+def load_spectrogram(path):
     """Read a spectrogram file by its name: a name ending in .ldspec is an
-    LDSPEC1 file, any other a WAV file analyzed through the canonical STFT.
+    LDSPEC1 file, any other a WAV file analyzed with the default StftConfig.
 
     Return:
         (complex T x F x C spectrogram, the WAV file's TimeSignal or None)
     """
     if str(path).endswith(".ldspec"):
         return read_spectrogram(path), None
-    cfg = cfg or StftConfig()
-    wave = read_wav(path, expect_rate=cfg.sample_rate)
-    return analyze(wave, cfg), wave
+    wave = read_wav(path, expect_rate=StftConfig.sample_rate)
+    return analyze(wave), wave
 
 
-def load_external_estimate(path, expected_shape, cfg=None):
+def load_external_estimate(path, expected_shape):
     """Load an estimate from a spectrogram file read by load_spectrogram.
 
     The result must match the mixture's frame/bin counts and carry either 1
@@ -141,7 +140,7 @@ def load_external_estimate(path, expected_shape, cfg=None):
         expected_shape: (T, F, P) of the mixture the estimate belongs to
     """
     num_frames, num_bins, num_channels = expected_shape
-    values, _ = load_spectrogram(path, cfg)
+    values, _ = load_spectrogram(path)
     if values.shape[:2] != (num_frames, num_bins):
         raise FormatError(
             f"{path}: estimate frames/bins {values.shape[:2]} do not match the "

@@ -33,6 +33,12 @@ def atomic_write_text(path, text):
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def camel(name):
+    """The camelCase JSON key of a snake_case name, as t60_seconds -> t60Seconds."""
+    head, *words = name.split("_")
+    return head + "".join(word.title() for word in words)
+
+
 def jsonable(value):
     """Recursively convert a value for strict-JSON emission.
 

@@ -77,13 +77,13 @@ def si_sdr(estimate, reference):
     return 10.0 * math.log10(target_energy / error_energy)
 
 
-def energy_mask(target_q, threshold_db=ENERGY_MASK_DB):
-    """Boolean mask of bins within `threshold_db` of the target's peak power."""
+def energy_mask(target_q):
+    """Boolean mask of bins within ENERGY_MASK_DB of the target's peak power."""
     power = np.abs(check_finite("target_q", target_q)) ** 2
     peak = power.max()
     if peak <= 0.0:
         raise ValueError("target spectrogram is identically zero")
-    return power >= peak * 10.0 ** (threshold_db / 10.0)
+    return power >= peak * 10.0 ** (ENERGY_MASK_DB / 10.0)
 
 
 def _zero_phasors(values):
@@ -132,11 +132,9 @@ def _abs_phase_diff(a, b):
     return np.minimum(theta, np.nextafter(np.pi, 0.0), out=theta)
 
 
-def _phase_sides(target_q, mixture_q, threshold_db):
+def _phase_sides(target_q, mixture_q):
     # -> (energy mask, mixture and target side on the masked bins)
-    mask = energy_mask(target_q, threshold_db)
-    if not mask.any():
-        raise ValueError("energy mask selected no bins")
+    mask = energy_mask(target_q)
     mixture_q = check_finite("mixture_q", mixture_q)
     mixture_masked = np.asarray(mixture_q, dtype=np.complex128)[mask]
     true_side = _side(np.asarray(target_q, dtype=np.complex128)[mask], mixture_masked)
@@ -202,7 +200,7 @@ def _psnr(parts, carrier):
     return 10.0 * math.log10(signal_energy / error_energy)
 
 
-def pdsacc(estimate_q, target_q, mixture_q, threshold_db=ENERGY_MASK_DB):
+def pdsacc(estimate_q, target_q, mixture_q):
     """Phase-difference sign accuracy, in percent.
 
     Over target-energetic bins, the fraction where the estimate advances or
@@ -213,7 +211,7 @@ def pdsacc(estimate_q, target_q, mixture_q, threshold_db=ENERGY_MASK_DB):
     estimate_q = check_finite("estimate_q", estimate_q)
     check_shapes(estimate_q=(estimate_q, "T x F"), target_q=(target_q, "T x F"),
                  mixture_q=(mixture_q, "T x F"))
-    return _pdsacc(_phase_sides(target_q, mixture_q, threshold_db),
+    return _pdsacc(_phase_sides(target_q, mixture_q),
                    np.asarray(estimate_q, dtype=np.complex128))
 
 
@@ -241,7 +239,7 @@ class ScoreReference:
     def __init__(self, target_q, mixture_q):
         check_shapes(target_q=(target_q, "T x F"), mixture_q=(mixture_q, "T x F"))
         self.shape = np.shape(target_q)
-        self.phase_sides = _phase_sides(target_q, mixture_q, ENERGY_MASK_DB)
+        self.phase_sides = _phase_sides(target_q, mixture_q)
         self.target_energy = _target_energy(target_q)
 
 

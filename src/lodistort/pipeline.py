@@ -6,25 +6,28 @@ channel use and description.  run_pipeline runs exactly that chain: the
 estimator, then one _STAGES function per stage over a per-run context,
 naming each output by the chain so far (wpe -> mwmpdr_wpe -> fcp_mwmpdr_wpe).
 Stages call the library functions a manual composition would, in the same
-order, so their outputs are bit-identical to composing by hand.  The wpe stage runs linpred.wpe_field on any channel
-count; on the one channel of a mono run that equals linpred.wpe bit for bit.
+order, so their outputs are bit-identical to composing by hand.  The wpe
+stage runs linpred.wpe_field on any channel count; on the one channel of a
+mono run that equals linpred.wpe bit for bit.  Every run analyzes and
+resynthesizes with the default StftConfig, in whose frames the defaults of
+taps, delay and taps_fcp are counted.
 
 Calls on the same scene share their common nodes.  The memo is a weak map
-with at most one entry: the mixture object -> ((a weak reference to the
-target, cfg), the scene's nodes).  A call is on that scene when its mixture
-and target are those objects (TimeSignals are read-only values, so identity
-is exact) and its cfg is equal; another scene replaces the entry before
-anything is computed, and the entry goes with its mixture.  Each node is
-keyed by what it reads: the mixture's STFT by name; the scoring reference
-and the mixture's score by (ref_mic, name); the estimate by its estimator's
-fields (estimator, est_err_snr_db, seed), or None for an external estimate,
-whose file may change, and None propagates.  The estimate's wave and score
-append ref_mic.  A stage's input is keyed by the spec's params_dict()
-values; a mono run appends a marker, each stage its name, and each sub-node
-(the masked covariances, the signal covariances, a wave, a score) its name.
-Stage outputs, waves and scores are kept only when several CATALOG
-pipelines run that chain.  The target's STFT is not kept: the call that
-builds the estimate or the reference computes it and drops it on return.
+with at most one entry: the mixture object -> (a weak reference to the
+target, the scene's nodes).  A call is on that scene when its mixture and
+target are those objects (TimeSignals are read-only values, so identity is
+exact); another scene replaces the entry before anything is computed, and
+the entry goes with its mixture.  Each node is keyed by what it reads: the
+mixture's STFT by name; the scoring reference and the mixture's score by
+(ref_mic, name); the estimate by its estimator's fields (estimator,
+est_err_snr_db, seed), or None for an external estimate, whose file may
+change, and None propagates.  The estimate's wave and score append ref_mic.
+A stage's input is keyed by the spec's params_dict() values; a mono run
+appends a marker, each stage its name, and each sub-node (the masked
+covariances, the signal covariances, a wave, a score) its name.  Stage
+outputs, waves and scores are kept only when several CATALOG pipelines run
+that chain.  The target's STFT is not kept: the call that builds the
+estimate or the reference computes it and drops it on return.
 Shared arrays are read-only, and shared scores are frozen MetricsReports.
 """
 
@@ -42,11 +45,12 @@ from . import beamform, linpred, stats
 from ._rules import check_channel, check_fields
 from .estimator import ORACLE_KINDS, corrupt_estimate
 from .estimator import load_external_estimate, oracle_estimate
+from .fsio import camel
 from .linalg import DEFAULT_LOADING
 from .metrics import ScoreReference, score_against
 from .scene import Scene
 from .specio import write_spectrogram
-from .stft import StftConfig, TimeSignal, analyze, synthesize
+from .stft import TimeSignal, analyze, synthesize
 
 # prediction order per channel count; other counts take the nearest entry
 _TAP_TABLE = {1: 37, 2: 30, 6: 10, 8: 8}
@@ -166,13 +170,8 @@ class PipelineSpec:
                 if field != "estimate_path"}
 
 
-def _camel(field):
-    head, *words = field.split("_")
-    return head + "".join(word.title() for word in words)
-
-
 # PipelineSpec field -> its camelCase key in metrics.json and `enhance --config`
-PARAM_KEYS = {f.name: _camel(f.name) for f in fields(PipelineSpec) if f.name != "name"}
+PARAM_KEYS = {f.name: camel(f.name) for f in fields(PipelineSpec) if f.name != "name"}
 
 
 @dataclass
@@ -202,11 +201,11 @@ class PipelineResult:
         return self.waves[self.spec.name]
 
 
-def make_estimate(spec, mix_spec, tgt_spec, cfg=None):
+def make_estimate(spec, mix_spec, tgt_spec):
     """First-stage estimate for `spec`, a PipelineSpec or any object with its
     estimator, est_err_snr_db and seed fields naming an oracle."""
     if spec.estimator == "external":
-        return load_external_estimate(spec.estimate_path, mix_spec.shape, cfg)
+        return load_external_estimate(spec.estimate_path, mix_spec.shape)
     if tgt_spec is None:
         raise ValueError(f"estimator {spec.estimator!r} needs the target signal")
     est = oracle_estimate(mix_spec, tgt_spec, spec.estimator)
@@ -240,20 +239,20 @@ def _node(nodes, key, compute):
     return value
 
 
-# mixture -> ((weak reference to the target, cfg), nodes): one scene at most
+# mixture -> (weak reference to the target, nodes): one scene at most
 _memo = weakref.WeakKeyDictionary()
 _memo_lock = threading.Lock()
 
 
-def _scene_nodes(mixture, target, cfg):
+def _scene_nodes(mixture, target):
     # weak references to live objects compare their referents, which
     # TimeSignal compares by identity; a dead one equals only itself
-    scene = (target and weakref.ref(target), cfg)
+    target_ref = target and weakref.ref(target)
     with _memo_lock:
         entry = _memo.get(mixture)
-        if entry is None or entry[0] != scene:
+        if entry is None or entry[0] != target_ref:
             _memo.clear()  # before anything of the new scene is computed
-            entry = _memo[mixture] = (scene, {})
+            entry = _memo[mixture] = (target_ref, {})
     return entry[1]
 
 
@@ -338,14 +337,14 @@ _STAGES = {"wpe": _wpe, "mvdr": _mvdr, "mmvdr": _mmvdr, "mwmpdr": _mwmpdr,
            "mcwf": _mcwf, "gev": _gev, "fcp": _fcp}
 
 
-def _estimate_and_reference(nodes, spec, mix_spec, target, cfg):
+def _estimate_and_reference(nodes, spec, mix_spec, target):
     """(the estimate's key, the estimate, the ScoreReference at ref_mic or
     None without a target).  The target's STFT is read only here: it is
     computed once if either node is, and dropped on return."""
-    tgt_spec = functools.cache(lambda: target and analyze(target, cfg))
+    tgt_spec = functools.cache(lambda: target and analyze(target))
     est_key = (None if spec.estimator == "external"
                else (spec.estimator, spec.est_err_snr_db, spec.seed))
-    est = _node(nodes, est_key, lambda: make_estimate(spec, mix_spec, tgt_spec(), cfg))
+    est = _node(nodes, est_key, lambda: make_estimate(spec, mix_spec, tgt_spec()))
     q = spec.ref_mic
     reference = target and _node(
         nodes, (q, "reference"),
@@ -353,7 +352,7 @@ def _estimate_and_reference(nodes, spec, mix_spec, target, cfg):
     return est_key, est, reference
 
 
-def run_pipeline(scene_or_mixture, spec, target=None, cfg=StftConfig()):
+def run_pipeline(scene_or_mixture, spec, target=None):
     """Run one named pipeline on a scene or a raw mixture.
 
     Arguments:
@@ -383,10 +382,10 @@ def run_pipeline(scene_or_mixture, spec, target=None, cfg=StftConfig()):
     if target is not None and target.num_channels != num_mics:
         raise ValueError("target and mixture channel counts differ")
 
-    nodes = _scene_nodes(mixture, target, cfg)
-    mix_spec = _node(nodes, "mixture", lambda: analyze(mixture, cfg))  # T x F x P
+    nodes = _scene_nodes(mixture, target)
+    mix_spec = _node(nodes, "mixture", lambda: analyze(mixture))  # T x F x P
     mix_q = mix_spec[:, :, q]
-    est_key, est, reference = _estimate_and_reference(nodes, spec, mix_spec, target, cfg)
+    est_key, est, reference = _estimate_and_reference(nodes, spec, mix_spec, target)
     est_q = est.channel(q)
     # stages read every parameter; None after an external estimate
     key = est_key and tuple(spec.params_dict().values())
@@ -416,7 +415,7 @@ def run_pipeline(scene_or_mixture, spec, target=None, cfg=StftConfig()):
     for name, out, out_key in outputs:
         stages[name] = out
         waves[name] = wave = _node(nodes, out_key and out_key + ("wave",),
-                                   lambda: synthesize(out, cfg, num_samples))
+                                   lambda: synthesize(out, num_samples=num_samples))
         if target is not None:
             metrics[name] = _node(
                 nodes, out_key and out_key + ("score",),

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _pool
-from ._rules import check, check_fields, check_shapes
-from .stft import TimeSignal, as_mono
+from ._rules import check, check_channel, check_fields, check_shapes
+from .stft import StftConfig, TimeSignal, as_mono
 
 # rng stream tags so source and noise responses never share draws
 _SOURCE_STREAM = 0
@@ -33,7 +33,7 @@ _NOISE_STREAM = 1
 
 @dataclass(frozen=True)
 class RoomSpec:
-    """Parameters of the simulated room.
+    """Parameters of the simulated room, sampled at StftConfig.sample_rate.
 
     Attributes:
         num_mics: channel count P
@@ -42,7 +42,6 @@ class RoomSpec:
         direct_delay_samples: direct-path delay per mic; an int applies the
             same delay everywhere, a sequence gives one delay per mic
         seed: base seed for every random draw in the scene
-        sample_rate_hz: sampling rate the responses are generated for
         tail_gain: amplitude of the Gaussian tail relative to the direct tap
     """
 
@@ -51,7 +50,6 @@ class RoomSpec:
     rir_len_samples: int
     direct_delay_samples: object = 8
     seed: int = 0
-    sample_rate_hz: int = 16000
     tail_gain: float = 0.05
 
     def __post_init__(self):
@@ -131,7 +129,7 @@ def _tap_rir(room, delay, key):
     tail_len = room.rir_len_samples - delay - 1
     if room.t60_seconds > 0 and tail_len > 0:
         rng = np.random.default_rng(key)
-        tau = np.arange(1, tail_len + 1) / room.sample_rate_hz
+        tau = np.arange(1, tail_len + 1) / StftConfig.sample_rate
         envelope = np.exp(-3.0 * np.log(10.0) * tau / room.t60_seconds)
         h[delay + 1:] = room.tail_gain * envelope * rng.standard_normal(tail_len)
     return h
@@ -139,8 +137,7 @@ def _tap_rir(room, delay, key):
 
 def generate_rir(room, mic_index):
     """Impulse response from the target source to one microphone."""
-    if not 0 <= mic_index < room.num_mics:
-        raise ValueError(f"mic_index {mic_index} out of range for {room.num_mics} mics")
+    check_channel("mic_index", mic_index, room.num_mics)
     delay = room.direct_delay_samples[mic_index]
     return _tap_rir(room, delay, [room.seed, _SOURCE_STREAM, 0, mic_index])
 
@@ -165,7 +162,7 @@ def render_noise_component(noise, room, noise_index):
     taps used inside :func:`render_scene`, so components can be rendered alone
     and summed.
     """
-    samples = as_mono(noise, f"noise source {noise_index}", room.sample_rate_hz)
+    samples = as_mono(noise, f"noise source {noise_index}", StftConfig.sample_rate)
     response = functools.partial(_noise_rir, room, noise_index)
     return _convolve_mics([(samples, response)], room.num_mics, room.rir_len_samples,
                           samples.shape[0])[0]
@@ -187,7 +184,7 @@ def render_scene(source, noise_sources, room, snr_db, normalize=True):
     """
     if snr_db is not None:
         check("snr_db", snr_db)
-    src = as_mono(source, "source", room.sample_rate_hz)
+    src = as_mono(source, "source", StftConfig.sample_rate)
     num = src.shape[0]
     if num == 0:
         raise ValueError("source must contain at least one sample")
@@ -196,7 +193,7 @@ def render_scene(source, noise_sources, room, snr_db, normalize=True):
     for m, delay in enumerate(room.direct_delay_samples):
         if delay < num:
             direct[delay:, m] = src[:num - delay]
-    noises = [as_mono(nz, f"noise source {i}", room.sample_rate_hz)
+    noises = [as_mono(nz, f"noise source {i}", StftConfig.sample_rate)
               for i, nz in enumerate(noise_sources)]
     check_shapes(source=(src, "N"), **{f"noise source {i}": (samples, "N")
                                        for i, samples in enumerate(noises)})
@@ -241,26 +238,25 @@ def render_scene(source, noise_sources, room, snr_db, normalize=True):
             for signal in (mixture, direct, residual, noise):
                 signal *= factor
 
-    rate = room.sample_rate_hz
     return Scene(
-        mixture=_signal(mixture, rate),
-        direct_path=_signal(direct, rate),
-        reverb_residual=_signal(residual, rate),
-        noise=_signal(noise, rate),
+        mixture=_signal(mixture),
+        direct_path=_signal(direct),
+        reverb_residual=_signal(residual),
+        noise=_signal(noise),
         snr_db=achieved_snr,
     )
 
 
-def _signal(samples, sample_rate):
+def _signal(samples):
     # a TimeSignal that adopts the array just built, frozen, not a copy
-    return TimeSignal(samples, sample_rate, _adopt=True)
+    return TimeSignal(samples, StftConfig.sample_rate, _adopt=True)
 
 
 def _seed_key(seed, salt):
     return [int(s) for s in np.atleast_1d(seed)] + [salt]
 
 
-def synth_speech_like(num_samples, sample_rate=16000, seed=0):
+def synth_speech_like(num_samples, seed=0):
     """Amplitude-modulated Gaussian noise with a bursty, speech-ish envelope.
 
     The envelope interpolates syllable-rate (4 Hz) rectified-Gaussian control
@@ -270,18 +266,19 @@ def synth_speech_like(num_samples, sample_rate=16000, seed=0):
     rng = np.random.default_rng(_seed_key(seed, 11))
     carrier = rng.standard_normal(num_samples)
     rate_hz = 4.0
-    num_ctrl = max(2, int(math.ceil(num_samples * rate_hz / sample_rate)) + 1)
+    num_ctrl = max(2, int(math.ceil(num_samples * rate_hz
+                                    / StftConfig.sample_rate)) + 1)
     ctrl = np.abs(rng.standard_normal(num_ctrl)) + 0.05  # floor: no dead air
     positions = np.linspace(0.0, num_ctrl - 1.0, num_samples)
     envelope = np.interp(positions, np.arange(num_ctrl), ctrl)
     out = carrier * envelope
     rms = np.sqrt(np.mean(out ** 2))
-    return _signal(out / max(rms, 1e-12), sample_rate)
+    return _signal(out / max(rms, 1e-12))
 
 
-def synth_noise(num_samples, sample_rate=16000, seed=0):
+def synth_noise(num_samples, seed=0):
     """Stationary white Gaussian noise at unit RMS."""
     rng = np.random.default_rng(_seed_key(seed, 13))
     out = rng.standard_normal(num_samples)
     rms = np.sqrt(np.mean(out ** 2))
-    return _signal(out / max(rms, 1e-12), sample_rate)
+    return _signal(out / max(rms, 1e-12))

@@ -1,8 +1,8 @@
-"""RIFF WAV reading and writing (PCM 16-bit and IEEE float 32-bit).
+"""RIFF WAV reading (PCM 16-bit and IEEE float 32-bit) and writing (float 32-bit).
 
-Files are written in the layout scipy.io.wavfile.write produces: a 16-byte
-`fmt ` chunk for PCM; for float, an 18-byte one (with a zero extension size)
-followed by a `fact` chunk holding the frame count.
+Files are written in the layout scipy.io.wavfile.write produces for float
+samples: an 18-byte `fmt ` chunk (with a zero extension size) followed by a
+`fact` chunk holding the frame count.
 """
 
 import struct
@@ -61,20 +61,16 @@ def _decode(blob, path):
     raise FormatError(f"{path}: no data chunk")
 
 
-def _encode(data, rate):
-    # N x C samples of a type in _SAMPLE_TYPES -> RIFF WAVE bytes
-    num_frames, channels = data.shape
-    dtype = data.dtype.newbyteorder("<")
-    tag = _PCM if dtype.kind == "i" else _IEEE_FLOAT
+def _encode(samples, rate):
+    # N x C float64 samples -> RIFF WAVE bytes of float32 samples
+    num_frames, channels = samples.shape
+    dtype = _SAMPLE_TYPES[_IEEE_FLOAT, 32]
     block_align = channels * dtype.itemsize
-    fmt = _FMT.pack(tag, channels, rate, rate * block_align, block_align,
-                    8 * dtype.itemsize)
-    if tag != _PCM:
-        fmt += b"\x00\x00"
+    fmt = _FMT.pack(_IEEE_FLOAT, channels, rate, rate * block_align, block_align,
+                    8 * dtype.itemsize) + b"\x00\x00"
     body = b"WAVE" + _CHUNK.pack(b"fmt ", len(fmt)) + fmt
-    if tag != _PCM:
-        body += _CHUNK.pack(b"fact", 4) + struct.pack("<I", num_frames)
-    payload = data.astype(dtype, copy=False).tobytes()
+    body += _CHUNK.pack(b"fact", 4) + struct.pack("<I", num_frames)
+    payload = samples.astype(dtype).tobytes()
     if len(body) + _CHUNK.size + len(payload) > 0xFFFFFFFF:
         raise ValueError("data exceeds the 4 GiB WAV file size limit")
     body += _CHUNK.pack(b"data", len(payload)) + payload
@@ -107,21 +103,9 @@ def read_wav(path, expect_rate=None):
     return signal
 
 
-def write_wav(path, signal, encoding="float32"):
-    """Write a TimeSignal to `path` atomically.
-
-    Arguments:
-        signal: TimeSignal (mono signals produce a 1-channel file)
-        encoding: "float32" (default, lossless for our pipeline) or "pcm16"
-    """
+def write_wav(path, signal):
+    """Write a TimeSignal to `path` atomically as float32 samples (mono
+    signals produce a 1-channel file)."""
     if not isinstance(signal, TimeSignal):
         raise TypeError("write_wav expects a TimeSignal")
-    samples = signal.samples
-    if encoding == "float32":
-        data = samples.astype(np.float32)
-    elif encoding == "pcm16":
-        scaled = np.round(samples * _PCM16_SCALE)
-        data = np.clip(scaled, -32768, 32767).astype(np.int16)
-    else:
-        raise ValueError(f"unknown WAV encoding {encoding!r}")
-    atomic_write_bytes(path, _encode(data, signal.sample_rate))
+    atomic_write_bytes(path, _encode(signal.samples, signal.sample_rate))

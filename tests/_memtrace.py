@@ -3,13 +3,14 @@
 tracemalloc sees numpy's array allocations in every thread.  A step is
 measured after its inputs exist, so its peak counts what the step itself
 allocates: its output and its transients.  tests/test_memory.py checks the
-bounds on small fields and tools/long_scene_memory.py on a 60 s scene.
+bounds on small fields and tools/long_scene_memory.py on a 60 s scene,
+importing this module from the tests directory.
 """
 
 import tracemalloc
 
-from .linpred import DEFAULT_DELAY, DEFAULT_TAPS_FCP, _bin_bytes, _chunk_plan
-from .stats import BLOCK_BYTES
+from lodistort.linpred import DEFAULT_DELAY, DEFAULT_TAPS_FCP, _bin_bytes, _chunk_plan
+from lodistort.stats import BLOCK_BYTES
 
 
 def traced_peak(step):

@@ -1,6 +1,7 @@
 """Command-line front end: outputs, JSON schemas, and the exit-code
 contract (0 ok / 2 usage / 3 file / 4 numerical)."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -14,7 +15,7 @@ import pytest
 
 import lodistort
 from lodistort import (
-    StftConfig,
+    RoomSpec,
     analyze,
     load_external_estimate,
     read_wav,
@@ -22,6 +23,7 @@ from lodistort import (
     write_wav,
 )
 from lodistort.cli import build_parser, main
+from lodistort.fsio import camel
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +62,7 @@ def test_simulate_outputs(scene_dir):
     with open(os.path.join(scene_dir, "manifest.json")) as handle:
         manifest = json.load(handle)
     assert manifest["schemaVersion"] == 1
+    assert manifest["sampleRateHz"] == 16000
     assert manifest["numMics"] == 2
     assert manifest["t60Seconds"] == 0.2
     assert manifest["snrDb"] == 0.0
@@ -86,6 +89,35 @@ def test_simulate_is_deterministic(tmp_path, capsys):
         with open(os.path.join(a, name), "rb") as fa, \
                 open(os.path.join(b, name), "rb") as fb:
             assert fa.read() == fb.read(), name
+
+
+@pytest.mark.parametrize("flags", [
+    (),  # the room's defaults: seed, tail gain and direct delay are RoomSpec's
+    ("--seed", "4", "--tail-gain", "0.1", "--direct-delay", "3", "--rir-len", "900"),
+])
+def test_scene_manifest_rebuilds_its_room(tmp_path, capsys, monkeypatch, flags):
+    # every RoomSpec field is in the manifest under its camelCase key, and
+    # those entries give back the room the scene was rendered in
+    rooms = []
+
+    def recording(source, noises, room, snr_db):
+        rooms.append(room)
+        return lodistort.render_scene(source, noises, room, snr_db)
+
+    monkeypatch.setattr(lodistort.cli, "render_scene", recording)
+    out = str(tmp_path / "scene")
+    rc, _, err = run_cli(capsys, "simulate", "--mics", "3", "--t60", "0.2",
+                         "--snr-db", "5", "--duration", "0.25", *flags, "--out", out)
+    assert rc == 0, err
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    room = {field.name: manifest[camel(field.name)]
+            for field in dataclasses.fields(RoomSpec)}
+    assert RoomSpec(**room) == rooms[0]
+    if not flags:
+        assert (rooms[0].seed, rooms[0].tail_gain) == (RoomSpec.seed, RoomSpec.tail_gain)
+        assert rooms[0].direct_delay_samples == tuple(
+            RoomSpec.direct_delay_samples + m for m in range(3))
 
 
 def test_enhance_scene(scene_dir, tmp_path, capsys):
@@ -244,10 +276,9 @@ def test_wav_estimate_reads_alike_under_any_other_suffix(scene_dir, tmp_path, ca
     names = ("est.wav", "est.wave")
     for name in names:
         write_wav(str(tmp_path / name), wave)
-    cfg = StftConfig()
-    expected = analyze(read_wav(str(tmp_path / "est.wav"), 16000), cfg)
+    expected = analyze(read_wav(str(tmp_path / "est.wav"), 16000))
     for name in names:
-        est = load_external_estimate(str(tmp_path / name), expected.shape, cfg)
+        est = load_external_estimate(str(tmp_path / name), expected.shape)
         assert np.array_equal(est.values, expected)
     reports, runs = [], []
     for name in names:

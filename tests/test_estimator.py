@@ -6,7 +6,6 @@ import pytest
 
 from lodistort import (
     FormatError,
-    StftConfig,
     TimeSignal,
     analyze,
     corrupt_estimate,
@@ -195,13 +194,12 @@ def test_external_wav_is_analyzed(tmp_path):
     wave = rng.standard_normal(4000) * 0.1
     path = tmp_path / "est.wav"
     write_wav(path, TimeSignal(wave, 16000))
-    cfg = StftConfig()
-    spec = analyze(read_back := TimeSignal(wave, 16000), cfg)
+    spec = analyze(read_back := TimeSignal(wave, 16000))
     # float32 WAV quantization, so compare against the re-read wave instead
     from lodistort import read_wav
 
-    expected = analyze(read_wav(path, 16000), cfg)
-    est = load_external_estimate(path, (spec.shape[0], 257, 3), cfg)
+    expected = analyze(read_wav(path, 16000))
+    est = load_external_estimate(path, (spec.shape[0], 257, 3))
     assert est.values.shape == (spec.shape[0], 257, 1)
     assert np.array_equal(est.values, expected)
 

@@ -1,6 +1,6 @@
 """Peak traced memory of the field-sized steps, pinned to stated formulas.
 
-The formulas live in lodistort._memtrace, which also measures the steps of
+The formulas live in tests/_memtrace.py, which also measures the steps of
 tools/long_scene_memory.py.  A "field" is the step's input spectrogram:
 T x F x C for analyze's result, wpe_field and the covariances, T x F for
 fcp.
@@ -12,8 +12,9 @@ from lodistort import (TimeSignal, analyze, fcp, masked_covariances, psd_floor,
                        read_spectrogram, signal_covariances,
                        weighted_covariance, wpe_field, write_spectrogram)
 from lodistort import _pool, linpred
-from lodistort._memtrace import (analyze_bound, covariance_bound, fcp_bound,
-                                 traced_peak, wpe_field_bound)
+
+from _memtrace import (analyze_bound, covariance_bound, fcp_bound, traced_peak,
+                       wpe_field_bound)
 
 
 def random_field(shape, seed):

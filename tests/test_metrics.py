@@ -23,7 +23,6 @@ from lodistort import (
     wrap_phase,
 )
 from lodistort.cli import main as cli_main
-from lodistort._memtrace import traced_peak
 from lodistort._pool import openblas_threads
 from lodistort.metrics import (
     ScoreReference,
@@ -33,6 +32,7 @@ from lodistort.metrics import (
 )
 from lodistort.pipeline import make_estimate
 
+from _memtrace import traced_peak
 from conftest import build_suite_scene, suite_scene_params
 
 
@@ -159,9 +159,11 @@ def test_energy_mask_thresholding():
     assert list(mask[0]) == [True, True, False, False, False]
 
 
-def test_energy_mask_custom_threshold_and_errors():
-    mag = np.array([[1.0, 0.5, 0.05]])
-    assert list(energy_mask(mag, threshold_db=-10.0)[0]) == [True, True, False]
+def test_energy_mask_always_holds_the_peak_bin_and_errors():
+    # a -60 dB mask holds its peak at any scale, a subnormal power too
+    for peak in (1e150, 1.0, 1e-160):
+        mag = np.array([[peak, 1e-4 * peak, 0.0]])
+        assert energy_mask(mag)[0, 0]
     with pytest.raises(ValueError):
         energy_mask(np.zeros((3, 3)))
 
@@ -219,8 +221,10 @@ def test_pdsacc_validation():
     good = np.ones((3, 3), dtype=complex)
     with pytest.raises(ValueError):
         pdsacc(good, np.ones((3, 4), dtype=complex), good)
-    with pytest.raises(ValueError):
-        pdsacc(good, good, good, threshold_db=10.0)  # mask selects nothing
+    # the mask holds at least the peak bin: a lone energetic bin is scored
+    lone = np.zeros((3, 3), dtype=complex)
+    lone[1, 2] = 1e-100j
+    assert pdsacc(lone, lone, good) == 100.0
 
 
 # --- psnr ---

@@ -17,7 +17,6 @@ from lodistort import (
     PIPELINE_NAMES,
     PipelineSpec,
     RoomSpec,
-    StftConfig,
     TimeSignal,
     analyze,
     fcp,
@@ -168,9 +167,9 @@ def test_in_place_writes_are_refused():
 def test_equal_signals_that_are_distinct_objects_run_cold(scene, monkeypatch):
     calls = []
 
-    def counting(signal, cfg):
+    def counting(signal):
         calls.append(signal)
-        return analyze(signal, cfg)
+        return analyze(signal)
 
     monkeypatch.setattr(pipeline, "analyze", counting)
     spec = PipelineSpec("mvdr")
@@ -189,11 +188,6 @@ def test_equal_signals_that_are_distinct_objects_run_cold(scene, monkeypatch):
     for result in (second, third):
         assert result.mixture_spectrogram is not first.mixture_spectrogram
         assert_same_result(result, first)
-    # another StftConfig is another scene, an equal one the same
-    run_pipeline(copies[0], spec, copies[1], StftConfig(256, 64, 256))
-    assert len(calls) == 8
-    run_pipeline(copies[0], spec, copies[1], StftConfig(256, 64, 256))
-    assert len(calls) == 8
     # a call without the target is another scene too: the oracle estimate
     # is not reused but asked of the missing target
     with pytest.raises(ValueError, match="needs the target"):
@@ -277,9 +271,8 @@ def test_threads_alternating_scenes_match_serial_runs():
 
 
 def test_rewritten_external_estimate_is_reread(scene, tmp_path):
-    cfg = StftConfig()
-    mix_spec = analyze(scene.mixture, cfg)
-    tgt_spec = analyze(scene.direct_path, cfg)
+    mix_spec = analyze(scene.mixture)
+    tgt_spec = analyze(scene.direct_path)
     path = str(tmp_path / "estimate.ldspec")
     results = []
     for leak in (0.1, 0.3):
@@ -313,8 +306,8 @@ def test_oracle_direct_estimate_is_the_memo_target(scene):
 def test_target_stft_is_not_kept_with_a_mask_estimate(scene, monkeypatch):
     spectra = {}
 
-    def recording(signal, cfg):
-        spec = analyze(signal, cfg)
+    def recording(signal):
+        spec = analyze(signal)
         spectra[signal] = weakref.ref(spec)
         return spec
 

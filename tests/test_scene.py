@@ -286,7 +286,7 @@ def test_render_scene_rejects_an_unreachable_snr_before_convolving(monkeypatch):
 @pytest.mark.parametrize("kwargs", [
     {"seed": 1.5},
     {"rir_len_samples": math.nan},
-    {"sample_rate_hz": math.nan},
+    {"tail_gain": -0.1},
     {"direct_delay_samples": 2.7},  # not truncated to 2
     {"direct_delay_samples": (8, 2.7)},
     {"num_mics": True},
@@ -294,6 +294,13 @@ def test_render_scene_rejects_an_unreachable_snr_before_convolving(monkeypatch):
 def test_room_rejects_invalid_parameters(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         make_room(**kwargs)
+
+
+@pytest.mark.parametrize("mic_index", [0.5, True, -1, 2])
+def test_generate_rir_rejects_a_mic_index_that_is_no_mic(mic_index):
+    # not read as a tuple index, nor True as mic 1
+    with pytest.raises(ValueError, match="mic_index"):
+        generate_rir(make_room(), mic_index)
 
 
 def test_negative_seed_is_rejected():

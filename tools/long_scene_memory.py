@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Memory of a long recording: all 11 pipelines on a 60 s 6-mic scene.
 
-Run from anywhere (the checkout's src/ is put on the path):
+Run from anywhere (the checkout's src/ and tests/ are put on the path):
 
     python3 tools/long_scene_memory.py
 
@@ -23,7 +23,7 @@ A step's peak counts its output and its transients, not its inputs.  The
 last line of standard output is the JSON result, with the process's peak
 RSS (ru_maxrss) after the pipelines, before the step measurements.  The
 probe exits 1 if a step's peak is above the bound tests/test_memory.py
-holds it to (lodistort._memtrace), or if the pipelines exceed the cap.
+holds it to (tests/_memtrace.py), or if the pipelines exceed the cap.
 
 It takes about 30 s and 1.2 GB on a 2-core Xeon, too long for Tier-1.
 """
@@ -34,8 +34,9 @@ import resource
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))  # _memtrace, test_memory.py's bounds
 
 from lodistort import (  # noqa: E402
     PIPELINE_NAMES,
@@ -55,7 +56,7 @@ from lodistort import (  # noqa: E402
     weighted_covariance,
     wpe_field,
 )
-from lodistort._memtrace import (  # noqa: E402
+from _memtrace import (  # noqa: E402
     analyze_bound,
     covariance_bound,
     fcp_bound,
