@@ -1,6 +1,6 @@
 """The rule of every numeric parameter, in one table that PipelineSpec,
-RoomSpec, StftConfig, TimeSignal, the library functions and the CLI all
-check against, and the rules of every array argument: its layout
+RoomSpec, StftConfig, the library functions and the CLI all check against,
+and the rules of every array argument: its layout, with every size >= 1
 (check_shapes), a channel index within it (check_channel) and its values
 (check_finite).
 
@@ -59,11 +59,10 @@ RULES = {
     "num_noises": Rule("--num-noises", True, 0),
     "duration_seconds": Rule("--duration", False, 0, False),
     "mic_index": Rule(None, True, 0),
-    # StftConfig and TimeSignal
+    # StftConfig
     "window_len": Rule(None, True, 1),
     "hop": Rule(None, True, 1),
     "fft_len": Rule(None, True, 1),
-    "sample_rate": Rule(None, True, 1),
 }
 
 
@@ -106,9 +105,10 @@ def check_shapes(**arrays):
 
     A layout names each axis by a letter, and one letter is one size across
     every array of the call; an axis written as a number has that size, and
-    trailing axes in brackets ("N [x C]") may be absent.  Return the sizes
-    by letter, or raise ValueError naming the first argument that breaks
-    its layout, and the arguments that set the sizes it breaks."""
+    trailing axes in brackets ("N [x C]") may be absent, and every size is
+    at least 1.  Return the sizes by letter, or raise ValueError naming the
+    first argument that breaks its layout, and the arguments that set the
+    sizes it breaks."""
     sizes = {}  # axis letter -> (size, the argument that set it)
     for name, (array, layout) in arrays.items():
         shape, known = np.shape(array), dict(sizes)
@@ -123,6 +123,8 @@ def check_shapes(**arrays):
             origin = ", ".join(dict.fromkeys(by for _, by in given.values()))
             where = f" with {where} as in {origin}" if given else ""
             raise ValueError(f"{name} must be {layout}{where}, got shape {shape}")
+        if 0 in shape:
+            raise ValueError(f"{name} must have every size >= 1, got shape {shape}")
     return {axis: size for axis, (size, _) in sizes.items()}
 
 

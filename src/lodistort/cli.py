@@ -218,11 +218,11 @@ def _load_scene_dir(scene_dir):
         mixture_name = files["mixture"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{manifest_path}: missing files.mixture entry") from exc
-    mixture = read_wav(os.path.join(scene_dir, mixture_name), StftConfig.sample_rate)
+    mixture = read_wav(os.path.join(scene_dir, mixture_name))
     target = None
     direct_name = files.get("directPath")
     if direct_name and os.path.exists(os.path.join(scene_dir, direct_name)):
-        target = read_wav(os.path.join(scene_dir, direct_name), StftConfig.sample_rate)
+        target = read_wav(os.path.join(scene_dir, direct_name))
     return manifest, mixture, target
 
 
@@ -243,8 +243,8 @@ def cmd_enhance(args):
     if scene_dir:
         _, mixture, target = _load_scene_dir(scene_dir)
     elif mixture_path:
-        mixture = read_wav(mixture_path, StftConfig.sample_rate)
-        target = read_wav(target_path, StftConfig.sample_rate) if target_path else None
+        mixture = read_wav(mixture_path)
+        target = read_wav(target_path) if target_path else None
     else:
         raise ValueError("no input scene (use --scene/--mixture or the config file)")
     result = run_pipeline(mixture, spec, target)

@@ -14,7 +14,7 @@ import numpy as np
 from ._rules import check, check_shapes
 from .errors import FormatError
 from .specio import read_spectrogram
-from .stft import StftConfig, analyze
+from .stft import analyze
 from .wavio import read_wav
 
 ORACLE_DIRECT = "oracleDirect"
@@ -126,7 +126,7 @@ def load_spectrogram(path):
     """
     if str(path).endswith(".ldspec"):
         return read_spectrogram(path), None
-    wave = read_wav(path, expect_rate=StftConfig.sample_rate)
+    wave = read_wav(path)
     return analyze(wave), wave
 
 

@@ -58,8 +58,7 @@ def si_sdr(estimate, reference):
     pairwise sums of float64 products: no score depends on BLAS threads.
     """
     est = as_mono(estimate, "estimate")
-    # two TimeSignals must share one rate
-    ref = as_mono(reference, "reference", getattr(estimate, "sample_rate", None))
+    ref = as_mono(reference, "reference")
     check_shapes(estimate=(est, "N"), reference=(ref, "N"))
     ref_energy = float(np.sum(np.square(ref)))
     if ref_energy <= 0.0:
@@ -79,11 +78,13 @@ def si_sdr(estimate, reference):
 
 def energy_mask(target_q):
     """Boolean mask of bins within ENERGY_MASK_DB of the target's peak power."""
-    power = np.abs(check_finite("target_q", target_q)) ** 2
-    peak = power.max()
+    magnitude = np.abs(check_finite("target_q", target_q)).astype(np.float64, copy=False)
+    peak = magnitude.max()
     if peak <= 0.0:
         raise ValueError("target spectrogram is identically zero")
-    return power >= peak * 10.0 ** (ENERGY_MASK_DB / 10.0)
+    # scaled by the peak before squaring, in place, so no finite power overflows
+    magnitude /= peak
+    return np.square(magnitude, out=magnitude) >= 10.0 ** (ENERGY_MASK_DB / 10.0)
 
 
 def _zero_phasors(values):

@@ -162,7 +162,7 @@ def render_noise_component(noise, room, noise_index):
     taps used inside :func:`render_scene`, so components can be rendered alone
     and summed.
     """
-    samples = as_mono(noise, f"noise source {noise_index}", StftConfig.sample_rate)
+    samples = as_mono(noise, f"noise source {noise_index}")
     response = functools.partial(_noise_rir, room, noise_index)
     return _convolve_mics([(samples, response)], room.num_mics, room.rir_len_samples,
                           samples.shape[0])[0]
@@ -184,17 +184,14 @@ def render_scene(source, noise_sources, room, snr_db, normalize=True):
     """
     if snr_db is not None:
         check("snr_db", snr_db)
-    src = as_mono(source, "source", StftConfig.sample_rate)
+    src = as_mono(source, "source")
     num = src.shape[0]
-    if num == 0:
-        raise ValueError("source must contain at least one sample")
 
     direct = np.zeros((num, room.num_mics))
     for m, delay in enumerate(room.direct_delay_samples):
         if delay < num:
             direct[delay:, m] = src[:num - delay]
-    noises = [as_mono(nz, f"noise source {i}", StftConfig.sample_rate)
-              for i, nz in enumerate(noise_sources)]
+    noises = [as_mono(nz, f"noise source {i}") for i, nz in enumerate(noise_sources)]
     check_shapes(source=(src, "N"), **{f"noise source {i}": (samples, "N")
                                        for i, samples in enumerate(noises)})
     if snr_db is not None and not noises:
@@ -249,7 +246,7 @@ def render_scene(source, noise_sources, room, snr_db, normalize=True):
 
 def _signal(samples):
     # a TimeSignal that adopts the array just built, frozen, not a copy
-    return TimeSignal(samples, StftConfig.sample_rate, _adopt=True)
+    return TimeSignal(samples, _adopt=True)
 
 
 def _seed_key(seed, salt):

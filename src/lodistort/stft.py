@@ -2,9 +2,10 @@
 
 Array conventions used throughout the package:
 
-* time signals carry float64 samples of shape N x C (samples x channels);
-  a TimeSignal is a read-only value that owns its finite samples, so
-  run_pipeline's memo can tell its scene by the signal objects alone,
+* time signals carry float64 samples of shape N x C (samples x channels) at
+  StftConfig.sample_rate, the one rate; a TimeSignal is a read-only value
+  that owns its finite samples, so run_pipeline's memo can tell its scene by
+  the signal objects alone,
 * spectrograms are complex128 arrays of shape T x F x C
   (frames x frequency bins x channels).
 
@@ -16,7 +17,8 @@ full complement of overlapping windows and makes reconstruction exact up to
 float64 rounding.
 """
 
-from dataclasses import InitVar, dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
+from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,8 +48,8 @@ def _columns(samples):
 
 @dataclass(frozen=True, eq=False)
 class TimeSignal:
-    """A sampled multichannel signal: a read-only value, compared and hashed
-    by identity.
+    """A multichannel signal sampled at StftConfig.sample_rate: a read-only
+    value, compared and hashed by identity.
 
     The signal owns its samples: it copies its input once, whatever it is,
     and never marks a caller's array read-only (whoever holds an array may
@@ -57,15 +59,13 @@ class TimeSignal:
 
     Attributes:
         samples: read-only N x C float64 array (mono input is reshaped to N x 1)
-        sample_rate: sampling rate in Hz, an integer >= 1
     """
 
     samples: np.ndarray
-    sample_rate: int
+    _: KW_ONLY
     _adopt: InitVar[bool] = False
 
     def __post_init__(self, _adopt):
-        check_fields(self)
         samples = self.samples if _adopt else np.array(self.samples, dtype=np.float64)
         samples.flags.writeable = False
         object.__setattr__(self, "samples", _columns(_checked_samples(samples)))
@@ -83,16 +83,10 @@ class TimeSignal:
         return self.samples[:, index]
 
 
-def as_mono(signal, role, sample_rate=None):
+def as_mono(signal, role):
     """A mono TimeSignal's one channel, or any other signal as a 1-D float64
-    array, checked as a TimeSignal's samples are but not copied.  A
-    TimeSignal must also carry `sample_rate` when one is given."""
+    array, checked as a TimeSignal's samples are but not copied."""
     if isinstance(signal, TimeSignal):
-        if sample_rate is not None and signal.sample_rate != sample_rate:
-            raise ValueError(
-                f"{role} sample rate {signal.sample_rate} Hz does not match "
-                f"{sample_rate} Hz"
-            )
         if signal.num_channels != 1:
             raise ValueError(f"{role} must be mono, got {signal.num_channels} channels")
         return signal.channel(0)
@@ -109,7 +103,7 @@ class StftConfig:
     window_len: int = 512
     hop: int = 128
     fft_len: int = 512
-    sample_rate: int = 16000
+    sample_rate: ClassVar[int] = 16000  # no field: the rate of every signal
 
     def __post_init__(self):
         check_fields(self)
@@ -153,24 +147,17 @@ def analyze(signal, cfg=StftConfig()):
     """Short-time Fourier transform of a (multichannel) signal.
 
     Arguments:
-        signal: TimeSignal, or an array of shape [N] / [N x C] read as a
-            TimeSignal at cfg.sample_rate
+        signal: TimeSignal, or an array of shape [N] / [N x C] checked as
+            a TimeSignal's samples are
         cfg: StftConfig
     Return:
         complex128 spectrogram, T x F x C
     """
     if isinstance(signal, TimeSignal):
-        if signal.sample_rate != cfg.sample_rate:
-            raise ValueError(
-                f"sample rate mismatch: signal has {signal.sample_rate} Hz, "
-                f"config expects {cfg.sample_rate} Hz (resampling not supported)"
-            )
         samples = signal.samples
     else:  # checked as a TimeSignal's samples are, but not copied
         samples = _columns(_checked_samples(signal, "signal"))
     num_samples, num_channels = samples.shape
-    if num_samples == 0:
-        raise ValueError("cannot analyze an empty signal")
 
     num_frames = cfg.num_frames(num_samples)
     # channel-major buffer long enough that the last frame has a full window
@@ -244,4 +231,4 @@ def synthesize(spectrogram, cfg=StftConfig(), num_samples=None):
     avail = min(num_samples, buf_len - cfg.pad)
     if avail > 0:
         out[:avail] = buf[cfg.pad:cfg.pad + avail]
-    return TimeSignal(out, cfg.sample_rate, _adopt=True)
+    return TimeSignal(out, _adopt=True)

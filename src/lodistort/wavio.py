@@ -1,4 +1,5 @@
-"""RIFF WAV reading (PCM 16-bit and IEEE float 32-bit) and writing (float 32-bit).
+"""RIFF WAV reading (PCM 16-bit and IEEE float 32-bit) and writing (float 32-bit),
+all at StftConfig.sample_rate: the one place where a signal's rate is checked.
 
 Files are written in the layout scipy.io.wavfile.write produces for float
 samples: an 18-byte `fmt ` chunk (with a zero extension size) followed by a
@@ -11,7 +12,7 @@ import numpy as np
 
 from .errors import FormatError
 from .fsio import atomic_write_bytes
-from .stft import TimeSignal
+from .stft import StftConfig, TimeSignal
 
 _PCM16_SCALE = 32768.0
 
@@ -77,35 +78,36 @@ def _encode(samples, rate):
     return _CHUNK.pack(b"RIFF", len(body)) + body
 
 
-def read_wav(path, expect_rate=None):
+def read_wav(path):
     """Read a WAV file into a TimeSignal.
 
     PCM16 samples are scaled to [-1, 1); float32 samples pass through.
-    Other encodings, truncated files, files that are not RIFF WAVE and
-    float files holding NaN or inf raise FormatError.  If `expect_rate` is
-    given, a differing file rate raises ValueError (resampling is out of
-    scope).
+    Other encodings, truncated files, files that are not RIFF WAVE, files
+    of no samples and float files holding NaN or inf raise FormatError.  A
+    file at a rate other than StftConfig.sample_rate raises ValueError
+    (resampling is out of scope).
     """
     with open(path, "rb") as handle:
         rate, data = _decode(handle.read(), path)
+    if not len(data):
+        raise FormatError(f"{path}: WAV holds no samples")
     if data.dtype.kind == "i":
         samples = data.astype(np.float64) / _PCM16_SCALE
     else:
         samples = data.astype(np.float64)
         if not np.all(np.isfinite(samples)):
             raise FormatError(f"{path}: WAV holds non-finite samples")
-    signal = TimeSignal(samples, rate, _adopt=True)  # adopted, not copied
-    if expect_rate is not None and signal.sample_rate != expect_rate:
+    if rate != StftConfig.sample_rate:
         raise ValueError(
-            f"{path}: sample rate {signal.sample_rate} Hz does not match the "
-            f"expected {expect_rate} Hz (resampling not supported)"
+            f"{path}: sample rate {rate} Hz does not match the "
+            f"expected {StftConfig.sample_rate} Hz (resampling not supported)"
         )
-    return signal
+    return TimeSignal(samples, _adopt=True)  # adopted, not copied
 
 
 def write_wav(path, signal):
-    """Write a TimeSignal to `path` atomically as float32 samples (mono
-    signals produce a 1-channel file)."""
+    """Write a TimeSignal to `path` atomically as float32 samples at
+    StftConfig.sample_rate (mono signals produce a 1-channel file)."""
     if not isinstance(signal, TimeSignal):
         raise TypeError("write_wav expects a TimeSignal")
-    atomic_write_bytes(path, _encode(signal.samples, signal.sample_rate))
+    atomic_write_bytes(path, _encode(signal.samples, StftConfig.sample_rate))

@@ -131,6 +131,10 @@ def test_check_shapes_names_the_sizes_and_where_they_came_from():
     with pytest.raises(ValueError, match=re.escape(
             "spec must be T x 257 [x C], got shape (4, 256)")):
         check_shapes(spec=(np.zeros((4, 256)), "T x 257 [x C]"))
+    # every size is at least 1
+    with pytest.raises(ValueError, match=re.escape(
+            "field must have every size >= 1, got shape (4, 0, 2)")):
+        check_shapes(field=(np.zeros((4, 0, 2)), "T x F x P"))
 
 
 def test_channel_and_value_rules():
@@ -146,3 +150,23 @@ def test_channel_and_value_rules():
     for bad in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="^psd must be finite and > 0$"):
             check_finite("psd", [1.0, bad], positive=True)
+
+
+EMPTY = np.zeros((0, 3), dtype=complex)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("estimates", lambda: ld.psd_floor(EMPTY)),
+    ("estimate_q", lambda: ld.pdsacc(EMPTY, EMPTY, EMPTY)),
+    ("reference", lambda: ld.fcp(EMPTY, EMPTY, 2)),
+    ("field", lambda: ld.wpe_field(np.zeros((0, 3, 2), dtype=complex),
+                                   np.ones((0, 3)), 2)),
+    ("signal", lambda: ld.analyze(np.zeros(0))),
+    ("source", lambda: ld.render_scene(
+        np.zeros(0), [], ld.RoomSpec(num_mics=2, t60_seconds=0.2, rir_len_samples=64),
+        None)),
+], ids=["psd_floor", "pdsacc", "fcp", "wpe_field", "analyze", "render_scene"])
+def test_an_array_with_an_empty_axis_is_named(name, call):
+    with pytest.raises(ValueError, match=rf"^{name} must have every size >= 1, "
+                                         rf"got shape \(0,"):
+        call()

@@ -68,11 +68,11 @@ def test_simulate_outputs(scene_dir):
     assert manifest["snrDb"] == 0.0
     assert manifest["directDelaySamples"] == [8, 9]
     assert manifest["files"]["mixture"] == "mixture.wav"
-    mixture = read_wav(os.path.join(scene_dir, "mixture.wav"), 16000)
+    mixture = read_wav(os.path.join(scene_dir, "mixture.wav"))
     assert mixture.samples.shape == (16000, 2)
     # components recombine into the mixture up to WAV quantization
     parts = sum(
-        read_wav(os.path.join(scene_dir, name), 16000).samples
+        read_wav(os.path.join(scene_dir, name)).samples
         for name in ("direct.wav", "reverb.wav", "noise.wav")
     )
     assert np.max(np.abs(parts - mixture.samples)) < 1e-5
@@ -272,11 +272,11 @@ def test_wav_estimate_reads_alike_under_any_other_suffix(scene_dir, tmp_path, ca
     # is a WAV file, so est.wave loads and scores as est.wav does
     mix = os.path.join(scene_dir, "mixture.wav")
     ref = os.path.join(scene_dir, "direct.wav")
-    wave = read_wav(mix, 16000)
+    wave = read_wav(mix)
     names = ("est.wav", "est.wave")
     for name in names:
         write_wav(str(tmp_path / name), wave)
-    expected = analyze(read_wav(str(tmp_path / "est.wav"), 16000))
+    expected = analyze(read_wav(str(tmp_path / "est.wav")))
     for name in names:
         est = load_external_estimate(str(tmp_path / name), expected.shape)
         assert np.array_equal(est.values, expected)
@@ -610,12 +610,12 @@ def test_non_finite_estimate_file_exits_3(scene_dir, tmp_path, capsys, suffix):
     ref = os.path.join(scene_dir, "direct.wav")
     bad = str(tmp_path / f"nan{suffix}")
     if suffix == ".wav":
-        write_wav(bad, read_wav(ref, 16000))  # float32: the last 4 bytes are a sample
+        write_wav(bad, read_wav(ref))  # float32: the last 4 bytes are a sample
         with open(bad, "r+b") as handle:
             handle.seek(-4, os.SEEK_END)
             handle.write(struct.pack("<f", float("nan")))
     else:
-        values = analyze(read_wav(ref, 16000))[:, :, :1].copy()
+        values = analyze(read_wav(ref))[:, :, :1].copy()
         values[3, 4, 0] = complex(np.nan, 0.0)
         write_spectrogram(bad, values)
     rc, _, err = run_cli(capsys, "evaluate", "--est", bad, "--ref", ref,

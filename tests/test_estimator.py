@@ -193,12 +193,12 @@ def test_external_wav_is_analyzed(tmp_path):
     rng = np.random.default_rng(9)
     wave = rng.standard_normal(4000) * 0.1
     path = tmp_path / "est.wav"
-    write_wav(path, TimeSignal(wave, 16000))
-    spec = analyze(read_back := TimeSignal(wave, 16000))
+    write_wav(path, TimeSignal(wave))
+    spec = analyze(read_back := TimeSignal(wave))
     # float32 WAV quantization, so compare against the re-read wave instead
     from lodistort import read_wav
 
-    expected = analyze(read_wav(path, 16000))
+    expected = analyze(read_wav(path))
     est = load_external_estimate(path, (spec.shape[0], 257, 3))
     assert est.values.shape == (spec.shape[0], 257, 1)
     assert np.array_equal(est.values, expected)

@@ -3,6 +3,7 @@ atomic write/JSON helpers."""
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -27,9 +28,9 @@ def test_wav_float32_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4000, 2)) * 0.3
     path = tmp_path / "f32.wav"
-    write_wav(path, TimeSignal(x, 16000))
-    back = read_wav(path, expect_rate=16000)
-    assert back.sample_rate == 16000
+    write_wav(path, TimeSignal(x))
+    back = read_wav(path)
+    assert wavfile.read(path)[0] == 16000
     assert back.samples.shape == (4000, 2)
     assert np.max(np.abs(back.samples - x)) < 1e-6  # float32 quantization
 
@@ -45,10 +46,13 @@ def test_wav_pcm16_round_trip(tmp_path):
 
 
 def test_wav_rate_mismatch_raises(tmp_path):
-    path = tmp_path / "r8.wav"
-    write_wav(path, TimeSignal(np.zeros(100), 8000))
-    with pytest.raises(ValueError):
-        read_wav(path, expect_rate=16000)
+    # float32 and PCM16 files at 8 kHz: resampling is out of scope
+    for dtype in (np.float32, np.int16):
+        path = tmp_path / f"r8_{np.dtype(dtype).name}.wav"
+        wavfile.write(path, 8000, np.zeros(100, dtype=dtype))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: sample rate 8000 Hz does not match the expected 16000 Hz")):
+            read_wav(path)
 
 
 def test_wav_unsupported_encoding_raises(tmp_path):
@@ -69,17 +73,20 @@ def test_wav_garbage_bytes_raise(tmp_path):
 @pytest.mark.parametrize("shape", [(0,), (1,), (301,), (257, 3)])
 def test_wav_bytes_match_scipy_writer(tmp_path, encoding, shape):
     # write_wav writes float32 as scipy does; a PCM16 file is only read, and
-    # scipy's reads as its samples over 32768
+    # scipy's reads as its samples over 32768; a file of no samples is no signal
     rng = np.random.default_rng(len(shape) + shape[0])
-    signal = TimeSignal(rng.uniform(-1.0, 1.0, size=shape), 16000)
+    values = rng.uniform(-1.0, 1.0, size=shape)
     if encoding == "float32":
-        data = signal.samples.astype(np.float32)
+        data = values.astype(np.float32)
     else:
-        data = np.clip(np.round(signal.samples * 32768.0), -32768, 32767)
-        data = data.astype(np.int16)
+        data = np.clip(np.round(values * 32768.0), -32768, 32767).astype(np.int16)
     theirs = tmp_path / "theirs.wav"
-    wavfile.write(theirs, 16000, data[:, 0] if data.shape[1] == 1 else data)
-    back = read_wav(theirs)
+    wavfile.write(theirs, 16000, data)
+    if not len(values):
+        with pytest.raises(FormatError, match=re.escape(f"{theirs}: WAV holds no samples")):
+            read_wav(theirs)
+        return
+    signal, back = TimeSignal(values), read_wav(theirs)
     assert back.samples.shape == signal.samples.shape
     if encoding == "float32":
         path = tmp_path / "ours.wav"
@@ -87,7 +94,7 @@ def test_wav_bytes_match_scipy_writer(tmp_path, encoding, shape):
         assert path.read_bytes() == theirs.read_bytes()
         assert np.array_equal(back.samples, read_wav(path).samples)
     else:
-        assert np.array_equal(back.samples, data / 32768.0)
+        assert np.array_equal(back.samples, data.reshape(back.samples.shape) / 32768.0)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int32])
@@ -107,13 +114,13 @@ def test_wav_extensible_pcm16_reads(tmp_path):
             + b"data" + struct.pack("<I", values.nbytes) + values.tobytes())
     path = tmp_path / "ext.wav"
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
-    back = read_wav(path, expect_rate=16000)
+    back = read_wav(path)
     assert np.array_equal(back.samples, values / 32768.0)
 
 
 def test_wav_truncated_files_raise(tmp_path):
     path = tmp_path / "full.wav"
-    write_wav(path, TimeSignal(np.zeros((100, 2)), 16000))
+    write_wav(path, TimeSignal(np.zeros((100, 2))))
     raw = path.read_bytes()
     for cut in (len(raw) - 3, 40, 30, 11):
         truncated = tmp_path / f"cut{cut}.wav"
@@ -124,7 +131,7 @@ def test_wav_truncated_files_raise(tmp_path):
 
 def test_wav_non_finite_samples_raise(tmp_path):
     path = tmp_path / "nan.wav"
-    write_wav(path, TimeSignal(np.zeros((100, 2)), 16000))
+    write_wav(path, TimeSignal(np.zeros((100, 2))))
     raw = bytearray(path.read_bytes())
     for value in (float("nan"), float("inf")):
         raw[-4:] = struct.pack("<f", value)

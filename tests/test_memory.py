@@ -31,7 +31,7 @@ def test_analyze_peak_is_the_result_plus_small_blocks():
 def test_analyze_reads_a_raw_array_without_copying_it():
     # a TimeSignal copies a writeable array; analyze only checks it
     samples = np.random.default_rng(1).standard_normal((32000, 6))
-    signal_peak, _ = traced_peak(lambda: analyze(TimeSignal(samples, 16000)))
+    signal_peak, _ = traced_peak(lambda: analyze(TimeSignal(samples)))
     raw_peak, _ = traced_peak(lambda: analyze(samples))
     assert raw_peak <= signal_peak - 0.9 * samples.nbytes
     assert samples.flags.writeable

@@ -3,6 +3,7 @@ oracles."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ def test_si_sdr_accepts_time_signals():
     ref = rng.standard_normal(1000)
     est = ref + 0.1 * rng.standard_normal(1000)
     via_arrays = si_sdr(est, ref)
-    via_signals = si_sdr(TimeSignal(est, 16000), TimeSignal(ref, 16000))
+    via_signals = si_sdr(TimeSignal(est), TimeSignal(ref))
     assert via_signals == via_arrays
 
 
@@ -122,9 +123,7 @@ def test_si_sdr_validation():
     with pytest.raises(ValueError):
         si_sdr(ref, np.zeros(10))
     with pytest.raises(ValueError):
-        si_sdr(TimeSignal(ref, 16000), TimeSignal(ref, 8000))
-    with pytest.raises(ValueError):
-        si_sdr(TimeSignal(np.ones((10, 2)), 16000), TimeSignal(ref, 16000))
+        si_sdr(TimeSignal(np.ones((10, 2))), TimeSignal(ref))
     with pytest.raises(ValueError):
         si_sdr(np.ones((5, 2)), np.ones((5, 2)))
 
@@ -166,6 +165,14 @@ def test_energy_mask_always_holds_the_peak_bin_and_errors():
         assert energy_mask(mag)[0, 0]
     with pytest.raises(ValueError):
         energy_mask(np.zeros((3, 3)))
+
+
+def test_energy_mask_does_not_overflow_near_the_float_limit():
+    # squared, 1.5e154 overflows float64; the second bin is 23.5 dB down
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mask = energy_mask(np.array([[1.5e154, 1e153]]))
+    assert mask.tolist() == [[True, True]]
 
 
 # --- pdsacc ---
@@ -381,8 +388,7 @@ def _cli_test_scene(tmp_path):
     out = str(tmp_path / "scene")
     assert cli_main(["simulate", "--mics", "2", "--t60", "0.2", "--snr-db", "0",
                      "--seed", "7", "--out", out]) == 0
-    return (read_wav(f"{out}/mixture.wav", 16000),
-            read_wav(f"{out}/direct.wav", 16000))
+    return read_wav(f"{out}/mixture.wav"), read_wav(f"{out}/direct.wav")
 
 
 @pytest.mark.parametrize("source", ["cli", "suite"])

@@ -331,7 +331,7 @@ def test_spec_accepts_boundary_parameters():
 
 
 def test_all_zero_mixture_scores_minus_inf(small_scene):
-    silent = TimeSignal(np.zeros_like(small_scene.mixture.samples), 16000)
+    silent = TimeSignal(np.zeros_like(small_scene.mixture.samples))
     result = run_pipeline(silent, PipelineSpec("gev"), target=small_scene.direct_path)
     assert result.metrics["mixture"].si_sdr_db == -math.inf
     assert result.metrics["gev"].si_sdr_db == -math.inf

@@ -157,7 +157,7 @@ def test_in_place_writes_are_refused():
     # the changed content is a new signal, and so a new scene
     samples = scene.mixture.samples.copy()
     samples[:2000] *= 0.5
-    mixture = TimeSignal(samples, scene.mixture.sample_rate)
+    mixture = TimeSignal(samples)
     after = run_pipeline(mixture, spec, scene.direct_path)
     assert not np.array_equal(before.final, after.final)
     assert not np.array_equal(before.mixture_spectrogram, after.mixture_spectrogram)
@@ -177,8 +177,7 @@ def test_equal_signals_that_are_distinct_objects_run_cold(scene, monkeypatch):
     first = run_pipeline(scene, spec)
     again = run_pipeline(scene, spec)
     assert len(calls) == 2 and again.mixture_spectrogram is first.mixture_spectrogram
-    copies = [TimeSignal(s.samples.copy(), s.sample_rate)
-              for s in (scene.mixture, scene.direct_path)]
+    copies = [TimeSignal(s.samples.copy()) for s in (scene.mixture, scene.direct_path)]
     # an equal mixture, then an equal target: each is a different scene,
     # analyzed again, with bit-identical results
     second = run_pipeline(copies[0], spec, scene.direct_path)

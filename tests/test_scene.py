@@ -214,7 +214,7 @@ def test_source_scaling_rescales_noise_to_hold_snr():
     src = synth_speech_like(4000, seed=1)
     noises = [synth_noise(4000, seed=2)]
     a = render_scene(src, noises, room, snr_db=3.0, normalize=False)
-    scaled = TimeSignal(2.0 * src.samples, src.sample_rate)
+    scaled = TimeSignal(2.0 * src.samples)
     b = render_scene(scaled, noises, room, snr_db=3.0, normalize=False)
     assert np.allclose(b.direct_path.samples, 2.0 * a.direct_path.samples)
     assert np.allclose(b.reverb_residual.samples, 2.0 * a.reverb_residual.samples)
@@ -266,7 +266,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         render_scene(synth_speech_like(1000, seed=1), [], room, snr_db=5.0)
     with pytest.raises(ValueError):  # zero-energy source cannot meet an SNR
-        render_scene(TimeSignal(np.zeros(1000), 16000),
+        render_scene(TimeSignal(np.zeros(1000)),
                      [synth_noise(1000, seed=2)], room, snr_db=5.0)
 
 
@@ -279,7 +279,7 @@ def test_render_scene_rejects_an_unreachable_snr_before_convolving(monkeypatch):
     with pytest.raises(ValueError, match="without noise sources"):
         render_scene(synth_speech_like(1000, seed=1), [], room, snr_db=5.0)
     with pytest.raises(ValueError, match="no direct-path energy at the reference mic"):
-        render_scene(TimeSignal(np.zeros(1000), 16000),
+        render_scene(TimeSignal(np.zeros(1000)),
                      [synth_noise(1000, seed=2)], room, snr_db=5.0)
 
 

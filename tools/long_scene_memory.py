@@ -42,6 +42,7 @@ from lodistort import (  # noqa: E402
     PIPELINE_NAMES,
     PipelineSpec,
     RoomSpec,
+    StftConfig,
     analyze,
     compute_mask,
     default_taps,
@@ -64,7 +65,6 @@ from _memtrace import (  # noqa: E402
     wpe_field_bound,
 )
 
-SAMPLE_RATE = 16000
 SECONDS = 60
 MICS = 6
 CAP_BYTES = 5 * 2 ** 30
@@ -75,7 +75,7 @@ def peak_rss_mb():
 
 
 def make_scene(seed=11):
-    num_samples = SECONDS * SAMPLE_RATE
+    num_samples = SECONDS * StftConfig.sample_rate
     room = RoomSpec(num_mics=MICS, t60_seconds=0.6, rir_len_samples=10400,
                     direct_delay_samples=tuple(8 + k for k in range(MICS)),
                     seed=seed)
