@@ -1,8 +1,8 @@
 """The rule of every numeric parameter, in one table that PipelineSpec,
-RoomSpec, StftConfig, the library functions and the CLI all check against,
-and the rules of every array argument: its layout, with every size >= 1
-(check_shapes), a channel index within it (check_channel) and its values
-(check_finite).
+RoomSpec, the library functions and the CLI all check against, and the
+rules of every array argument: its layout, with every size >= 1
+(check_shapes, check_nonempty), a channel index within it (check_channel)
+and its values (check_finite).
 
 Integer rules take any numbers.Integral but bool, real rules ints too.
 Every check tests for the valid range, so a NaN fails it.  Every message
@@ -59,10 +59,8 @@ RULES = {
     "num_noises": Rule("--num-noises", True, 0),
     "duration_seconds": Rule("--duration", False, 0, False),
     "mic_index": Rule(None, True, 0),
-    # StftConfig
-    "window_len": Rule(None, True, 1),
-    "hop": Rule(None, True, 1),
-    "fft_len": Rule(None, True, 1),
+    # synthesize
+    "num_samples": Rule(None, True, 1),
 }
 
 
@@ -123,9 +121,15 @@ def check_shapes(**arrays):
             origin = ", ".join(dict.fromkeys(by for _, by in given.values()))
             where = f" with {where} as in {origin}" if given else ""
             raise ValueError(f"{name} must be {layout}{where}, got shape {shape}")
-        if 0 in shape:
-            raise ValueError(f"{name} must have every size >= 1, got shape {shape}")
+        check_nonempty(name, array)
     return {axis: size for axis, (size, _) in sizes.items()}
+
+
+def check_nonempty(name, array):
+    """Raise ValueError naming `name` unless every size of `array` is >= 1."""
+    shape = np.shape(array)
+    if 0 in shape:
+        raise ValueError(f"{name} must have every size >= 1, got shape {shape}")
 
 
 def check_finite(name, values, positive=False):

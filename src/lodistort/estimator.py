@@ -89,8 +89,9 @@ def corrupt_estimate(estimate, est_err_snr_db, seed):
     """Add complex Gaussian error at a fixed estimate-to-error energy ratio.
 
     The added error is scaled so 10*log10(|clean|^2 / |added|^2) equals
-    `est_err_snr_db`; +inf returns the input values unchanged.  The error's
-    real parts are drawn first, then its imaginary parts.
+    `est_err_snr_db`; +inf returns the input values unchanged, and a ratio
+    so low that the result is not finite in float64 raises ValueError.  The
+    error's real parts are drawn first, then its imaginary parts.
     """
     check("est_err_snr_db", est_err_snr_db)
     values = np.ascontiguousarray(estimate.values, dtype=np.complex128)
@@ -111,15 +112,22 @@ def corrupt_estimate(estimate, est_err_snr_db, seed):
         noise_energy += float(np.sum(np.square(draw, out=draw)))
     scale = 0.0
     if noise_energy > 0.0:
-        scale = math.sqrt(clean_energy * 10.0 ** (-est_err_snr_db / 10.0) / noise_energy)
-    noise_parts *= scale
-    noise += values
+        try:
+            scale = math.sqrt(clean_energy * 10.0 ** (-est_err_snr_db / 10.0) / noise_energy)
+        except OverflowError:  # the power of ten is past float64's range
+            scale = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        noise_parts *= scale
+        noise += values
+    if not np.isfinite(noise_parts).all():
+        raise ValueError(f"est_err_snr_db of {est_err_snr_db} dB scales the error past "
+                         "float64's range")
     return TargetEstimate(noise)
 
 
 def load_spectrogram(path):
     """Read a spectrogram file by its name: a name ending in .ldspec is an
-    LDSPEC1 file, any other a WAV file analyzed with the default StftConfig.
+    LDSPEC1 file, any other a WAV file that analyze transforms.
 
     Return:
         (complex T x F x C spectrogram, the WAV file's TimeSignal or None)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rules import check_finite, check_shapes
+from ._rules import check_finite, check_nonempty, check_shapes
 from .fsio import jsonable
 from .phase_geometry import sign_flip_probability
 from .stft import as_mono
@@ -78,6 +78,7 @@ def si_sdr(estimate, reference):
 
 def energy_mask(target_q):
     """Boolean mask of bins within ENERGY_MASK_DB of the target's peak power."""
+    check_nonempty("target_q", target_q)
     magnitude = np.abs(check_finite("target_q", target_q)).astype(np.float64, copy=False)
     peak = magnitude.max()
     if peak <= 0.0:

@@ -9,8 +9,8 @@ Stages call the library functions a manual composition would, in the same
 order, so their outputs are bit-identical to composing by hand.  The wpe
 stage runs linpred.wpe_field on any channel count; on the one channel of a
 mono run that equals linpred.wpe bit for bit.  Every run analyzes and
-resynthesizes with the default StftConfig, in whose frames the defaults of
-taps, delay and taps_fcp are counted.
+resynthesizes with the one STFT (StftConfig's constants), in whose frames
+the defaults of taps, delay and taps_fcp are counted.
 
 Calls on the same scene share their common nodes.  The memo is a weak map
 with at most one entry: the mixture object -> (a weak reference to the

@@ -18,12 +18,11 @@ float64 rounding.
 """
 
 from dataclasses import KW_ONLY, InitVar, dataclass
-from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._rules import check_fields, check_finite, check_shapes
+from ._rules import check, check_finite, check_shapes
 
 # Floor for the overlap-add window-power denominator.
 COLA_FLOOR = 1e-12
@@ -93,41 +92,22 @@ def as_mono(signal, role):
     return _checked_samples(signal, role, "N")
 
 
-@dataclass(frozen=True)
 class StftConfig:
-    """Analysis parameters: 32 ms sqrt-Hann frames, 8 ms hop at 16 kHz.
+    """The one transform, as constants: 32 ms sqrt-Hann frames with an 8 ms
+    hop at 16 kHz.  hop divides window_len, and fft_len is window_len."""
 
-    Every field is an integer >= 1 (not a bool); hop divides window_len and
-    fft_len is at least window_len."""
+    window_len = 512
+    hop = 128
+    fft_len = 512
+    sample_rate = 16000  # the rate of every signal
+    num_bins = fft_len // 2 + 1  # one-sided spectrum size
+    pad = window_len - hop  # zero padding before the first and after the last sample
 
-    window_len: int = 512
-    hop: int = 128
-    fft_len: int = 512
-    sample_rate: ClassVar[int] = 16000  # no field: the rate of every signal
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.hop > self.window_len:
-            raise ValueError("hop must not exceed window_len")
-        if self.window_len % self.hop:
-            raise ValueError("hop must divide window_len evenly")
-        if self.fft_len < self.window_len:
-            raise ValueError("fft_len must be at least window_len")
-
-    @property
-    def num_bins(self):
-        # one-sided spectrum size
-        return self.fft_len // 2 + 1
-
-    @property
-    def pad(self):
-        # zero padding applied before the first and after the last sample
-        return self.window_len - self.hop
-
-    def num_frames(self, num_samples):
+    @classmethod
+    def num_frames(cls, num_samples):
         """Frame count for a signal of `num_samples` samples."""
-        padded = num_samples + 2 * self.pad
-        return -(-padded // self.hop)
+        padded = num_samples + 2 * cls.pad
+        return -(-padded // cls.hop)
 
 
 def sqrt_hann_window(length):
@@ -143,13 +123,12 @@ def sqrt_hann_window(length):
     return np.sqrt(hann)
 
 
-def analyze(signal, cfg=StftConfig()):
+def analyze(signal):
     """Short-time Fourier transform of a (multichannel) signal.
 
     Arguments:
         signal: TimeSignal, or an array of shape [N] / [N x C] checked as
             a TimeSignal's samples are
-        cfg: StftConfig
     Return:
         complex128 spectrogram, T x F x C
     """
@@ -159,30 +138,30 @@ def analyze(signal, cfg=StftConfig()):
         samples = _columns(_checked_samples(signal, "signal"))
     num_samples, num_channels = samples.shape
 
-    num_frames = cfg.num_frames(num_samples)
+    num_frames = StftConfig.num_frames(num_samples)
     # channel-major buffer long enough that the last frame has a full window
     # of samples, so every frame is a contiguous run along the last axis
-    buf_len = (num_frames - 1) * cfg.hop + cfg.window_len
+    buf_len = (num_frames - 1) * StftConfig.hop + StftConfig.window_len
     buf = np.zeros((num_channels, buf_len))
-    buf[:, cfg.pad:cfg.pad + num_samples] = samples.T
+    buf[:, StftConfig.pad:StftConfig.pad + num_samples] = samples.T
 
     # C x T x W view: frame t starts at sample t * hop
-    frames = sliding_window_view(buf, cfg.window_len, axis=1)[:, ::cfg.hop]
-    window = sqrt_hann_window(cfg.window_len)
+    frames = sliding_window_view(buf, StftConfig.window_len, axis=1)[:, ::StftConfig.hop]
+    window = sqrt_hann_window(StftConfig.window_len)
     # a block of frames at a time, every channel, straight into the T x F x C
     # result: the windowed frames and their transform stay small and in cache
-    block = max(1, _BLOCK_BYTES // (8 * cfg.fft_len * num_channels))
-    windowed = np.empty((num_channels, min(block, num_frames), cfg.window_len))
-    spec = np.empty((num_frames, cfg.num_bins, num_channels), dtype=np.complex128)
+    block = max(1, _BLOCK_BYTES // (8 * StftConfig.fft_len * num_channels))
+    windowed = np.empty((num_channels, min(block, num_frames), StftConfig.window_len))
+    spec = np.empty((num_frames, StftConfig.num_bins, num_channels), dtype=np.complex128)
     for lo in range(0, num_frames, block):
         part = windowed[:, :min(block, num_frames - lo)]
         np.multiply(frames[:, lo:lo + part.shape[1]], window, out=part)
         spec[lo:lo + part.shape[1]] = np.fft.rfft(
-            part, n=cfg.fft_len).transpose(1, 2, 0)  # C x B x F -> B x F x C
+            part, n=StftConfig.fft_len).transpose(1, 2, 0)  # C x B x F -> B x F x C
     return spec
 
 
-def synthesize(spectrogram, cfg=StftConfig(), num_samples=None):
+def synthesize(spectrogram, num_samples=None):
     """Inverse STFT via windowed overlap-add.
 
     The overlap-added window power is computed per output sample and floored
@@ -191,44 +170,43 @@ def synthesize(spectrogram, cfg=StftConfig(), num_samples=None):
 
     Arguments:
         spectrogram: complex array, T x F or T x F x C
-        cfg: StftConfig
-        num_samples: output length; the result is truncated or zero-padded
-            to this many samples.  Defaults to the longest length whose
-            analysis would produce T frames.
+        num_samples: output length, an integer >= 1; the result is
+            truncated or zero-padded to this many samples.  Defaults to the
+            longest length whose analysis would produce T frames.
     Return:
         TimeSignal of shape num_samples x C
     """
     spec = np.asarray(spectrogram, dtype=np.complex128)
-    check_shapes(spectrogram=(spec, f"T x {cfg.num_bins} [x C]"))
+    check_shapes(spectrogram=(spec, f"T x {StftConfig.num_bins} [x C]"))
     if spec.ndim == 2:
         spec = spec[:, :, None]
     num_frames, _, num_channels = spec.shape
     if num_samples is None:
-        num_samples = max(1, num_frames * cfg.hop - 2 * cfg.pad)
+        num_samples = max(1, num_frames * StftConfig.hop - 2 * StftConfig.pad)
+    check("num_samples", num_samples)
 
-    window = sqrt_hann_window(cfg.window_len)
-    frames = np.fft.irfft(spec, n=cfg.fft_len, axis=1)[:, :cfg.window_len, :]
+    window = sqrt_hann_window(StftConfig.window_len)
+    frames = np.fft.irfft(spec, n=StftConfig.fft_len, axis=1)[:, :StftConfig.window_len, :]
     frames *= window[None, :, None]
 
     # overlap-add in hop-sized blocks: block r of frame t lands in output
     # block t + r, so each pass adds one block of every frame; passes run from
     # the last block down, adding the oldest frame first, which keeps every
     # sample's sum in the per-frame order
-    ratio = cfg.window_len // cfg.hop
-    buf_len = (num_frames - 1) * cfg.hop + cfg.window_len
+    ratio = StftConfig.window_len // StftConfig.hop
+    buf_len = (num_frames - 1) * StftConfig.hop + StftConfig.window_len
     buf = np.zeros((buf_len, num_channels))
     win_power = np.zeros(buf_len)
-    blocks = buf.reshape(-1, cfg.hop, num_channels)
-    power_blocks = win_power.reshape(-1, cfg.hop)
-    frame_blocks = frames.reshape(num_frames, ratio, cfg.hop, num_channels)
-    win_sq = (window ** 2).reshape(ratio, cfg.hop)
+    blocks = buf.reshape(-1, StftConfig.hop, num_channels)
+    power_blocks = win_power.reshape(-1, StftConfig.hop)
+    frame_blocks = frames.reshape(num_frames, ratio, StftConfig.hop, num_channels)
+    win_sq = (window ** 2).reshape(ratio, StftConfig.hop)
     for r in reversed(range(ratio)):
         blocks[r:r + num_frames] += frame_blocks[:, r]
         power_blocks[r:r + num_frames] += win_sq[r]
     buf /= np.maximum(win_power, COLA_FLOOR)[:, None]
 
     out = np.zeros((num_samples, num_channels))
-    avail = min(num_samples, buf_len - cfg.pad)
-    if avail > 0:
-        out[:avail] = buf[cfg.pad:cfg.pad + avail]
+    avail = min(num_samples, buf_len - StftConfig.pad)  # both are >= 1
+    out[:avail] = buf[StftConfig.pad:StftConfig.pad + avail]
     return TimeSignal(out, _adopt=True)

@@ -62,7 +62,7 @@ def _decode(blob, path):
     raise FormatError(f"{path}: no data chunk")
 
 
-def _encode(samples, rate):
+def _encode(samples, rate, path):
     # N x C float64 samples -> RIFF WAVE bytes of float32 samples
     num_frames, channels = samples.shape
     dtype = _SAMPLE_TYPES[_IEEE_FLOAT, 32]
@@ -71,7 +71,11 @@ def _encode(samples, rate):
                     8 * dtype.itemsize) + b"\x00\x00"
     body = b"WAVE" + _CHUNK.pack(b"fmt ", len(fmt)) + fmt
     body += _CHUNK.pack(b"fact", 4) + struct.pack("<I", num_frames)
-    payload = samples.astype(dtype).tobytes()
+    with np.errstate(over="ignore"):  # checked below
+        payload = samples.astype(dtype)
+    if not np.isfinite(payload).all():
+        raise ValueError(f"{path}: a sample is past float32's range")
+    payload = payload.tobytes()
     if len(body) + _CHUNK.size + len(payload) > 0xFFFFFFFF:
         raise ValueError("data exceeds the 4 GiB WAV file size limit")
     body += _CHUNK.pack(b"data", len(payload)) + payload
@@ -107,7 +111,8 @@ def read_wav(path):
 
 def write_wav(path, signal):
     """Write a TimeSignal to `path` atomically as float32 samples at
-    StftConfig.sample_rate (mono signals produce a 1-channel file)."""
+    StftConfig.sample_rate (mono signals produce a 1-channel file).  A
+    sample past float32's range raises ValueError, and no file is written."""
     if not isinstance(signal, TimeSignal):
         raise TypeError("write_wav expects a TimeSignal")
-    atomic_write_bytes(path, _encode(signal.samples, StftConfig.sample_rate))
+    atomic_write_bytes(path, _encode(signal.samples, StftConfig.sample_rate, path))

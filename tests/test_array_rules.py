@@ -162,10 +162,12 @@ EMPTY = np.zeros((0, 3), dtype=complex)
     ("field", lambda: ld.wpe_field(np.zeros((0, 3, 2), dtype=complex),
                                    np.ones((0, 3)), 2)),
     ("signal", lambda: ld.analyze(np.zeros(0))),
+    ("target_q", lambda: ld.energy_mask(EMPTY)),
     ("source", lambda: ld.render_scene(
         np.zeros(0), [], ld.RoomSpec(num_mics=2, t60_seconds=0.2, rir_len_samples=64),
         None)),
-], ids=["psd_floor", "pdsacc", "fcp", "wpe_field", "analyze", "render_scene"])
+], ids=["psd_floor", "pdsacc", "fcp", "wpe_field", "analyze", "energy_mask",
+        "render_scene"])
 def test_an_array_with_an_empty_axis_is_named(name, call):
     with pytest.raises(ValueError, match=rf"^{name} must have every size >= 1, "
                                          rf"got shape \(0,"):

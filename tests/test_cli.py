@@ -401,6 +401,25 @@ def test_negative_seed_exits_2(scene_dir, tmp_path, capsys, command, flags):
     assert stdout == "" and not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command, snr_db, named", [
+    ("enhance", "-4000", "est_err_snr_db"),
+    ("analyze-phase", "-4000", "est_err_snr_db"),
+    ("enhance", "-3000", "float32"),
+], ids=["enhance-past-float64", "analyze-phase-past-float64", "enhance-past-float32"])
+def test_an_error_snr_past_the_float_range_exits_2(scene_dir, tmp_path, capsys,
+                                                   command, snr_db, named):
+    # at -4000 dB the estimate's error is past float64's range; at -3000 dB it
+    # is finite, but the estimate's samples are past float32's, so no WAV
+    # file can hold them
+    out = str(tmp_path / "out")
+    flags = ("--pipeline", "mvdr", "--estimator", "oraclePhaseSensitiveMask") \
+        if command == "enhance" else ()
+    rc, stdout, err = run_cli(capsys, command, "--scene", scene_dir, *flags,
+                              f"--est-err-snr-db={snr_db}", "--out", out)
+    assert rc == 2 and "usage error" in err and named in err, err
+    assert stdout == "" and not (os.path.exists(out) and os.listdir(out))
+
+
 @pytest.mark.parametrize("argv", [
     ("--pipeline", "wpe", "--epsilon", "nan"),
     ("--pipeline", "nosuch"),

@@ -1,6 +1,8 @@
 """Oracle estimator tests: hand-evaluated mask values, energy-calibrated
 corruption, and external-estimate loading."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,27 @@ def test_corrupt_rejects_nan_snr():
         corrupt_estimate(clean, float("nan"), seed=0)
     with pytest.raises(ValueError, match="est_err_snr_db"):
         corrupt_estimate(clean, np.float64("nan"), seed=0)
+
+
+def test_corrupt_rejects_an_error_past_float64_range():
+    values = np.ones((3, 4, 1), complex)
+    clean = TargetEstimate(values)
+    for snr in (-4000.0, -3080.0):
+        with pytest.raises(ValueError, match="^est_err_snr_db"):
+            corrupt_estimate(clean, snr, seed=0)
+    # -3000 dB still scales finitely: the error is the seeded draws, real
+    # parts then imaginary, times the scale that sets the energy ratio
+    rng = np.random.default_rng(0)
+    real, imag = rng.standard_normal(values.shape), rng.standard_normal(values.shape)
+    noise_energy = float(np.sum(np.square(real))) + float(np.sum(np.square(imag)))
+    scale = math.sqrt(float(np.sum(np.square(values.view(np.float64))))
+                      * 10.0 ** (3000.0 / 10.0) / noise_energy)
+    want = np.empty_like(values)
+    want.real = real * scale + values.real
+    want.imag = imag * scale + values.imag
+    got = corrupt_estimate(clean, -3000.0, seed=0).values
+    assert np.isfinite(got).all()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_external_spectrogram_round_trip(tmp_path):

@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,20 @@ def test_wav_non_finite_samples_raise(tmp_path):
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match=str(path)):
             read_wav(path)
+
+
+@pytest.mark.parametrize("peak", [1e39, -1e39])
+def test_wav_writer_rejects_a_sample_past_float32_range(tmp_path, peak):
+    path = tmp_path / "loud.wav"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning from the cast
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            write_wav(path, TimeSignal([1.0, peak]))
+    assert list(tmp_path.iterdir()) == []
+    # float32's largest value is written and read back as it is
+    top = float(np.finfo(np.float32).max)
+    write_wav(path, TimeSignal([1.0, -top]))
+    assert read_wav(path).samples[:, 0].tolist() == [1.0, -top]
 
 
 def test_import_loads_no_scipy():

@@ -12,7 +12,6 @@ from lodistort import (
     PIPELINE_NAMES,
     PipelineSpec,
     RoomSpec,
-    StftConfig,
     TimeSignal,
     analyze,
     apply_beamformer,
@@ -124,9 +123,8 @@ def test_wpe_pipeline_matches_manual_composition(small_scene):
     for q in REF_MICS:
         taps = 6
         result = run_pipeline(small_scene, PipelineSpec("wpe", taps=taps, ref_mic=q))
-        cfg = StftConfig()
-        mix_spec = analyze(small_scene.mixture, cfg)
-        tgt_spec = analyze(small_scene.direct_path, cfg)
+        mix_spec = analyze(small_scene.mixture)
+        tgt_spec = analyze(small_scene.direct_path)
         est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect").channel(q)
         lam = psd_floor(est_q, 1e-5)
         _, manual = wpe(mix_spec, lam, taps, 3, q, 1e-8)
@@ -140,9 +138,8 @@ def test_mwmpdr_wpe_pipeline_matches_manual_composition(small_scene):
         result = run_pipeline(
             small_scene, PipelineSpec("mwmpdr_wpe", taps=taps, ref_mic=q)
         )
-        cfg = StftConfig()
-        mix_spec = analyze(small_scene.mixture, cfg)
-        tgt_spec = analyze(small_scene.direct_path, cfg)
+        mix_spec = analyze(small_scene.mixture)
+        tgt_spec = analyze(small_scene.direct_path)
         est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect").channel(q)
         lam = psd_floor(est_q, 1e-5)
         _, wfield = wpe_field(mix_spec, lam, taps, 3, 1e-8)
@@ -158,9 +155,8 @@ def test_mwmpdr_wpe_pipeline_matches_manual_composition(small_scene):
 
 def test_fcp_and_mmvdr_match_manual_composition(small_scene):
     for q in REF_MICS:
-        cfg = StftConfig()
-        mix_spec = analyze(small_scene.mixture, cfg)
-        tgt_spec = analyze(small_scene.direct_path, cfg)
+        mix_spec = analyze(small_scene.mixture)
+        tgt_spec = analyze(small_scene.direct_path)
         est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect").channel(q)
         mix_q = mix_spec[:, :, q]
 
@@ -180,9 +176,8 @@ def test_fcp_wpe_pipeline_matches_manual_composition(small_scene):
     # a mono pipeline dereverberates channel q alone, with the one-channel order
     for q in REF_MICS:
         result = run_pipeline(small_scene, PipelineSpec("fcp_wpe", ref_mic=q))
-        cfg = StftConfig()
-        mix_spec = analyze(small_scene.mixture, cfg)
-        tgt_spec = analyze(small_scene.direct_path, cfg)
+        mix_spec = analyze(small_scene.mixture)
+        tgt_spec = analyze(small_scene.direct_path)
         est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect").channel(q)
         lam = psd_floor(est_q, 1e-5)
         _, wpe_q = wpe(mix_spec[:, :, q:q + 1], lam, default_taps(1), 3, 0, 1e-8)
@@ -216,9 +211,8 @@ def test_corrupted_estimator_is_seeded(small_scene):
 
 def test_external_estimator_roundtrip(small_scene, tmp_path):
     q = 0
-    cfg = StftConfig()
-    mix_spec = analyze(small_scene.mixture, cfg)
-    tgt_spec = analyze(small_scene.direct_path, cfg)
+    mix_spec = analyze(small_scene.mixture)
+    tgt_spec = analyze(small_scene.direct_path)
     est_q = oracle_estimate(mix_spec, tgt_spec, "oracleDirect").channel(q)
     path = str(tmp_path / "estimate.ldspec")
     write_spectrogram(path, est_q)
@@ -234,8 +228,7 @@ def test_external_estimator_roundtrip(small_scene, tmp_path):
 
 def test_mixture_only_run_without_metrics(small_scene, tmp_path):
     path = str(tmp_path / "estimate.ldspec")
-    cfg = StftConfig()
-    mix_spec = analyze(small_scene.mixture, cfg)
+    mix_spec = analyze(small_scene.mixture)
     write_spectrogram(path, mix_spec[:, :, 0])
     spec = PipelineSpec("wpe", estimator="external", estimate_path=path, taps=6)
     result = run_pipeline(small_scene.mixture, spec)

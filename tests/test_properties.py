@@ -120,29 +120,20 @@ def test_mask_stays_in_unit_interval(seed, est_scale, zero_frac):
     assert np.all((mask >= 0.0) & (mask <= 1.0))
 
 
-stft_configs = st.builds(
-    lambda window, hops_per_window, extra_fft: StftConfig(
-        window_len=window, hop=window // hops_per_window,
-        fft_len=window + extra_fft),
-    window=st.sampled_from([16, 32, 64, 128, 512]),
-    hops_per_window=st.sampled_from([2, 4, 8]),
-    extra_fft=st.sampled_from([0, 2, 16]),
-)
-
-
 @PROPERTY_SETTINGS
-@given(cfg=stft_configs, num_samples=st.integers(1, 3000),
+@given(num_samples=st.integers(1, 3000),
        num_channels=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
        a=st.floats(-1e3, 1e3), b=st.floats(-1e3, 1e3))
-def test_stft_round_trip_and_linearity(cfg, num_samples, num_channels, seed, a, b):
+def test_stft_round_trip_and_linearity(num_samples, num_channels, seed, a, b):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((num_samples, num_channels))
     y = rng.standard_normal((num_samples, num_channels))
-    spec_x, spec_y = analyze(x, cfg), analyze(y, cfg)
-    assert spec_x.shape == (cfg.num_frames(num_samples), cfg.num_bins, num_channels)
-    back = synthesize(spec_x, cfg, num_samples).samples
+    spec_x, spec_y = analyze(x), analyze(y)
+    assert spec_x.shape == (StftConfig.num_frames(num_samples), StftConfig.num_bins,
+                            num_channels)
+    back = synthesize(spec_x, num_samples).samples
     assert np.max(np.abs(back - x)) < 1e-10 * max(1.0, np.max(np.abs(x)))
-    combined = analyze(a * x + b * y, cfg)
+    combined = analyze(a * x + b * y)
     scale = max(1.0, abs(a), abs(b)) * np.max(np.abs(spec_x) + np.abs(spec_y))
     assert np.max(np.abs(combined - (a * spec_x + b * spec_y))) < 1e-12 * scale
 

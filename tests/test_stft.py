@@ -16,7 +16,7 @@ import pytest
 from lodistort import StftConfig, TimeSignal, analyze, sqrt_hann_window, synthesize
 from lodistort import scene, stft, wavio
 
-CFG = StftConfig()
+CFG = StftConfig
 
 
 def oracle_window(length):
@@ -24,59 +24,59 @@ def oracle_window(length):
     return np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * n / length))
 
 
-def oracle_frames(x, cfg):
+def oracle_frames(x):
     """Gather windowed frames per the documented padded layout, T x win."""
-    pad = cfg.window_len - cfg.hop
-    num_frames = -(-(x.size + 2 * pad) // cfg.hop)
-    buf = np.zeros((num_frames - 1) * cfg.hop + cfg.window_len)
+    pad = CFG.window_len - CFG.hop
+    num_frames = -(-(x.size + 2 * pad) // CFG.hop)
+    buf = np.zeros((num_frames - 1) * CFG.hop + CFG.window_len)
     buf[pad:pad + x.size] = x
-    frames = np.empty((num_frames, cfg.window_len))
+    frames = np.empty((num_frames, CFG.window_len))
     for t in range(num_frames):
-        frames[t] = buf[t * cfg.hop:t * cfg.hop + cfg.window_len]
-    return frames * oracle_window(cfg.window_len)
+        frames[t] = buf[t * CFG.hop:t * CFG.hop + CFG.window_len]
+    return frames * oracle_window(CFG.window_len)
 
 
-def oracle_analyze(x, cfg):
+def oracle_analyze(x):
     """Explicit one-sided DFT of every oracle frame (O(T * N^2), small use only)."""
-    frames = oracle_frames(x, cfg)
-    n = np.arange(cfg.fft_len)
-    k = np.arange(cfg.num_bins)
-    dft = np.exp(-2j * np.pi * np.outer(k, n) / cfg.fft_len)  # F x fft_len
-    padded = np.zeros((frames.shape[0], cfg.fft_len))
-    padded[:, :cfg.window_len] = frames
+    frames = oracle_frames(x)
+    n = np.arange(CFG.fft_len)
+    k = np.arange(CFG.num_bins)
+    dft = np.exp(-2j * np.pi * np.outer(k, n) / CFG.fft_len)  # F x fft_len
+    padded = np.zeros((frames.shape[0], CFG.fft_len))
+    padded[:, :CFG.window_len] = frames
     return padded @ dft.T  # T x F
 
 
-def gather_analyze(samples, cfg):
+def gather_analyze(samples):
     """Index-gather framing: a T x W x C frame array, rfft along axis 1."""
     num_samples, num_channels = samples.shape
-    num_frames = cfg.num_frames(num_samples)
-    buf = np.zeros(((num_frames - 1) * cfg.hop + cfg.window_len, num_channels))
-    buf[cfg.pad:cfg.pad + num_samples] = samples
-    offsets = cfg.hop * np.arange(num_frames)
-    frames = buf[offsets[:, None] + np.arange(cfg.window_len)[None, :]]
-    window = sqrt_hann_window(cfg.window_len)
-    return np.fft.rfft(frames * window[None, :, None], n=cfg.fft_len, axis=1)
+    num_frames = CFG.num_frames(num_samples)
+    buf = np.zeros(((num_frames - 1) * CFG.hop + CFG.window_len, num_channels))
+    buf[CFG.pad:CFG.pad + num_samples] = samples
+    offsets = CFG.hop * np.arange(num_frames)
+    frames = buf[offsets[:, None] + np.arange(CFG.window_len)[None, :]]
+    window = sqrt_hann_window(CFG.window_len)
+    return np.fft.rfft(frames * window[None, :, None], n=CFG.fft_len, axis=1)
 
 
-def per_frame_synthesize(spec, cfg, num_samples):
+def per_frame_synthesize(spec, num_samples):
     """Overlap-add one frame at a time, oldest first, as synthesis once did."""
     num_frames, _, num_channels = spec.shape
-    window = sqrt_hann_window(cfg.window_len)
-    frames = np.fft.irfft(spec, n=cfg.fft_len, axis=1)[:, :cfg.window_len, :]
+    window = sqrt_hann_window(CFG.window_len)
+    frames = np.fft.irfft(spec, n=CFG.fft_len, axis=1)[:, :CFG.window_len, :]
     frames *= window[None, :, None]
-    buf_len = (num_frames - 1) * cfg.hop + cfg.window_len
+    buf_len = (num_frames - 1) * CFG.hop + CFG.window_len
     buf = np.zeros((buf_len, num_channels))
     win_power = np.zeros(buf_len)
     for t in range(num_frames):
-        start = t * cfg.hop
-        buf[start:start + cfg.window_len] += frames[t]
-        win_power[start:start + cfg.window_len] += window ** 2
+        start = t * CFG.hop
+        buf[start:start + CFG.window_len] += frames[t]
+        win_power[start:start + CFG.window_len] += window ** 2
     buf /= np.maximum(win_power, 1e-12)[:, None]
     out = np.zeros((num_samples, num_channels))
-    avail = min(num_samples, buf_len - cfg.pad)
+    avail = min(num_samples, buf_len - CFG.pad)
     if avail > 0:
-        out[:avail] = buf[cfg.pad:cfg.pad + avail]
+        out[:avail] = buf[CFG.pad:CFG.pad + avail]
     return out
 
 
@@ -127,42 +127,33 @@ def test_analysis_matches_direct_dft_oracle():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(700)
     got = analyze(TimeSignal(x))[:, :, 0]
-    want = oracle_analyze(x, CFG)
+    want = oracle_analyze(x)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_framing_matches_index_gather():
     rng = np.random.default_rng(31)
-    configs = [CFG, StftConfig(window_len=256, hop=64, fft_len=256),
-               StftConfig(window_len=400, hop=100, fft_len=512)]
-    for cfg in configs:
-        for _ in range(8):
-            num_samples = int(rng.integers(1, 5000))
-            num_channels = int(rng.integers(1, 7))
-            x = rng.standard_normal((num_samples, num_channels))
-            got = analyze(x, cfg)
-            assert got.flags.c_contiguous
-            assert np.array_equal(got, gather_analyze(x, cfg)), (cfg, x.shape)
+    for _ in range(8):
+        num_samples = int(rng.integers(1, 5000))
+        num_channels = int(rng.integers(1, 7))
+        x = rng.standard_normal((num_samples, num_channels))
+        got = analyze(x)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, gather_analyze(x)), x.shape
 
 
 def test_synthesis_matches_per_frame_overlap_add():
     rng = np.random.default_rng(41)
-    configs = [CFG,  # window/hop 4
-               StftConfig(window_len=256, hop=256, fft_len=256),  # 1
-               StftConfig(window_len=256, hop=128, fft_len=256),  # 2
-               StftConfig(window_len=256, hop=64, fft_len=1024),  # 4, padded FFT
-               StftConfig(window_len=400, hop=200, fft_len=512)]
-    for cfg in configs:
-        for num_frames in (1, 2, 5, 37):
-            for num_channels in (1, 3):
-                shape = (num_frames, cfg.num_bins, num_channels)
-                spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                default_len = max(1, num_frames * cfg.hop - 2 * cfg.pad)
-                for num_samples in (None, 1, default_len + 333):
-                    got = synthesize(spec, cfg, num_samples).samples
-                    want = per_frame_synthesize(spec, cfg, num_samples or default_len)
-                    assert got.tobytes() == want.tobytes(), (cfg, shape, num_samples)
+    for num_frames in (1, 2, 5, 37):
+        for num_channels in (1, 3):
+            shape = (num_frames, CFG.num_bins, num_channels)
+            spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            default_len = max(1, num_frames * CFG.hop - 2 * CFG.pad)
+            for num_samples in (None, 1, default_len + 333):
+                got = synthesize(spec, num_samples).samples
+                want = per_frame_synthesize(spec, num_samples or default_len)
+                assert got.tobytes() == want.tobytes(), (shape, num_samples)
 
 
 def test_bin_center_cosine_concentrates():
@@ -176,7 +167,7 @@ def test_bin_center_cosine_concentrates():
     assert np.all(np.argmax(interior, axis=1) == k0)
     # sqrt-Hann leaks more than full Hann; two bins out is still >20 dB down
     assert np.all(interior[:, k0] > 10.0 * interior[:, k0 + 2])
-    want = oracle_analyze(x, CFG)
+    want = oracle_analyze(x)
     assert np.max(np.abs(spec - want)) < 1e-9
 
 
@@ -208,7 +199,7 @@ def test_parseval_per_frame():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(2000)
     spec = analyze(TimeSignal(x))[:, :, 0]
-    frames = oracle_frames(x, CFG)
+    frames = oracle_frames(x)
     frame_energy = np.sum(frames**2, axis=1)
     weights = np.full(CFG.num_bins, 2.0)
     weights[0] = 1.0
@@ -241,31 +232,12 @@ def test_synthesize_default_length():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        StftConfig(window_len=500, hop=128)  # hop must divide window_len
-    with pytest.raises(ValueError):
-        StftConfig(window_len=512, hop=600)
-    with pytest.raises(ValueError):
-        StftConfig(fft_len=256)  # smaller than the window
-    # the sample rate is a constant, not a field
+    # the transform and the sample rate are constants, not fields
     assert StftConfig.sample_rate == StftConfig().sample_rate == 16000
     with pytest.raises(TypeError):
         StftConfig(sample_rate=8000)
-
-
-@pytest.mark.parametrize("kwargs, name", [
-    ({"window_len": 512.0}, "window_len"),
-    ({"hop": 128.0}, "hop"),
-    ({"fft_len": 512.5}, "fft_len"),
-    ({"hop": 0}, "hop"),
-    ({"fft_len": float("nan")}, "fft_len"),
-    ({"window_len": -512}, "window_len"),
-    ({"window_len": 1, "hop": True, "fft_len": 1}, "hop"),
-    ({"window_len": "512"}, "window_len"),
-])
-def test_config_fields_are_integers_of_at_least_one(kwargs, name):
-    with pytest.raises(ValueError, match=f"^{name} must be"):
-        StftConfig(**kwargs)
+    with pytest.raises(TypeError):
+        StftConfig(hop=64)  # no other transform can be picked
 
 
 @pytest.mark.parametrize("rate", [float("nan"), 16000.5, float("inf"), True, 0, -8000,
@@ -368,3 +340,6 @@ def test_analyze_rejects_bad_input():
         analyze(samples)
     with pytest.raises(ValueError):
         synthesize(np.zeros((10, 17), dtype=complex))  # wrong bin count
+    for num_samples in (-5, 0):
+        with pytest.raises(ValueError, match=f"^num_samples must be >= 1, got {num_samples}"):
+            synthesize(np.zeros((10, 257), dtype=complex), num_samples)
