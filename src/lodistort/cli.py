@@ -25,13 +25,14 @@ import numpy as np
 from ._rules import RULES, check, check_channel
 from .errors import FormatError, SingularMatrixError
 from .estimator import ORACLE_KINDS, load_spectrogram
-from .fsio import atomic_write_json, atomic_write_text, camel, from_jsonable, json_text
+from .fsio import atomic_write_bytes, atomic_write_json, atomic_write_text, camel
+from .fsio import from_jsonable, json_text
 from .metrics import ScoreReference, phase_report, score_estimate
 from .pipeline import PARAM_KEYS, PipelineSpec, list_pipelines, make_estimate
 from .pipeline import run_pipeline, write_feature_bundle
 from .scene import RoomSpec, render_scene, synth_noise, synth_speech_like
 from .stft import StftConfig, analyze, synthesize
-from .wavio import read_wav, write_wav
+from .wavio import encode_wav, read_wav, write_wav
 
 SCHEMA_VERSION = 1
 
@@ -249,12 +250,14 @@ def cmd_enhance(args):
         raise ValueError("no input scene (use --scene/--mixture or the config file)")
     result = run_pipeline(mixture, spec, target)
 
+    # every WAV is encoded before --out is made, so a stage whose samples no
+    # WAV can hold leaves it as it was
+    stage_files = {stage: f"{stage}.wav" for stage in result.waves}
+    blobs = {name: encode_wav(os.path.join(out_dir, name), result.waves[stage])
+             for stage, name in stage_files.items()}
     os.makedirs(out_dir, exist_ok=True)
-    stage_files = {}
-    for stage_name, wave in result.waves.items():
-        filename = f"{stage_name}.wav"
-        write_wav(os.path.join(out_dir, filename), wave)
-        stage_files[stage_name] = filename
+    for name, blob in blobs.items():
+        atomic_write_bytes(os.path.join(out_dir, name), blob)
     feature_paths = write_feature_bundle(result, os.path.join(out_dir, "features"))
 
     labels = {"pipelineName": spec.name, "refMic": spec.ref_mic}

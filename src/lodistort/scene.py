@@ -8,12 +8,16 @@ requested T60.  Noise sources get their own independent responses.  All
 randomness is keyed off (seed, stream, source index, mic index) so any piece
 of a scene can be regenerated in isolation, bit-identically.
 
-Each source is transformed once per scene and convolved with every mic's
-response from that one spectrum.  Each (source, mic) response is built,
-transformed and applied as one job on the worker pool linpred uses (see
-_pool), one call per scene, so the responses render in parallel; the result
-is bit-identical to convolving each source per mic, serially, with the
-source transformed anew each time.
+Convolutions run through real FFTs of the smallest 5-smooth length (prime
+factors 2, 3 and 5 only) that holds the whole result, each source is
+transformed once per scene, and a render builds the room's decay envelope
+once, for every response to take a prefix of.  The noise sources are one
+group: at each mic their spectral products are summed before one inverse
+transform, so a scene's noise equals the sum of its components rendered
+alone (render_noise_component) to rounding.  Each (group, mic) job runs on
+the worker pool linpred uses (see _pool), one call per scene; the result is
+bit-identical to the same sums computed serially with each source
+transformed anew for each response, and every response to generate_rir's.
 """
 
 import functools
@@ -83,74 +87,106 @@ class Scene:
     snr_db: float
 
 
-def _convolve_mics(sources, num_mics, kernel_len, num_out):
-    """Convolve every source with every mic's response.
+def _transform_len(num):
+    """The smallest 5-smooth length >= num: one whose only prime factors
+    are 2, 3 and 5, the factors numpy's pocketfft has dedicated real
+    transform passes for."""
+    best = 1 << (num - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power-of-two multiple of p35 that holds num
+            best = min(best, p35 << (-(-num // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
-    `sources` holds (signal, response) pairs, the signals 1-D and of one
-    length; response(m) builds mic m's response, kernel_len samples long,
-    or returns None for a zero column.  Each convolution runs through a
-    real FFT whose size is the next power of two that holds the whole
-    result, and each signal is transformed once.  Every (source, mic) pair
-    is one job on the worker pool, all in one call: the job builds the
-    response, transforms it and multiplies it into its worker's product
-    buffer with the signal's spectrum as the left operand.  numpy's SIMD
-    complex multiply is not bitwise commutative, and
+
+def _convolve_mics(groups, num_mics, kernel_len, num_out):
+    """Convolve groups of sources with every mic's response, summed per group.
+
+    Each group holds (signal, response) pairs, the signals 1-D and all of
+    one length; response(m) builds mic m's response, kernel_len samples
+    long, or returns None for a zero column.  Each convolution runs through
+    a real FFT of the smallest 5-smooth length that holds the whole result
+    (_transform_len), and each signal is transformed once.  Every (group,
+    mic) pair is one job on the worker pool, all in one call: for each of
+    its group's pairs in order, the job builds the response, transforms it
+    and multiplies it with the signal's spectrum as the left operand, and
+    adds the product to its worker's buffer; one inverse transform per job
+    follows.  numpy's SIMD complex multiply is not bitwise commutative, and
     `rfft(signal) * rfft(kernel)` multiplies into the signal's spectrum, so
     this order keeps every column bit-identical to a serial convolution
-    that transforms the signal again for each kernel.  The inverse
-    transform goes to the pair's row of a sources x num_mics x num_out
-    buffer, copied into the results once: columns of a result written from
-    two threads would share cache lines.
+    that transforms the signal again for each kernel and sums the products
+    in the same order.  The inverse transform goes to the job's row of a
+    groups x num_mics x num_out buffer, copied into the results once:
+    columns of a result written from two threads would share cache lines.
 
     Return:
-        per source, the first num_out samples of its convolutions as a
+        per group, the first num_out samples of its summed convolutions as a
         num_out x num_mics array
     """
-    num = sources[0][0].shape[0] + kernel_len - 1
-    size = 1 << (num - 1).bit_length()
-    spectra = [np.fft.rfft(signal, size) for signal, _ in sources]
-    rows = np.zeros((len(sources), num_mics, num_out))
+    signal_len = next(signal for group in groups for signal, _ in group).shape[0]
+    size = _transform_len(signal_len + kernel_len - 1)
+    spectra = [[(np.fft.rfft(signal, size), response) for signal, response in group]
+               for group in groups]
+    rows = np.zeros((len(groups), num_mics, num_out))
 
     def convolve(product, job):
-        s, m = divmod(job, num_mics)
-        kernel = sources[s][1](m)
-        if kernel is not None:
-            np.multiply(spectra[s], np.fft.rfft(kernel, size), out=product)
-            rows[s, m] = np.fft.irfft(product, size)[:num_out]
+        g, m = divmod(job, num_mics)
+        live = False
+        for spectrum, response in spectra[g]:
+            kernel = response(m)
+            if kernel is None:
+                continue
+            term = np.fft.rfft(kernel, size)
+            if live:
+                product += np.multiply(spectrum, term, out=term)
+            else:
+                np.multiply(spectrum, term, out=product)
+                live = True
+        if live:
+            rows[g, m] = np.fft.irfft(product, size)[:num_out]
 
-    jobs = range(len(sources) * num_mics)
-    _pool.run_chunks(convolve, jobs, len(jobs), lambda: np.empty_like(spectra[0]))
+    jobs = range(len(groups) * num_mics)
+    _pool.run_chunks(convolve, jobs, len(jobs),
+                     lambda: np.empty(size // 2 + 1, complex))
     return [row.T.copy() for row in rows]
 
 
-def _tap_rir(room, delay, key):
+def _gain_envelope(room):
+    """tail_gain times the decay envelope of the room's longest tail, or None
+    at t60 = 0.  A response whose tail is shorter takes its prefix: the same
+    values an envelope of its own length would hold."""
+    if room.t60_seconds == 0:
+        return None
+    tail_len = room.rir_len_samples - min(room.direct_delay_samples) - 1
+    tau = np.arange(1, tail_len + 1) / StftConfig.sample_rate
+    return room.tail_gain * np.exp(-3.0 * np.log(10.0) * tau / room.t60_seconds)
+
+
+def _tap_rir(room, gain_envelope, stream, index, mic_index):
+    delay = room.direct_delay_samples[mic_index]
     h = np.zeros(room.rir_len_samples)
     h[delay] = 1.0
     tail_len = room.rir_len_samples - delay - 1
-    if room.t60_seconds > 0 and tail_len > 0:
-        rng = np.random.default_rng(key)
-        tau = np.arange(1, tail_len + 1) / StftConfig.sample_rate
-        envelope = np.exp(-3.0 * np.log(10.0) * tau / room.t60_seconds)
-        h[delay + 1:] = room.tail_gain * envelope * rng.standard_normal(tail_len)
+    if gain_envelope is not None and tail_len > 0:
+        rng = np.random.default_rng([room.seed, stream, index, mic_index])
+        h[delay + 1:] = gain_envelope[:tail_len] * rng.standard_normal(tail_len)
     return h
 
 
 def generate_rir(room, mic_index):
     """Impulse response from the target source to one microphone."""
     check_channel("mic_index", mic_index, room.num_mics)
-    delay = room.direct_delay_samples[mic_index]
-    return _tap_rir(room, delay, [room.seed, _SOURCE_STREAM, 0, mic_index])
+    return _tap_rir(room, _gain_envelope(room), _SOURCE_STREAM, 0, mic_index)
 
 
-def _noise_rir(room, noise_index, mic_index):
-    delay = room.direct_delay_samples[mic_index]
-    return _tap_rir(room, delay, [room.seed, _NOISE_STREAM, noise_index, mic_index])
-
-
-def _live_tail(room, mic_index):
+def _live_tail(room, gain_envelope, mic_index):
     """The source response without its direct tap, or None when nothing is
     left, so t60 = 0 leaves the residual exactly zero."""
-    tail = generate_rir(room, mic_index)
+    tail = _tap_rir(room, gain_envelope, _SOURCE_STREAM, 0, mic_index)
     tail[room.direct_delay_samples[mic_index]] = 0.0
     return tail if np.any(tail) else None
 
@@ -159,13 +195,17 @@ def render_noise_component(noise, room, noise_index):
     """Convolve one noise source with its per-mic responses (unscaled).
 
     Regenerating a noise source at the same `noise_index` reproduces the exact
-    taps used inside :func:`render_scene`, so components can be rendered alone
-    and summed.
+    taps used inside :func:`render_scene`, at the same 5-smooth transform
+    length, so components can be rendered alone and summed.  The sum equals
+    the scene's unscaled noise to rounding (within 1e-12 on unit-power
+    sources), not bit for bit: the scene sums the components' spectra at each
+    mic before one inverse transform.
     """
     samples = as_mono(noise, f"noise source {noise_index}")
-    response = functools.partial(_noise_rir, room, noise_index)
-    return _convolve_mics([(samples, response)], room.num_mics, room.rir_len_samples,
-                          samples.shape[0])[0]
+    response = functools.partial(_tap_rir, room, _gain_envelope(room), _NOISE_STREAM,
+                                 noise_index)
+    return _convolve_mics([[(samples, response)]], room.num_mics,
+                          room.rir_len_samples, samples.shape[0])[0]
 
 
 def render_scene(source, noise_sources, room, snr_db, normalize=True):
@@ -203,16 +243,13 @@ def render_scene(source, noise_sources, room, snr_db, normalize=True):
     direct_energy = float(np.sum(direct[:, 0] ** 2))
     if snr_db is not None and direct_energy <= 0.0:
         raise ValueError("source has no direct-path energy at the reference mic")
-    # the residual and every noise component in one call to the pool; the
-    # components are rendered as render_noise_component renders them
-    sources = [(src, functools.partial(_live_tail, room))]
-    sources += [(samples, functools.partial(_noise_rir, room, i))
-                for i, samples in enumerate(noises)]
-    residual, *components = _convolve_mics(sources, room.num_mics,
-                                           room.rir_len_samples, num)
-    noise = np.zeros((num, room.num_mics))
-    for component in components:
-        noise += component
+    # the residual and the noise in one call to the pool: the noise sources
+    # are one group, their products summed before one inverse transform
+    envelope = _gain_envelope(room)
+    groups = [[(src, functools.partial(_live_tail, room, envelope))],
+              [(samples, functools.partial(_tap_rir, room, envelope, _NOISE_STREAM, i))
+               for i, samples in enumerate(noises)]]
+    residual, noise = _convolve_mics(groups, room.num_mics, room.rir_len_samples, num)
 
     achieved_snr = math.inf
     if noises:

@@ -109,10 +109,16 @@ def read_wav(path):
     return TimeSignal(samples, _adopt=True)  # adopted, not copied
 
 
+def encode_wav(path, signal):
+    """The bytes write_wav(path, signal) writes; `path` only names the file
+    in the ValueError raised for a sample past float32's range."""
+    if not isinstance(signal, TimeSignal):
+        raise TypeError("write_wav expects a TimeSignal")
+    return _encode(signal.samples, StftConfig.sample_rate, path)
+
+
 def write_wav(path, signal):
     """Write a TimeSignal to `path` atomically as float32 samples at
     StftConfig.sample_rate (mono signals produce a 1-channel file).  A
     sample past float32's range raises ValueError, and no file is written."""
-    if not isinstance(signal, TimeSignal):
-        raise TypeError("write_wav expects a TimeSignal")
-    atomic_write_bytes(path, _encode(signal.samples, StftConfig.sample_rate, path))
+    atomic_write_bytes(path, encode_wav(path, signal))

@@ -420,6 +420,26 @@ def test_an_error_snr_past_the_float_range_exits_2(scene_dir, tmp_path, capsys,
     assert stdout == "" and not (os.path.exists(out) and os.listdir(out))
 
 
+def test_a_refused_wav_leaves_the_output_directory_as_it_was(scene_dir, tmp_path,
+                                                             capsys):
+    # the PSM estimate at -3000 dB is past float32's range: enhance refuses
+    # it before it creates or writes anything under --out
+    argv = ("enhance", "--scene", scene_dir, "--pipeline", "mvdr",
+            "--estimator", "oraclePhaseSensitiveMask", "--est-err-snr-db=-3000")
+    fresh = str(tmp_path / "fresh")
+    rc, _, err = run_cli(capsys, *argv, "--out", fresh)
+    assert rc == 2 and "float32" in err
+    assert not os.path.exists(fresh)
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    before = {"mixture.wav": b"earlier run", "metrics.json": b"{}"}
+    for name, blob in before.items():
+        (kept / name).write_bytes(blob)
+    rc, _, err = run_cli(capsys, *argv, "--out", str(kept))
+    assert rc == 2 and "float32" in err
+    assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
+
+
 @pytest.mark.parametrize("argv", [
     ("--pipeline", "wpe", "--epsilon", "nan"),
     ("--pipeline", "nosuch"),

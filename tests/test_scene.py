@@ -1,13 +1,17 @@
 """Scene simulator tests: impulse-response structure, exact component
 additivity, SNR control, and deterministic regeneration."""
 
+import bisect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lodistort import (
     RoomSpec,
+    StftConfig,
     TimeSignal,
     generate_rir,
     render_noise_component,
@@ -16,7 +20,14 @@ from lodistort import (
     synth_speech_like,
 )
 from lodistort import scene as scene_module
-from lodistort.scene import _convolve_mics, _noise_rir
+from lodistort.scene import (
+    _NOISE_STREAM,
+    _SOURCE_STREAM,
+    _convolve_mics,
+    _gain_envelope,
+    _tap_rir,
+    _transform_len,
+)
 
 
 def make_room(**kwargs):
@@ -32,27 +43,42 @@ def test_fft_convolve_matches_direct_convolution():
         x = rng.standard_normal(int(rng.integers(1, 70)))
         h = rng.standard_normal(int(rng.integers(1, 70)))
         num = x.shape[0] + h.shape[0] - 1
-        got = _convolve_mics([(x, lambda m: h)], 1, h.shape[0], num)[0]
+        got = _convolve_mics([[(x, lambda m: h)]], 1, h.shape[0], num)[0]
         want = np.convolve(x, h)
         assert got.shape == want[:, None].shape
         scale = np.sum(np.abs(x)) * np.max(np.abs(h))
         assert np.max(np.abs(got[:, 0] - want)) <= 1e-13 * scale
 
 
-def _per_mic_convolve(signal, kernel):
+def _reference_rir(room, mic, stream, index):
+    """A response by the per-response formula: it builds its own envelope."""
+    delay = room.direct_delay_samples[mic]
+    h = np.zeros(room.rir_len_samples)
+    h[delay] = 1.0
+    tail_len = room.rir_len_samples - delay - 1
+    if room.t60_seconds > 0 and tail_len > 0:
+        rng = np.random.default_rng([room.seed, stream, index, mic])
+        tau = np.arange(1, tail_len + 1) / StftConfig.sample_rate
+        envelope = np.exp(-3.0 * np.log(10.0) * tau / room.t60_seconds)
+        h[delay + 1:] = room.tail_gain * envelope * rng.standard_normal(tail_len)
+    return h
+
+
+def _product(signal, kernel, size):
     # the reference: the signal is transformed again for every kernel
-    num = signal.shape[0] + kernel.shape[0] - 1
-    size = 1 << (num - 1).bit_length()
-    spectrum = np.fft.rfft(signal, size) * np.fft.rfft(kernel, size)
-    return np.fft.irfft(spectrum, size)[:num]
+    return np.fft.rfft(signal, size) * np.fft.rfft(kernel, size)
 
 
-def _per_mic_noise(noise, room, noise_index):
-    samples = noise.samples[:, 0]
-    num = samples.shape[0]
+def _per_mic_noise(noises, room, indices):
+    """Each mic's noise: the sources' spectral products summed in order,
+    then one inverse transform."""
+    num = noises[0].samples.shape[0]
+    size = _transform_len(num + room.rir_len_samples - 1)
     out = np.empty((num, room.num_mics))
     for m in range(room.num_mics):
-        out[:, m] = _per_mic_convolve(samples, _noise_rir(room, noise_index, m))[:num]
+        terms = [_product(nz.samples[:, 0], _reference_rir(room, m, _NOISE_STREAM, i),
+                          size) for i, nz in zip(indices, noises)]
+        out[:, m] = np.fft.irfft(sum(terms[1:], terms[0]), size)[:num]
     return out
 
 
@@ -60,19 +86,20 @@ def _per_mic_scene(source, noise_sources, room, snr_db):
     """render_scene with one signal transform per mic and response."""
     src = source.samples[:, 0]
     num = src.shape[0]
+    size = _transform_len(num + room.rir_len_samples - 1)
     direct = np.zeros((num, room.num_mics))
     residual = np.zeros((num, room.num_mics))
     for m in range(room.num_mics):
         delay = room.direct_delay_samples[m]
         if delay < num:
             direct[delay:, m] = src[:num - delay]
-        tail = generate_rir(room, m)
+        tail = _reference_rir(room, m, _SOURCE_STREAM, 0)
         tail[delay] = 0.0
         if np.any(tail):
-            residual[:, m] = _per_mic_convolve(src, tail)[:num]
+            residual[:, m] = np.fft.irfft(_product(src, tail, size), size)[:num]
     noise = np.zeros((num, room.num_mics))
-    for i, nz in enumerate(noise_sources):
-        noise += _per_mic_noise(nz, room, i)
+    if noise_sources:
+        noise = _per_mic_noise(noise_sources, room, range(len(noise_sources)))
     if noise_sources and snr_db is not None:
         direct_energy = float(np.sum(direct[:, 0] ** 2))
         noise_energy = float(np.sum(noise[:, 0] ** 2))
@@ -96,7 +123,8 @@ def _per_mic_scene(source, noise_sources, room, snr_db):
 def test_render_matches_per_mic_transforms(num_mics, t60, delays, num_noises,
                                            snr_db):
     """Transforming each source once gives the same bits as transforming it
-    again for every mic."""
+    again for every mic, with each mic's noise spectra summed before one
+    inverse transform."""
     room = RoomSpec(num_mics=num_mics, t60_seconds=t60, rir_len_samples=1500,
                     direct_delay_samples=delays, seed=17)
     num = 1000
@@ -112,7 +140,87 @@ def test_render_matches_per_mic_transforms(num_mics, t60, delays, num_noises,
         assert not np.any(scene.reverb_residual.samples)
     for i, nz in enumerate(noises):
         assert np.array_equal(render_noise_component(nz, room, i),
-                              _per_mic_noise(nz, room, i))
+                              _per_mic_noise([nz], room, [i]))
+
+
+def _five_smooth_upto(limit):
+    """Every integer 2^a 3^b 5^c <= limit, sorted."""
+    found = []
+    p5 = 1
+    while p5 <= limit:
+        p35 = p5
+        while p35 <= limit:
+            p = p35
+            while p <= limit:
+                found.append(p)
+                p *= 2
+            p35 *= 3
+        p5 *= 5
+    return sorted(found)
+
+
+_FIVE_SMOOTH = _five_smooth_upto(1 << 23)
+
+
+def _assert_next_five_smooth(n):
+    got = _transform_len(n)
+    rest = got
+    for prime in (2, 3, 5):
+        while rest % prime == 0:
+            rest //= prime
+    assert rest == 1, (n, got)
+    # the first 5-smooth number >= n: none lies in [n, got)
+    assert got == _FIVE_SMOOTH[bisect.bisect_left(_FIVE_SMOOTH, n)], (n, got)
+
+
+def test_transform_len_is_the_next_five_smooth_length():
+    for n in range(1, 5001):
+        _assert_next_five_smooth(n)
+
+
+@given(st.integers(1, 1 << 22))
+def test_transform_len_is_the_next_five_smooth_length_for_large_n(n):
+    _assert_next_five_smooth(n)
+
+
+@pytest.mark.parametrize("t60", [1e-3, 0.05, 0.4, 2.0])
+def test_responses_from_the_shared_envelope_match_the_per_response_formula(
+        monkeypatch, t60):
+    """Every response built from a room's one envelope, and every response
+    render_scene convolves, equals the one whose envelope is its own."""
+    rendered = []
+    real = scene_module._convolve_mics
+
+    def recording(groups, *args):
+        rendered.append(groups)
+        return real(groups, *args)
+
+    monkeypatch.setattr(scene_module, "_convolve_mics", recording)
+    rooms = [(2, (0, 1)), (3, (2, 0, 1)), (40, (39, 0, 17)),
+             (int(t60 * StftConfig.sample_rate) + 800, (8, 300, 12))]
+    for rir_len, delays in rooms:
+        for tail_gain in (0.0, 0.05, 0.7, 3.0):
+            room = RoomSpec(num_mics=len(delays), t60_seconds=t60,
+                            rir_len_samples=rir_len, direct_delay_samples=delays,
+                            seed=23, tail_gain=tail_gain)
+            envelope = _gain_envelope(room)
+            rendered.clear()
+            render_scene(synth_speech_like(64, seed=1),
+                         [synth_noise(64, seed=[2, i]) for i in range(2)],
+                         room, None, normalize=False)
+            [[(_, tail)], noise_group] = rendered[0]
+            for m, delay in enumerate(delays):
+                want = _reference_rir(room, m, _SOURCE_STREAM, 0)
+                assert np.array_equal(generate_rir(room, m), want)
+                want[delay] = 0.0
+                got = tail(m)
+                assert (np.array_equal(got, want) if got is not None
+                        else not np.any(want))
+                for i, (_, response) in enumerate(noise_group):
+                    want = _reference_rir(room, m, _NOISE_STREAM, i)
+                    assert np.array_equal(_tap_rir(room, envelope, _NOISE_STREAM, i, m),
+                                          want)
+                    assert np.array_equal(response(m), want)
 
 
 def test_rir_direct_tap_and_causality():
