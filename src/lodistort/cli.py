@@ -24,14 +24,14 @@ import numpy as np
 
 from ._rules import RULES, check, check_channel
 from .errors import FormatError, SingularMatrixError
-from .estimator import ORACLE_KINDS, load_spectrogram
+from .estimator import ORACLE_KINDS, read_input
 from .fsio import atomic_write_bytes, atomic_write_json, atomic_write_text, camel
 from .fsio import from_jsonable, json_text
 from .metrics import ScoreReference, phase_report, score_estimate
 from .pipeline import PARAM_KEYS, PipelineSpec, list_pipelines, make_estimate
 from .pipeline import run_pipeline, write_feature_bundle
 from .scene import RoomSpec, render_scene, synth_noise, synth_speech_like
-from .stft import StftConfig, analyze, synthesize
+from .stft import StftConfig, TimeSignal, analyze, synthesize
 from .wavio import encode_wav, read_wav, write_wav
 
 SCHEMA_VERSION = 1
@@ -286,17 +286,24 @@ def cmd_enhance(args):
 
 
 def cmd_evaluate(args):
-    inputs = {role: load_spectrogram(path) for role, path in (
+    # every file is read before any channel is checked; of a WAV file, only
+    # the picked channel is analyzed
+    inputs = {role: read_input(path) for role, path in (
         ("estimate", args.estimate),
         ("reference", args.reference),
         ("mixture", args.mixture),
     )}
 
     def pick(role):
-        spec, wave = inputs[role]
-        chan = 0 if spec.shape[2] == 1 else args.ref_mic
-        check_channel("ref_mic", chan, spec.shape[2], f"--ref-mic ({role}): ")
-        return spec[:, :, chan], wave.channel(chan) if wave else None
+        data = inputs[role]
+        is_wave = isinstance(data, TimeSignal)
+        channels = data.num_channels if is_wave else data.shape[2]
+        chan = 0 if channels == 1 else args.ref_mic
+        check_channel("ref_mic", chan, channels, f"--ref-mic ({role}): ")
+        if not is_wave:
+            return data[:, :, chan], None
+        wave = data.channel(chan)
+        return analyze(wave)[:, :, 0], wave
 
     est_spec, est_wave = pick("estimate")
     ref_spec, ref_wave = pick("reference")

@@ -14,13 +14,16 @@ import numpy as np
 from ._rules import check, check_shapes
 from .errors import FormatError
 from .specio import read_spectrogram
-from .stft import analyze
+from .stft import TimeSignal, analyze
 from .wavio import read_wav
 
 ORACLE_DIRECT = "oracleDirect"
 ORACLE_MAG_MASK = "oracleMagMask"
 ORACLE_PSM = "oraclePhaseSensitiveMask"
 ORACLE_KINDS = (ORACLE_DIRECT, ORACLE_MAG_MASK, ORACLE_PSM)
+
+# oracle_estimate's working buffers take about this many bytes each
+_BLOCK_BYTES = 2 ** 18
 
 
 @dataclass
@@ -38,6 +41,23 @@ class TargetEstimate:
         if self.values.shape[2] == 1:
             index = 0
         return self.values[:, :, index]
+
+
+def _mask(kind, mixture, target, ratio, power, scratch, positive):
+    """The mask of a block of frames, written into `ratio`, with `power`,
+    `scratch` and `positive` as working space."""
+    if kind == ORACLE_PSM:  # Re(S conj(Y)) / |Y|^2
+        np.multiply(target.real, mixture.real, out=ratio)
+        ratio += np.multiply(target.imag, mixture.imag, out=scratch)
+        np.square(mixture.real, out=power)
+        power += np.square(mixture.imag, out=scratch)
+    else:  # |S| / |Y|
+        np.abs(target, out=ratio)
+        np.abs(mixture, out=power)
+    np.greater(power, 0.0, out=positive)
+    np.divide(ratio, power, out=ratio, where=positive)
+    ratio[~positive] = 0.0
+    return np.clip(ratio, 0.0, 1.0, out=ratio)
 
 
 def oracle_estimate(mixture, target, kind):
@@ -66,22 +86,20 @@ def oracle_estimate(mixture, target, kind):
     if kind not in (ORACLE_MAG_MASK, ORACLE_PSM):
         raise ValueError(f"unknown oracle kind {kind!r}, expected one of {ORACLE_KINDS}")
 
-    if kind == ORACLE_PSM:
-        ratio = target.real * mixture.real
-        ratio += target.imag * mixture.imag
-        power = np.square(mixture.real)
-        power += np.square(mixture.imag)
-        positive = power > 0.0
-        np.divide(ratio, power, out=ratio, where=positive)
-        ratio[~positive] = 0.0
-    else:
-        mix_mag = np.abs(mixture)
-        nonzero = mix_mag > 0.0
-        ratio = np.where(nonzero, np.abs(target) / np.where(nonzero, mix_mag, 1.0), 0.0)
-    mask = np.clip(ratio, 0.0, 1.0, out=ratio)
+    # a block of frames at a time, in three float buffers of about
+    # _BLOCK_BYTES and a flag buffer, reused: no field-sized float array but
+    # the result
+    num_frames, num_bins, num_channels = mixture.shape
+    rows = max(1, _BLOCK_BYTES // (8 * num_bins * num_channels))
+    parts = np.empty((3, min(rows, num_frames), num_bins, num_channels))
+    flags = np.empty(parts.shape[1:], dtype=bool)
     values = np.empty_like(mixture)
-    np.multiply(mask, mixture.real, out=values.real)
-    np.multiply(mask, mixture.imag, out=values.imag)
+    for lo in range(0, num_frames, rows):
+        hi = min(lo + rows, num_frames)
+        mix, out = mixture[lo:hi], values[lo:hi]
+        mask = _mask(kind, mix, target[lo:hi], *parts[:, :hi - lo], flags[:hi - lo])
+        np.multiply(mask, mix.real, out=out.real)
+        np.multiply(mask, mix.imag, out=out.imag)
     return TargetEstimate(values)
 
 
@@ -125,21 +143,18 @@ def corrupt_estimate(estimate, est_err_snr_db, seed):
     return TargetEstimate(noise)
 
 
-def load_spectrogram(path):
-    """Read a spectrogram file by its name: a name ending in .ldspec is an
-    LDSPEC1 file, any other a WAV file that analyze transforms.
-
-    Return:
-        (complex T x F x C spectrogram, the WAV file's TimeSignal or None)
-    """
+def read_input(path):
+    """Read a file by its name: a name ending in .ldspec is an LDSPEC1 file,
+    read as its complex T x F x C spectrogram; any other is a WAV file, read
+    as its TimeSignal."""
     if str(path).endswith(".ldspec"):
-        return read_spectrogram(path), None
-    wave = read_wav(path)
-    return analyze(wave), wave
+        return read_spectrogram(path)
+    return read_wav(path)
 
 
 def load_external_estimate(path, expected_shape):
-    """Load an estimate from a spectrogram file read by load_spectrogram.
+    """Load an estimate from a file read by read_input; a WAV file's is
+    analyzed.
 
     The result must match the mixture's frame/bin counts and carry either 1
     channel or the full channel count.
@@ -148,7 +163,9 @@ def load_external_estimate(path, expected_shape):
         expected_shape: (T, F, P) of the mixture the estimate belongs to
     """
     num_frames, num_bins, num_channels = expected_shape
-    values, _ = load_spectrogram(path)
+    values = read_input(path)
+    if isinstance(values, TimeSignal):
+        values = analyze(values)
     if values.shape[:2] != (num_frames, num_bins):
         raise FormatError(
             f"{path}: estimate frames/bins {values.shape[:2]} do not match the "

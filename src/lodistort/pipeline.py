@@ -19,14 +19,17 @@ target are those objects (TimeSignals are read-only values, so identity is
 exact); another scene replaces the entry before anything is computed, and
 the entry goes with its mixture.  Each node is keyed by what it reads: the
 mixture's STFT by name; the scoring reference and the mixture's score by
-(ref_mic, name); the estimate by its estimator's fields (estimator,
-est_err_snr_db, seed), or None for an external estimate, whose file may
-change, and None propagates.  The estimate's wave and score append ref_mic.
-A stage's input is keyed by the spec's params_dict() values; a mono run
-appends a marker, each stage its name, and each sub-node (the masked
-covariances, the signal covariances, a wave, a score) its name.  Stage
-outputs, waves and scores are kept only when several CATALOG pipelines run
-that chain.  The target's STFT is not kept: the call that builds the
+(ref_mic, name); the estimate by (estimator, est_err_snr_db, seed, ref_mic),
+or None for an external estimate, whose file may change, and None
+propagates.  The estimate node holds what the stages read of it: a
+contiguous copy of channel ref_mic and, when the estimate has all P >= 2 of
+the mixture's channels, their signal covariances (mvdr, gev), computed once
+when the node is built; the T x F x P estimate is dropped then.  The
+estimate's wave and score append their name.  A stage's input is keyed by
+the spec's params_dict() values; a mono run appends a marker, each stage its
+name, and each sub-node (the masked covariances, a wave, a score) its name.
+Stage outputs, waves and scores are kept only when several CATALOG pipelines
+run that chain.  The target's STFT is not kept: the call that builds the
 estimate or the reference computes it and drops it on return.
 Shared arrays are read-only, and shared scores are frozen MetricsReports.
 """
@@ -42,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from . import beamform, linpred, stats
-from ._rules import check_channel, check_fields
+from ._rules import check_channel, check_fields, check_shapes
 from .estimator import ORACLE_KINDS, corrupt_estimate
 from .estimator import load_external_estimate, oracle_estimate
 from .fsio import camel
@@ -264,8 +267,8 @@ class _Context:
     field: np.ndarray  # T x F x C input of the next multichannel stage
     q: int  # reference channel within field
     ref: np.ndarray  # T x F output of the last stage at the reference mic
-    est: object  # TargetEstimate
-    est_q: np.ndarray
+    est_q: np.ndarray  # T x F estimate at the reference mic
+    est_cov: stats.CovarianceSet  # signal covariances of the estimate, or None
     nodes: dict
     key: tuple = None  # memo key of field and ref, None after an external estimate
 
@@ -295,11 +298,14 @@ def _masked_covariances(ctx):
 
 
 def _signal_covariances(ctx):
-    return stats.signal_covariances(ctx.field, ctx.est.values)
+    if ctx.est_cov is None:  # a one-channel estimate: the shape error
+        check_shapes(mixture=(ctx.field, "T x F x P"),
+                     estimate=(ctx.est_q[:, :, None], "T x F x P"))
+    return ctx.est_cov
 
 
 def _mvdr(ctx):
-    weights = beamform.mvdr(ctx.node(_signal_covariances), ctx.q, ctx.spec.loading)
+    weights = beamform.mvdr(_signal_covariances(ctx), ctx.q, ctx.spec.loading)
     return ctx.field, beamform.apply_beamformer(weights, ctx.field)
 
 
@@ -321,7 +327,7 @@ def _mcwf(ctx):
 
 
 def _gev(ctx):
-    weights = beamform.gev_ban(ctx.node(_signal_covariances), ctx.q, ctx.spec.loading)
+    weights = beamform.gev_ban(_signal_covariances(ctx), ctx.q, ctx.spec.loading)
     return ctx.field, beamform.apply_beamformer(weights, ctx.field)
 
 
@@ -337,15 +343,25 @@ _STAGES = {"wpe": _wpe, "mvdr": _mvdr, "mmvdr": _mmvdr, "mwmpdr": _mwmpdr,
            "mcwf": _mcwf, "gev": _gev, "fcp": _fcp}
 
 
+def _estimate(spec, mix_spec, tgt_spec):
+    # (a contiguous copy of channel ref_mic, the signal covariances of all
+    # P >= 2 channels or None): the estimate node, which drops the estimate
+    est = make_estimate(spec, mix_spec, tgt_spec)
+    cov = None
+    if est.values.shape[2] == mix_spec.shape[2] >= 2:
+        cov = stats.signal_covariances(mix_spec, est.values)
+    return np.ascontiguousarray(est.channel(spec.ref_mic)), cov
+
+
 def _estimate_and_reference(nodes, spec, mix_spec, target):
-    """(the estimate's key, the estimate, the ScoreReference at ref_mic or
+    """(the estimate's key, its node, the ScoreReference at ref_mic or
     None without a target).  The target's STFT is read only here: it is
     computed once if either node is, and dropped on return."""
     tgt_spec = functools.cache(lambda: target and analyze(target))
-    est_key = (None if spec.estimator == "external"
-               else (spec.estimator, spec.est_err_snr_db, spec.seed))
-    est = _node(nodes, est_key, lambda: make_estimate(spec, mix_spec, tgt_spec()))
     q = spec.ref_mic
+    est_key = (None if spec.estimator == "external"
+               else (spec.estimator, spec.est_err_snr_db, spec.seed, q))
+    est = _node(nodes, est_key, lambda: _estimate(spec, mix_spec, tgt_spec()))
     reference = target and _node(
         nodes, (q, "reference"),
         lambda: ScoreReference(tgt_spec()[:, :, q], mix_spec[:, :, q]))
@@ -385,17 +401,17 @@ def run_pipeline(scene_or_mixture, spec, target=None):
     nodes = _scene_nodes(mixture, target)
     mix_spec = _node(nodes, "mixture", lambda: analyze(mixture))  # T x F x P
     mix_q = mix_spec[:, :, q]
-    est_key, est, reference = _estimate_and_reference(nodes, spec, mix_spec, target)
-    est_q = est.channel(q)
+    est_key, (est_q, est_cov), reference = _estimate_and_reference(
+        nodes, spec, mix_spec, target)
     # stages read every parameter; None after an external estimate
     key = est_key and tuple(spec.params_dict().values())
 
     if channels == "mono":  # channel q alone, as the context's channel 0
-        ctx = _Context(spec, mix_spec[:, :, q:q + 1], 0, mix_q, est, est_q, nodes)
+        ctx = _Context(spec, mix_spec[:, :, q:q + 1], 0, mix_q, est_q, est_cov, nodes)
     else:
-        ctx = _Context(spec, mix_spec, q, mix_q, est, est_q, nodes)
+        ctx = _Context(spec, mix_spec, q, mix_q, est_q, est_cov, nodes)
     # (name, T x F output, key when kept)
-    outputs = [("estimate", est_q, est_key and est_key + (q,))]
+    outputs = [("estimate", est_q, est_key)]
     for path in _paths(spec.name):  # path ends with the stage to run
         ctx.key = key and key + path[:-1]  # the stage's input
         out_key = key and key + path if path in _KEPT else None

@@ -27,8 +27,8 @@ from ._rules import check, check_finite, check_shapes
 # Floor for the overlap-add window-power denominator.
 COLA_FLOOR = 1e-12
 
-# analyze windows and transforms its frames in blocks whose transform takes
-# about this many bytes
+# analyze and synthesize transform a block of frames at a time, whose
+# transform takes about this many bytes
 _BLOCK_BYTES = 2 ** 18
 
 
@@ -161,12 +161,48 @@ def analyze(signal):
     return spec
 
 
+def _overlap_add(spec):
+    # synthesize's buffer, the signal's first sample at pad: the windowed
+    # frames of T x F x C `spec`, overlap-added in hop-sized blocks (block r
+    # of frame t lands in output block t + r) and divided by the floored
+    # window power.  A block of frames at a time is inverse-transformed and
+    # added, one block r of each frame per pass; blocks run oldest first and
+    # passes from the last r down, so every sample adds its frames oldest
+    # first.  The working arrays die on return.
+    num_frames, _, num_channels = spec.shape
+    ratio = StftConfig.window_len // StftConfig.hop
+    buf_len = (num_frames - 1) * StftConfig.hop + StftConfig.window_len
+    buf = np.zeros((buf_len, num_channels))
+    blocks = buf.reshape(-1, StftConfig.hop, num_channels)
+    window = sqrt_hann_window(StftConfig.window_len)
+    block = max(1, _BLOCK_BYTES // (8 * StftConfig.fft_len * num_channels))
+    for lo in range(0, num_frames, block):
+        frames = np.fft.irfft(spec[lo:lo + block], n=StftConfig.fft_len, axis=1)
+        frames = frames[:, :StftConfig.window_len]
+        frames *= window[:, None]
+        frame_blocks = frames.reshape(len(frames), ratio, StftConfig.hop, num_channels)
+        for r in reversed(range(ratio)):
+            blocks[lo + r:lo + r + len(frames)] += frame_blocks[:, r]
+
+    win_power = np.zeros(buf_len)
+    power_blocks = win_power.reshape(-1, StftConfig.hop)
+    win_sq = (window ** 2).reshape(ratio, StftConfig.hop)
+    for r in reversed(range(ratio)):
+        power_blocks[r:r + num_frames] += win_sq[r]
+    buf /= np.maximum(win_power, COLA_FLOOR, out=win_power)[:, None]
+    return buf
+
+
 def synthesize(spectrogram, num_samples=None):
     """Inverse STFT via windowed overlap-add.
 
-    The overlap-added window power is computed per output sample and floored
-    at COLA_FLOOR before division, so partially covered edge samples never
-    divide by zero.
+    A block of frames at a time is inverse-transformed, windowed and added,
+    so no T x W x C array of frames is made; every sample still adds its
+    frames oldest first.  The overlap-added window power is computed per
+    output sample and floored at COLA_FLOOR before division, so partially
+    covered edge samples never divide by zero.  The result's samples are a
+    view of the overlap-add buffer, not a copy; the buffer's padding lives
+    as long as they do (3 x pad samples at the default length).
 
     Arguments:
         spectrogram: complex array, T x F or T x F x C
@@ -185,28 +221,10 @@ def synthesize(spectrogram, num_samples=None):
         num_samples = max(1, num_frames * StftConfig.hop - 2 * StftConfig.pad)
     check("num_samples", num_samples)
 
-    window = sqrt_hann_window(StftConfig.window_len)
-    frames = np.fft.irfft(spec, n=StftConfig.fft_len, axis=1)[:, :StftConfig.window_len, :]
-    frames *= window[None, :, None]
-
-    # overlap-add in hop-sized blocks: block r of frame t lands in output
-    # block t + r, so each pass adds one block of every frame; passes run from
-    # the last block down, adding the oldest frame first, which keeps every
-    # sample's sum in the per-frame order
-    ratio = StftConfig.window_len // StftConfig.hop
-    buf_len = (num_frames - 1) * StftConfig.hop + StftConfig.window_len
-    buf = np.zeros((buf_len, num_channels))
-    win_power = np.zeros(buf_len)
-    blocks = buf.reshape(-1, StftConfig.hop, num_channels)
-    power_blocks = win_power.reshape(-1, StftConfig.hop)
-    frame_blocks = frames.reshape(num_frames, ratio, StftConfig.hop, num_channels)
-    win_sq = (window ** 2).reshape(ratio, StftConfig.hop)
-    for r in reversed(range(ratio)):
-        blocks[r:r + num_frames] += frame_blocks[:, r]
-        power_blocks[r:r + num_frames] += win_sq[r]
-    buf /= np.maximum(win_power, COLA_FLOOR)[:, None]
-
-    out = np.zeros((num_samples, num_channels))
-    avail = min(num_samples, buf_len - StftConfig.pad)  # both are >= 1
-    out[:avail] = buf[StftConfig.pad:StftConfig.pad + avail]
+    buf = _overlap_add(spec)
+    # the payload: a view of the buffer, zero-padded past its end only when
+    # num_samples asks for more
+    out = buf[StftConfig.pad:StftConfig.pad + num_samples]
+    if len(out) < num_samples:
+        out = np.concatenate([out, np.zeros((num_samples - len(out), num_channels))])
     return TimeSignal(out, _adopt=True)

@@ -9,8 +9,10 @@ importing this module from the tests directory.
 
 import tracemalloc
 
+from lodistort import estimator, stft
 from lodistort.linpred import DEFAULT_DELAY, DEFAULT_TAPS_FCP, _bin_bytes, _chunk_plan
 from lodistort.stats import BLOCK_BYTES
+from lodistort.stft import StftConfig
 
 
 def traced_peak(step):
@@ -29,6 +31,24 @@ def analyze_bound(spec):
     """The result, the zero-padded samples (a quarter field) and one block
     of windowed frames and their transform; no full-size frame copies."""
     return 1.6 * spec.nbytes
+
+
+def synthesize_bound(spec):
+    """The overlap-add buffer, of which the output is a view, the window
+    power, and one block of frames with its inverse transform's copies
+    (measured under 1.3 block budgets, allowed 4): no T x W x C frames
+    array, no output copy."""
+    num_frames = spec.shape[0]
+    num_channels = spec.shape[2] if spec.ndim == 3 else 1
+    buf_len = (num_frames - 1) * StftConfig.hop + StftConfig.window_len
+    return 8 * buf_len * (num_channels + 1) + 4 * stft._BLOCK_BYTES
+
+
+def oracle_bound(values):
+    """The estimate, and one block of frames' three float buffers and flag
+    buffer (measured under 3.3 block budgets, allowed 4): no field-sized
+    mask."""
+    return values.nbytes + 4 * estimator._BLOCK_BYTES
 
 
 def _workspaces(num_frames, num_channels, taps, delay):

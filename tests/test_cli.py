@@ -16,12 +16,15 @@ import pytest
 import lodistort
 from lodistort import (
     RoomSpec,
+    TimeSignal,
     analyze,
     load_external_estimate,
     read_wav,
+    score_estimate,
     write_spectrogram,
     write_wav,
 )
+from lodistort import cli
 from lodistort.cli import build_parser, main
 from lodistort.fsio import camel
 
@@ -220,6 +223,49 @@ def test_evaluate_writes_the_run_labels(scene_dir, tmp_path, capsys):
     assert report["pipelineName"] == "x" and report["refMic"] == 1
     with open(out_path) as handle:
         assert json.load(handle) == report
+
+
+def test_evaluate_analyzes_only_the_picked_channel_of_a_wav(scene_dir, capsys,
+                                                            monkeypatch):
+    paths = {role: os.path.join(scene_dir, name) for role, name in (
+        ("estimate", "reverb.wav"), ("reference", "direct.wav"),
+        ("mixture", "mixture.wav"))}
+    analyzed = []
+
+    def recording(signal):
+        analyzed.append(np.shape(signal))
+        return analyze(signal)
+
+    monkeypatch.setattr(cli, "analyze", recording)
+    rc, out, err = run_cli(capsys, "evaluate", "--est", paths["estimate"],
+                           "--ref", paths["reference"], "--mix", paths["mixture"],
+                           "--ref-mic", "1")
+    assert rc == 0, err
+    assert analyzed == [(16000,)] * 3
+    # the scores of channel 1 of each file's multichannel STFT, bit for bit
+    waves = {role: read_wav(path) for role, path in paths.items()}
+    specs = {role: analyze(wave)[:, :, 1] for role, wave in waves.items()}
+    report = score_estimate(specs["estimate"], specs["reference"], specs["mixture"],
+                            waves["estimate"].channel(1), waves["reference"].channel(1))
+    assert json.loads(out) == {"schemaVersion": 1, **report.to_json_dict(),
+                               "pipelineName": "", "refMic": 1}
+
+
+def test_evaluate_names_the_input_short_of_the_reference_mic(scene_dir, tmp_path,
+                                                             capsys):
+    mono = str(tmp_path / "mono.wav")
+    direct = read_wav(os.path.join(scene_dir, "direct.wav"))
+    write_wav(mono, TimeSignal(direct.channel(0)))
+    stereo = os.path.join(scene_dir, "mixture.wav")
+    # a mono input is read at its one channel; the first input with fewer
+    # channels than --ref-mic asks for is named
+    for est, ref, role in ((stereo, stereo, "estimate"), (mono, stereo, "reference"),
+                           (mono, mono, "mixture")):
+        rc, _, err = run_cli(capsys, "evaluate", "--est", est, "--ref", ref,
+                             "--mix", stereo, "--ref-mic", "2")
+        assert rc == 2
+        assert (f"--ref-mic ({role}): ref_mic must be < 2, the channel count, "
+                "got 2") in err
 
 
 def test_evaluate_spectrogram_estimate(scene_dir, tmp_path, capsys):

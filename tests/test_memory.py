@@ -2,19 +2,21 @@
 
 The formulas live in tests/_memtrace.py, which also measures the steps of
 tools/long_scene_memory.py.  A "field" is the step's input spectrogram:
-T x F x C for analyze's result, wpe_field and the covariances, T x F for
-fcp.
+T x F x C for analyze's result, synthesize's input, the mask oracles,
+wpe_field and the covariances, T x F for fcp.
 """
 
 import numpy as np
+import pytest
 
-from lodistort import (TimeSignal, analyze, fcp, masked_covariances, psd_floor,
-                       read_spectrogram, signal_covariances,
-                       weighted_covariance, wpe_field, write_spectrogram)
+from lodistort import (StftConfig, TimeSignal, analyze, fcp, masked_covariances,
+                       oracle_estimate, psd_floor, read_spectrogram,
+                       signal_covariances, synthesize, weighted_covariance,
+                       wpe_field, write_spectrogram)
 from lodistort import _pool, linpred
 
-from _memtrace import (analyze_bound, covariance_bound, fcp_bound, traced_peak,
-                       wpe_field_bound)
+from _memtrace import (analyze_bound, covariance_bound, fcp_bound, oracle_bound,
+                       synthesize_bound, traced_peak, wpe_field_bound)
 
 
 def random_field(shape, seed):
@@ -35,6 +37,28 @@ def test_analyze_reads_a_raw_array_without_copying_it():
     raw_peak, _ = traced_peak(lambda: analyze(samples))
     assert raw_peak <= signal_peak - 0.9 * samples.nbytes
     assert samples.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(300, 257, 6), (4000, 257)])
+def test_synthesize_peak_is_the_buffer_and_window_power_plus_one_block(shape):
+    # the whole T x W x C array of frames does not fit: 7.4 MB against a
+    # bound of 3.2 MB for the 6-channel field, 16.4 MB against 9.2 MB mono
+    spec = random_field(shape, seed=10)
+    peak, signal = traced_peak(lambda: synthesize(spec))
+    assert peak <= synthesize_bound(spec)
+    frames_bytes = 8 * StftConfig.window_len * signal.num_channels * shape[0]
+    assert synthesize_bound(spec) < 0.6 * frames_bytes
+
+
+@pytest.mark.parametrize("kind", ["oracleMagMask", "oraclePhaseSensitiveMask"])
+def test_mask_oracle_peak_is_the_estimate_plus_one_block(kind):
+    # a 4.9 MB estimate; one field-sized float mask would take 2.5 MB more
+    # against a bound of 1 MB more
+    mixture = random_field((300, 257, 4), seed=11)
+    target = random_field((300, 257, 4), seed=12)
+    peak, est = traced_peak(lambda: oracle_estimate(mixture, target, kind))
+    assert peak <= oracle_bound(est.values)
+    assert oracle_bound(est.values) < est.values.nbytes + 0.5 * mixture.real.nbytes
 
 
 def test_wpe_field_peak_is_the_output_plus_the_chunk_budget():

@@ -220,10 +220,18 @@ def test_external_estimator_roundtrip(small_scene, tmp_path):
     got = run_pipeline(small_scene, spec).final
     _, manual = fcp(mix_spec[:, :, q], est_q, 40, 1e-3, 1e-8)
     assert np.array_equal(got, manual)
+    # a multichannel chain that reads only channel q runs on it, as on the
+    # oracle it was written from
+    chain = run_pipeline(small_scene, PipelineSpec(
+        "fcp_mwmpdr_wpe", estimator="external", estimate_path=path))
+    oracle = run_pipeline(small_scene, PipelineSpec("fcp_mwmpdr_wpe"))
+    for name in EXPECTED_STAGES["fcp_mwmpdr_wpe"]:
+        assert np.array_equal(chain.stages[name], oracle.stages[name]), name
     # a one-channel estimate cannot give the multichannel signal covariances
-    with pytest.raises(ValueError, match="estimate"):
-        run_pipeline(small_scene, PipelineSpec("gev", estimator="external",
-                                               estimate_path=path))
+    for name in ("gev", "mvdr"):
+        with pytest.raises(ValueError, match="estimate"):
+            run_pipeline(small_scene, PipelineSpec(name, estimator="external",
+                                                   estimate_path=path))
 
 
 def test_mixture_only_run_without_metrics(small_scene, tmp_path):

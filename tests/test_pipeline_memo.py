@@ -23,6 +23,7 @@ from lodistort import (
     pipeline,
     render_scene,
     run_pipeline,
+    signal_covariances,
     synth_noise,
     synth_speech_like,
     write_spectrogram,
@@ -289,17 +290,69 @@ def test_rewritten_external_estimate_is_reread(scene, tmp_path):
     assert not np.array_equal(results[0].stages["wpe"], results[1].stages["wpe"])
 
 
-def test_oracle_direct_estimate_is_the_memo_target(scene):
-    # the oracleDirect estimate holds no copy: it is the scene's frozen
-    # target STFT, read-only like every shared node
+def test_estimate_node_holds_channel_q_and_the_signal_covariances(scene):
+    # the oracleDirect estimate node holds a read-only copy of the target
+    # STFT's channel q, and the covariances of all its channels, computed
+    # when it was built; the result's estimate is that copy
     drop_memo()
-    result = run_pipeline(scene, PipelineSpec("mvdr"))
-    target = memo_nodes()[("oracleDirect", math.inf, 0)].values
-    estimate = result.stages["estimate"]
-    assert np.array_equal(target, analyze(scene.direct_path))
-    assert np.shares_memory(estimate, target)
-    assert np.array_equal(estimate, target[:, :, 0])
-    assert not target.flags.writeable and not estimate.flags.writeable
+    q = 1
+    result = run_pipeline(scene, PipelineSpec("mvdr", ref_mic=q))
+    est_q, cov = memo_nodes()[("oracleDirect", math.inf, 0, q)]
+    tgt_spec = analyze(scene.direct_path)
+    assert np.array_equal(est_q, tgt_spec[:, :, q])
+    assert est_q.flags.c_contiguous and not est_q.flags.writeable
+    assert result.stages["estimate"] is est_q
+    want = signal_covariances(result.mixture_spectrogram, tgt_spec)
+    assert np.array_equal(cov.phi_s, want.phi_s)
+    assert np.array_equal(cov.phi_v, want.phi_v)
+    assert not cov.phi_s.flags.writeable and not cov.phi_v.flags.writeable
+
+
+def test_no_multichannel_estimate_is_kept(scene, monkeypatch):
+    estimates = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            est = fn(*args, **kwargs)
+            estimates.append(weakref.ref(est.values))
+            return est
+        return wrapper
+
+    for name in ("oracle_estimate", "corrupt_estimate"):
+        monkeypatch.setattr(pipeline, name, recording(getattr(pipeline, name)))
+    drop_memo()
+    spec = PipelineSpec("mvdr", estimator="oraclePhaseSensitiveMask",
+                        est_err_snr_db=10.0)
+    result = run_pipeline(scene, spec)
+    gc.collect()
+    # the mask and its corruption were T x F x P; no node, nor the result,
+    # holds either, only the channel-q copy
+    assert len(estimates) == 2 and all(ref() is None for ref in estimates)
+    assert result.stages["estimate"].shape == result.mixture_spectrogram.shape[:2]
+    assert_same_result(result, cold_run(scene, spec))
+
+
+def test_two_reference_mics_give_two_estimate_nodes(scene, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return signal_covariances(*args)
+
+    monkeypatch.setattr(pipeline.stats, "signal_covariances", counting)
+    drop_memo()
+    base = dict(name="gev", estimator="oraclePhaseSensitiveMask", est_err_snr_db=10.0)
+    results = [run_pipeline(scene, PipelineSpec(**base, ref_mic=q)) for q in (0, 1, 0)]
+    nodes = memo_nodes()
+    first, second = (nodes[("oraclePhaseSensitiveMask", 10.0, 0, q)][0] for q in (0, 1))
+    assert len(calls) == 2
+    assert results[0].stages["estimate"] is first
+    assert results[1].stages["estimate"] is second
+    assert results[2].stages["estimate"] is first
+    assert not np.array_equal(first, second)
+    monkeypatch.undo()
+    for q, result in zip((0, 1), results):
+        assert_same_result(result, cold_run(scene, PipelineSpec(**base, ref_mic=q)))
 
 
 def test_target_stft_is_not_kept_with_a_mask_estimate(scene, monkeypatch):

@@ -144,8 +144,10 @@ def test_framing_matches_index_gather():
 
 
 def test_synthesis_matches_per_frame_overlap_add():
+    # 150 frames span several of synthesize's blocks of frames at 1 and 3
+    # channels: the blocks add every sample's frames in the per-frame order
     rng = np.random.default_rng(41)
-    for num_frames in (1, 2, 5, 37):
+    for num_frames in (1, 2, 5, 37, 150):
         for num_channels in (1, 3):
             shape = (num_frames, CFG.num_bins, num_channels)
             spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
