@@ -2,10 +2,10 @@
 
 Subcommands:
     simulate        render a seeded multichannel scene to WAV files
-    enhance         run a named pipeline over a scene, write per-stage outputs
+    enhance         run a chain of stages over a scene, write per-stage outputs
     evaluate        score an estimate against reference and mixture
     analyze-phase   per-scene phase-geometry statistics as JSON
-    list-pipelines  the pipeline catalog as JSON
+    list-pipelines  the default pipelines' stages and channel use as JSON
 
 Each numeric flag and config value is checked once, against its one rule,
 before any file is read or written, and a bad flag's message names the flag.
@@ -28,7 +28,7 @@ from .estimator import ORACLE_KINDS, read_input
 from .fsio import atomic_write_bytes, atomic_write_json, atomic_write_text, camel
 from .fsio import from_jsonable, json_text
 from .metrics import ScoreReference, phase_report, score_estimate
-from .pipeline import PARAM_KEYS, PipelineSpec, list_pipelines, make_estimate
+from .pipeline import NAME_RULE, PARAM_KEYS, PipelineSpec, list_pipelines, make_estimate
 from .pipeline import run_pipeline, write_feature_bundle
 from .scene import RoomSpec, render_scene, synth_noise, synth_speech_like
 from .stft import StftConfig, TimeSignal, analyze, synthesize
@@ -86,7 +86,7 @@ def build_parser():
     enh.add_argument("--scene", help="scene directory written by `simulate`")
     enh.add_argument("--mixture", help="mixture WAV (alternative to --scene)")
     enh.add_argument("--target", help="clean target WAV (for oracles/metrics)")
-    enh.add_argument("--pipeline", help="pipeline name (see list-pipelines)")
+    enh.add_argument("--pipeline", help=f"chain of stages {NAME_RULE}, such as fcp_wpe")
     enh.add_argument("--out", help="output directory")
     enh.add_argument("--config",
                      help="JSON config {pipeline, params, scene|mixture, target, "
@@ -112,8 +112,8 @@ def build_parser():
     ap.add_argument("--out", help="write the statistics here as well")
     ap.set_defaults(func=cmd_analyze_phase)
 
-    lp = sub.add_parser("list-pipelines", help="pipeline catalog as JSON")
-    lp.add_argument("--out", help="write the catalog here as well")
+    lp = sub.add_parser("list-pipelines", help="the default pipelines as JSON")
+    lp.add_argument("--out", help="write the list here as well")
     lp.set_defaults(func=cmd_list_pipelines)
     return parser
 

@@ -1,16 +1,19 @@
-"""Named estimation pipelines.
+"""Estimation pipelines, each named by its chain of stages.
 
-A pipeline's name is its chain of stages, newest first: fcp_mwmpdr_wpe
-runs wpe, then mwmpdr, then fcp (_stages).  CATALOG gives each name only its
-channel use and description.  run_pipeline runs exactly that chain: the
-estimator, then one _STAGES function per stage over a per-run context,
-naming each output by the chain so far (wpe -> mwmpdr_wpe -> fcp_mwmpdr_wpe).
-Stages call the library functions a manual composition would, in the same
-order, so their outputs are bit-identical to composing by hand.  The wpe
-stage runs linpred.wpe_field on any channel count; on the one channel of a
-mono run that equals linpred.wpe bit for bit.  Every run analyzes and
-resynthesizes with the one STFT (StftConfig's constants), in whose frames
-the defaults of taps, delay and taps_fcp are counted.
+A name spells its chain, newest stage first: fcp_mwmpdr_wpe runs wpe, then
+mwmpdr, then fcp (_stages).  Any chain NAME_RULE spells runs: an optional
+fcp, at most one beamformer and an optional wpe (wpe after a beamformer
+would dereverberate the unbeamformed field).  A beamformer needs P >= 2
+channels; without one, fcp runs on channel ref_mic alone (_channels).
+PIPELINE_NAMES is the default set.  run_pipeline runs the estimator, then
+one _STAGES function per stage over a per-run context, naming each output
+by the chain so far (wpe -> mwmpdr_wpe -> fcp_mwmpdr_wpe).  Stages call the
+library functions a manual composition would, in the same order, so their
+outputs are bit-identical to composing by hand.  The wpe stage runs
+linpred.wpe_field on any channel count; on the one channel of a mono run
+that equals linpred.wpe bit for bit.  Every run analyzes and resynthesizes
+with the one STFT (StftConfig's constants), in whose frames the defaults of
+taps, delay and taps_fcp are counted.
 
 Calls on the same scene share their common nodes.  The memo is a weak map
 with at most one entry: the mixture object -> (a weak reference to the
@@ -28,13 +31,15 @@ when the node is built; the T x F x P estimate is dropped then.  The
 estimate's wave and score append their name.  A stage's input is keyed by
 the spec's params_dict() values; a mono run appends a marker, each stage its
 name, and each sub-node (the masked covariances, a wave, a score) its name.
-Stage outputs, waves and scores are kept only when several CATALOG pipelines
-run that chain.  The target's STFT is not kept: the call that builds the
-estimate or the reference computes it and drops it on return.
+Stage outputs, waves and scores are kept only when several default
+pipelines run that chain; other chains reuse them.  The target's STFT is
+not kept: the call that builds the estimate or the reference computes it
+and drops it on return.
 Shared arrays are read-only, and shared scores are frozen MetricsReports.
 """
 
 import functools
+import itertools
 import math
 import os
 import threading
@@ -68,34 +73,15 @@ def default_taps(num_channels):
     return _TAP_TABLE[best]
 
 
-# name -> (channel use: "mono" (channel q only), "any", or "multi" (P >= 2),
-# description); the name spells the stages (_stages)
-CATALOG = {
-    "wpe": ("any",
-            "delayed linear-prediction dereverberation of the reference channel"),
-    "fcp": ("mono",
-            "forward-filter compensation of the mixture against the estimate"),
-    "fcp_wpe": ("mono",
-                "single-channel dereverberation followed by forward-filter compensation"),
-    "mvdr": ("multi",
-             "distortionless beamformer from estimate/residual covariances"),
-    "mmvdr": ("multi",
-              "distortionless beamformer from mask-weighted mixture covariances"),
-    "mmvdr_wpe": ("multi",
-                  "per-mic dereverberation, then mask-based distortionless beamformer"),
-    "mwmpdr_wpe": ("multi", "per-mic dereverberation, then power-weighted "
-                   "distortionless beamformer"),
-    "mcwf_wpe": ("multi",
-                 "per-mic dereverberation, then multichannel Wiener filter"),
-    "fcp_mwmpdr_wpe": ("multi", "dereverberation, power-weighted beamforming, "
-                       "forward-filter compensation"),
-    "gev": ("multi",
-            "generalized-eigenvector beamformer with blind analytic normalization"),
-    "mcwf": ("multi",
-             "multichannel Wiener filter regressing the mixture onto the estimate"),
-}
+_BEAMFORMERS = ("mvdr", "mmvdr", "mwmpdr", "mcwf", "gev")
+NAME_RULE = f"[fcp_][{'|'.join(b + '_' for b in _BEAMFORMERS)}][wpe]"
+# every chain NAME_RULE spells, with at least one stage
+_CHAINS = {"_".join(filter(None, parts)) for parts in itertools.product(
+    ("fcp", None), _BEAMFORMERS + (None,), ("wpe", None))} - {""}
 
-PIPELINE_NAMES = tuple(CATALOG)
+# the default set: the chains the test suite and the benchmark run
+PIPELINE_NAMES = ("wpe", "fcp", "fcp_wpe", "mvdr", "mmvdr", "mmvdr_wpe",
+                  "mwmpdr_wpe", "mcwf_wpe", "fcp_mwmpdr_wpe", "gev", "mcwf")
 
 
 def _stages(name):
@@ -103,23 +89,31 @@ def _stages(name):
     return tuple(name.split("_")[::-1])
 
 
+def _channels(name):
+    # "multi" (P >= 2), "mono" (channel q only) or "any"
+    stages = set(_stages(name))
+    return ("multi" if stages & set(_BEAMFORMERS) else
+            "mono" if "fcp" in stages else "any")
+
+
 def _paths(name):
     # each stage output's key less the estimate's: a mono marker, the stages so far
-    head = ("mono",) if CATALOG[name][0] == "mono" else ()
+    head = ("mono",) if _channels(name) == "mono" else ()
     stages = _stages(name)
     return [head + stages[:k] for k in range(1, len(stages) + 1)]
 
 
-# chains several pipelines run: only their outputs, waves and scores are kept
-_RUN = [path for name in CATALOG for path in _paths(name)]
+# chains several default pipelines run: only their outputs, waves and scores are kept
+_RUN = [path for name in PIPELINE_NAMES for path in _paths(name)]
 _KEPT = {path for path in _RUN if _RUN.count(path) > 1}
 
 
 def list_pipelines():
-    """Catalog of pipeline names with their stage diagrams."""
-    return {name: {"stages": ["estimator", *_stages(name)], "channels": channels,
-                   "description": description}
-            for name, (channels, description) in CATALOG.items()}
+    """The default pipelines with their stages, channel use and description."""
+    return {name: {"stages": ["estimator", *_stages(name)], "channels": _channels(name),
+                   "description": ", then ".join(_STAGES[stage].__doc__
+                                                 for stage in _stages(name))}
+            for name in PIPELINE_NAMES}
 
 
 @dataclass(frozen=True)
@@ -127,7 +121,8 @@ class PipelineSpec:
     """Configuration of one pipeline run.
 
     Attributes:
-        name: one of PIPELINE_NAMES
+        name: a chain of stages as NAME_RULE spells it, newest stage
+            first, such as fcp_mcwf_wpe; PIPELINE_NAMES is the default set
         estimator: one of ORACLE_KINDS, or "external", which reads
             estimate_path (only it does); finite est_err_snr_db corrupts
             an oracle estimate
@@ -153,10 +148,9 @@ class PipelineSpec:
     estimate_path: str = None
 
     def __post_init__(self):
-        if self.name not in CATALOG:
-            raise ValueError(
-                f"unknown pipeline {self.name!r}; valid names: {', '.join(CATALOG)}"
-            )
+        if self.name not in _CHAINS:
+            raise ValueError(f"unknown pipeline {self.name!r}; a name spells "
+                             f"{NAME_RULE}, at least one stage")
         # only taps may be None: its default follows the channel count; the
         # upper bound of ref_mic needs the scene's, so run_pipeline checks it
         check_fields(self, optional=("taps",))
@@ -284,6 +278,7 @@ class _Context:
 
 
 def _wpe(ctx):
+    """delayed linear-prediction dereverberation"""
     spec = ctx.spec
     taps = spec.taps or default_taps(ctx.field.shape[2])
     field = linpred.wpe_field(ctx.field, ctx.lam, taps, spec.delay, spec.loading)[1]
@@ -305,16 +300,19 @@ def _signal_covariances(ctx):
 
 
 def _mvdr(ctx):
+    """distortionless beamformer from estimate/residual covariances"""
     weights = beamform.mvdr(_signal_covariances(ctx), ctx.q, ctx.spec.loading)
     return ctx.field, beamform.apply_beamformer(weights, ctx.field)
 
 
 def _mmvdr(ctx):
+    """distortionless beamformer from mask-weighted covariances"""
     weights = beamform.mvdr(ctx.node(_masked_covariances), ctx.q, ctx.spec.loading)
     return ctx.field, beamform.apply_beamformer(weights, ctx.field)
 
 
 def _mwmpdr(ctx):
+    """power-weighted distortionless beamformer"""
     steering = ctx.node(_masked_covariances).steering
     phi_y_prime = stats.weighted_covariance(ctx.field, ctx.lam)
     weights = beamform.wmpdr(phi_y_prime, steering, ctx.q, ctx.spec.loading)
@@ -322,23 +320,26 @@ def _mwmpdr(ctx):
 
 
 def _mcwf(ctx):
+    """multichannel Wiener filter regressing the input onto the estimate"""
     weights = beamform.mcwf(ctx.field, ctx.est_q, ctx.spec.loading)
     return ctx.field, beamform.apply_beamformer(weights, ctx.field)
 
 
 def _gev(ctx):
+    """generalized-eigenvector beamformer with blind analytic normalization"""
     weights = beamform.gev_ban(_signal_covariances(ctx), ctx.q, ctx.spec.loading)
     return ctx.field, beamform.apply_beamformer(weights, ctx.field)
 
 
 def _fcp(ctx):
+    """forward-filter compensation against the estimate"""
     spec = ctx.spec
     _, out = linpred.fcp(ctx.ref, ctx.est_q, spec.taps_fcp, spec.epsilon_fcp,
                          spec.loading)
     return ctx.field, out
 
 
-# CATALOG stage name -> function of the run context returning (field, T x F output)
+# stage name -> function of the run context returning (field, T x F output)
 _STAGES = {"wpe": _wpe, "mvdr": _mvdr, "mmvdr": _mmvdr, "mwmpdr": _mwmpdr,
            "mcwf": _mcwf, "gev": _gev, "fcp": _fcp}
 
@@ -369,7 +370,7 @@ def _estimate_and_reference(nodes, spec, mix_spec, target):
 
 
 def run_pipeline(scene_or_mixture, spec, target=None):
-    """Run one named pipeline on a scene or a raw mixture.
+    """Run the chain spec.name spells on a scene or a raw mixture.
 
     Arguments:
         scene_or_mixture: Scene (target defaults to its direct path) or
@@ -389,7 +390,7 @@ def run_pipeline(scene_or_mixture, spec, target=None):
     else:
         raise TypeError("expected a Scene or TimeSignal")
 
-    channels = CATALOG[spec.name][0]
+    channels = _channels(spec.name)
     num_mics = mixture.num_channels
     if channels == "multi" and num_mics < 2:
         raise ValueError(f"pipeline {spec.name!r} needs at least 2 channels")

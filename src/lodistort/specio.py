@@ -43,8 +43,6 @@ def read_spectrogram(path):
     LDSPEC1, whose size disagrees with the header, or that hold NaN or inf
     raise FormatError.
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     with open(path, "rb") as handle:
         head = handle.read(len(MAGIC) + _HEADER.size)
         if len(head) < len(MAGIC) + _HEADER.size or not head.startswith(MAGIC):

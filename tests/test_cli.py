@@ -517,6 +517,36 @@ def test_unknown_pipeline_exits_2(scene_dir, tmp_path, capsys):
     assert "unknown pipeline" in err
 
 
+def test_enhance_runs_a_chain_outside_the_default_set(scene_dir, tmp_path, capsys):
+    run_dir = str(tmp_path / "run")
+    rc, out, err = run_cli(capsys, "enhance", "--scene", scene_dir,
+                           "--pipeline", "fcp_mcwf_wpe", "--taps", "6",
+                           "--out", run_dir)
+    assert rc == 0, err
+    assert out.startswith("fcp_mcwf_wpe: ")
+    stages = ["estimate", "fcp_mcwf_wpe", "mcwf_wpe", "wpe"]
+    assert sorted(os.listdir(run_dir)) == sorted(
+        [f"{stage}.wav" for stage in stages] + ["features", "metrics.json"])
+    assert sorted(os.listdir(os.path.join(run_dir, "features"))) == sorted(
+        f"{stage}.ldspec" for stage in stages + ["mixture"])
+    with open(os.path.join(run_dir, "metrics.json")) as handle:
+        report = json.load(handle)
+    assert report["pipelineName"] == "fcp_mcwf_wpe"
+    assert set(report["stages"]) == {"mixture", *stages}
+
+
+def test_a_name_the_rule_refuses_exits_2(scene_dir, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    rc, stdout, err = run_cli(capsys, "enhance", "--scene", scene_dir,
+                              "--pipeline", "wpe_mvdr", "--out", out)
+    assert rc == 2 and "usage error" in err
+    assert "unknown pipeline 'wpe_mvdr'" in err
+    assert "[fcp_][mvdr_|mmvdr_|mwmpdr_|mcwf_|gev_][wpe]" in err
+    assert stdout == "" and not os.path.exists(out)
+    rc, stdout, _ = run_cli(capsys, "enhance", "--help")
+    assert rc == 0 and "[fcp_][mvdr_|mmvdr_|mwmpdr_|mcwf_|gev_][wpe]" in stdout
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--epsilon", "nan"),
     ("--epsilon-fcp", "0"),

@@ -1,5 +1,5 @@
-"""Named pipelines: catalog contracts, bit-identical manual composition,
-determinism, and suite-level quality orderings."""
+"""Named pipelines: the name rule, the default set, bit-identical manual
+composition, determinism, and suite-level quality orderings."""
 
 import math
 import os
@@ -51,6 +51,27 @@ EXPECTED_STAGES = {
     "mcwf": ["estimate", "mcwf"],
 }
 
+# the default set, in order, with each name's channel use
+DEFAULT_CHANNELS = {
+    "wpe": "any", "fcp": "mono", "fcp_wpe": "mono", "mvdr": "multi",
+    "mmvdr": "multi", "mmvdr_wpe": "multi", "mwmpdr_wpe": "multi",
+    "mcwf_wpe": "multi", "fcp_mwmpdr_wpe": "multi", "gev": "multi", "mcwf": "multi",
+}
+
+BEAMFORMERS = ("mvdr", "mmvdr", "mwmpdr", "mcwf", "gev")
+NAME_RULE = "[fcp_][mvdr_|mmvdr_|mwmpdr_|mcwf_|gev_][wpe]"
+# every chain the rule spells: an optional fcp, at most one beamformer, an
+# optional wpe, at least one stage
+CHAINS = [name for name in ("_".join(filter(None, (f, b, w)))
+                            for f in ("fcp", "") for b in (*BEAMFORMERS, "")
+                            for w in ("wpe", "")) if name]
+
+
+def chain_stages(name):
+    # "estimate", then each prefix of the chain, named newest stage first
+    stages = name.split("_")[::-1]
+    return ["estimate"] + ["_".join(stages[:k][::-1]) for k in range(1, len(stages) + 1)]
+
 
 @pytest.fixture(scope="module")
 def small_scene():
@@ -66,14 +87,51 @@ def small_scene():
 
 def test_catalog_contents():
     listed = list_pipelines()
-    assert len(listed) == 11
-    assert set(PIPELINE_NAMES) == set(EXPECTED_STAGES)
-    assert set(listed) == set(PIPELINE_NAMES)
+    assert PIPELINE_NAMES == tuple(DEFAULT_CHANNELS)
+    assert list(listed) == list(PIPELINE_NAMES)
     assert listed["fcp_mwmpdr_wpe"]["stages"] == ["estimator", "wpe", "mwmpdr", "fcp"]
     for name, entry in listed.items():
-        assert entry["stages"][0] == "estimator", name
-        assert entry["channels"] in ("mono", "any", "multi")
+        assert entry["stages"] == ["estimator", *name.split("_")[::-1]], name
+        assert entry["channels"] == DEFAULT_CHANNELS[name], name
         assert entry["description"]
+        assert chain_stages(name) == EXPECTED_STAGES[name]
+
+
+def test_every_chain_the_rule_spells_runs(small_scene):
+    assert len(CHAINS) == len(set(CHAINS)) == 23
+    assert set(PIPELINE_NAMES) < set(CHAINS)
+    for name in CHAINS:
+        result = run_pipeline(small_scene, PipelineSpec(name, taps=6))
+        assert list(result.stages) == chain_stages(name), name
+        assert result.final is result.stages[name]
+        assert set(result.metrics) == set(result.stages) | {"mixture"}
+        assert all(np.all(np.isfinite(out)) for out in result.stages.values()), name
+
+
+def test_one_channel_runs_every_chain_without_a_beamformer():
+    mono = render_scene(
+        synth_speech_like(16000, seed=[4, 1]),
+        [synth_noise(16000, seed=[4, 2])],
+        RoomSpec(num_mics=1, t60_seconds=0.3, rir_len_samples=2048, seed=4),
+        snr_db=0.0,
+    )
+    for name in CHAINS:
+        spec = PipelineSpec(name, taps=6)
+        if set(name.split("_")) & set(BEAMFORMERS):
+            with pytest.raises(ValueError, match="needs at least 2 channels"):
+                run_pipeline(mono, spec)
+        else:
+            assert list(run_pipeline(mono, spec).stages) == chain_stages(name)
+
+
+@pytest.mark.parametrize("name", [
+    "wpe_mvdr", "mvdr_mcwf", "wpe_wpe", "fcp_fcp", "", "fcp__wpe", "_wpe",
+    "mono", "wpe_mono", "MVDR",
+])
+def test_malformed_names_are_refused_by_the_rule(name):
+    with pytest.raises(ValueError, match="unknown pipeline") as caught:
+        PipelineSpec(name)
+    assert NAME_RULE in str(caught.value)
 
 
 def test_every_name_constructs_a_spec():

@@ -26,6 +26,7 @@ from lodistort import (
     signal_covariances,
     synth_noise,
     synth_speech_like,
+    wpe_field,
     write_spectrogram,
 )
 from lodistort.metrics import ScoreReference
@@ -147,6 +148,31 @@ def test_every_shared_node_and_only_those_are_kept(scene, monkeypatch):
     assert unshared() is None
     assert shared() is not None
     assert len(pipeline._memo) == 1
+
+
+def test_a_chain_outside_the_default_set_reuses_kept_prefixes(scene, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return wpe_field(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline.linpred, "wpe_field", counting)
+    drop_memo()
+    first = run_pipeline(scene, PipelineSpec("mwmpdr_wpe", taps=6))
+    kept = set(memo_nodes())
+    second = run_pipeline(scene, PipelineSpec("mvdr_wpe", taps=6))
+    # mvdr_wpe reads the multichannel wpe field the default set keeps, and
+    # keeps nothing of its own
+    assert len(calls) == 1
+    assert second.stages["wpe"] is first.stages["wpe"]
+    assert not second.stages["wpe"].flags.writeable
+    assert set(memo_nodes()) == kept
+    after = run_pipeline(scene, PipelineSpec("fcp_mwmpdr_wpe", taps=6))
+    monkeypatch.undo()
+    drop_memo()
+    run_pipeline(scene, PipelineSpec("mwmpdr_wpe", taps=6))
+    assert_same_result(after, run_pipeline(scene, PipelineSpec("fcp_mwmpdr_wpe", taps=6)))
 
 
 def test_in_place_writes_are_refused():

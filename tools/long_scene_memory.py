@@ -23,11 +23,11 @@ start, the peaks of the steps whose memory grows with the field:
 
 A step's peak counts its output and its transients, not its inputs.  The
 last line of standard output is the JSON result, with the process's peak
-RSS (ru_maxrss) after the pipelines, before the step measurements, also in
-T x F x C fields.  The probe exits 1 if the peak RSS is above
-RSS_BOUND_FIELDS fields, if a step's peak is above the bound
-tests/test_memory.py holds it to (tests/_memtrace.py), or if the pipelines
-exceed the cap.
+RSS (ru_maxrss) after the pipelines, before the step measurements, in MB
+(1e6 bytes, the unit of fieldMb) and in T x F x C fields.  The probe exits
+1 if the peak RSS is above RSS_BOUND_FIELDS fields, if a step's peak is
+above the bound tests/test_memory.py holds it to (tests/_memtrace.py), or
+if the pipelines exceed the cap.
 
 It takes about 30 s and 1.2 GB on a 2-core Xeon, too long for Tier-1.
 """
@@ -75,13 +75,14 @@ SECONDS = 60
 MICS = 6
 CAP_BYTES = 5 * 2 ** 30
 # bound of the process's peak RSS, interpreter and libraries included, in
-# T x F x C fields (185 MB each): measured 4.63 (817 MiB) with the estimate
-# kept as one channel and its covariances, 5.62 (993 MiB) with all six kept
+# T x F x C fields (185 MB each): measured 4.63 (857 MB) with the estimate
+# kept as one channel and its covariances, 5.62 (1041 MB) with all six kept
 RSS_BOUND_FIELDS = 5.0
 
 
-def peak_rss_mb():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+def peak_rss_bytes():
+    # Linux counts ru_maxrss in KiB
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
 def make_scene(seed=11):
@@ -105,7 +106,7 @@ def main():
     for name in PIPELINE_NAMES:
         run_pipeline(scene, PipelineSpec(name))
     pipelines_s = time.perf_counter() - start
-    rss_mb = peak_rss_mb()
+    rss_bytes = peak_rss_bytes()
 
     # the steps as the pipelines call them, at mic 0 of the oracleDirect run
     mix, tgt = analyze(scene.mixture), analyze(scene.direct_path)
@@ -144,8 +145,8 @@ def main():
         "monoFieldMb": mono_bytes / 1e6,
         "capGib": CAP_BYTES / 2 ** 30,
         "pipelinesS": pipelines_s,
-        "peakRssMb": rss_mb,
-        "peakRssFields": round(rss_mb * 2 ** 20 / field_bytes, 3),
+        "peakRssMb": rss_bytes / 1e6,
+        "peakRssFields": round(rss_bytes / field_bytes, 3),
         "rssBoundFields": RSS_BOUND_FIELDS,
         "stepPeakFields": {name: round(peak, 3)
                            for name, (peak, _) in steps.items()},
@@ -156,7 +157,7 @@ def main():
     over = [name for name, (peak, bound) in steps.items() if peak > bound]
     if over:
         print("step peak above its bound: " + ", ".join(over), file=sys.stderr)
-    if rss_mb * 2 ** 20 > RSS_BOUND_FIELDS * field_bytes:
+    if rss_bytes > RSS_BOUND_FIELDS * field_bytes:
         print(f"peak RSS above {RSS_BOUND_FIELDS} fields", file=sys.stderr)
         over.append("peakRss")
     if over:
