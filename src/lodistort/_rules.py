@@ -1,8 +1,9 @@
 """The rule of every numeric parameter, in one table that PipelineSpec,
-RoomSpec, the library functions and the CLI all check against, and the
-rules of every array argument: its layout, with every size >= 1
-(check_shapes, check_nonempty), a channel index within it (check_channel)
-and its values (check_finite).
+RoomSpec, the library functions and the CLI all check against, the rules
+of every array argument: its layout, with every size >= 1 (check_shapes,
+check_nonempty), a channel index within it (check_channel) and its values
+(check_finite), and the one block rule of every loop that works through a
+field a block at a time (blocks).
 
 Integer rules take any numbers.Integral but bool, real rules ints too.
 Every check tests for the valid range, so a NaN fails it.  Every message
@@ -16,6 +17,10 @@ from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
+
+# the working set of one block of every blocked loop: stft's frames, the mask
+# oracles, the phase scores and the covariance Grams
+BLOCK_BYTES = 2 ** 18
 
 
 class Rule(NamedTuple):
@@ -64,10 +69,10 @@ RULES = {
 }
 
 
-def check(name, value, prefix=""):
+def check(name, value, prefix="", rule=None):
     """Raise ValueError, its message led by `prefix`, unless `value` obeys
-    the rule of `name`."""
-    rule = RULES[name]
+    `rule`, by default the rule of `name`."""
+    rule = rule or RULES[name]
     number = isinstance(value, numbers.Real) and not isinstance(value, bool)
     shown = value if isinstance(value, numbers.Real) else repr(value)
     if rule.integer and isinstance(value, numbers.Real) and not (
@@ -142,3 +147,11 @@ def check_finite(name, values, positive=False):
     if not good.all():
         raise ValueError(f"{name} must be finite{' and > 0' if positive else ''}")
     return values
+
+
+def blocks(count, item_bytes):
+    """The slices that cover range(count) in order, each of as many items of
+    `item_bytes` bytes as BLOCK_BYTES holds and at least one; the last may
+    hold fewer."""
+    step = max(1, BLOCK_BYTES // item_bytes)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rules import check, check_shapes
+from ._rules import blocks, check, check_shapes
 from .errors import FormatError
 from .specio import read_spectrogram
 from .stft import TimeSignal, analyze
@@ -21,9 +21,6 @@ ORACLE_DIRECT = "oracleDirect"
 ORACLE_MAG_MASK = "oracleMagMask"
 ORACLE_PSM = "oraclePhaseSensitiveMask"
 ORACLE_KINDS = (ORACLE_DIRECT, ORACLE_MAG_MASK, ORACLE_PSM)
-
-# oracle_estimate's working buffers take about this many bytes each
-_BLOCK_BYTES = 2 ** 18
 
 
 @dataclass
@@ -86,18 +83,17 @@ def oracle_estimate(mixture, target, kind):
     if kind not in (ORACLE_MAG_MASK, ORACLE_PSM):
         raise ValueError(f"unknown oracle kind {kind!r}, expected one of {ORACLE_KINDS}")
 
-    # a block of frames at a time, in three float buffers of about
-    # _BLOCK_BYTES and a flag buffer, reused: no field-sized float array but
-    # the result
+    # a block of frames at a time, in three float buffers of one block each
+    # and a flag buffer, reused: no field-sized float array but the result
     num_frames, num_bins, num_channels = mixture.shape
-    rows = max(1, _BLOCK_BYTES // (8 * num_bins * num_channels))
-    parts = np.empty((3, min(rows, num_frames), num_bins, num_channels))
+    spans = blocks(num_frames, 8 * num_bins * num_channels)
+    parts = np.empty((3, spans[0].stop, num_bins, num_channels))
     flags = np.empty(parts.shape[1:], dtype=bool)
     values = np.empty_like(mixture)
-    for lo in range(0, num_frames, rows):
-        hi = min(lo + rows, num_frames)
-        mix, out = mixture[lo:hi], values[lo:hi]
-        mask = _mask(kind, mix, target[lo:hi], *parts[:, :hi - lo], flags[:hi - lo])
+    for span in spans:
+        rows = span.stop - span.start
+        mix, out = mixture[span], values[span]
+        mask = _mask(kind, mix, target[span], *parts[:, :rows], flags[:rows])
         np.multiply(mask, mix.real, out=out.real)
         np.multiply(mask, mix.imag, out=out.imag)
     return TargetEstimate(values)

@@ -20,6 +20,7 @@ scaled by sqrt(w).
 
 import numpy as np
 
+from ._rules import check
 from .errors import SingularMatrixError
 
 # relative diagonal loading of every solve (see load_diagonal)
@@ -84,11 +85,13 @@ def load_diagonal(mats, loading):
 
     The load is loading * trace/P per frequency; when a matrix has zero trace
     the scale falls back to 1.0, i.e. the load becomes absolute, so exactly
-    zero covariances still yield a well-posed system.
+    zero covariances still yield a well-posed system.  `loading` is checked
+    by its rule first, so every loaded solve checks it.
 
     Return:
         mats, loaded
     """
+    check("loading", loading)
     p = mats.shape[-1]
     diagonal = np.arange(p)
     scale = mats[..., diagonal, diagonal].real.sum(axis=-1) / p

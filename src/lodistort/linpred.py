@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _pool
-from ._rules import check, check_channel, check_finite, check_shapes
+from ._rules import Rule, check, check_channel, check_finite, check_shapes
 from .linalg import DEFAULT_LOADING, hermitian_gram, load_diagonal, solve_stack
 from .stats import psd_floor
 
@@ -109,8 +109,7 @@ def build_delayed_stack(field, taps, delay):
     field = np.asarray(field, dtype=np.complex128)
     check_shapes(field=(field, "T x F x P"))
     check("taps", taps)
-    if delay < 0:
-        raise ValueError(f"delay must be >= 0, got {delay}")
+    check("delay", delay, rule=Rule(None, True, 0))
     num_frames, num_bins, num_channels = field.shape
     padded, stack = _stack_buffers(num_bins, num_frames, num_channels, taps, delay)
     _fill_stack(stack, padded, field.transpose(1, 0, 2))

@@ -4,10 +4,11 @@ Both phase scores work on complex products, never on angles:
 
 * The side of a phase difference phase(a) - phase(b), wrapped to (-pi, pi]
   with -pi mapped to +pi, is its sign with sign(x) = +1 iff x >= 0.  It is
-  the sign of Im(a conj(b)) = a.imag b.real - a.real b.imag, and an exact
-  zero product (a difference of 0 or pi) reads as >= 0.  An exact zero a or
-  b first takes the phasor copysign(1, real) + j imag, which carries the
-  phase np.angle gives it (0 or pi, signed like the imaginary zero).
+  the sign of Im(a conj(b)) = a.imag b.real - a.real b.imag, and a tie (a
+  difference of 0 or pi, up to rounding) reads as >= 0: a nonzero pair with
+  |Im(a conj(b))| <= TIE_RTOL |a| |b|.  An exact zero a or b first takes the
+  phasor copysign(1, real) + j imag, which carries the phase np.angle gives
+  it (0 or pi, signed like the imaginary zero).
 * pSNR compares the target S with |S| e / |e|, where e is any complex array
   carrying the estimate's phase (zeros treated as above):
   10 log10( Sum |S|^2 / Sum |S - (|S| / |e|) e|^2 ).
@@ -20,15 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rules import check_finite, check_nonempty, check_shapes
+from ._rules import blocks, check_finite, check_nonempty, check_shapes
 from .fsio import jsonable
 from .phase_geometry import sign_flip_probability
 from .stft import as_mono
 
 ENERGY_MASK_DB = -60.0
-# the phase scores read the estimate in blocks of frames of about this many
-# bins (a 256 KiB complex block)
-_BLOCK_BINS = 2 ** 14
+# The tie bound.  For a = m b with a real m > 0, formed one component at a
+# time as the mask oracles form it, Im(a conj(b)) is four roundings of at
+# most eps / 2: one in each component of a and one in each of the products
+# a.imag b.real and a.real b.imag, each of a term <= |a| |b| / 2.  So
+# |Im(a conj(b))| <= eps |a| |b|; twice that covers the bound's own rounding.
+TIE_RTOL = 2.0 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -116,11 +120,15 @@ def _side(a, b):
     """True where phase(a) - phase(b), wrapped to (-pi, pi], is >= 0."""
     cross = _cross(a, b)
     side = cross >= 0.0
-    # only an exact zero product can involve a zero a or b
-    tie = cross == 0.0
+    # a tie, which a zero a or b always is: a nonzero pair reads >= 0, and a
+    # zero takes its phasor
+    bound = np.abs(a)
+    bound *= TIE_RTOL
+    tie = np.abs(cross, out=cross) <= np.multiply(bound, np.abs(b), out=bound)
     if tie.any():
-        a_t, b_t = (_with_zero_phasors(values[tie]) for values in (a, b))
-        side[tie] = _cross(a_t, b_t) >= 0.0
+        a_t, b_t = a[tie], b[tie]
+        side[tie] = ((a_t != 0.0) & (b_t != 0.0)) | (
+            _cross(_with_zero_phasors(a_t), _with_zero_phasors(b_t)) >= 0.0)
     return side
 
 
@@ -143,12 +151,6 @@ def _phase_sides(target_q, mixture_q):
     return mask, mixture_masked, true_side
 
 
-def _frame_blocks(values):
-    # the frames of a T x F array in blocks of about _BLOCK_BINS bins
-    rows = max(1, _BLOCK_BINS // values.shape[1])
-    return [slice(lo, min(lo + rows, len(values))) for lo in range(0, len(values), rows)]
-
-
 def _pdsacc(sides, estimate_q):
     # the masked bins of frames lo:hi are entries start[lo]:start[hi] of the
     # masked arrays; the count of agreeing sides is exact, so its share is
@@ -156,7 +158,7 @@ def _pdsacc(sides, estimate_q):
     mask, mixture_masked, true_side = sides
     start = np.concatenate(([0], np.cumsum(np.count_nonzero(mask, axis=1))))
     agree = 0
-    for frames in _frame_blocks(mask):
+    for frames in blocks(len(mask), 16 * mask.shape[1]):
         part = slice(start[frames.start], start[frames.stop])
         est_side = _side(estimate_q[frames][mask[frames]], mixture_masked[part])
         agree += int(np.count_nonzero(est_side == true_side[part]))
@@ -181,12 +183,12 @@ def _psnr(parts, carrier):
     # one buffer, summed pairwise; the buffer is filled a block of frames at
     # a time from a copy of the carrier's block, the gain taken again for
     # each component
-    blocks = _frame_blocks(magnitude)
-    copy = np.empty((blocks[0].stop, magnitude.shape[1]), dtype=np.complex128)
+    spans = blocks(len(magnitude), 16 * magnitude.shape[1])
+    copy = np.empty((spans[0].stop, magnitude.shape[1]), dtype=np.complex128)
     error = np.empty(magnitude.shape)
     error_energy = 0.0
     for component, target_part in enumerate(target_parts):
-        for frames in blocks:
+        for frames in spans:
             block = copy[:frames.stop - frames.start]
             block[...] = carrier[frames]
             out = np.abs(block, out=error[frames])

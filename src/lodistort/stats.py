@@ -6,7 +6,7 @@ downstream weight is a ratio in which the scale cancels.  Each one is the
 exactly Hermitian linalg.hermitian_gram of the frequency-major frames, a
 weighted one Sum_t w Z Z^H that of the frames scaled by sqrt(w).  The
 frames of a weighted Gram, and the residual mixture - estimate, are formed
-a block of bins at a time (BLOCK_BYTES) in one reusable buffer, so no
+a block of bins at a time (_rules.blocks) in one reusable buffer, so no
 scaled or differenced copy of the whole field is made; each bin's Gram does
 not depend on its block, so the result is the one the whole field gives.
 Masks, powers and the mask's inputs are checked finite first: NaN or inf
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rules import check, check_channel, check_finite, check_shapes
+from ._rules import blocks, check, check_channel, check_finite, check_shapes
 from .linalg import hermitian_gram, principal_eigenpairs, rotate_reference_phase
 
 # psd_floor's default relative floor, and the absolute floor applied after it
@@ -28,9 +28,6 @@ PSD_ABS_FLOOR = 1e-12
 # top-two eigenvalue gap, relative to the top one, at or below which a
 # steering vector has no preferred direction
 DEGENERACY_RTOL = 1e-6
-# size of the buffer that holds one block of scaled or differenced frames
-# (at least one bin's frames)
-BLOCK_BYTES = 2 ** 20
 
 
 @dataclass
@@ -52,14 +49,12 @@ def _blocked_gram(shape, fill):
     # the Gram of the T x F x P rows that fill(bins, rows) writes, a block
     # of bins at a time, into one T x block x P buffer
     num_frames, num_bins, dim = shape
-    step = max(1, BLOCK_BYTES // max(1, 16 * num_frames * dim))
+    spans = blocks(num_bins, 16 * num_frames * dim)
     out = np.empty((num_bins, dim, dim), dtype=np.complex128)
-    width = min(step, num_bins)
-    rows = np.empty((num_frames, width, dim), dtype=np.complex128)
-    work = np.empty((width, 2 * dim, 2 * dim))
-    for start in range(0, num_bins, step):
-        bins = slice(start, min(start + step, num_bins))
-        block = rows[:, :bins.stop - start]
+    rows = np.empty((num_frames, spans[0].stop, dim), dtype=np.complex128)
+    work = np.empty((spans[0].stop, 2 * dim, 2 * dim))
+    for bins in spans:
+        block = rows[:, :bins.stop - bins.start]
         fill(bins, block)
         hermitian_gram(block.transpose(1, 0, 2), out=out[bins],
                        work=work[:block.shape[1]])

@@ -22,14 +22,10 @@ from dataclasses import KW_ONLY, InitVar, dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._rules import check, check_finite, check_shapes
+from ._rules import blocks, check, check_finite, check_shapes
 
 # Floor for the overlap-add window-power denominator.
 COLA_FLOOR = 1e-12
-
-# analyze and synthesize transform a block of frames at a time, whose
-# transform takes about this many bytes
-_BLOCK_BYTES = 2 ** 18
 
 
 def _checked_samples(values, role="samples", layout="N [x C]"):
@@ -150,13 +146,13 @@ def analyze(signal):
     window = sqrt_hann_window(StftConfig.window_len)
     # a block of frames at a time, every channel, straight into the T x F x C
     # result: the windowed frames and their transform stay small and in cache
-    block = max(1, _BLOCK_BYTES // (8 * StftConfig.fft_len * num_channels))
-    windowed = np.empty((num_channels, min(block, num_frames), StftConfig.window_len))
+    spans = blocks(num_frames, 8 * StftConfig.fft_len * num_channels)
+    windowed = np.empty((num_channels, spans[0].stop, StftConfig.window_len))
     spec = np.empty((num_frames, StftConfig.num_bins, num_channels), dtype=np.complex128)
-    for lo in range(0, num_frames, block):
-        part = windowed[:, :min(block, num_frames - lo)]
-        np.multiply(frames[:, lo:lo + part.shape[1]], window, out=part)
-        spec[lo:lo + part.shape[1]] = np.fft.rfft(
+    for span in spans:
+        part = windowed[:, :span.stop - span.start]
+        np.multiply(frames[:, span], window, out=part)
+        spec[span] = np.fft.rfft(
             part, n=StftConfig.fft_len).transpose(1, 2, 0)  # C x B x F -> B x F x C
     return spec
 
@@ -173,16 +169,15 @@ def _overlap_add(spec):
     ratio = StftConfig.window_len // StftConfig.hop
     buf_len = (num_frames - 1) * StftConfig.hop + StftConfig.window_len
     buf = np.zeros((buf_len, num_channels))
-    blocks = buf.reshape(-1, StftConfig.hop, num_channels)
+    out_blocks = buf.reshape(-1, StftConfig.hop, num_channels)
     window = sqrt_hann_window(StftConfig.window_len)
-    block = max(1, _BLOCK_BYTES // (8 * StftConfig.fft_len * num_channels))
-    for lo in range(0, num_frames, block):
-        frames = np.fft.irfft(spec[lo:lo + block], n=StftConfig.fft_len, axis=1)
+    for span in blocks(num_frames, 8 * StftConfig.fft_len * num_channels):
+        frames = np.fft.irfft(spec[span], n=StftConfig.fft_len, axis=1)
         frames = frames[:, :StftConfig.window_len]
         frames *= window[:, None]
         frame_blocks = frames.reshape(len(frames), ratio, StftConfig.hop, num_channels)
         for r in reversed(range(ratio)):
-            blocks[lo + r:lo + r + len(frames)] += frame_blocks[:, r]
+            out_blocks[span.start + r:span.stop + r] += frame_blocks[:, r]
 
     win_power = np.zeros(buf_len)
     power_blocks = win_power.reshape(-1, StftConfig.hop)

@@ -9,9 +9,8 @@ importing this module from the tests directory.
 
 import tracemalloc
 
-from lodistort import estimator, stft
+from lodistort._rules import BLOCK_BYTES
 from lodistort.linpred import DEFAULT_DELAY, DEFAULT_TAPS_FCP, _bin_bytes, _chunk_plan
-from lodistort.stats import BLOCK_BYTES
 from lodistort.stft import StftConfig
 
 
@@ -41,14 +40,14 @@ def synthesize_bound(spec):
     num_frames = spec.shape[0]
     num_channels = spec.shape[2] if spec.ndim == 3 else 1
     buf_len = (num_frames - 1) * StftConfig.hop + StftConfig.window_len
-    return 8 * buf_len * (num_channels + 1) + 4 * stft._BLOCK_BYTES
+    return 8 * buf_len * (num_channels + 1) + 4 * BLOCK_BYTES
 
 
 def oracle_bound(values):
     """The estimate, and one block of frames' three float buffers and flag
     buffer (measured under 3.3 block budgets, allowed 4): no field-sized
     mask."""
-    return values.nbytes + 4 * estimator._BLOCK_BYTES
+    return values.nbytes + 4 * BLOCK_BYTES
 
 
 def _workspaces(num_frames, num_channels, taps, delay):

@@ -274,6 +274,42 @@ def test_validation_errors():
         fcp_weight(bad, field[:, :, 1])
 
 
+def _loaded_solves():
+    # name -> a call of that solver with loading= given: every loaded solve
+    rng = np.random.default_rng(26)
+    field = rng.standard_normal((12, 3, 2)) + 1j * rng.standard_normal((12, 3, 2))
+    weights = rng.uniform(0.5, 1.0, (12, 3))
+    phi = np.einsum("tfp,tfq->fpq", field, field.conj()) + np.eye(2)
+    steering = field[0] / np.linalg.norm(field[0], axis=1, keepdims=True)
+    cov = lodistort.CovarianceSet(phi, phi + np.eye(2), steering)
+    return {
+        "fcp": lambda loading: fcp(field[:, :, 0], field[:, :, 1], taps=2,
+                                   loading=loading),
+        "wpe_field": lambda loading: wpe_field(field, weights, 2, loading=loading),
+        "solve_weighted_lp": lambda loading: solve_weighted_lp(
+            field, field[:, :, 0], weights, loading=loading),
+        "mcwf": lambda loading: lodistort.mcwf(field, field[:, :, 0], loading=loading),
+        "mvdr": lambda loading: lodistort.mvdr(cov, loading=loading),
+        "wmpdr": lambda loading: lodistort.wmpdr(phi, steering, loading=loading),
+        "gev_ban": lambda loading: lodistort.gev_ban(cov, loading=loading),
+    }
+
+
+@pytest.mark.parametrize("loading", [np.nan, -1.0, np.inf])
+@pytest.mark.parametrize("solver", sorted(_loaded_solves()))
+def test_loading_is_checked_by_its_rule_before_any_solve(solver, loading):
+    # a usage error, not a late SingularMatrixError or a run with -1
+    with pytest.raises(ValueError, match="loading must be >= 0 and finite"):
+        _loaded_solves()[solver](loading)
+
+
+@pytest.mark.parametrize("delay", [np.nan, 1.5, True, -1])
+def test_stack_delay_is_an_integer_at_least_zero(delay):
+    field = np.ones((4, 2, 2), dtype=complex)
+    with pytest.raises(ValueError, match="delay must be"):
+        build_delayed_stack(field, taps=2, delay=delay)
+
+
 def weighted_conjugate_lp(stack, targets, weights, loading=linpred.DEFAULT_LOADING):
     """The weighted-conjugate normal equations, all bins at once: conj(stack)
     / weights against the stack and the targets gives conj(Gram) and

@@ -210,6 +210,35 @@ def test_pdsacc_mixture_phase_estimate():
     )
 
 
+def test_pdsacc_of_a_real_mask_estimate_is_the_target_side_share():
+    # a real positive mask keeps the mixture's phase up to the rounding of
+    # mask * mixture (formed one component at a time, as the mask oracles
+    # form it), which the tie rule reads as >= 0: the score is exactly the
+    # share of masked bins whose target side is >= 0.  No mask value is a
+    # power of two, so the products do round
+    rng = np.random.default_rng(9)
+    shape = (120, 257)
+    tgt = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mix = tgt + rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mask = rng.uniform(0.01, 1.0, shape)
+    assert not np.any(np.frexp(mask)[0] == 0.5)
+    est = np.empty_like(mix)
+    est.real, est.imag = mask * mix.real, mask * mix.imag
+    share = 100.0 * float(np.mean(ScoreReference(tgt, mix).phase_sides[2]))
+    assert pdsacc(est, tgt, mix) == share
+
+
+def test_uncorrupted_magnitude_mask_scores_the_target_side_share():
+    # suite scene 0 at mic 0: rounding noise must not read as a side
+    scene = build_suite_scene(*suite_scene_params()[0])
+    mix_spec, tgt_spec = analyze(scene.mixture), analyze(scene.direct_path)
+    est_q = make_estimate(PipelineSpec("wpe", estimator="oracleMagMask"),
+                          mix_spec, tgt_spec).channel(0)
+    report = phase_report(ScoreReference(tgt_spec[:, :, 0], mix_spec[:, :, 0]), est_q)
+    assert report["pdsAccPercent"] == 100.0 * report["signPositiveFraction"]
+    assert report["pdsAccPercent"] == pytest.approx(49.618, abs=1e-3)
+
+
 def test_pdsacc_random_phases_score_half():
     rng = np.random.default_rng(8)
     shape = (600, 257)  # > 1e5 bins, all inside the mask

@@ -22,6 +22,7 @@ from lodistort import (
     wmpdr,
     write_spectrogram,
 )
+from lodistort._rules import BLOCK_BYTES, blocks
 from lodistort.linalg import hermitian_gram
 from lodistort.metrics import _side
 from lodistort.phase_geometry import wrap_phase
@@ -253,6 +254,26 @@ def test_side_rule_matches_wrapped_angle_difference(b_parts, a_parts, relation):
         assert np.array_equal(side, reference)
 
 
+# masks in (0, 1) that are not powers of two, whose products with a
+# component round; components over 1e-100..1e100, where no product of two
+# underflows or overflows
+MASKS = st.floats(1e-3, 1.0).filter(lambda m: math.frexp(m)[0] != 0.5)
+WIDE_COMPONENTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-100, 1e100),
+                            st.floats(-1e100, -1e-100))
+
+
+@PROPERTY_SETTINGS
+@given(y_parts=st.lists(WIDE_COMPONENTS, min_size=32, max_size=32),
+       masks=st.lists(MASKS, min_size=16, max_size=16))
+def test_side_rule_reads_a_real_positive_mask_as_a_tie(y_parts, masks):
+    # e = m y, formed one component at a time as the mask oracles form it,
+    # has y's phase up to rounding: every bin reads phase(e) - phase(y) >= 0
+    y = complex_from_parts(y_parts)
+    m = np.array(masks)
+    e = complex_from_parts(np.stack([m * y.real, m * y.imag], axis=1))
+    assert np.all(_side(e, y))
+
+
 def test_side_rule_on_signed_zero_and_axis_grid():
     # every pair of {+-0, +-1, +-2.5}^2: zeros on either side, both axes,
     # a == b, a == -b; here the angle rule's differences are exact
@@ -262,3 +283,15 @@ def test_side_rule_on_signed_zero_and_axis_grid():
     b = np.tile(grid, grid.size)
     reference = wrap_phase(np.angle(a) - np.angle(b)) >= 0.0
     assert np.array_equal(_side(a, b), reference)
+
+
+@PROPERTY_SETTINGS
+@given(count=st.integers(1, 5000), item_bytes=st.integers(1, 4 * BLOCK_BYTES))
+def test_blocks_partition_the_items_in_order(count, item_bytes):
+    # every item once, in order; every block but the last as full as the
+    # budget allows, at least one item
+    spans = blocks(count, item_bytes)
+    step = max(1, BLOCK_BYTES // item_bytes)
+    assert [i for span in spans for i in range(count)[span]] == list(range(count))
+    assert all(span.stop - span.start == step for span in spans[:-1])
+    assert 1 <= spans[-1].stop - spans[-1].start <= step

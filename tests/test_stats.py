@@ -15,7 +15,7 @@ from lodistort import (
     steering_vector,
     weighted_covariance,
 )
-from lodistort import stats
+from lodistort import _rules, stats
 from lodistort.linalg import hermitian_gram
 
 
@@ -115,14 +115,15 @@ def test_weighted_covariance_matches_loop():
         weighted_covariance(field, lam * 0.0)  # not strictly positive
 
 
-@pytest.mark.parametrize("block_bytes", [1, stats.BLOCK_BYTES])
+@pytest.mark.parametrize("block_bytes", [1, _rules.BLOCK_BYTES, 2 ** 20])
 @pytest.mark.parametrize("num_frames", [1, 300])
 @pytest.mark.parametrize("num_mics", [1, 8])
 def test_blocked_grams_equal_the_whole_field_gram(monkeypatch, block_bytes,
                                                   num_frames, num_mics):
     # each bin's Gram does not depend on its block: one bin at a time, and
-    # blocks that do not divide F = 257, give the whole field's Gram exactly
-    monkeypatch.setattr(stats, "BLOCK_BYTES", block_bytes)
+    # blocks that do not divide F = 257 (at the shared budget and at the
+    # covariances' former 1 MiB), give the whole field's Gram exactly
+    monkeypatch.setattr(_rules, "BLOCK_BYTES", block_bytes)
     field = random_field(11, num_frames=num_frames, num_bins=257,
                          num_mics=num_mics)
     estimate = random_field(12, num_frames=num_frames, num_bins=257,
