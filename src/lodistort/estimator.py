@@ -4,6 +4,12 @@ The downstream filters only ever see an estimate of the target spectrogram;
 where a learned estimator would normally sit, this module provides oracles
 computed from the known target, optionally corrupted with complex Gaussian
 error at a controlled energy ratio, or an estimate loaded from disk.
+
+oracle_estimate and corrupt_estimate leave their arguments unchanged: each
+copies what the one core, _build, overwrites.  _build works in the target
+STFT's own buffer, so only a caller that owns that STFT and reads it no
+more may hand it over: run_pipeline and analyze-phase, once they have
+taken its ScoreReference.
 """
 
 import math
@@ -67,7 +73,8 @@ def oracle_estimate(mixture, target, kind):
     phase-sensitive mask |S|/|Y| * cos(phase(S) - phase(Y)), computed as
     Re(S conj(Y)) / |Y|^2, each truncated to [0, 1].  Bins where the mixture
     is exactly zero get mask 0 (for the phase-sensitive mask: where |Y|^2 is
-    zero).
+    zero).  They build the estimate in a copy of the target, so neither
+    argument is modified.
 
     Arguments:
         mixture, target: complex spectrograms, T x F x P
@@ -75,55 +82,76 @@ def oracle_estimate(mixture, target, kind):
     Return:
         TargetEstimate with P channels
     """
-    mixture = np.asarray(mixture, dtype=np.complex128)
     target = np.asarray(target, dtype=np.complex128)
-    check_shapes(mixture=(mixture, "T x F x P"), target=(target, "T x F x P"))
-    if kind == ORACLE_DIRECT:
-        return TargetEstimate(target)
-    if kind not in (ORACLE_MAG_MASK, ORACLE_PSM):
-        raise ValueError(f"unknown oracle kind {kind!r}, expected one of {ORACLE_KINDS}")
-
-    # a block of frames at a time, in three float buffers of one block each
-    # and a flag buffer, reused: no field-sized float array but the result
-    num_frames, num_bins, num_channels = mixture.shape
-    spans = blocks(num_frames, 8 * num_bins * num_channels)
-    parts = np.empty((3, spans[0].stop, num_bins, num_channels))
-    flags = np.empty(parts.shape[1:], dtype=bool)
-    values = np.empty_like(mixture)
-    for span in spans:
-        rows = span.stop - span.start
-        mix, out = mixture[span], values[span]
-        mask = _mask(kind, mix, target[span], *parts[:, :rows], flags[:rows])
-        np.multiply(mask, mix.real, out=out.real)
-        np.multiply(mask, mix.imag, out=out.imag)
-    return TargetEstimate(values)
+    return _build(target if kind == ORACLE_DIRECT else target.copy(), kind,
+                  math.inf, None, mixture)
 
 
 def corrupt_estimate(estimate, est_err_snr_db, seed):
     """Add complex Gaussian error at a fixed estimate-to-error energy ratio.
 
     The added error is scaled so 10*log10(|clean|^2 / |added|^2) equals
-    `est_err_snr_db`; +inf returns the input values unchanged, and a ratio
-    so low that the result is not finite in float64 raises ValueError.  The
-    error's real parts are drawn first, then its imaginary parts.
+    `est_err_snr_db`; +inf returns a copy of the input values.  Values that
+    are not finite, or whose energy is past float64's range, raise
+    ValueError, and so does a ratio so low that the result is not finite in
+    float64.  The error's real parts are drawn first, then its imaginary
+    parts.  The result is a new array: `estimate` is not modified.
     """
+    values = np.array(estimate.values, dtype=np.complex128, order="C")
+    return _build(values, ORACLE_DIRECT, est_err_snr_db, seed)
+
+
+def _build(target, kind, est_err_snr_db, seed, mixture=None):
+    """The estimate `kind` with error at `est_err_snr_db`, built in `target`,
+    a C-contiguous complex128 T x F x P array the caller owns and reads no
+    more; only the mask oracles read `mixture`."""
     check("est_err_snr_db", est_err_snr_db)
-    values = np.ascontiguousarray(estimate.values, dtype=np.complex128)
-    if math.isinf(est_err_snr_db):
-        return TargetEstimate(values.copy())
+    if mixture is not None:
+        mixture = np.asarray(mixture, dtype=np.complex128)
+        check_shapes(mixture=(mixture, "T x F x P"), target=(target, "T x F x P"))
+    if kind in (ORACLE_MAG_MASK, ORACLE_PSM):
+        _apply_mask(kind, mixture, target)
+    elif kind != ORACLE_DIRECT:
+        raise ValueError(f"unknown oracle kind {kind!r}, expected one of {ORACLE_KINDS}")
+    if not math.isinf(est_err_snr_db):
+        _add_error(target, est_err_snr_db, seed)
+    return TargetEstimate(target)
+
+
+def _apply_mask(kind, mixture, target):
+    # target = mask x mixture, a block of frames at a time, each block's mask
+    # formed before the block is overwritten, in three float buffers of one
+    # block each and a flag buffer, reused and freed before any error draw
+    num_frames, num_bins, num_channels = target.shape
+    spans = blocks(num_frames, 8 * num_bins * num_channels)
+    parts = np.empty((3, spans[0].stop, num_bins, num_channels))
+    flags = np.empty(parts.shape[1:], dtype=bool)
+    for span in spans:
+        rows = span.stop - span.start
+        mix, out = mixture[span], target[span]
+        mask = _mask(kind, mix, out, *parts[:, :rows], flags[:rows])
+        np.multiply(mask, mix.real, out=out.real)
+        np.multiply(mask, mix.imag, out=out.imag)
+
+
+def _add_error(values, est_err_snr_db, seed):
+    # values += the scaled error, in place.  Energies are pairwise sums of
+    # squares of float64 components: one 2 x T x F x P float buffer holds the
+    # clean squares, then the real and the imaginary draws, and one
+    # T x F x P float buffer each draw's squares
+    parts = values.view(np.float64)
+    draws = np.empty((2,) + values.shape)
+    with np.errstate(over="ignore"):  # an overflow is an infinite energy, refused
+        clean_energy = float(np.sum(np.square(parts, out=draws.reshape(parts.shape))))
+    if not math.isfinite(clean_energy):
+        raise ValueError("the estimate must be finite, with an energy within "
+                         "float64's range")
     rng = np.random.default_rng(seed)
-    noise = np.empty_like(values)
-    noise_parts = noise.view(np.float64)
-    # energies are pairwise sums of squares of float64 components; the noise
-    # buffer holds the clean squares until the draws overwrite it, and each
-    # draw is squared in place once copied
-    clean_energy = float(np.sum(np.square(values.view(np.float64), out=noise_parts)))
-    draw = np.empty(values.shape)
+    squares = np.empty(values.shape)
     noise_energy = 0.0
-    for part in (noise.real, noise.imag):
+    for draw in draws:
         rng.standard_normal(out=draw)
-        part[...] = draw
-        noise_energy += float(np.sum(np.square(draw, out=draw)))
+        noise_energy += float(np.sum(np.square(draw, out=squares)))
     scale = 0.0
     if noise_energy > 0.0:
         try:
@@ -131,12 +159,13 @@ def corrupt_estimate(estimate, est_err_snr_db, seed):
         except OverflowError:  # the power of ten is past float64's range
             scale = math.inf
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        noise_parts *= scale
-        noise += values
-    if not np.isfinite(noise_parts).all():
+        draws *= scale
+        values.real += draws[0]
+        values.imag += draws[1]
+    # NaN propagates through both, an infinity through one: no bool field
+    if not (math.isfinite(parts.min()) and math.isfinite(parts.max())):
         raise ValueError(f"est_err_snr_db of {est_err_snr_db} dB scales the error past "
                          "float64's range")
-    return TargetEstimate(noise)
 
 
 def read_input(path):

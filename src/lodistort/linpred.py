@@ -71,7 +71,8 @@ DEFAULT_EPSILON_FCP = 1e-3
 
 def _stack_buffers(num_bins, num_frames, num_channels, taps, delay):
     # the zero-padded frames (the first delay + taps - 1 stay zero: the
-    # frames before the signal) and the F x T x taps x P stack built from them
+    # frames before the signal), the F x T x taps x P stack built from them,
+    # and the view of the padded frames in the stack's layout
     padded = np.zeros(
         (num_bins, delay + taps - 1 + num_frames, num_channels),
         dtype=np.complex128,
@@ -79,17 +80,16 @@ def _stack_buffers(num_bins, num_frames, num_channels, taps, delay):
     stack = np.empty(
         (num_bins, num_frames, taps, num_channels), dtype=np.complex128
     )
-    return padded, stack
-
-
-def _fill_stack(stack, padded, field):
-    # field F x T x P -> stack[f, t, k, p] = field[f, t - delay - k, p]:
-    # lag-major, channel-minor once the last two axes are merged
-    num_frames, taps = stack.shape[1:3]
-    padded[:, padded.shape[1] - num_frames:] = field
     # windows[f, t, p, j] = padded[f, t + j, p]: lag k sits at j = taps-1-k
     windows = sliding_window_view(padded[:, :num_frames + taps - 1], taps, axis=1)
-    stack[...] = windows[..., ::-1].transpose(0, 1, 3, 2)
+    return padded, stack, windows[..., ::-1].transpose(0, 1, 3, 2)
+
+
+def _fill_stack(stack, padded, lags, field):
+    # field F x T x P -> stack[f, t, k, p] = field[f, t - delay - k, p]:
+    # lag-major, channel-minor once the last two axes are merged
+    padded[:, padded.shape[1] - field.shape[1]:] = field
+    stack[...] = lags
 
 
 def build_delayed_stack(field, taps, delay):
@@ -111,15 +111,16 @@ def build_delayed_stack(field, taps, delay):
     check("taps", taps)
     check("delay", delay, rule=Rule(None, True, 0))
     num_frames, num_bins, num_channels = field.shape
-    padded, stack = _stack_buffers(num_bins, num_frames, num_channels, taps, delay)
-    _fill_stack(stack, padded, field.transpose(1, 0, 2))
+    padded, stack, lags = _stack_buffers(num_bins, num_frames, num_channels, taps, delay)
+    _fill_stack(stack, padded, lags, field.transpose(1, 0, 2))
     return stack.reshape(num_bins, num_frames, -1).transpose(1, 0, 2)
 
 
 def _workspace(num_bins, num_frames, num_channels, taps, delay, num_targets):
     # one worker's buffers for chunks of up to num_bins bins: the padded
-    # frames, the stack, the real Gram hermitian_gram works in, the complex
-    # Gram, and the conjugated targets, later the predictions
+    # frames, the stack and the view that fills it, the real Gram
+    # hermitian_gram works in, the complex Gram, and the conjugated targets,
+    # later the predictions
     dim = taps * num_channels
     return (
         *_stack_buffers(num_bins, num_frames, num_channels, taps, delay),
@@ -179,10 +180,11 @@ def _predict_fmajor(source, targets, weights, taps, delay, loading, out=None):
 
     def solve(space, lo):
         bins = slice(lo, min(lo + chunk, num_bins))
-        padded, stack, work, gram, target_buf = (buf[:bins.stop - lo] for buf in space)
+        padded, stack, lags, work, gram, target_buf = (
+            buf[:bins.stop - lo] for buf in space)
         root = np.sqrt(weights[bins])
         inverse_root = 1.0 / root
-        _fill_stack(stack, padded, source[bins])
+        _fill_stack(stack, padded, lags, source[bins])
         stack = _scaled(stack.reshape(len(gram), num_frames, dim), inverse_root)
         load_diagonal(hermitian_gram(stack, out=gram, work=work), loading)
         conj_z = _scaled(np.conjugate(targets[bins], out=target_buf), inverse_root)

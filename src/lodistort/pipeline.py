@@ -34,7 +34,9 @@ name, and each sub-node (the masked covariances, a wave, a score) its name.
 Stage outputs, waves and scores are kept only when several default
 pipelines run that chain; other chains reuse them.  The target's STFT is
 not kept: the call that builds the estimate or the reference computes it
-and drops it on return.
+and drops it on return.  That call owns it, so it takes the reference first
+(ScoreReference copies what it keeps) and then builds the estimate in the
+STFT's own buffer; every other caller of the estimators gets a copy.
 Shared arrays are read-only, and shared scores are frozen MetricsReports.
 """
 
@@ -51,8 +53,7 @@ import numpy as np
 
 from . import beamform, linpred, stats
 from ._rules import check_channel, check_fields, check_shapes
-from .estimator import ORACLE_KINDS, corrupt_estimate
-from .estimator import load_external_estimate, oracle_estimate
+from .estimator import ORACLE_KINDS, _build, load_external_estimate
 from .fsio import camel
 from .linalg import DEFAULT_LOADING
 from .metrics import ScoreReference, score_against
@@ -200,15 +201,22 @@ class PipelineResult:
 
 def make_estimate(spec, mix_spec, tgt_spec):
     """First-stage estimate for `spec`, a PipelineSpec or any object with its
-    estimator, est_err_snr_db and seed fields naming an oracle."""
+    estimator, est_err_snr_db and seed fields naming an oracle.  It is built
+    in a copy of tgt_spec, so the arguments are left unchanged; run_pipeline
+    and analyze-phase own their target STFT and build the estimate in its
+    own buffer once they have taken its ScoreReference (_build_estimate)."""
+    return _build_estimate(spec, mix_spec, None if tgt_spec is None else
+                           np.array(tgt_spec, dtype=np.complex128, order="C"))
+
+
+def _build_estimate(spec, mix_spec, tgt_spec):
+    # make_estimate in tgt_spec's own buffer, which the caller owns and no
+    # longer reads: analyze's C-contiguous complex128 result
     if spec.estimator == "external":
         return load_external_estimate(spec.estimate_path, mix_spec.shape)
     if tgt_spec is None:
         raise ValueError(f"estimator {spec.estimator!r} needs the target signal")
-    est = oracle_estimate(mix_spec, tgt_spec, spec.estimator)
-    if not math.isinf(spec.est_err_snr_db):
-        est = corrupt_estimate(est, spec.est_err_snr_db, spec.seed)
-    return est
+    return _build(tgt_spec, spec.estimator, spec.est_err_snr_db, spec.seed, mix_spec)
 
 
 def _freeze(value):
@@ -347,7 +355,7 @@ _STAGES = {"wpe": _wpe, "mvdr": _mvdr, "mmvdr": _mmvdr, "mwmpdr": _mwmpdr,
 def _estimate(spec, mix_spec, tgt_spec):
     # (a contiguous copy of channel ref_mic, the signal covariances of all
     # P >= 2 channels or None): the estimate node, which drops the estimate
-    est = make_estimate(spec, mix_spec, tgt_spec)
+    est = _build_estimate(spec, mix_spec, tgt_spec)
     cov = None
     if est.values.shape[2] == mix_spec.shape[2] >= 2:
         cov = stats.signal_covariances(mix_spec, est.values)
@@ -357,15 +365,16 @@ def _estimate(spec, mix_spec, tgt_spec):
 def _estimate_and_reference(nodes, spec, mix_spec, target):
     """(the estimate's key, its node, the ScoreReference at ref_mic or
     None without a target).  The target's STFT is read only here: it is
-    computed once if either node is, and dropped on return."""
+    computed once if either node is, the reference taken from it first, the
+    estimate built in its buffer, and it is dropped on return."""
     tgt_spec = functools.cache(lambda: target and analyze(target))
     q = spec.ref_mic
     est_key = (None if spec.estimator == "external"
                else (spec.estimator, spec.est_err_snr_db, spec.seed, q))
-    est = _node(nodes, est_key, lambda: _estimate(spec, mix_spec, tgt_spec()))
     reference = target and _node(
         nodes, (q, "reference"),
         lambda: ScoreReference(tgt_spec()[:, :, q], mix_spec[:, :, q]))
+    est = _node(nodes, est_key, lambda: _estimate(spec, mix_spec, tgt_spec()))
     return est_key, est, reference
 
 

@@ -50,6 +50,17 @@ def oracle_bound(values):
     return values.nbytes + 4 * BLOCK_BYTES
 
 
+def estimate_bound(values):
+    """The pipeline's estimate node built in the T x F x C target STFT
+    `values`, which it owns: at most 1.5 fields plus one block.  A finite
+    ratio takes the draws (a field of floats, which first hold the clean
+    squares) and one draw's squares (half a field); a mask oracle takes
+    three float buffers and a flag buffer of at most one block of frames
+    each, and at most the whole field.  No second estimate, no noisy copy:
+    those took 2.5 fields."""
+    return 1.5 * values.nbytes + BLOCK_BYTES
+
+
 def _workspaces(num_frames, num_channels, taps, delay):
     # every worker's workspace under linpred's chunk rule: at most
     # CHUNK_MAX_BINS bins each, within CHUNK_BUDGET_BYTES, at least one bin

@@ -2,12 +2,14 @@
 corruption, and external-estimate loading."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from lodistort import (
     FormatError,
+    PipelineSpec,
     TimeSignal,
     analyze,
     corrupt_estimate,
@@ -17,6 +19,7 @@ from lodistort import (
     write_wav,
 )
 from lodistort.estimator import ORACLE_KINDS, TargetEstimate
+from lodistort.pipeline import make_estimate
 
 
 def random_pair(seed, shape=(6, 5, 2)):
@@ -191,6 +194,48 @@ def test_corrupt_rejects_an_error_past_float64_range():
     got = corrupt_estimate(clean, -3000.0, seed=0).values
     assert np.isfinite(got).all()
     assert got.tobytes() == want.tobytes()
+
+
+def _single_bad_bin(bad):
+    values = np.ones((3, 4, 2), complex)
+    values[1, 2, 0] = bad
+    return values
+
+
+@pytest.mark.parametrize("values", [
+    _single_bad_bin(complex(np.nan, 0.5)), _single_bad_bin(complex(0.5, np.inf)),
+    _single_bad_bin(complex(-np.inf, 0.0)), _single_bad_bin(1e200),
+    # every square is finite, their sum is not
+    np.full((3, 4, 2), 1e154 + 1e154j),
+], ids=["nan", "inf", "-inf", "square-overflow", "sum-overflow"])
+def test_corrupt_blames_an_estimate_past_float64s_range(values):
+    # the estimate is at fault, not the ratio: the message names it, and no
+    # overflow warning comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the estimate must be finite"):
+            corrupt_estimate(TargetEstimate(values), 10.0, seed=0)
+    # +inf dB adds no error and reads no energy: the values come back as they are
+    same = corrupt_estimate(TargetEstimate(values), math.inf, seed=0).values
+    assert same.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+@pytest.mark.parametrize("err_db", [math.inf, 10.0])
+def test_the_estimators_leave_their_arguments_unchanged(kind, err_db):
+    # 70 frames of 257 x 4 are three blocks of the mask oracles' loop
+    mix, tgt = random_pair(21, shape=(70, 257, 4))
+    mix_bytes, tgt_bytes = mix.tobytes(), tgt.tobytes()
+    est = oracle_estimate(mix, tgt, kind)
+    est_bytes = est.values.tobytes()
+    noisy = corrupt_estimate(est, err_db, seed=2)
+    made = make_estimate(PipelineSpec("mvdr", estimator=kind, est_err_snr_db=err_db,
+                                      seed=2), mix, tgt)
+    assert mix.tobytes() == mix_bytes and tgt.tobytes() == tgt_bytes
+    assert est.values.tobytes() == est_bytes
+    assert made.values.tobytes() == noisy.values.tobytes()
+    assert not np.shares_memory(noisy.values, est.values)
+    assert not np.shares_memory(made.values, tgt)
 
 
 def test_external_spectrogram_round_trip(tmp_path):

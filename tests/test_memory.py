@@ -13,10 +13,10 @@ from lodistort import (StftConfig, TimeSignal, analyze, fcp, masked_covariances,
                        oracle_estimate, psd_floor, read_spectrogram,
                        signal_covariances, synthesize, weighted_covariance,
                        wpe_field, write_spectrogram)
-from lodistort import _pool, linpred
+from lodistort import PipelineSpec, _pool, linpred, pipeline
 
-from _memtrace import (analyze_bound, covariance_bound, fcp_bound, oracle_bound,
-                       synthesize_bound, traced_peak, wpe_field_bound)
+from _memtrace import (analyze_bound, covariance_bound, estimate_bound, fcp_bound,
+                       oracle_bound, synthesize_bound, traced_peak, wpe_field_bound)
 
 
 def random_field(shape, seed):
@@ -59,6 +59,19 @@ def test_mask_oracle_peak_is_the_estimate_plus_one_block(kind):
     peak, est = traced_peak(lambda: oracle_estimate(mixture, target, kind))
     assert peak <= oracle_bound(est.values)
     assert oracle_bound(est.values) < est.values.nbytes + 0.5 * mixture.real.nbytes
+
+
+@pytest.mark.parametrize("kind", ["oracleDirect", "oracleMagMask",
+                                  "oraclePhaseSensitiveMask"])
+def test_estimate_node_builds_in_the_target_stft(kind):
+    # a 4.9 MB target STFT at 10 dB: the draws and one draw's squares, 7.4 MB,
+    # against 12.3 MB for a new estimate, its noisy copy and a draw
+    mixture = random_field((300, 257, 4), seed=13)
+    target = random_field((300, 257, 4), seed=14)
+    spec = PipelineSpec("mvdr", estimator=kind, est_err_snr_db=10.0)
+    peak, _ = traced_peak(lambda: pipeline._estimate(spec, mixture, target))
+    assert peak <= estimate_bound(target)
+    assert estimate_bound(target) < 2.4 * target.nbytes
 
 
 def test_wpe_field_peak_is_the_output_plus_the_chunk_budget():

@@ -14,12 +14,15 @@ import numpy as np
 import pytest
 
 from lodistort import (
+    ORACLE_KINDS,
     PIPELINE_NAMES,
     PipelineSpec,
     RoomSpec,
     TimeSignal,
     analyze,
+    corrupt_estimate,
     fcp,
+    oracle_estimate,
     pipeline,
     render_scene,
     run_pipeline,
@@ -29,7 +32,7 @@ from lodistort import (
     wpe_field,
     write_spectrogram,
 )
-from lodistort.metrics import ScoreReference
+from lodistort.metrics import ScoreReference, score_against
 
 
 def make_scene(seed, num_mics=3, num_samples=16000):
@@ -344,16 +347,15 @@ def test_no_multichannel_estimate_is_kept(scene, monkeypatch):
             return est
         return wrapper
 
-    for name in ("oracle_estimate", "corrupt_estimate"):
-        monkeypatch.setattr(pipeline, name, recording(getattr(pipeline, name)))
+    monkeypatch.setattr(pipeline, "_build", recording(pipeline._build))
     drop_memo()
     spec = PipelineSpec("mvdr", estimator="oraclePhaseSensitiveMask",
                         est_err_snr_db=10.0)
     result = run_pipeline(scene, spec)
     gc.collect()
-    # the mask and its corruption were T x F x P; no node, nor the result,
-    # holds either, only the channel-q copy
-    assert len(estimates) == 2 and all(ref() is None for ref in estimates)
+    # the corrupted mask estimate was T x F x P, built in the target's STFT;
+    # no node, nor the result, holds it, only the channel-q copy
+    assert len(estimates) == 1 and estimates[0]() is None
     assert result.stages["estimate"].shape == result.mixture_spectrogram.shape[:2]
     assert_same_result(result, cold_run(scene, spec))
 
@@ -379,6 +381,43 @@ def test_two_reference_mics_give_two_estimate_nodes(scene, monkeypatch):
     monkeypatch.undo()
     for q, result in zip((0, 1), results):
         assert_same_result(result, cold_run(scene, PipelineSpec(**base, ref_mic=q)))
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_the_estimate_node_is_the_estimators_composed_by_hand(scene, kind):
+    # the node is built in the target's STFT after the reference is taken;
+    # the public estimators build it in copies: the bits are the same, and
+    # so are the phase scores against a reference from the clean STFT
+    mix_spec, tgt_spec = analyze(scene.mixture), analyze(scene.direct_path)
+    for err_db in (math.inf, 10.0):
+        want = corrupt_estimate(oracle_estimate(mix_spec, tgt_spec, kind), err_db,
+                                seed=4).values
+        want_cov = signal_covariances(mix_spec, want)
+        for q in (0, 1):
+            drop_memo()
+            result = run_pipeline(scene, PipelineSpec(
+                "mvdr", estimator=kind, est_err_snr_db=err_db, ref_mic=q, seed=4))
+            est_q, cov = memo_nodes()[(kind, err_db, 4, q)]
+            assert est_q.tobytes() == np.ascontiguousarray(want[:, :, q]).tobytes()
+            assert cov.phi_s.tobytes() == want_cov.phi_s.tobytes()
+            assert cov.phi_v.tobytes() == want_cov.phi_v.tobytes()
+            hand = score_against(ScoreReference(tgt_spec[:, :, q], mix_spec[:, :, q]),
+                                 want[:, :, q])
+            got = result.metrics["estimate"]
+            assert (got.pdsacc_percent, got.psnr_db) == (hand.pdsacc_percent,
+                                                         hand.psnr_db)
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_a_refused_estimate_leaves_the_scene_as_fresh(scene, kind):
+    # the error of -4000 dB is past float64's range: it raises once the
+    # target's STFT is overwritten, and that STFT is not used again
+    drop_memo()
+    with pytest.raises(ValueError, match="^est_err_snr_db"):
+        run_pipeline(scene, PipelineSpec("mvdr", estimator=kind, est_err_snr_db=-4000.0))
+    spec = PipelineSpec("mvdr", estimator=kind, est_err_snr_db=10.0)
+    after = run_pipeline(scene, spec)
+    assert_same_result(after, cold_run(scene, spec))
 
 
 def test_target_stft_is_not_kept_with_a_mask_estimate(scene, monkeypatch):
@@ -414,7 +453,7 @@ def test_estimate_and_reference_outlive_stage_parameters(scene, monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(pipeline, name, wrapper)
 
-    for name in ("analyze", "oracle_estimate", "corrupt_estimate", "ScoreReference"):
+    for name in ("analyze", "_build", "ScoreReference"):
         counting(name)
     drop_memo()
     base = dict(name="fcp_mwmpdr_wpe", estimator="oraclePhaseSensitiveMask",
@@ -422,10 +461,9 @@ def test_estimate_and_reference_outlive_stage_parameters(scene, monkeypatch):
     specs = [PipelineSpec(**base, **change) for change in (
         {}, {"taps": 5}, {"delay": 2}, {"epsilon": 1e-2}, {"loading": 1e-6})]
     results = [run_pipeline(scene, spec) for spec in specs]
-    # the mixture and the target are analyzed once; the estimate, its
-    # corruption and the scoring reference are built once
-    assert calls == {"analyze": 2, "oracle_estimate": 1, "corrupt_estimate": 1,
-                     "ScoreReference": 1}
+    # the mixture and the target are analyzed once; the corrupted estimate
+    # and the scoring reference are built once
+    assert calls == {"analyze": 2, "_build": 1, "ScoreReference": 1}
     assert all(r.metrics["mixture"] is results[0].metrics["mixture"] for r in results)
     monkeypatch.undo()
     for spec, result in zip(specs, results):

@@ -20,6 +20,10 @@ start, the peaks of the steps whose memory grows with the field:
                          T x F x C fields
     synthesize           the resynthesis of mic 0's spectrogram, in T x F
                          (mono) fields
+    estimate             the pipeline's estimate node, oraclePhaseSensitiveMask
+                         at 10 dB at mic 0, built in the target's STFT, in
+                         T x F x C fields (the oracleDirect pipelines never
+                         reach the mask and error code)
 
 A step's peak counts its output and its transients, not its inputs.  The
 last line of standard output is the JSON result, with the process's peak
@@ -52,6 +56,7 @@ from lodistort import (  # noqa: E402
     default_taps,
     fcp,
     masked_covariances,
+    pipeline,
     psd_floor,
     render_scene,
     run_pipeline,
@@ -65,6 +70,7 @@ from lodistort import (  # noqa: E402
 from _memtrace import (  # noqa: E402
     analyze_bound,
     covariance_bound,
+    estimate_bound,
     fcp_bound,
     synthesize_bound,
     traced_peak,
@@ -132,11 +138,16 @@ def main():
         mix, cov.phi_s, cov.phi_v) / field_bytes)
     peak, _ = traced_peak(lambda: synthesize(reference))
     synthesize_fields = (peak / mono_bytes, synthesize_bound(reference) / mono_bytes)
+    # last: the estimate is built in tgt's buffer, which nothing reads after
+    spec = PipelineSpec("mvdr", estimator="oraclePhaseSensitiveMask",
+                        est_err_snr_db=10.0)
+    peak, _ = traced_peak(lambda: pipeline._estimate(spec, mix, tgt))
+    estimate_fields = (peak / field_bytes, estimate_bound(tgt) / field_bytes)
     steps = {"analyze": analyze_fields, "wpe_field": wpe_fields,
              "fcp": fcp_fields, "masked_covariances": masked_fields,
              "weighted_covariance": weighted_fields,
              "signal_covariances": signal_fields,
-             "synthesize": synthesize_fields}
+             "synthesize": synthesize_fields, "estimate": estimate_fields}
     result = {
         "seconds": SECONDS,
         "mics": MICS,
