@@ -24,11 +24,11 @@ import numpy as np
 
 from ._rules import RULES, check, check_channel
 from .errors import FormatError, SingularMatrixError
-from .estimator import ORACLE_KINDS, read_input
+from .estimator import ORACLE_KINDS, _build, read_input
 from .fsio import atomic_write_bytes, atomic_write_json, atomic_write_text, camel
 from .fsio import from_jsonable, json_text
 from .metrics import ScoreReference, phase_report, score_estimate
-from .pipeline import NAME_RULE, PARAM_KEYS, PipelineSpec, _build_estimate, list_pipelines
+from .pipeline import NAME_RULE, PARAM_KEYS, PipelineSpec, list_pipelines
 from .pipeline import run_pipeline, write_feature_bundle
 from .scene import RoomSpec, render_scene, synth_noise, synth_speech_like
 from .stft import StftConfig, TimeSignal, analyze, synthesize
@@ -334,9 +334,8 @@ def cmd_analyze_phase(args):
     check_channel("ref_mic", q, mixture.num_channels, "--ref-mic: ")
     mix_spec, tgt_spec = analyze(mixture), analyze(target)
     reference = ScoreReference(tgt_spec[:, :, q], mix_spec[:, :, q])
-    # the estimate is built in tgt_spec's buffer, read no more; the estimator
-    # flags carry PipelineSpec's field names
-    estimate = _build_estimate(args, mix_spec, tgt_spec)
+    # the estimate is built in tgt_spec's buffer, read no more (see estimator)
+    estimate = _build(tgt_spec, args.estimator, args.est_err_snr_db, args.seed, mix_spec)
     stats = {
         "schemaVersion": SCHEMA_VERSION,
         "scene": args.scene,

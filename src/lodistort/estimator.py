@@ -5,11 +5,12 @@ where a learned estimator would normally sit, this module provides oracles
 computed from the known target, optionally corrupted with complex Gaussian
 error at a controlled energy ratio, or an estimate loaded from disk.
 
-oracle_estimate and corrupt_estimate leave their arguments unchanged: each
-copies what the one core, _build, overwrites.  _build works in the target
-STFT's own buffer, so only a caller that owns that STFT and reads it no
-more may hand it over: run_pipeline and analyze-phase, once they have
-taken its ScoreReference.
+The one core, _build, works in place: it builds the estimate in the
+C-contiguous complex128 T x F x P target STFT it is handed, overwriting
+it.  So only a caller that owns that STFT and reads it no more may hand it
+over: run_pipeline and analyze-phase do, once they have taken its
+ScoreReference.  oracle_estimate and corrupt_estimate copy what _build
+overwrites, so they leave their arguments unchanged.
 """
 
 import math
@@ -102,9 +103,8 @@ def corrupt_estimate(estimate, est_err_snr_db, seed):
 
 
 def _build(target, kind, est_err_snr_db, seed, mixture=None):
-    """The estimate `kind` with error at `est_err_snr_db`, built in `target`,
-    a C-contiguous complex128 T x F x P array the caller owns and reads no
-    more; only the mask oracles read `mixture`."""
+    """The estimate `kind` with error at `est_err_snr_db`, built in `target`
+    as the module docstring says; only the mask oracles read `mixture`."""
     check("est_err_snr_db", est_err_snr_db)
     if mixture is not None:
         mixture = np.asarray(mixture, dtype=np.complex128)

@@ -33,11 +33,11 @@ the spec's params_dict() values; a mono run appends a marker, each stage its
 name, and each sub-node (the masked covariances, a wave, a score) its name.
 Stage outputs, waves and scores are kept only when several default
 pipelines run that chain; other chains reuse them.  The target's STFT is
-not kept: the call that builds the estimate or the reference computes it
-and drops it on return.  That call owns it, so it takes the reference first
-(ScoreReference copies what it keeps) and then builds the estimate in the
-STFT's own buffer; every other caller of the estimators gets a copy.
-Shared arrays are read-only, and shared scores are frozen MetricsReports.
+not kept: the call that builds the estimate or the reference computes it,
+takes the reference first (ScoreReference copies what it keeps), builds
+the estimate in it (the estimator module's in-place contract) and drops it
+on return.  Shared arrays are read-only, and shared scores are frozen
+MetricsReports.
 """
 
 import functools
@@ -112,7 +112,7 @@ _KEPT = {path for path in _RUN if _RUN.count(path) > 1}
 def list_pipelines():
     """The default pipelines with their stages, channel use and description."""
     return {name: {"stages": ["estimator", *_stages(name)], "channels": _channels(name),
-                   "description": ", then ".join(_STAGES[stage].__doc__
+                   "description": ", then ".join(" ".join(_STAGES[stage].__doc__.split())
                                                  for stage in _stages(name))}
             for name in PIPELINE_NAMES}
 
@@ -199,26 +199,6 @@ class PipelineResult:
         return self.waves[self.spec.name]
 
 
-def make_estimate(spec, mix_spec, tgt_spec):
-    """First-stage estimate for `spec`, a PipelineSpec or any object with its
-    estimator, est_err_snr_db and seed fields naming an oracle.  It is built
-    in a copy of tgt_spec, so the arguments are left unchanged; run_pipeline
-    and analyze-phase own their target STFT and build the estimate in its
-    own buffer once they have taken its ScoreReference (_build_estimate)."""
-    return _build_estimate(spec, mix_spec, None if tgt_spec is None else
-                           np.array(tgt_spec, dtype=np.complex128, order="C"))
-
-
-def _build_estimate(spec, mix_spec, tgt_spec):
-    # make_estimate in tgt_spec's own buffer, which the caller owns and no
-    # longer reads: analyze's C-contiguous complex128 result
-    if spec.estimator == "external":
-        return load_external_estimate(spec.estimate_path, mix_spec.shape)
-    if tgt_spec is None:
-        raise ValueError(f"estimator {spec.estimator!r} needs the target signal")
-    return _build(tgt_spec, spec.estimator, spec.est_err_snr_db, spec.seed, mix_spec)
-
-
 def _freeze(value):
     # shared nodes are read by every later call: make their arrays read-only
     if isinstance(value, np.ndarray):
@@ -301,6 +281,8 @@ def _masked_covariances(ctx):
 
 
 def _signal_covariances(ctx):
+    # the estimate's covariances against the mixture, whatever field the stage
+    # beamforms: mvdr_wpe and gev_wpe weight the WPE output by the mixture's
     if ctx.est_cov is None:  # a one-channel estimate: the shape error
         check_shapes(mixture=(ctx.field, "T x F x P"),
                      estimate=(ctx.est_q[:, :, None], "T x F x P"))
@@ -308,7 +290,7 @@ def _signal_covariances(ctx):
 
 
 def _mvdr(ctx):
-    """distortionless beamformer from estimate/residual covariances"""
+    """distortionless beamformer from the estimate's covariances against the mixture"""
     weights = beamform.mvdr(_signal_covariances(ctx), ctx.q, ctx.spec.loading)
     return ctx.field, beamform.apply_beamformer(weights, ctx.field)
 
@@ -334,7 +316,8 @@ def _mcwf(ctx):
 
 
 def _gev(ctx):
-    """generalized-eigenvector beamformer with blind analytic normalization"""
+    """generalized-eigenvector beamformer with blind analytic normalization, from
+    the estimate's covariances against the mixture"""
     weights = beamform.gev_ban(_signal_covariances(ctx), ctx.q, ctx.spec.loading)
     return ctx.field, beamform.apply_beamformer(weights, ctx.field)
 
@@ -354,8 +337,12 @@ _STAGES = {"wpe": _wpe, "mvdr": _mvdr, "mmvdr": _mmvdr, "mwmpdr": _mwmpdr,
 
 def _estimate(spec, mix_spec, tgt_spec):
     # (a contiguous copy of channel ref_mic, the signal covariances of all
-    # P >= 2 channels or None): the estimate node, which drops the estimate
-    est = _build_estimate(spec, mix_spec, tgt_spec)
+    # P >= 2 channels or None): the estimate node, which drops the estimate;
+    # an oracle's is built in tgt_spec
+    if spec.estimator == "external":
+        est = load_external_estimate(spec.estimate_path, mix_spec.shape)
+    else:
+        est = _build(tgt_spec, spec.estimator, spec.est_err_snr_db, spec.seed, mix_spec)
     cov = None
     if est.values.shape[2] == mix_spec.shape[2] >= 2:
         cov = stats.signal_covariances(mix_spec, est.values)
@@ -385,8 +372,9 @@ def run_pipeline(scene_or_mixture, spec, target=None):
         scene_or_mixture: Scene (target defaults to its direct path) or
             TimeSignal mixture
         spec: PipelineSpec
-        target: TimeSignal of the clean target; required by oracle
-            estimators and for metric computation
+        target: TimeSignal of the clean target, of the mixture's sample and
+            channel counts; required by oracle estimators and for metric
+            computation
     Return:
         PipelineResult (shared arrays read-only; see the module docstring)
     """
@@ -405,8 +393,10 @@ def run_pipeline(scene_or_mixture, spec, target=None):
         raise ValueError(f"pipeline {spec.name!r} needs at least 2 channels")
     q = spec.ref_mic
     check_channel("ref_mic", q, num_mics)
-    if target is not None and target.num_channels != num_mics:
-        raise ValueError("target and mixture channel counts differ")
+    if target is not None:
+        check_shapes(mixture=(mixture.samples, "N x C"), target=(target.samples, "N x C"))
+    elif spec.estimator != "external":
+        raise ValueError(f"estimator {spec.estimator!r} needs the target signal")
 
     nodes = _scene_nodes(mixture, target)
     mix_spec = _node(nodes, "mixture", lambda: analyze(mixture))  # T x F x P

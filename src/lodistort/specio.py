@@ -40,14 +40,17 @@ def read_spectrogram(path):
     """Read an LDSPEC1 file back into a T x F x P complex128 array.
 
     The payload is read straight into the new array.  Files that are not
-    LDSPEC1, whose size disagrees with the header, or that hold NaN or inf
-    raise FormatError.
+    LDSPEC1, whose header has a size of zero, whose size disagrees with the
+    header, or that hold NaN or inf raise FormatError.
     """
     with open(path, "rb") as handle:
         head = handle.read(len(MAGIC) + _HEADER.size)
         if len(head) < len(MAGIC) + _HEADER.size or not head.startswith(MAGIC):
             raise FormatError(f"{path}: not an LDSPEC1 spectrogram file")
         num_frames, num_bins, num_channels = _HEADER.unpack_from(head, len(MAGIC))
+        if 0 in (num_frames, num_bins, num_channels):
+            raise FormatError(f"{path}: spectrogram header has a size of zero "
+                              f"({num_frames}x{num_bins}x{num_channels})")
         size = os.fstat(handle.fileno()).st_size
         expected = len(head) + 16 * num_frames * num_bins * num_channels
         if size != expected:

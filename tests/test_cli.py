@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import warnings
+import wave
 
 import numpy as np
 import pytest
@@ -398,6 +399,19 @@ def test_analyze_phase_reads_the_estimators_composed_by_hand(scene_dir, capsys):
                 assert {key: got[key] for key in want} == json.loads(json_text(want))
 
 
+def test_analyze_phase_uncorrupted_magnitude_mask_scores_the_target_side_share(
+        scene_dir, capsys):
+    # a real mask keeps the mixture's phase up to rounding, which PDSAcc
+    # reads as a tie (>= 0): the uncorrupted magnitude mask scores the share
+    # of bins whose target side is >= 0
+    rc, out, err = run_cli(capsys, "analyze-phase", "--scene", scene_dir,
+                           "--estimator", "oracleMagMask")
+    assert rc == 0, err
+    stats = json.loads(out)
+    assert stats["pdsAccPercent"] == pytest.approx(
+        100.0 * stats["signPositiveFraction"], abs=1e-9)
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     rc, _, _ = run_cli(capsys, "simulate", "--t60", "0.2", "--snr-db", "0",
                        "--out", str(tmp_path / "x"))  # missing --mics
@@ -721,6 +735,30 @@ def test_numeric_flag_sweep(scene_dir, tmp_path, capsys, command):
                 os.remove(out)
 
 
+@pytest.mark.parametrize("command", ["enhance", "evaluate"])
+def test_a_wav_at_another_rate_exits_2(scene_dir, tmp_path, capsys, command):
+    # every signal is at 16 kHz: a WAV at another rate is a usage error where
+    # it is read; the standard library writes this one, as PCM16 at 8 kHz
+    other_rate = str(tmp_path / "8k.wav")
+    with wave.open(other_rate, "wb") as handle:
+        handle.setnchannels(1)
+        handle.setsampwidth(2)
+        handle.setframerate(8000)
+        handle.writeframes(bytes(range(256)) * 64)
+    out = str(tmp_path / "run")
+    argv = {
+        "enhance": ("--mixture", other_rate, "--target", other_rate,
+                    "--pipeline", "wpe", "--out", out),
+        "evaluate": ("--estimate", other_rate,
+                     "--reference", os.path.join(scene_dir, "direct.wav"),
+                     "--mixture", os.path.join(scene_dir, "mixture.wav")),
+    }[command]
+    rc, stdout, err = run_cli(capsys, command, *argv)
+    assert rc == 2 and "usage error" in err
+    assert other_rate in err and "8000 Hz" in err
+    assert stdout == "" and not os.path.exists(out)
+
+
 def test_file_errors_exit_3(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "enhance", "--scene", str(tmp_path / "ghost"),
                          "--pipeline", "wpe", "--out", str(tmp_path / "run"))
@@ -762,6 +800,20 @@ def test_non_finite_estimate_file_exits_3(scene_dir, tmp_path, capsys, suffix):
                          "--mix", os.path.join(scene_dir, "mixture.wav"))
     assert rc == 3 and "file error" in err
     assert bad in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("shape", [(5, 257, 0), (0, 257, 1)])
+def test_spectrogram_of_a_zero_size_exits_3(scene_dir, tmp_path, capsys, shape):
+    # a header with a size of zero is a bad file, named in the message, not
+    # a usage error about the channel or the array
+    empty = str(tmp_path / "empty.ldspec")
+    with open(empty, "wb") as handle:
+        handle.write(b"LDSPEC1" + struct.pack("<III", *shape))
+    rc, _, err = run_cli(capsys, "evaluate", "--est", empty,
+                         "--ref", os.path.join(scene_dir, "direct.wav"),
+                         "--mix", os.path.join(scene_dir, "mixture.wav"))
+    assert rc == 3 and "file error" in err
+    assert empty in err
 
 
 def test_mismatched_lengths_exit_3(scene_dir, tmp_path, capsys):

@@ -9,7 +9,6 @@ import pytest
 
 from lodistort import (
     FormatError,
-    PipelineSpec,
     TimeSignal,
     analyze,
     corrupt_estimate,
@@ -19,7 +18,6 @@ from lodistort import (
     write_wav,
 )
 from lodistort.estimator import ORACLE_KINDS, TargetEstimate
-from lodistort.pipeline import make_estimate
 
 
 def random_pair(seed, shape=(6, 5, 2)):
@@ -229,13 +227,10 @@ def test_the_estimators_leave_their_arguments_unchanged(kind, err_db):
     est = oracle_estimate(mix, tgt, kind)
     est_bytes = est.values.tobytes()
     noisy = corrupt_estimate(est, err_db, seed=2)
-    made = make_estimate(PipelineSpec("mvdr", estimator=kind, est_err_snr_db=err_db,
-                                      seed=2), mix, tgt)
     assert mix.tobytes() == mix_bytes and tgt.tobytes() == tgt_bytes
     assert est.values.tobytes() == est_bytes
-    assert made.values.tobytes() == noisy.values.tobytes()
     assert not np.shares_memory(noisy.values, est.values)
-    assert not np.shares_memory(made.values, tgt)
+    assert not np.shares_memory(noisy.values, tgt)
 
 
 def test_external_spectrogram_round_trip(tmp_path):

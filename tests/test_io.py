@@ -243,6 +243,16 @@ def test_spectrogram_corruption_raises(tmp_path):
         read_spectrogram(tmp_path / "missing.ldspec")
 
 
+@pytest.mark.parametrize("shape", [(0, 3, 1), (2, 0, 1), (2, 3, 0), (0, 0, 0)])
+def test_spectrogram_header_of_a_zero_size_raises(tmp_path, shape):
+    # the header alone is the whole file a zero size promises; as a WAV file
+    # of no samples, it is a bad file, not an empty array
+    path = tmp_path / "empty.ldspec"
+    path.write_bytes(b"LDSPEC1" + struct.pack("<III", *shape))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: ")):
+        read_spectrogram(path)
+
+
 def test_atomic_writes_leave_no_temp_files(tmp_path):
     path = tmp_path / "out.txt"
     atomic_write_text(path, "first")

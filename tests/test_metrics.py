@@ -10,10 +10,11 @@ import pytest
 
 from lodistort import (
     MetricsReport,
-    PipelineSpec,
     TimeSignal,
     analyze,
+    corrupt_estimate,
     energy_mask,
+    oracle_estimate,
     pdsacc,
     phase_candidates,
     psnr,
@@ -31,7 +32,6 @@ from lodistort.metrics import (
     phase_report,
     score_against,
 )
-from lodistort.pipeline import make_estimate
 
 from _memtrace import traced_peak
 from conftest import build_suite_scene, suite_scene_params
@@ -232,8 +232,7 @@ def test_uncorrupted_magnitude_mask_scores_the_target_side_share():
     # suite scene 0 at mic 0: rounding noise must not read as a side
     scene = build_suite_scene(*suite_scene_params()[0])
     mix_spec, tgt_spec = analyze(scene.mixture), analyze(scene.direct_path)
-    est_q = make_estimate(PipelineSpec("wpe", estimator="oracleMagMask"),
-                          mix_spec, tgt_spec).channel(0)
+    est_q = oracle_estimate(mix_spec, tgt_spec, "oracleMagMask").channel(0)
     report = phase_report(ScoreReference(tgt_spec[:, :, 0], mix_spec[:, :, 0]), est_q)
     assert report["pdsAccPercent"] == 100.0 * report["signPositiveFraction"]
     assert report["pdsAccPercent"] == pytest.approx(49.618, abs=1e-3)
@@ -432,8 +431,8 @@ def test_phase_report_matches_parent_cli_computation(source, tmp_path, capsys):
     mix_q, tgt_q = mix_spec[:, :, 0], tgt_spec[:, :, 0]
     reference = ScoreReference(tgt_q, mix_q)
     for err_db in (20.0, 0.0):
-        spec = PipelineSpec("wpe", est_err_snr_db=err_db, seed=3)
-        est_q = make_estimate(spec, mix_spec, tgt_spec).channel(0)
+        est_q = corrupt_estimate(oracle_estimate(mix_spec, tgt_spec, "oracleDirect"),
+                                 err_db, seed=3).channel(0)
         want, angle_theta = _parent_cli_statistics(mix_q, tgt_q, est_q)
         got = phase_report(reference, est_q)
         assert list(got) == list(want)

@@ -22,6 +22,7 @@ from lodistort import (
     masked_covariances,
     mvdr,
     oracle_estimate,
+    pipeline,
     psd_floor,
     read_spectrogram,
     render_scene,
@@ -345,6 +346,27 @@ def test_validation_errors(small_scene):
     )
     with pytest.raises(ValueError, match="at least 2 channels"):
         run_pipeline(mono, PipelineSpec("mvdr"))
+
+
+@pytest.mark.parametrize("extra, named", [
+    (1, "target must be N x C with N = 32001, C = 2 as in mixture, got shape (32002, 2)"),
+    (1000, "target must be N x C with N = 32001, C = 2 as in mixture, got shape (33001, 2)"),
+    (None, "estimator 'oracleDirect' needs the target signal"),
+], ids=["same-frames", "more-frames", "no-target"])
+def test_a_missing_or_misfit_target_is_refused_before_any_work(monkeypatch, extra,
+                                                               named):
+    # one sample more keeps the 257 frames of the mixture, 1000 more do not;
+    # either way, and without a target, the error comes before a signal is
+    # analyzed
+    def no_analysis(signal):
+        raise AssertionError("a signal was analyzed")
+
+    monkeypatch.setattr(pipeline, "analyze", no_analysis)
+    rng = np.random.default_rng(4)
+    mixture = TimeSignal(rng.standard_normal((32001, 2)))
+    target = extra and TimeSignal(rng.standard_normal((32001 + extra, 2)))
+    with pytest.raises(ValueError, match=re.escape(named)):
+        run_pipeline(mixture, PipelineSpec("fcp_mwmpdr_wpe"), target)
 
 
 @pytest.mark.parametrize("kwargs, named", [
