@@ -1,5 +1,5 @@
-"""The process-wide worker pool that linpred's bin chunks and the scene
-simulator's per-mic responses run on.
+"""The process-wide worker pool that linpred's bin chunks, the scene
+simulator's per-mic responses and the estimator's error draws run on.
 
 A call hands run_chunks a job, the items to process, a cap on its workers
 and a function that makes one set of buffers (a space) per worker.  The
@@ -19,8 +19,16 @@ joins them, which an idle thread does at once.  A call made after that,
 from a thread that outlives the main thread or from an atexit hook, runs
 on the caller alone.
 
+submit(fn, *args) hands the pool one job that runs beside the caller, as
+the estimator's error draws run while the scene is analyzed.  It returns
+the job's future, whose result() runs the job on the calling thread if no
+pool thread has started it, so it too never waits on a queued job; with one
+worker the job runs inline, within submit.  A submitted job takes no BLAS
+hold (below), so it should call no BLAS: the draws call none.
+
 The spaces are made on the calling thread: buffers a pool thread allocates
-stay resident in its own malloc arena after the call.
+stay resident in its own malloc arena after the call.  For the same reason
+a submitted job fills buffers its caller made.
 
 While a call runs on several workers, the process-wide thread count of the
 OpenBLAS that numpy loaded is held at one and restored afterwards, so the
@@ -195,3 +203,48 @@ def run_chunks(job, items, workers, make_space):
                 helper.result()
     if failures:
         raise failures[0]
+
+
+class _Job:
+    """The future of a submitted job, run once by whichever thread claims it
+    first: a pool thread, or the caller in result()."""
+
+    def __init__(self, fn, args):
+        self._call = fn, args
+        self._claim = threading.Lock()
+        self._done = threading.Event()
+        self._value = self._error = None
+
+    def run(self):
+        if not self._claim.acquire(blocking=False):
+            return  # claimed by the other thread
+        fn, args = self._call
+        self._call = None  # the arguments are freed once the job has run
+        try:
+            self._value = fn(*args)
+        except BaseException as exc:
+            self._error = exc
+        finally:
+            self._done.set()
+
+    def result(self):
+        """The job's value, or its exception raised; runs the job here if no
+        pool thread has started it, else waits for the thread."""
+        self.run()
+        self._done.wait()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+def submit(fn, *args):
+    """The future of fn(*args), run on a pool thread or, with one worker,
+    inline before submit returns."""
+    job = _Job(fn, args)
+    if worker_count() > 1:
+        # the executor refuses jobs once the interpreter has begun to exit
+        with contextlib.suppress(RuntimeError):
+            _executor(os.getpid()).submit(job.run)
+            return job
+    job.run()
+    return job

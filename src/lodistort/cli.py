@@ -24,7 +24,7 @@ import numpy as np
 
 from ._rules import RULES, check, check_channel
 from .errors import FormatError, SingularMatrixError
-from .estimator import ORACLE_KINDS, _build, read_input
+from .estimator import ORACLE_KINDS, _build, _start_draws, read_input
 from .fsio import atomic_write_bytes, atomic_write_json, atomic_write_text, camel
 from .fsio import from_jsonable, json_text
 from .metrics import ScoreReference, phase_report, score_estimate
@@ -332,10 +332,13 @@ def cmd_analyze_phase(args):
         raise FormatError(f"{args.scene}: scene has no direct-path file; phase "
                           "analysis needs the clean target")
     check_channel("ref_mic", q, mixture.num_channels, "--ref-mic: ")
+    # the error, if any, is drawn on the pool while the scene is analyzed
+    draws = _start_draws(mixture, args.est_err_snr_db, args.seed)
     mix_spec, tgt_spec = analyze(mixture), analyze(target)
     reference = ScoreReference(tgt_spec[:, :, q], mix_spec[:, :, q])
     # the estimate is built in tgt_spec's buffer, read no more (see estimator)
-    estimate = _build(tgt_spec, args.estimator, args.est_err_snr_db, args.seed, mix_spec)
+    estimate = _build(tgt_spec, args.estimator, args.est_err_snr_db, args.seed, mix_spec,
+                      draws)
     stats = {
         "schemaVersion": SCHEMA_VERSION,
         "scene": args.scene,

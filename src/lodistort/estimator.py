@@ -11,6 +11,14 @@ it.  So only a caller that owns that STFT and reads it no more may hand it
 over: run_pipeline and analyze-phase do, once they have taken its
 ScoreReference.  oracle_estimate and corrupt_estimate copy what _build
 overwrites, so they leave their arguments unchanged.
+
+The error's draws run as a job on the worker pool (_pool.submit), into a
+2 x T x F x P float buffer the calling thread allocates.  run_pipeline and
+analyze-phase start them before the scene's STFTs, so they are drawn while
+the scene is analyzed; _build starts them itself for any other caller.
+With one worker they run inline: the same values either way.  Every
+energy sum squares one block at a time (_energy), equal to numpy's sum of
+the squares bit for bit, and the draws are freed when _build returns.
 """
 
 import math
@@ -18,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rules import blocks, check, check_shapes
+from . import _pool
+from ._rules import BLOCK_BYTES, blocks, check, check_shapes
 from .errors import FormatError
 from .specio import read_spectrogram
-from .stft import TimeSignal, analyze
+from .stft import StftConfig, TimeSignal, analyze
 from .wavio import read_wav
 
 ORACLE_DIRECT = "oracleDirect"
@@ -102,20 +111,72 @@ def corrupt_estimate(estimate, est_err_snr_db, seed):
     return _build(values, ORACLE_DIRECT, est_err_snr_db, seed)
 
 
-def _build(target, kind, est_err_snr_db, seed, mixture=None):
+def _build(target, kind, est_err_snr_db, seed, mixture=None, draws=None):
     """The estimate `kind` with error at `est_err_snr_db`, built in `target`
-    as the module docstring says; only the mask oracles read `mixture`."""
+    as the module docstring says; only the mask oracles read `mixture`.  A
+    finite ratio takes its error from `draws`, the _Draws of target.size
+    values from `seed` if the caller started them, else from draws started
+    here."""
     check("est_err_snr_db", est_err_snr_db)
     if mixture is not None:
         mixture = np.asarray(mixture, dtype=np.complex128)
         check_shapes(mixture=(mixture, "T x F x P"), target=(target, "T x F x P"))
-    if kind in (ORACLE_MAG_MASK, ORACLE_PSM):
-        _apply_mask(kind, mixture, target)
-    elif kind != ORACLE_DIRECT:
+    if kind not in ORACLE_KINDS:
         raise ValueError(f"unknown oracle kind {kind!r}, expected one of {ORACLE_KINDS}")
+    if draws is None and not math.isinf(est_err_snr_db):
+        draws = _Draws(target.size, seed)
+    if kind != ORACLE_DIRECT:
+        _apply_mask(kind, mixture, target)
     if not math.isinf(est_err_snr_db):
-        _add_error(target, est_err_snr_db, seed)
+        _add_error(target, est_err_snr_db, draws)
     return TargetEstimate(target)
+
+
+class _Draws:
+    """The error draws of an estimate of `count` complex values: a pool job
+    (_pool.submit) that starts when the object is made fills a 2 x count
+    float buffer the calling thread allocates, the real parts first, and
+    sums its energy."""
+
+    def __init__(self, count, seed):
+        self._draws = np.empty((2, count))
+        self._job = _pool.submit(_draw, self._draws, seed)
+
+    def take(self):
+        """(the draws, their energy) once the job is done, after which this
+        object holds neither: the taker frees the draws."""
+        draws, job = self._draws, self._job
+        self._draws = self._job = None
+        return draws, job.result()
+
+
+def _start_draws(mixture, est_err_snr_db, seed):
+    # the _Draws of an estimate of the TimeSignal mixture's STFT, started
+    # before that STFT is computed; None at a ratio that draws nothing
+    if not math.isfinite(est_err_snr_db):
+        return None
+    count = (StftConfig.num_frames(mixture.num_samples) * StftConfig.num_bins
+             * mixture.num_channels)
+    return _Draws(count, seed)
+
+
+def _draw(draws, seed):
+    # the job of _Draws: the seeded stream, then the energy of the real and
+    # of the imaginary parts, summed in that order
+    np.random.default_rng(seed).standard_normal(out=draws)
+    return float(_energy(draws[0])) + float(_energy(draws[1]))
+
+
+def _energy(values):
+    """np.sum(np.square(values)) of 1-D float64 values, bit for bit, with
+    squares of at most one block: the sum splits where numpy's pairwise sum
+    splits above 128 values, at half the count rounded down to a multiple of
+    8, until a part fits in a block."""
+    if values.size * 8 <= BLOCK_BYTES:
+        return np.sum(np.square(values))
+    half = values.size // 2
+    half -= half % 8
+    return _energy(values[:half]) + _energy(values[half:])
 
 
 def _apply_mask(kind, mixture, target):
@@ -134,30 +195,23 @@ def _apply_mask(kind, mixture, target):
         np.multiply(mask, mix.imag, out=out.imag)
 
 
-def _add_error(values, est_err_snr_db, seed):
-    # values += the scaled error, in place.  Energies are pairwise sums of
-    # squares of float64 components: one 2 x T x F x P float buffer holds the
-    # clean squares, then the real and the imaginary draws, and one
-    # T x F x P float buffer each draw's squares
+def _add_error(values, est_err_snr_db, draws):
+    # values += the error of the _Draws `draws`, scaled in place to the
+    # ratio.  The clean energy is summed while the draws may still run
     parts = values.view(np.float64)
-    draws = np.empty((2,) + values.shape)
     with np.errstate(over="ignore"):  # an overflow is an infinite energy, refused
-        clean_energy = float(np.sum(np.square(parts, out=draws.reshape(parts.shape))))
+        clean_energy = float(_energy(parts.reshape(-1)))
     if not math.isfinite(clean_energy):
         raise ValueError("the estimate must be finite, with an energy within "
                          "float64's range")
-    rng = np.random.default_rng(seed)
-    squares = np.empty(values.shape)
-    noise_energy = 0.0
-    for draw in draws:
-        rng.standard_normal(out=draw)
-        noise_energy += float(np.sum(np.square(draw, out=squares)))
+    draws, noise_energy = draws.take()
     scale = 0.0
     if noise_energy > 0.0:
         try:
             scale = math.sqrt(clean_energy * 10.0 ** (-est_err_snr_db / 10.0) / noise_energy)
         except OverflowError:  # the power of ten is past float64's range
             scale = math.inf
+    draws = draws.reshape((2,) + values.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         draws *= scale
         values.real += draws[0]

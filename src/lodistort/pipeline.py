@@ -24,7 +24,9 @@ the entry goes with its mixture.  Each node is keyed by what it reads: the
 mixture's STFT by name; the scoring reference and the mixture's score by
 (ref_mic, name); the estimate by (estimator, est_err_snr_db, seed, ref_mic),
 or None for an external estimate, whose file may change, and None
-propagates.  The estimate node holds what the stages read of it: a
+propagates.  A call that will build a corrupted oracle estimate starts its
+error draws on the worker pool before the mixture's STFT (see the
+estimator module).  The estimate node holds what the stages read of it: a
 contiguous copy of channel ref_mic and, when the estimate has all P >= 2 of
 the mixture's channels, their signal covariances (mvdr, gev), computed once
 when the node is built; the T x F x P estimate is dropped then.  The
@@ -53,7 +55,7 @@ import numpy as np
 
 from . import beamform, linpred, stats
 from ._rules import check_channel, check_fields, check_shapes
-from .estimator import ORACLE_KINDS, _build, load_external_estimate
+from .estimator import ORACLE_KINDS, _build, _start_draws, load_external_estimate
 from .fsio import camel
 from .linalg import DEFAULT_LOADING
 from .metrics import ScoreReference, score_against
@@ -335,34 +337,41 @@ _STAGES = {"wpe": _wpe, "mvdr": _mvdr, "mmvdr": _mmvdr, "mwmpdr": _mwmpdr,
            "mcwf": _mcwf, "gev": _gev, "fcp": _fcp}
 
 
-def _estimate(spec, mix_spec, tgt_spec):
+def _estimate(spec, mix_spec, tgt_spec, draws=None):
     # (a contiguous copy of channel ref_mic, the signal covariances of all
     # P >= 2 channels or None): the estimate node, which drops the estimate;
-    # an oracle's is built in tgt_spec
+    # an oracle's is built in tgt_spec, with `draws` if they were started
     if spec.estimator == "external":
         est = load_external_estimate(spec.estimate_path, mix_spec.shape)
     else:
-        est = _build(tgt_spec, spec.estimator, spec.est_err_snr_db, spec.seed, mix_spec)
+        est = _build(tgt_spec, spec.estimator, spec.est_err_snr_db, spec.seed, mix_spec,
+                     draws)
     cov = None
     if est.values.shape[2] == mix_spec.shape[2] >= 2:
         cov = stats.signal_covariances(mix_spec, est.values)
     return np.ascontiguousarray(est.channel(spec.ref_mic)), cov
 
 
-def _estimate_and_reference(nodes, spec, mix_spec, target):
-    """(the estimate's key, its node, the ScoreReference at ref_mic or
-    None without a target).  The target's STFT is read only here: it is
-    computed once if either node is, the reference taken from it first, the
-    estimate built in its buffer, and it is dropped on return."""
+def _estimate_key(spec):
+    # the estimate node's key: None for an external estimate, never shared
+    if spec.estimator == "external":
+        return None
+    return spec.estimator, spec.est_err_snr_db, spec.seed, spec.ref_mic
+
+
+def _estimate_and_reference(nodes, spec, mix_spec, target, draws):
+    """(the estimate's node, the ScoreReference at ref_mic or None without
+    a target).  The target's STFT is read only here: it is computed once if
+    either node is, the reference taken from it first, the estimate built
+    in its buffer, and it is dropped on return."""
     tgt_spec = functools.cache(lambda: target and analyze(target))
     q = spec.ref_mic
-    est_key = (None if spec.estimator == "external"
-               else (spec.estimator, spec.est_err_snr_db, spec.seed, q))
     reference = target and _node(
         nodes, (q, "reference"),
         lambda: ScoreReference(tgt_spec()[:, :, q], mix_spec[:, :, q]))
-    est = _node(nodes, est_key, lambda: _estimate(spec, mix_spec, tgt_spec()))
-    return est_key, est, reference
+    est = _node(nodes, _estimate_key(spec),
+                lambda: _estimate(spec, mix_spec, tgt_spec(), draws))
+    return est, reference
 
 
 def run_pipeline(scene_or_mixture, spec, target=None):
@@ -399,10 +408,15 @@ def run_pipeline(scene_or_mixture, spec, target=None):
         raise ValueError(f"estimator {spec.estimator!r} needs the target signal")
 
     nodes = _scene_nodes(mixture, target)
+    est_key = _estimate_key(spec)
+    # an oracle estimate to corrupt: its error is drawn on the pool meanwhile
+    draws = None
+    if est_key is not None and est_key not in nodes:
+        draws = _start_draws(mixture, spec.est_err_snr_db, spec.seed)
     mix_spec = _node(nodes, "mixture", lambda: analyze(mixture))  # T x F x P
     mix_q = mix_spec[:, :, q]
-    est_key, (est_q, est_cov), reference = _estimate_and_reference(
-        nodes, spec, mix_spec, target)
+    (est_q, est_cov), reference = _estimate_and_reference(
+        nodes, spec, mix_spec, target, draws)
     # stages read every parameter; None after an external estimate
     key = est_key and tuple(spec.params_dict().values())
 

@@ -52,13 +52,14 @@ def oracle_bound(values):
 
 def estimate_bound(values):
     """The pipeline's estimate node built in the T x F x C target STFT
-    `values`, which it owns: at most 1.5 fields plus one block.  A finite
-    ratio takes the draws (a field of floats, which first hold the clean
-    squares) and one draw's squares (half a field); a mask oracle takes
-    three float buffers and a flag buffer of at most one block of frames
-    each, and at most the whole field.  No second estimate, no noisy copy:
-    those took 2.5 fields."""
-    return 1.5 * values.nbytes + BLOCK_BYTES
+    `values`, which it owns: one field plus five blocks.  A finite ratio
+    takes the draws, a field of floats, while a mask oracle's three float
+    buffers and flag buffer (one block of frames each) and the squares of
+    the energy sums (at most a block in the pool job and one in the
+    caller) come and go: at most 4.2 blocks over the field, measured under
+    3.5, allowed 5.  No field-sized squares: the clean parts' took a
+    field, a draw's half one."""
+    return values.nbytes + 5 * BLOCK_BYTES
 
 
 def _workspaces(num_frames, num_channels, taps, delay):

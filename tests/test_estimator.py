@@ -1,5 +1,6 @@
 """Oracle estimator tests: hand-evaluated mask values, energy-calibrated
-corruption, and external-estimate loading."""
+corruption, its block-wise energy sums and its draws on the worker pool,
+and external-estimate loading."""
 
 import math
 import warnings
@@ -9,15 +10,24 @@ import pytest
 
 from lodistort import (
     FormatError,
+    PipelineSpec,
+    RoomSpec,
+    StftConfig,
     TimeSignal,
     analyze,
     corrupt_estimate,
     load_external_estimate,
     oracle_estimate,
+    render_scene,
+    run_pipeline,
+    synth_noise,
+    synth_speech_like,
     write_spectrogram,
     write_wav,
 )
-from lodistort.estimator import ORACLE_KINDS, TargetEstimate
+from lodistort import _pool, pipeline
+from lodistort._rules import BLOCK_BYTES
+from lodistort.estimator import ORACLE_KINDS, TargetEstimate, _energy
 
 
 def random_pair(seed, shape=(6, 5, 2)):
@@ -231,6 +241,67 @@ def test_the_estimators_leave_their_arguments_unchanged(kind, err_db):
     assert est.values.tobytes() == est_bytes
     assert not np.shares_memory(noisy.values, est.values)
     assert not np.shares_memory(noisy.values, tgt)
+
+
+def _draw_count(seconds, mics):
+    # 2 T F P: the values an energy sum of a field's draws or clean parts reads
+    num_frames = StftConfig.num_frames(int(seconds * StftConfig.sample_rate))
+    return 2 * num_frames * StftConfig.num_bins * mics
+
+
+# a block holds BLOCK_BYTES // 8 float64 values
+ENERGY_SIZES = {
+    "1-300": range(1, 301),
+    "block-9": [BLOCK_BYTES // 8 - 9], "block-1": [BLOCK_BYTES // 8 - 1],
+    "block+1": [BLOCK_BYTES // 8 + 1], "block+9": [BLOCK_BYTES // 8 + 9],
+    # the benchmark's fields: 4 s at 6 mics, 1 s at 8 mics, 2 s at 4 mics
+    "suite6": [_draw_count(4, 6)], "beam8": [_draw_count(1, 8)],
+    "cli": [_draw_count(2, 4)],
+    "3e6+7": [3 * 10 ** 6 + 7],
+}
+
+
+@pytest.mark.parametrize("sizes", ENERGY_SIZES.values(), ids=ENERGY_SIZES.keys())
+def test_blockwise_energy_is_numpys_sum_of_squares(sizes):
+    # the block-wise sum repeats numpy's pairwise splits: a numpy release that
+    # splits elsewhere fails here, before any estimate moves
+    rng = np.random.default_rng(30)
+    for size in sizes:
+        values = rng.standard_normal(size) * np.exp(rng.uniform(-3.0, 3.0, size))
+        assert _energy(values).tobytes() == np.sum(np.square(values)).tobytes(), size
+
+
+def _scene(mics):
+    room = RoomSpec(num_mics=mics, t60_seconds=0.3, rir_len_samples=2000, seed=mics)
+    return render_scene(synth_speech_like(8000, seed=[mics, 1]),
+                        [synth_noise(8000, seed=[mics, 2])], room, snr_db=5.0)
+
+
+def _pipeline_estimate(scene, spec):
+    # the estimate node of a run on a scene the memo does not hold
+    with pipeline._memo_lock:
+        pipeline._memo.clear()
+    return run_pipeline(scene, spec).stages["estimate"]
+
+
+@pytest.mark.parametrize("mics", [1, 8])
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_the_pipeline_estimate_is_the_same_drawn_on_the_pool_or_inline(
+        monkeypatch, kind, mics):
+    # run_pipeline starts the draws on the pool before the mixture's STFT;
+    # at one worker they run inline: the estimate is byte-identical, and it
+    # is the composed estimators' channel ref_mic
+    scene = _scene(mics)
+    spec = PipelineSpec("fcp" if mics == 1 else "mvdr", estimator=kind,
+                        est_err_snr_db=10.0, ref_mic=mics - 1, seed=5)
+    monkeypatch.setattr(_pool, "worker_count", lambda: 2)
+    pooled = _pipeline_estimate(scene, spec)
+    monkeypatch.setattr(_pool, "worker_count", lambda: 1)
+    inline = _pipeline_estimate(scene, spec)
+    assert pooled.tobytes() == inline.tobytes()
+    composed = corrupt_estimate(oracle_estimate(
+        analyze(scene.mixture), analyze(scene.direct_path), kind), 10.0, seed=5)
+    assert composed.channel(spec.ref_mic).tobytes() == pooled.tobytes()
 
 
 def test_external_spectrogram_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 """The shared worker pool: linear-prediction calls and scene renders that
 overlap, run in a forked child, or end a process give the serial results
-and never wait on a queued job."""
+and never wait on a queued job, and neither does a submitted job's
+result()."""
 
 import os
 import subprocess
@@ -222,3 +223,52 @@ def test_thread_that_outlives_the_main_thread_matches():
     """)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "same"
+
+
+def test_submit_runs_inline_at_one_worker(monkeypatch):
+    monkeypatch.setattr(_pool, "worker_count", lambda: 1)
+    ran = []
+    job = _pool.submit(lambda value: ran.append(threading.get_ident()) or value + 1, 1)
+    assert ran == [threading.get_ident()]  # before submit returned
+    assert job.result() == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_submit_raises_the_jobs_exception_at_result(monkeypatch, workers):
+    monkeypatch.setattr(_pool, "worker_count", lambda: workers)
+
+    def fail():
+        raise RuntimeError("planted failure")
+
+    job = _pool.submit(fail)
+    with pytest.raises(RuntimeError, match="planted failure"):
+        job.result()
+
+
+def test_submit_inside_a_job_of_the_only_busy_thread_does_not_hang():
+    # the pool's one thread runs the outer job, so the inner one stays
+    # queued: its result() takes it back and runs it on the outer job's
+    # thread; a result() that waited would wait for itself
+    proc = _run_pooled("""
+        import os, threading
+        from lodistort import _pool
+
+        _pool.worker_count = lambda: 2  # one pool thread
+        watchdog = threading.Timer(60, os._exit, (3,))  # a hang exits 3
+        watchdog.daemon = True
+        watchdog.start()
+        started = threading.Event()
+
+        def outer():
+            started.set()
+            inner = _pool.submit(threading.get_ident)
+            return inner.result(), threading.get_ident()
+
+        job = _pool.submit(outer)
+        assert started.wait(timeout=30)
+        inner_thread, outer_thread = job.result()
+        assert inner_thread == outer_thread != threading.get_ident()
+        print("returned")
+    """)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "returned"

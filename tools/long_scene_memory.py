@@ -21,9 +21,11 @@ start, the peaks of the steps whose memory grows with the field:
     synthesize           the resynthesis of mic 0's spectrogram, in T x F
                          (mono) fields
     estimate             the pipeline's estimate node, oraclePhaseSensitiveMask
-                         at 10 dB at mic 0, built in the target's STFT, in
-                         T x F x C fields (the oracleDirect pipelines never
-                         reach the mask and error code)
+                         at 10 dB at mic 0, built in the target's STFT with
+                         its error's draws (one field, on the worker pool)
+                         and block-sized squares, in T x F x C fields (the
+                         oracleDirect pipelines never reach the mask and
+                         error code)
 
 A step's peak counts its output and its transients, not its inputs.  The
 last line of standard output is the JSON result, with the process's peak
@@ -138,7 +140,8 @@ def main():
         mix, cov.phi_s, cov.phi_v) / field_bytes)
     peak, _ = traced_peak(lambda: synthesize(reference))
     synthesize_fields = (peak / mono_bytes, synthesize_bound(reference) / mono_bytes)
-    # last: the estimate is built in tgt's buffer, which nothing reads after
+    # last: the estimate is built in tgt's buffer, which nothing reads after,
+    # and its draws take one more field until it is built
     spec = PipelineSpec("mvdr", estimator="oraclePhaseSensitiveMask",
                         est_err_snr_db=10.0)
     peak, _ = traced_peak(lambda: pipeline._estimate(spec, mix, tgt))
