@@ -4,27 +4,27 @@ simulator's per-mic responses and the estimator's error draws run on.
 A call hands run_chunks a job, the items to process, a cap on its workers
 and a function that makes one set of buffers (a space) per worker.  The
 calling thread makes every space, then works through the items itself with
-the first; each further space goes to a pool thread that only helps.  Once
-the caller finds no item left, it cancels the helpers that have not started
-and waits for those that have; only then does it release the BLAS hold and
-raise the first failure.  So a call never waits on a queued job: calls may
-overlap, run inside another call's job, or run in a forked child, whose
-pool starts empty.
+the first; each further space goes to the pool as a helper job (submit,
+below) that only helps.  Once the caller finds no item left, it takes each
+helper's result: a helper no pool thread has started runs on the caller
+and finds no item left, one that has started is waited for.  Only then
+does it release the BLAS hold and raise the first failure.  So a call never
+waits on a queued job: calls may overlap, run inside another call's job, or
+run in a forked child, whose pool starts empty.
 
-The pool is a concurrent.futures.ThreadPoolExecutor of one thread per CPU
-in the process's affinity mask, less one for the caller, made on first use
-and made again when the process id changes.  It starts its threads as calls
-first need them.  They are not daemon threads: at exit the interpreter
-joins them, which an idle thread does at once.  A call made after that,
-from a thread that outlives the main thread or from an atexit hook, runs
-on the caller alone.
+The pool is one queue of jobs served by daemon threads, one per CPU in the
+process's affinity mask less one for the caller, started on first use and
+started again when the process id changes.  A thread the interpreter
+refuses to start (Python 3.12.1 refuses them once it has begun to exit) is
+left out: callers take back the jobs no thread serves.
 
 submit(fn, *args) hands the pool one job that runs beside the caller, as
 the estimator's error draws run while the scene is analyzed.  It returns
-the job's future, whose result() runs the job on the calling thread if no
-pool thread has started it, so it too never waits on a queued job; with one
-worker the job runs inline, within submit.  A submitted job takes no BLAS
-hold (below), so it should call no BLAS: the draws call none.
+the job, whose result() runs it on the calling thread if no pool thread has
+started it, so it too never waits on a queued job, and hands its value
+over once; with one worker the job runs inline, within submit.  A
+submitted job takes no BLAS hold (below), so it should call no BLAS: the
+draws call none.
 
 The spaces are made on the calling thread: buffers a pool thread allocates
 stay resident in its own malloc arena after the call.  For the same reason
@@ -43,6 +43,7 @@ import contextlib
 import ctypes
 import functools
 import os
+import queue
 import threading
 
 import numpy as np
@@ -144,12 +145,21 @@ os.register_at_fork(after_in_child=_fresh_lock)
 
 
 @functools.lru_cache(maxsize=1)
-def _executor(pid):
+def _queue(pid):
     # keyed on the process id: a forked child has none of its parent's threads
-    from concurrent.futures import ThreadPoolExecutor
+    jobs = queue.SimpleQueue()
+    for _ in range(worker_count() - 1):
+        try:
+            threading.Thread(target=_serve, args=(jobs,), name="lodistort-pool",
+                             daemon=True).start()
+        except RuntimeError:  # refused once the interpreter has begun to exit
+            break
+    return jobs
 
-    return ThreadPoolExecutor(max(1, worker_count() - 1),
-                              thread_name_prefix="lodistort-pool")
+
+def _serve(jobs):
+    while True:
+        jobs.get().run()
 
 
 # marks the end of a call's items
@@ -189,18 +199,12 @@ def run_chunks(job, items, workers, make_space):
                     failures.append(exc)
                 return
 
-    helpers = []
     with _BLAS_HOLD.single_threaded():
-        # the executor refuses jobs once the interpreter has begun to exit
-        with contextlib.suppress(RuntimeError):
-            executor = _executor(os.getpid())
-            for space in spaces[1:]:
-                helpers.append(executor.submit(drain, space))
+        helpers = [submit(drain, space) for space in spaces[1:]]
         drain(spaces[0])
         for helper in helpers:
-            # a helper a thread has started is waited for, any other never runs
-            if not helper.cancel():
-                helper.result()
+            # one no pool thread has started runs here and finds no item left
+            helper.result()
     if failures:
         raise failures[0]
 
@@ -219,32 +223,34 @@ class _Job:
         if not self._claim.acquire(blocking=False):
             return  # claimed by the other thread
         fn, args = self._call
-        self._call = None  # the arguments are freed once the job has run
+        self._call = None
         try:
             self._value = fn(*args)
         except BaseException as exc:
             self._error = exc
         finally:
+            fn = args = None  # the arguments are freed before the job is done
             self._done.set()
 
     def result(self):
-        """The job's value, or its exception raised; runs the job here if no
-        pool thread has started it, else waits for the thread."""
+        """The job's value, or its exception raised, handed over once: the
+        job keeps neither, and a second call returns None.  Runs the job
+        here if no pool thread has started it, else waits for the thread."""
         self.run()
         self._done.wait()
-        if self._error is not None:
-            raise self._error
-        return self._value
+        value, error = self._value, self._error
+        self._value = self._error = None
+        if error is not None:
+            raise error
+        return value
 
 
 def submit(fn, *args):
-    """The future of fn(*args), run on a pool thread or, with one worker,
+    """The job of fn(*args), run on a pool thread or, with one worker,
     inline before submit returns."""
     job = _Job(fn, args)
     if worker_count() > 1:
-        # the executor refuses jobs once the interpreter has begun to exit
-        with contextlib.suppress(RuntimeError):
-            _executor(os.getpid()).submit(job.run)
-            return job
-    job.run()
+        _queue(os.getpid()).put(job)
+    else:
+        job.run()
     return job

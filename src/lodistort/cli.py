@@ -207,7 +207,7 @@ def cmd_simulate(args):
     manifest_path = os.path.join(args.out, "manifest.json")
     atomic_write_json(manifest_path, manifest)
     print(f"wrote scene to {args.out} ({args.num_mics} mics, "
-          f"t60={args.t60_seconds:g} s, snr={args.snr_db:g} dB, seed={args.seed})")
+          f"t60={args.t60_seconds:g} s, snr={scene.snr_db:g} dB, seed={args.seed})")
     return 0
 
 

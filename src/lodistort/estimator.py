@@ -18,7 +18,8 @@ analyze-phase start them before the scene's STFTs, so they are drawn while
 the scene is analyzed; _build starts them itself for any other caller.
 With one worker they run inline: the same values either way.  Every
 energy sum squares one block at a time (_energy), equal to numpy's sum of
-the squares bit for bit, and the draws are freed when _build returns.
+the squares bit for bit.  The job's result(), taken once, hands the draws
+over and keeps nothing, so they are freed when _build returns.
 """
 
 import math
@@ -114,9 +115,9 @@ def corrupt_estimate(estimate, est_err_snr_db, seed):
 def _build(target, kind, est_err_snr_db, seed, mixture=None, draws=None):
     """The estimate `kind` with error at `est_err_snr_db`, built in `target`
     as the module docstring says; only the mask oracles read `mixture`.  A
-    finite ratio takes its error from `draws`, the _Draws of target.size
-    values from `seed` if the caller started them, else from draws started
-    here."""
+    finite ratio takes its error from `draws`, the job of _start_draws for
+    target.size values from `seed` if the caller started it, else from
+    draws started here."""
     check("est_err_snr_db", est_err_snr_db)
     if mixture is not None:
         mixture = np.asarray(mixture, dtype=np.complex128)
@@ -124,7 +125,7 @@ def _build(target, kind, est_err_snr_db, seed, mixture=None, draws=None):
     if kind not in ORACLE_KINDS:
         raise ValueError(f"unknown oracle kind {kind!r}, expected one of {ORACLE_KINDS}")
     if draws is None and not math.isinf(est_err_snr_db):
-        draws = _Draws(target.size, seed)
+        draws = _pool.submit(_draw, np.empty((2, target.size)), seed)
     if kind != ORACLE_DIRECT:
         _apply_mask(kind, mixture, target)
     if not math.isinf(est_err_snr_db):
@@ -132,39 +133,22 @@ def _build(target, kind, est_err_snr_db, seed, mixture=None, draws=None):
     return TargetEstimate(target)
 
 
-class _Draws:
-    """The error draws of an estimate of `count` complex values: a pool job
-    (_pool.submit) that starts when the object is made fills a 2 x count
-    float buffer the calling thread allocates, the real parts first, and
-    sums its energy."""
-
-    def __init__(self, count, seed):
-        self._draws = np.empty((2, count))
-        self._job = _pool.submit(_draw, self._draws, seed)
-
-    def take(self):
-        """(the draws, their energy) once the job is done, after which this
-        object holds neither: the taker frees the draws."""
-        draws, job = self._draws, self._job
-        self._draws = self._job = None
-        return draws, job.result()
-
-
 def _start_draws(mixture, est_err_snr_db, seed):
-    # the _Draws of an estimate of the TimeSignal mixture's STFT, started
+    # the draws job of an estimate of the TimeSignal mixture's STFT, started
     # before that STFT is computed; None at a ratio that draws nothing
     if not math.isfinite(est_err_snr_db):
         return None
     count = (StftConfig.num_frames(mixture.num_samples) * StftConfig.num_bins
              * mixture.num_channels)
-    return _Draws(count, seed)
+    return _pool.submit(_draw, np.empty((2, count)), seed)
 
 
 def _draw(draws, seed):
-    # the job of _Draws: the seeded stream, then the energy of the real and
-    # of the imaginary parts, summed in that order
+    # a pool job: fills the 2 x count float buffer `draws` the caller made
+    # from the seeded stream, the real parts first, and returns (draws, the
+    # energy of the real and of the imaginary parts, summed in that order)
     np.random.default_rng(seed).standard_normal(out=draws)
-    return float(_energy(draws[0])) + float(_energy(draws[1]))
+    return draws, float(_energy(draws[0])) + float(_energy(draws[1]))
 
 
 def _energy(values):
@@ -196,7 +180,7 @@ def _apply_mask(kind, mixture, target):
 
 
 def _add_error(values, est_err_snr_db, draws):
-    # values += the error of the _Draws `draws`, scaled in place to the
+    # values += the error of the draws job `draws`, scaled in place to the
     # ratio.  The clean energy is summed while the draws may still run
     parts = values.view(np.float64)
     with np.errstate(over="ignore"):  # an overflow is an infinite energy, refused
@@ -204,7 +188,7 @@ def _add_error(values, est_err_snr_db, draws):
     if not math.isfinite(clean_energy):
         raise ValueError("the estimate must be finite, with an energy within "
                          "float64's range")
-    draws, noise_energy = draws.take()
+    draws, noise_energy = draws.result()
     scale = 0.0
     if noise_energy > 0.0:
         try:

@@ -24,12 +24,13 @@ the entry goes with its mixture.  Each node is keyed by what it reads: the
 mixture's STFT by name; the scoring reference and the mixture's score by
 (ref_mic, name); the estimate by (estimator, est_err_snr_db, seed, ref_mic),
 or None for an external estimate, whose file may change, and None
-propagates.  A call that will build a corrupted oracle estimate starts its
-error draws on the worker pool before the mixture's STFT (see the
-estimator module).  The estimate node holds what the stages read of it: a
-contiguous copy of channel ref_mic and, when the estimate has all P >= 2 of
-the mixture's channels, their signal covariances (mvdr, gev), computed once
-when the node is built; the T x F x P estimate is dropped then.  The
+propagates.  A call that will build a corrupted oracle estimate submits
+its error draws to the worker pool before the mixture's STFT, and the
+estimate node takes the job's result (see the estimator module).  The
+node holds what the stages read of the estimate: a contiguous copy of
+channel ref_mic and, when the estimate has all P >= 2 of the mixture's
+channels, their signal covariances (mvdr, gev), computed once when the node
+is built; the T x F x P estimate is dropped then.  The
 estimate's wave and score append their name.  A stage's input is keyed by
 the spec's params_dict() values; a mono run appends a marker, each stage its
 name, and each sub-node (the masked covariances, a wave, a score) its name.
@@ -340,7 +341,7 @@ _STAGES = {"wpe": _wpe, "mvdr": _mvdr, "mmvdr": _mmvdr, "mwmpdr": _mwmpdr,
 def _estimate(spec, mix_spec, tgt_spec, draws=None):
     # (a contiguous copy of channel ref_mic, the signal covariances of all
     # P >= 2 channels or None): the estimate node, which drops the estimate;
-    # an oracle's is built in tgt_spec, with `draws` if they were started
+    # an oracle's is built in tgt_spec, with the draws job if one was started
     if spec.estimator == "external":
         est = load_external_estimate(spec.estimate_path, mix_spec.shape)
     else:

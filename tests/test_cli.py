@@ -100,6 +100,21 @@ def test_simulate_is_deterministic(tmp_path, capsys):
             assert fa.read() == fb.read(), name
 
 
+@pytest.mark.parametrize("num_noises, printed", [("0", "inf"), ("1", "5"), ("2", "5")])
+def test_simulate_prints_the_snr_its_manifest_records(tmp_path, capsys, num_noises,
+                                                      printed):
+    # a noise-free scene is rendered unscaled: its SNR is +inf, whatever
+    # --snr-db says
+    out = str(tmp_path / "scene")
+    rc, stdout, err = run_cli(capsys, "simulate", "--mics", "2", "--t60", "0.2",
+                              "--snr-db", "5", "--num-noises", num_noises,
+                              "--duration", "0.25", "--out", out)
+    assert rc == 0, err
+    assert f", snr={printed} dB, " in stdout
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as handle:
+        assert float(json.load(handle)["snrDb"]) == float(printed)
+
+
 @pytest.mark.parametrize("flags", [
     (),  # the room's defaults: seed, tail gain and direct delay are RoomSpec's
     ("--seed", "4", "--tail-gain", "0.1", "--direct-delay", "3", "--rir-len", "900"),

@@ -9,6 +9,7 @@ import sys
 import textwrap
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -188,18 +189,57 @@ def test_failure_is_raised_once_started_jobs_end(monkeypatch):
         assert all(end is not None and end <= raised for _, end in spans)
 
 
-def test_executor_is_imported_on_first_pooled_call():
+def test_pooled_calls_import_neither_concurrent_futures_nor_logging():
+    # the pool runs on plain threads: a fresh process that renders, predicts
+    # and submits a job pays the import of neither module
     proc = _run_pooled("""
         import sys
         import numpy as np
-        from lodistort import wpe_field
+        from lodistort import (RoomSpec, _pool, render_scene, synth_noise,
+                               synth_speech_like, wpe_field)
 
-        assert "concurrent.futures" not in sys.modules, "imported with lodistort"
         field = np.random.default_rng(0).standard_normal((200, 65, 2)) + 0j
         wpe_field(field, np.ones((200, 65)), taps=2)
-        assert "concurrent.futures" in sys.modules, "not imported by a pooled call"
+        render_scene(synth_speech_like(4000, seed=1), [synth_noise(4000, seed=2)],
+                     RoomSpec(num_mics=3, t60_seconds=0.3, rir_len_samples=1000,
+                              seed=1), snr_db=0.0)
+        assert _pool.submit(sum, (1, 2)).result() == 3
+        print(sorted({"concurrent.futures", "logging"} & set(sys.modules)))
     """)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
+
+
+def test_a_refused_thread_start_gives_the_one_worker_results():
+    # Python 3.12.1 refuses new threads once the interpreter has begun to
+    # exit: every pooled call then runs its jobs on the caller alone
+    proc = _run_pooled("""
+        import threading
+        import numpy as np
+        from lodistort import (RoomSpec, _pool, render_scene, synth_noise,
+                               synth_speech_like, wpe_field)
+
+        def work():
+            field = np.random.default_rng(0).standard_normal((200, 65, 2)) + 0j
+            _, out = wpe_field(field, np.ones((200, 65)), taps=2)
+            scene = render_scene(
+                synth_speech_like(4000, seed=1), [synth_noise(4000, seed=2)],
+                RoomSpec(num_mics=3, t60_seconds=0.3, rir_len_samples=1000, seed=1),
+                snr_db=0.0)
+            drawn = _pool.submit(lambda: np.random.default_rng(3).standard_normal(9))
+            return out, scene.mixture.samples, scene.noise.samples, drawn.result()
+
+        def refuse(thread):
+            raise RuntimeError("can't create new thread at interpreter shutdown")
+
+        threading.Thread.start = refuse
+        refused = work()
+        _pool.worker_count = lambda: 1
+        serial = work()
+        print(all(a.tobytes() == b.tobytes() for a, b in zip(refused, serial)))
+    """)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "True"
 
 
 def test_thread_that_outlives_the_main_thread_matches():
@@ -272,3 +312,20 @@ def test_submit_inside_a_job_of_the_only_busy_thread_does_not_hang():
     """)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "returned"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_result_hands_the_value_over_once(monkeypatch, workers):
+    # once taken, the job holds neither its arguments nor its value: the
+    # estimate's draws are freed by whoever takes them
+    monkeypatch.setattr(_pool, "worker_count", lambda: workers)
+    arg = np.zeros(3)
+    job = _pool.submit(lambda values: values + 1.0, arg)
+    arg_ref = weakref.ref(arg)
+    del arg
+    value = job.result()
+    value_ref = weakref.ref(value)
+    assert value.tolist() == [1.0, 1.0, 1.0]
+    del value
+    assert arg_ref() is None and value_ref() is None
+    assert job.result() is None
